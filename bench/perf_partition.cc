@@ -1,7 +1,6 @@
 // Experiment PERF-PARTITION — kernel-by-kernel ns/row of the partition
 // refinement suite (engine/refine_kernels.h) over cardinality and skew
-// sweeps, plus the fused multi-column kernels against the chains they
-// replace.
+// sweeps, the append-extension layouts, and the intra-op sharded forms.
 //
 // The adaptive thresholds (kDenseCardinalityMax, the sort cutover at
 // cardinality >= mass, the SIMD block gate) were picked from this sweep;
@@ -217,79 +216,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Fused multi-column kernels vs the chains they replace (k = 2, 3).
-  for (size_t k = 2; k <= 3; ++k) {
-    std::vector<Column> cols;
-    std::vector<const Column*> ptrs;
-    uint32_t product = 1;
-    for (size_t j = 0; j < k; ++j) {
-      cols.push_back(MakeColumn(kRows, 16, j == 0 ? 0.0 : 2.0, &rng));
-      product *= 16;
-    }
-    for (const Column& c : cols) ptrs.push_back(&c);
-
-    Partition chained = base;
-    for (size_t j = 0; j + 1 < k; ++j) chained = chained.RefinedBy(cols[j]);
-    const double chain_h = chained.RefinedEntropy(cols[k - 1], kRows);
-    Partition chain_full = chained.RefinedBy(cols[k - 1]);
-
-    Check(SamePartition(chain_full,
-                        base.RefinedByAll(ptrs.data(), k, product)),
-          "RefinedByAll vs RefinedBy chain");
-    Check(chain_h ==
-              base.RefinedEntropyAll(ptrs.data(), k, product, kRows),
-          "RefinedEntropyAll vs chain (bitwise)");
-    const std::string op_m = "fused" + std::to_string(k) + "_materialize";
-    const std::string op_e = "fused" + std::to_string(k) + "_entropy";
-    const std::string op_cm = "chain" + std::to_string(k) + "_materialize";
-    const std::string op_ce = "chain" + std::to_string(k) + "_entropy";
-    EmitLine(smoke, op_m.c_str(), "fused", kRows, mass, product, 0.0,
-             TimeNs(kReps, [&] { base.RefinedByAll(ptrs.data(), k, product); }) /
-                 static_cast<double>(mass));
-    EmitLine(smoke, op_e.c_str(), "fused", kRows, mass, product, 0.0,
-             TimeNs(kReps,
-                    [&] {
-                      base.RefinedEntropyAll(ptrs.data(), k, product, kRows);
-                    }) /
-                 static_cast<double>(mass));
-    EmitLine(smoke, op_cm.c_str(), "chain", kRows, mass, product, 0.0,
-             TimeNs(kReps,
-                    [&] {
-                      Partition p = base;
-                      for (size_t j = 0; j < k; ++j) p = p.RefinedBy(cols[j]);
-                    }) /
-                 static_cast<double>(mass));
-    EmitLine(smoke, op_ce.c_str(), "chain", kRows, mass, product, 0.0,
-             TimeNs(kReps,
-                    [&] {
-                      Partition p = base;
-                      for (size_t j = 0; j + 1 < k; ++j) {
-                        p = p.RefinedBy(cols[j]);
-                      }
-                      p.RefinedEntropy(cols[k - 1], kRows);
-                    }) /
-                 static_cast<double>(mass));
-
-    if (k == 2) {
-      // The chain-finale kernel: materialize + final entropy in one pass.
-      Partition fin;
-      const double fin_h =
-          base.RefinedByWithEntropy(cols[0], cols[1], product, kRows, &fin);
-      Partition step = base.RefinedBy(cols[0]);
-      Check(SamePartition(step, fin), "RefinedByWithEntropy partition");
-      Check(step.RefinedEntropy(cols[1], kRows) == fin_h,
-            "RefinedByWithEntropy entropy (bitwise)");
-      EmitLine(smoke, "finale2", "fused", kRows, mass, product, 0.0,
-               TimeNs(kReps,
-                      [&] {
-                        Partition p;
-                        base.RefinedByWithEntropy(cols[0], cols[1], product,
-                                                  kRows, &p);
-                      }) /
-                   static_cast<double>(mass));
-    }
-  }
-
   // --- Uniform append-extension sweep: chunked in-place vs flat copy ----
   //
   // A uniform (zero temporal locality) append stream is the flat layout's
@@ -500,40 +426,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // The fused multi-column forms under the same exact guard (k = 2).
-    Column fc1 = MakeColumn(kParRows, 64, 0.0, &prng);
-    Column fc2 = MakeColumn(kParRows, 64, 2.0, &prng);
-    const Column* fptrs[2] = {&fc1, &fc2};
-    const uint32_t product = 64 * 64;
-    const Partition fref = pbase.RefinedByAll(fptrs, 2, product);
-    const double fref_h =
-        pbase.RefinedEntropyAll(fptrs, 2, product, kParRows);
-    Partition fin_ref;
-    const double fin_ref_h = pbase.RefinedByWithEntropy(
-        fc1, fc2, product, kParRows, &fin_ref);
-    for (uint32_t t : par_threads) {
-      Check(SamePartition(
-                fref, pbase.RefinedByAllSharded(fptrs, 2, product, t, &pool)),
-            "sharded RefinedByAll vs serial");
-      Check(fref_h == pbase.RefinedEntropyAllSharded(fptrs, 2, product,
-                                                     kParRows, t, &pool),
-            "sharded RefinedEntropyAll vs serial (bitwise)");
-      Partition fin;
-      const double fin_h = pbase.RefinedByWithEntropySharded(
-          fc1, fc2, product, kParRows, t, &pool, &fin);
-      Check(SamePartition(fin_ref, fin),
-            "sharded RefinedByWithEntropy partition vs serial");
-      Check(fin_ref_h == fin_h,
-            "sharded RefinedByWithEntropy entropy vs serial (bitwise)");
-      EmitParLine(smoke, "fused2_entropy_sharded", t, kParRows, pmass,
-                  product,
-                  TimeNs(kReps,
-                         [&] {
-                           pbase.RefinedEntropyAllSharded(
-                               fptrs, 2, product, kParRows, t, &pool);
-                         }) /
-                      pmassd);
-    }
     std::fprintf(stderr,
                  "sharded refine best speedup: %.2fx at %u threads\n",
                  best_refine_speedup, best_refine_threads);

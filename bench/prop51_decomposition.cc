@@ -3,7 +3,8 @@
 // We measure the slack of this decomposition across tree shapes (path vs
 // star) and noise levels on planted instances.
 //
-// FINDING (see EXPERIMENTS.md, "Paper discrepancies"): the proposition AS
+// FINDING (pinned by Prop51.CounterexampleViolatesStatedBound in
+// tests/bounds_test.cc): the proposition AS
 // STATED is violated on structured instances — planted product groups plus
 // light noise produce rows with negative slack, and a minimal 10-tuple
 // counterexample exists (MakeProp51Counterexample). The violating rows
@@ -116,7 +117,7 @@ int main() {
       "Paper claim (Prop 5.1) predicts 'holds' in every row. Measured: the\n"
       "lossless rows are tight (slack 0) and heavy noise restores the\n"
       "inequality, but structured low-noise instances VIOLATE it — the\n"
-      "stated bound is a typical-case heuristic, not a theorem (erratum\n"
-      "recorded in EXPERIMENTS.md).\n");
+      "stated bound is a typical-case heuristic, not a theorem (minimal\n"
+      "counterexample: MakeProp51Counterexample in core/worstcase.h).\n");
   return 0;
 }

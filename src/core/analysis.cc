@@ -37,6 +37,19 @@ Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
   // walk overlapping sublattices of the same attribute lattice.
   EntropyCalculator calc(session, &r);
   out.j = JMeasure(&calc, tree);
+  // The paper's relations are sets: over repeated rows the join of the
+  // projections can be smaller than |R|, and every loss goes negative.
+  // H(chi(T)), already cached by J, is exactly ln N when the rows are
+  // distinct over chi(T); one repeat lowers it by at least 2 ln 2 / N, so
+  // half that gap tells the two apart at any row count.
+  const double n = static_cast<double>(out.n);
+  if (calc.Entropy(tree.AllAttrs()) < std::log(n) - std::log(2.0) / n) {
+    return Status::InvalidArgument(
+        "relation has " + std::to_string(out.n) + " rows but only " +
+        std::to_string(CountDistinct(r, tree.AllAttrs())) +
+        " distinct ones over the join tree's attributes; the analysis "
+        "needs a set of rows (build the relation with dedupe = true)");
+  }
   FactorizedDistribution pt(r, tree);
   out.kl = pt.KlFromEmpirical();
   out.chain_rule_j = JMeasureViaChainRule(&calc, tree);

@@ -47,14 +47,17 @@ struct AjdAnalysis {
   /// max_i I(Omega_{1:i-1}; Omega_{i:m} | Delta_i) for the DFS rooted at 0.
   /// CAUTION: the paper's Theorem 2.2 states this is <= J, but for DFS
   /// enumerations whose prefix and suffix share attributes outside Delta_i
-  /// it can EXCEED J (see EXPERIMENTS.md, "Paper discrepancies"). Exposed
-  /// for diagnostics.
+  /// it can EXCEED J (MakeThm22DfsCounterexample in core/worstcase.h,
+  /// pinned by Sandwich.DfsLowerSideCounterexample in
+  /// tests/j_measure_test.cc). Exposed for diagnostics.
   double max_dfs_cmi = 0.0;
   double sum_dfs_cmi = 0.0;       ///< Theorem 2.2 upper side (always valid).
   double rho_lower_bound = 0.0;   ///< Lemma 4.1: e^J - 1 <= rho.
   /// Prop 5.1's claimed upper bound sum_i ln(1+rho_i). CAUTION: the paper's
-  /// proposition admits counterexamples (see MakeProp51Counterexample and
-  /// EXPERIMENTS.md); treat as a typical-case estimate, not a guarantee.
+  /// proposition admits counterexamples (MakeProp51Counterexample, pinned
+  /// by Prop51.CounterexampleViolatesStatedBound in tests/bounds_test.cc;
+  /// bench/prop51_decomposition.cc measures the slack); treat as a
+  /// typical-case estimate, not a guarantee.
   double prop51_bound = 0.0;
   std::vector<MvdStat> support;   ///< Per support MVD (edge MVDs).
   double delta = 0.0;             ///< Confidence parameter used below.

@@ -94,8 +94,8 @@ std::string LossCertificate::ToString() const {
   s += fully_qualified
            ? "  status: FULLY QUALIFIED (paper guarantee regime)\n"
            : "  status: ADVISORY (qualifying conditions not met at this "
-             "scale;\n          see EXPERIMENTS.md for the Prop 5.1 "
-             "composition caveat)\n";
+             "scale;\n          Prop 5.1's composition is typical-case "
+             "only: see bench/prop51_decomposition.cc)\n";
   return s;
 }
 

@@ -13,9 +13,10 @@
 // the paper's guarantee. When conditions fail, the certificate is still
 // assembled but flagged advisory.
 //
-// NOTE: the composition step inherits the Proposition 5.1 caveat recorded
-// in EXPERIMENTS.md (the stated product decomposition is typical-case).
-// The certificate reports this explicitly.
+// NOTE: the composition step inherits the Proposition 5.1 caveat (the
+// stated product decomposition is typical-case: MakeProp51Counterexample
+// in core/worstcase.h breaks it, and bench/prop51_decomposition.cc
+// measures how often). The certificate reports this explicitly.
 #ifndef AJD_CORE_CERTIFICATE_H_
 #define AJD_CORE_CERTIFICATE_H_
 

@@ -51,11 +51,14 @@ Result<Relation> AddNoiseTuples(const Relation& r, uint64_t extra, Rng* rng);
 /// and I(prefix; suffix | Delta) = H(X|Y) = ln 2 > 0 = J. The failure mode
 /// is an attribute (X) shared by prefix and suffix but absent from
 /// Delta_i; the edge-support CMIs are immune (their sides meet exactly in
-/// the separator by running intersection). See EXPERIMENTS.md.
+/// the separator by running intersection). Pinned by
+/// Sandwich.DfsLowerSideCounterexample in tests/j_measure_test.cc.
 Result<Instance> MakeThm22DfsCounterexample();
 
-/// A 10-tuple counterexample to Proposition 5.1 AS STATED (see
-/// EXPERIMENTS.md, "Paper discrepancies"). Relation over (A, B, D):
+/// A 10-tuple counterexample to Proposition 5.1 AS STATED (pinned by
+/// Prop51.CounterexampleViolatesStatedBound in tests/bounds_test.cc;
+/// bench/prop51_decomposition.cc measures the slack on planted instances).
+/// Relation over (A, B, D):
 ///   { (a, 0, d) : a, d in [3] }  u  { (3, 1, 3) },
 /// with the path join tree {A} - {B} - {D} (empty separators).
 /// Measured: 1 + rho(R, S) = 32/10 = 3.2, while the support MVDs give

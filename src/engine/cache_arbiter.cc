@@ -26,7 +26,6 @@ void CacheArbiter::ReleaseEngine(const void* engine) {
     lru_.erase(entry.lru_it);
   }
   engines_.erase(it);
-  UpdatePressureLocked();
 }
 
 void CacheArbiter::Charge(
@@ -57,7 +56,6 @@ void CacheArbiter::Charge(
     }
   }
   EvictToBudgetLocked();
-  UpdatePressureLocked();
 }
 
 void CacheArbiter::Touch(const void* engine, AttrSet key) {
@@ -87,7 +85,6 @@ void CacheArbiter::Discharge(const void* engine,
     lru_.erase(et->second.lru_it);
     rec.entries.erase(et);
   }
-  UpdatePressureLocked();
 }
 
 size_t CacheArbiter::EffectiveFloorLocked() const {
@@ -135,12 +132,6 @@ void CacheArbiter::EvictToBudgetLocked() {
     // header's locking contract). The callback tolerates already-gone keys.
     rec.evict(key);
   }
-}
-
-void CacheArbiter::UpdatePressureLocked() {
-  pressure_.store(stats_.evictions > 0 &&
-                      total_bytes_ * 4 >= options_.budget_bytes * 3,
-                  std::memory_order_relaxed);
 }
 
 size_t CacheArbiter::AccountedBytes() const {

@@ -33,7 +33,6 @@
 #ifndef AJD_ENGINE_CACHE_ARBITER_H_
 #define AJD_ENGINE_CACHE_ARBITER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -115,16 +114,6 @@ class CacheArbiter {
   /// unknown keys are ignored.
   void Discharge(const void* engine, const std::vector<AttrSet>& keys);
 
-  /// True while the arbiter has evicted before and sits near its budget —
-  /// the signal EntropyEngine's adaptive fusion policy keys on (fused
-  /// misses skip caching intermediates that would not survive anyway).
-  /// Lock-free (a relaxed atomic maintained by Charge/ReleaseEngine):
-  /// every cache miss polls this, and the poll must not serialize the
-  /// engines' parallel fan-outs on the arbiter mutex.
-  bool UnderPressure() const {
-    return pressure_.load(std::memory_order_relaxed);
-  }
-
   /// Bytes currently accounted across all engines. Never exceeds
   /// budget_bytes() after any public call returns.
   size_t AccountedBytes() const;
@@ -172,9 +161,6 @@ class CacheArbiter {
   /// held; invokes evict callbacks.
   void EvictToBudgetLocked();
 
-  /// Recomputes the cached pressure flag. Requires mu_ held.
-  void UpdatePressureLocked();
-
   ArbiterOptions options_;
   mutable std::mutex mu_;
   std::unordered_map<const void*, EngineRecord> engines_;
@@ -182,7 +168,6 @@ class CacheArbiter {
   std::list<LruKey> lru_;
   size_t total_bytes_ = 0;
   ArbiterStats stats_;
-  std::atomic<bool> pressure_{false};
 };
 
 }  // namespace ajd

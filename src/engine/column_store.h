@@ -98,8 +98,7 @@ struct Column {
   /// first_row[c] = the row at which dense code c first appeared (strictly
   /// ascending — which is also what lets the store derive the cardinality
   /// of ANY prefix by binary search). Filled by the store's densification;
-  /// left EMPTY by ComposeColumns / MakeOwnedColumn-without-first_row (a
-  /// composite's cardinality can be far larger than the row count).
+  /// left EMPTY by MakeOwnedColumn-without-first_row.
   /// Partition delta-extension reads it to locate the lone old row of a
   /// group a new row just joined.
   CodeSpan first_row;
@@ -108,7 +107,7 @@ struct Column {
 };
 
 /// Builds a self-owning Column from materialized vectors. The standalone
-/// construction path for tests, benchmarks, and composite columns.
+/// construction path for tests and benchmarks.
 Column MakeOwnedColumn(std::vector<uint32_t> codes, uint32_t cardinality,
                        std::vector<uint32_t> first_row = {});
 
@@ -208,14 +207,6 @@ class ColumnStore {
   /// pointer keeps the sketch alive independent of later refreshes.
   std::shared_ptr<const DistinctSketch> SketchAt(uint32_t pos,
                                                  uint64_t rows) const;
-
-  /// Materializes the mixed-radix composition of the given attributes'
-  /// columns into one temporary column: codes are
-  /// ((c0 * card1 + c1) * card2 + c2)..., cardinality the product (which
-  /// must fit uint32). Two rows share a composite code iff they agree on
-  /// every listed attribute, so the composite column induces the same
-  /// grouping as refining by the columns in sequence.
-  Column ComposeColumns(const std::vector<uint32_t>& attrs) const;
 
  private:
   /// Growable owner-side storage one column's views alias into. In-place

@@ -17,16 +17,6 @@
 
 namespace ajd {
 
-namespace {
-
-// Fused refinement applies at most this many missing columns in one
-// composite pass. Deeper tails are rare (the cost model usually finds a
-// close cached base) and would dilute the intermediate-partition reuse the
-// cache lives on.
-constexpr size_t kMaxFuseColumns = 4;
-
-}  // namespace
-
 EntropyEngine::EntropyEngine(const Relation* r, EngineOptions options)
     : store_(r),
       options_(options),
@@ -346,7 +336,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       }
       ++extended_count;
     } else {
-      // Fused gap, evicted ancestor, divergent chain, or a column whose
+      // Evicted ancestor, divergent chain, or a column whose
       // cardinality crossed its kernel-selection threshold: replay the
       // remaining chain cold from the deepest extended ancestor (bit-
       // identical to the delta path by kernel reproducibility). The LAST
@@ -623,21 +613,8 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
   // The base's recorded build recipe; every partition cached below extends
   // it, so catch-up can replay (or delta-extend) the exact chain later.
   std::vector<uint32_t> cur_chain;
-  // Partition-cache pressure: evictions have happened and the cache sits
-  // near its budget, so intermediates cached now are unlikely to survive
-  // until a reuse — the signal that lets the fused path run (below)
-  // without starving future base lookups. Under an arbiter the pressure is
-  // global; it is sampled BEFORE taking mu_ because the engine must never
-  // wait on the arbiter while holding its own mutex (lock order is
-  // arbiter -> engine, see engine/cache_arbiter.h).
-  bool cache_pressure =
-      arbiter_ != nullptr && arbiter_->UnderPressure();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (arbiter_ == nullptr) {
-      cache_pressure = stats_.evictions > 0 &&
-                       partition_bytes_ * 4 >= options_.cache_budget_bytes * 3;
-    }
     double best_cost = static_cast<double>(n) *
                        std::max<uint32_t>(attrs.Count(), 1);  // from scratch
     uint32_t best_level = 0;
@@ -686,25 +663,20 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
   // Early on this is roughly descending cardinality (wide columns shatter
   // blocks fastest); once the mass has collapsed, every saturated column
   // splits equally well and the cheapest one — smallest counting-scratch
-  // footprint — goes first. When fusion policy allows (see
-  // EngineOptions::max_fuse_columns) and the remaining columns'
-  // cardinality product fits the fuse budget, they are applied as ONE
-  // composite pass, bit-identical to a chain applied in the same (frozen)
-  // column order; an unfused chain may re-rank mid-way as the mass
-  // shrinks, so the two can differ by fp accumulation noise.
+  // footprint — goes first. The remaining columns are re-ranked after every
+  // step as the mass shrinks.
   std::vector<uint32_t> missing = attrs.Minus(base_set).ToIndices();
 
   uint64_t builds = 0;
   uint64_t refinements = 0;
-  uint64_t fused = 0;
   struct FreshEntry {
     AttrSet set;
     std::shared_ptr<const Partition> partition;
     std::vector<uint32_t> chain;
     uint32_t last_col_card = 0;
-    /// Build-time parent->child correspondence (empty for roots, fused
-    /// passes, and the all-singleton shortcut): makes the entry's FIRST
-    /// epoch catch-up scan-free.
+    /// Build-time parent->child correspondence (empty for roots and the
+    /// all-singleton shortcut): makes the entry's FIRST epoch catch-up
+    /// scan-free.
     PartitionDelta delta;
   };
   std::vector<FreshEntry> fresh;
@@ -745,61 +717,6 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
     });
     for (size_t j = 0; j < tail; ++j) missing[i + j] = ranks[j].attr;
 
-    // Fused tail: apply every remaining column in one composite pass when
-    // policy allows and the code space fits the budget. Fusing skips
-    // materializing AND caching the chain's intermediate partitions — the
-    // most-refined, smallest-mass entries, i.e. precisely the best future
-    // bases — so on reuse-heavy workloads (the miner's overlapping term
-    // sets) it loses more downstream than the skipped passes save, and it
-    // only runs when those intermediates would not survive anyway (cache
-    // pressure) or the caller forced it (max_fuse_columns >= 2).
-    const size_t remaining = tail;
-    const uint32_t fuse_limit =
-        options_.max_fuse_columns == 0
-            ? (cache_pressure ? kMaxFuseColumns : 1)
-            : std::min<uint32_t>(options_.max_fuse_columns, kMaxFuseColumns);
-    if (cur != nullptr && remaining >= 2 && remaining <= fuse_limit) {
-      // Column VALUES held locally: ColumnAt returns a by-value view, so
-      // the pointer array the fused kernels take must alias storage that
-      // outlives the pass.
-      Column fused_cols[kMaxFuseColumns];
-      const Column* cols[kMaxFuseColumns];
-      for (size_t j = 0; j < remaining; ++j) {
-        fused_cols[j] = store_.ColumnAt(missing[i + j], pin.rows);
-        cols[j] = &fused_cols[j];
-      }
-      const uint64_t composite_card =
-          FusedCardinality(cols, remaining, FuseBudget(mass));
-      if (composite_card > 0) {
-        refinements += remaining;
-        ++fused;
-        // Intra-op sharding: bit-identical to the serial kernels at any
-        // thread count (engine/refine_kernels.h), so unlike the batch
-        // fan-out this never perturbs seeded reproducibility.
-        const uint32_t rt = RefineThreadsFor(cur->NumStrippedRows());
-        if (!materialize_final) {
-          h = cur->RefinedEntropyAllSharded(
-              cols, remaining, static_cast<uint32_t>(composite_card), n, rt,
-              pool_.get());
-          have_h = true;
-          break;
-        }
-        cur = std::make_shared<Partition>(cur->RefinedByAllSharded(
-            cols, remaining, static_cast<uint32_t>(composite_card), rt,
-            pool_.get()));
-        cur_set = attrs;
-        // A fused pass is bit-identical to the chain in the same column
-        // order, so the recipe records the columns flat.
-        for (size_t j = 0; j < remaining; ++j) {
-          cur_chain.push_back(missing[i + j]);
-        }
-        fresh.push_back({cur_set, cur, cur_chain,
-                         cols[remaining - 1]->cardinality, PartitionDelta{}});
-        i = missing.size();
-        break;
-      }
-    }
-
     const uint32_t a = missing[i];
     const Column col = store_.ColumnAt(a, pin.rows);
     PartitionDelta step_delta;
@@ -807,9 +724,9 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
       cur = std::make_shared<Partition>(Partition::OfColumn(col));
       ++builds;
     } else if (!materialize_final && i + 1 == missing.size()) {
-      // Last step: only H is needed, so run the fused counting pass and
-      // skip materializing the final partition. If a later query wants it
-      // as a base, it refines from the cached prefix at one step's cost.
+      // Last step: only H is needed, so run the count-only pass and skip
+      // materializing the final partition. If a later query wants it as a
+      // base, it refines from the cached prefix at one step's cost.
       h = cur->RefinedEntropySharded(col, n, RefineKernel::kAuto,
                                      RefineThreadsFor(cur->NumStrippedRows()),
                                      pool_.get());
@@ -861,7 +778,6 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
     std::lock_guard<std::mutex> lock(mu_);
     stats_.partition_builds += builds;
     stats_.refinements += refinements;
-    stats_.fused_refinements += fused;
     // Cache the value only while the pin is still current: a superseded
     // pin's value would be invisible to every future lookup (they filter
     // by row tag) yet sit in the map until a sweep that may never come.
@@ -1500,7 +1416,7 @@ Status EntropyEngine::PersistCache() {
       items.push_back(std::move(item));
     }
     // Entropy-only terms (the common case: final chain steps take the
-    // fused counting pass and never materialize) persist as value-only
+    // count-only pass and never materialize) persist as value-only
     // records — 16 bytes of journal each, no blob.
     for (const auto& kv : entropies_) {
       if (kv.second.rows != rows_now) continue;

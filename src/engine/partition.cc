@@ -322,42 +322,6 @@ double Partition::RefinedEntropy(const Column& col, uint64_t num_rows,
   return RefineEntropy(View(&g_view_scratch), col, kernel, num_rows);
 }
 
-Partition Partition::RefinedByAll(const Column* const* cols, size_t k,
-                                  uint32_t composite_card) const {
-  Partition out;
-  RefineByComposite(View(&g_view_scratch), cols, k, composite_card,
-                    PartitionBuild{&out.rows_, &out.starts_});
-  if (out.rows_.capacity() > out.rows_.size() + out.rows_.size() / 2) {
-    out.rows_.shrink_to_fit();
-  }
-  return out;
-}
-
-double Partition::RefinedEntropyAll(const Column* const* cols, size_t k,
-                                    uint32_t composite_card,
-                                    uint64_t num_rows) const {
-  if (num_rows == 0) return 0.0;
-  return RefineCompositeEntropy(View(&g_view_scratch), cols, k,
-                                composite_card, num_rows);
-}
-
-double Partition::RefinedByWithEntropy(const Column& c1, const Column& c2,
-                                       uint32_t composite_card,
-                                       uint64_t num_rows,
-                                       Partition* out) const {
-  if (num_rows == 0) {
-    *out = RefinedBy(c1);
-    return 0.0;
-  }
-  const double h = RefineByColumnWithEntropy(
-      View(&g_view_scratch), c1, c2, composite_card, num_rows,
-      PartitionBuild{&out->rows_, &out->starts_});
-  if (out->rows_.capacity() > out->rows_.size() + out->rows_.size() / 2) {
-    out->rows_.shrink_to_fit();
-  }
-  return h;
-}
-
 Partition Partition::RefinedBySharded(const Column& col, RefineKernel kernel,
                                       uint32_t threads, WorkerPool* pool,
                                       PartitionDelta* delta_out) const {
@@ -373,50 +337,6 @@ double Partition::RefinedEntropySharded(const Column& col, uint64_t num_rows,
   if (num_rows == 0) return 0.0;
   return RefineEntropySharded(View(&g_view_scratch), col, kernel, num_rows,
                               threads, pool);
-}
-
-Partition Partition::RefinedByAllSharded(const Column* const* cols, size_t k,
-                                         uint32_t composite_card,
-                                         uint32_t threads,
-                                         WorkerPool* pool) const {
-  Partition out;
-  RefineByCompositeSharded(View(&g_view_scratch), cols, k, composite_card,
-                           threads, pool,
-                           PartitionBuild{&out.rows_, &out.starts_});
-  if (out.rows_.capacity() > out.rows_.size() + out.rows_.size() / 2) {
-    out.rows_.shrink_to_fit();
-  }
-  return out;
-}
-
-double Partition::RefinedEntropyAllSharded(const Column* const* cols,
-                                           size_t k, uint32_t composite_card,
-                                           uint64_t num_rows, uint32_t threads,
-                                           WorkerPool* pool) const {
-  if (num_rows == 0) return 0.0;
-  return RefineCompositeEntropySharded(View(&g_view_scratch), cols, k,
-                                       composite_card, num_rows, threads,
-                                       pool);
-}
-
-double Partition::RefinedByWithEntropySharded(const Column& c1,
-                                              const Column& c2,
-                                              uint32_t composite_card,
-                                              uint64_t num_rows,
-                                              uint32_t threads,
-                                              WorkerPool* pool,
-                                              Partition* out) const {
-  if (num_rows == 0) {
-    *out = RefinedBy(c1);
-    return 0.0;
-  }
-  const double h = RefineByColumnWithEntropySharded(
-      View(&g_view_scratch), c1, c2, composite_card, num_rows, threads, pool,
-      PartitionBuild{&out->rows_, &out->starts_});
-  if (out->rows_.capacity() > out->rows_.size() + out->rows_.size() / 2) {
-    out->rows_.shrink_to_fit();
-  }
-  return h;
 }
 
 Partition Partition::ExtendedOfColumn(const Column& col,

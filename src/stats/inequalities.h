@@ -32,7 +32,8 @@ double NegTLogTChordBound(double s, double t);
 /// x / ln x = y ln y / (ln y + ln ln y) < y whenever ln ln y > 0. The
 /// standard threshold x0 = 2 y ln y does suffice (for all y >= e), and the
 /// factor 2 is absorbed by the paper's generous constant in condition (40).
-/// See EXPERIMENTS.md, "Paper discrepancies".
+/// LemmaD6.PaperThresholdIsInsufficient in tests/stats_test.cc pins both
+/// halves of this note.
 double LemmaD6Threshold(double y);
 
 }  // namespace ajd

@@ -69,6 +69,27 @@ TEST(AnalyzeAjd, RejectsBadDelta) {
   EXPECT_FALSE(AnalyzeAjd(inst.relation, inst.tree, 1.0).ok());
 }
 
+TEST(AnalyzeAjd, RejectsRepeatedRowsInsteadOfAborting) {
+  // Over a multiset the Yannakakis join count (2) falls below |R| (4), so
+  // every loss would come out negative; the analysis must say why instead.
+  Schema s = Schema::MakeSynthetic({2, 2}).value();
+  RelationBuilder b(s);
+  b.AddRow({0, 0});
+  b.AddRow({0, 0});
+  b.AddRow({0, 0});
+  b.AddRow({0, 1});
+  Relation r = std::move(b).Build(/*dedupe=*/false);
+  JoinTree t = JoinTree::Path({AttrSet{0}, AttrSet{1}}).value();
+  Result<AjdAnalysis> a = AnalyzeAjd(r, t);
+  ASSERT_FALSE(a.ok());
+  const Status st = a.status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  const std::string& msg = st.message();
+  EXPECT_NE(msg.find("4 rows"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("only 2 distinct"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("dedupe = true"), std::string::npos) << msg;
+}
+
 TEST(AnalyzeAjd, ToStringMentionsKeyQuantities) {
   Instance inst = MakeDiagonalInstance(6).value();
   AjdAnalysis a = AnalyzeAjd(inst.relation, inst.tree).value();

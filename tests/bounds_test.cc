@@ -58,8 +58,9 @@ TEST(Lemma41, InverseFormsConsistent) {
 // ---------------------------------------------------------------------------
 // Proposition 5.1 (product decomposition). NOTE: the proposition AS STATED
 // is not universally valid — see Prop51.CounterexampleViolatesStatedBound
-// below and EXPERIMENTS.md. On random relations it holds overwhelmingly
-// often; these seeded runs document that typical-case behavior.
+// below and bench/prop51_decomposition.cc. On random relations it holds
+// overwhelmingly often; these seeded runs document that typical-case
+// behavior.
 // ---------------------------------------------------------------------------
 
 class Prop51Test : public ::testing::TestWithParam<uint64_t> {};

@@ -11,9 +11,8 @@
 //    batches, with queries interleaved at every epoch, every cached
 //    partition after catch-up equals the cold replay of its recorded chain
 //    over the full relation EXACTLY, and every entropy served from it is
-//    bitwise equal to that replay's XLogX accumulation — across kernels,
-//    forced/adaptive fusion, and private/arbiter budgets under eviction
-//    pressure. When no queries ran before the appends, the whole engine is
+//    bitwise equal to that replay's XLogX accumulation — across kernels
+//    and private/arbiter budgets under eviction pressure. When no queries ran before the appends, the whole engine is
 //    bitwise indistinguishable from a cold engine.
 #include <gtest/gtest.h>
 
@@ -537,7 +536,6 @@ TEST(EpochPartition, KernelCrossoverMidExtensionMatchesColdRebuild) {
 
 struct EngineCase {
   const char* name;
-  uint32_t max_fuse_columns;
   size_t session_budget;  // 0 = private per-engine budgets (no arbiter)
   size_t engine_budget;
 };
@@ -574,11 +572,10 @@ void VerifyCachedPartitionsAgainstColdReplay(EntropyEngine* engine,
 
 TEST(EpochEngine, IncrementalCatchUpEqualsColdReplayForAnySplit) {
   const EngineCase cases[] = {
-      {"adaptive-arbiter", 0, size_t{64} << 20, size_t{64} << 20},
-      {"nofuse-private", 1, 0, size_t{64} << 20},
-      {"forced-fuse-arbiter", 4, size_t{64} << 20, size_t{64} << 20},
-      {"tiny-arbiter-evicting", 0, size_t{6} << 10, size_t{6} << 10},
-      {"tiny-private-evicting", 2, 0, size_t{6} << 10},
+      {"arbiter", size_t{64} << 20, size_t{64} << 20},
+      {"private", 0, size_t{64} << 20},
+      {"tiny-arbiter-evicting", size_t{6} << 10, size_t{6} << 10},
+      {"tiny-private-evicting", 0, size_t{6} << 10},
   };
   Rng rng(7300);
   for (const EngineCase& c : cases) {
@@ -593,7 +590,6 @@ TEST(EpochEngine, IncrementalCatchUpEqualsColdReplayForAnySplit) {
       Relation r = RelationFromRows(num_attrs, first);
 
       SessionOptions opts;
-      opts.engine.max_fuse_columns = c.max_fuse_columns;
       opts.engine.cache_budget_bytes = c.engine_budget;
       opts.cache_budget_bytes = c.session_budget;
       AnalysisSession session(opts);
@@ -896,29 +892,37 @@ TEST(EpochConcurrency, PinnedReadersStayExactWhileAppenderPublishes) {
 }
 
 TEST(EpochEngine, ExtensionAndReplayPathsBothRun) {
-  // Sanity on the stats: a no-fuse engine with a stable cache should
-  // delta-extend its chains; a forced-fuse engine leaves chain gaps whose
-  // catch-up replays. (Exact counts are implementation detail; "the path
-  // ran" is the invariant worth pinning.)
+  // Sanity on the stats: an engine with a stable cache should delta-extend
+  // its chains; an engine whose budget evicted a cached entry's ancestors
+  // must replay that entry's chain at catch-up. (Exact counts are
+  // implementation detail; "the path ran" is the invariant worth pinning.)
   Rng rng(7600);
   auto rows = RandomRows(&rng, 5, 4, 80);
   Relation r1 = RelationFromRows(5, rows);
-  EngineOptions nofuse;
-  nofuse.max_fuse_columns = 1;
-  EntropyEngine e1(&r1, nofuse);
+  EntropyEngine e1(&r1);
   e1.Entropy(AttrSet{0, 1, 2});
   ASSERT_TRUE(r1.AppendBatch(RandomRows(&rng, 5, 4, 40)).ok());
   e1.Entropy(AttrSet{0, 1, 2});
   EXPECT_GT(e1.Stats().partitions_extended, 0u);
 
+  // A one-byte private budget keeps only the most recently inserted
+  // partition: the prewarm caches {0,1,2,3} and evicts every prefix of its
+  // chain, so catch-up finds no ancestor to extend from and replays.
   Relation r2 = RelationFromRows(5, rows);
-  EngineOptions fused;
-  fused.max_fuse_columns = 4;
-  EntropyEngine e2(&r2, fused);
+  EngineOptions tiny;
+  tiny.cache_budget_bytes = 1;
+  EntropyEngine e2(&r2, tiny);
   e2.PrewarmSubsets({AttrSet{0, 1, 2, 3}});
+  ASSERT_EQ(e2.PartitionCacheSize(), 1u);
+  ASSERT_GT(e2.Stats().evictions, 0u);
   ASSERT_TRUE(r2.AppendBatch(RandomRows(&rng, 5, 4, 40)).ok());
   e2.Entropy(AttrSet{0, 1, 2, 3});
   EXPECT_GT(e2.Stats().partitions_replayed, 0u);
+  // The replayed entry is served bit-identically to a cold chain replay.
+  std::vector<uint32_t> chain;
+  std::shared_ptr<const Partition> replayed;
+  ASSERT_TRUE(e2.CachedPartitionInfo(AttrSet{0, 1, 2, 3}, &chain, &replayed));
+  VerifyCachedPartitionsAgainstColdReplay(&e2, r2);
 }
 
 }  // namespace
