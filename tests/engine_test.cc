@@ -390,6 +390,45 @@ TEST(RefineKernels, AllStrategiesMatchScalarAcrossCardinalityAndSkew) {
   }
 }
 
+TEST(RefineKernels, ChainEndingInCountOnlyStepMatchesFullRefinement) {
+  // Every cache miss is a chain of single-column RefinedBy steps whose last
+  // step only counts (RefinedEntropy). That count-only step must report the
+  // entropy of the partition the full chain would have materialized, and
+  // the result must not depend on the order the chain takes the columns in.
+  Rng rng(921);
+  const uint32_t kRows = 500;
+  for (int trial = 0; trial < 10; ++trial) {
+    const size_t k = 2 + static_cast<size_t>(rng.UniformU64(3));  // 2..4
+    std::vector<Column> cols;
+    for (size_t j = 0; j < k; ++j) {
+      const uint32_t card = 2 + static_cast<uint32_t>(rng.UniformU64(7));
+      cols.push_back(SyntheticColumn(&rng, kRows, card,
+                                     rng.Bernoulli(0.5) ? 0.0 : 2.0));
+    }
+    Partition base =
+        Partition::OfColumn(SyntheticColumn(&rng, kRows, 6, 0.0));
+    const std::string what = "trial=" + std::to_string(trial) +
+                             " k=" + std::to_string(k);
+
+    Partition penultimate = base;
+    for (size_t j = 0; j + 1 < k; ++j) {
+      penultimate = penultimate.RefinedBy(cols[j]);
+    }
+    const Partition full = penultimate.RefinedBy(cols[k - 1]);
+    const double count_only = penultimate.RefinedEntropy(cols[k - 1], kRows);
+    EXPECT_NEAR(count_only, full.EntropyNats(kRows), 1e-12) << what;
+
+    // The reversed chain groups rows identically: same stripped mass and
+    // block count, and (block order aside) the same entropy.
+    Partition reversed = base;
+    for (size_t j = k; j-- > 0;) reversed = reversed.RefinedBy(cols[j]);
+    EXPECT_EQ(full.NumStrippedRows(), reversed.NumStrippedRows()) << what;
+    EXPECT_EQ(full.NumBlocks(), reversed.NumBlocks()) << what;
+    EXPECT_NEAR(full.EntropyNats(kRows), reversed.EntropyNats(kRows), 1e-12)
+        << what;
+  }
+}
+
 TEST(Partition, OfColumnNearKeySortPathMatchesCountingConstruction) {
   // Dense-coded near-key columns (cardinality >= rows) take the sort path;
   // for dense codes (assigned in first-occurrence order, as ColumnStore
@@ -470,6 +509,8 @@ TEST(EntropyEngine, TinyBudgetEvictionPreservesValues) {
     EXPECT_NEAR(pressured.Entropy(attrs), want, 1e-9) << attrs.ToString();
   }
   EXPECT_GT(pressured.Stats().evictions, 0u);
+  // No step refines by more than one column at a time.
+  EXPECT_EQ(pressured.Stats().fused_refinements, 0u);
 }
 
 // --- Shared WorkerPool (engine/worker_pool.h) ---------------------------

@@ -191,6 +191,45 @@ TEST(RefineParallel, RefinedByShardedBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(RefineParallel, ChainShardedPathsBitIdenticalAcrossThreadCounts) {
+  // A cache miss refines through a chain of columns, each sharded step
+  // feeding the next, and ends in the count-only sharded step. The whole
+  // chain — not just one step from a serial base — must match the serial
+  // chain byte for byte at every thread count.
+  Rng rng(9502);
+  WorkerPool pool;
+  for (int trial = 0; trial < 3; ++trial) {
+    const size_t k = 2 + static_cast<size_t>(rng.UniformU64(2));  // 2..3
+    std::vector<Column> cols;
+    for (size_t j = 0; j < k; ++j) {
+      const uint32_t card = 2 + static_cast<uint32_t>(rng.UniformU64(9));
+      cols.push_back(DensifiedColumn(&rng, kBigRows, card,
+                                     rng.Bernoulli(0.5) ? 0.0 : 1.5));
+    }
+    const Partition base =
+        Partition::OfColumn(DensifiedColumn(&rng, kBigRows, 11, 0.0));
+    const std::string what = "trial=" + std::to_string(trial) +
+                             " k=" + std::to_string(k);
+
+    Partition want = base;
+    for (size_t j = 0; j + 1 < k; ++j) want = want.RefinedBy(cols[j]);
+    const double want_h = want.RefinedEntropy(cols[k - 1], kBigRows);
+    for (uint32_t threads : ContractThreadCounts()) {
+      const std::string tag = what + " threads=" + std::to_string(threads);
+      Partition got = base;
+      for (size_t j = 0; j + 1 < k; ++j) {
+        got = got.RefinedBySharded(cols[j], RefineKernel::kAuto, threads,
+                                   &pool);
+      }
+      ExpectSamePartition(want, got, tag);
+      EXPECT_EQ(want_h,
+                got.RefinedEntropySharded(cols[k - 1], kBigRows,
+                                          RefineKernel::kAuto, threads, &pool))
+          << tag;
+    }
+  }
+}
+
 TEST(RefineParallel, ChunkedLayoutShardedMatchesSerial) {
   // The sharded split walks Partition::View(), which a chunked (in-place
   // extended) partition serves as one run per contiguous block stretch —
@@ -259,6 +298,44 @@ TEST(RefineScratchShed, ShedReleasesSpikesAndKeepsKernelsCorrect) {
   // Repeated shed on already-small scratch is a no-op.
   ShedOversizedRefineScratch();
   EXPECT_EQ(ShedOversizedRefineScratch(), 0u);
+}
+
+TEST(RefineScratchShed, CountOnlyEntropyExactAcrossSpikeAndShed) {
+  // The count-only last step of every miss leans on the same invariant as
+  // the materializing kernels: the code-indexed counters are all-zero
+  // between calls. A near-key spike, the small call whose ScratchGuard
+  // sheds it, and an explicit park-shed must each leave that invariant
+  // intact, so every entropy replays bit-identically.
+  Rng rng(9506);
+  const uint32_t small_rows = 1000;
+  Column small = DensifiedColumn(&rng, small_rows, 7, 0.0);
+  const Partition small_base =
+      Partition::OfColumn(DensifiedColumn(&rng, small_rows, 5, 0.0));
+  const double want_small =
+      small_base.RefinedEntropy(small, small_rows, RefineKernel::kMid);
+
+  // 1) Spike: a near-key column sizes the counter arrays past the keep
+  //    threshold, and (capacity == cardinality) they linger after the call.
+  const uint32_t rows = 120000;
+  Column big = DensifiedColumn(&rng, rows, rows, 0.0);
+  ASSERT_GT(big.cardinality, uint32_t{1} << 16);
+  const Partition big_base = Partition::Trivial(rows);
+  const double want_big =
+      big_base.RefinedEntropy(big, rows, RefineKernel::kMid);
+  EXPECT_GT(RefineScratchBytes(), size_t{1} << 20) << "expected a spike";
+
+  // 2) A small call judges the spike against its own cardinality and sheds
+  //    it on the way out; its value must not see the old counters.
+  EXPECT_EQ(want_small,
+            small_base.RefinedEntropy(small, small_rows, RefineKernel::kMid));
+  EXPECT_LE(RefineScratchBytes(), size_t{9} * (size_t{1} << 16) * 8);
+
+  // 3) Re-spike, park-shed, then replay both sizes on the shed scratch.
+  EXPECT_EQ(want_big, big_base.RefinedEntropy(big, rows, RefineKernel::kMid));
+  EXPECT_GT(ShedOversizedRefineScratch(), 0u);
+  EXPECT_EQ(want_small,
+            small_base.RefinedEntropy(small, small_rows, RefineKernel::kMid));
+  EXPECT_EQ(want_big, big_base.RefinedEntropy(big, rows, RefineKernel::kMid));
 }
 
 TEST(RefineScratchShed, PoolThreadsShedScratchWhenParking) {
