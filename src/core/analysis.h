@@ -73,15 +73,21 @@ struct AjdAnalysis {
 };
 
 /// Runs the full analysis. `delta` is the confidence parameter for the
-/// Section 5 bounds. The KL computation and support losses are linear-ish
-/// in |R| times the number of bags; nothing is materialized.
+/// Section 5 bounds. Besides the Yannakakis count behind `loss`, every
+/// term comes from the session engine's stripped partitions: entropies
+/// from its cache, and distinct counts, per-MVD join sizes and the
+/// pointwise D(P || P^T) from O(N) scans over the partitions of the bags,
+/// separators and MVD sides (core/partition_counts.h). Nothing is
+/// materialized. Requires distinct rows over chi(T) (InvalidArgument
+/// otherwise).
 Result<AjdAnalysis> AnalyzeAjd(const Relation& r, const JoinTree& tree,
                                double delta = 0.05);
 
 /// Session-sharing variant: every entropy term (bags, separators, DFS
-/// sandwich, support CMIs) is answered by the session's engine for `r`, so
-/// analysis after mining — or repeated analyses of candidate trees over the
-/// same relation — reuses all cached work.
+/// sandwich, support CMIs) and every partition scanned is answered by the
+/// session's engine for `r`, so analysis after mining — or repeated
+/// analyses of candidate trees over the same relation — reuses all cached
+/// work.
 Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
                                const JoinTree& tree, double delta = 0.05);
 

@@ -5,9 +5,9 @@
 
 #include "core/bounds.h"
 #include "core/groupwise.h"
+#include "core/partition_counts.h"
 #include "engine/analysis_session.h"
 #include "info/entropy.h"
-#include "relation/ops.h"
 #include "util/string_util.h"
 
 namespace ajd {
@@ -43,6 +43,9 @@ Result<LossCertificate> CertifyLoss(AnalysisSession* session,
   const double per_mvd_delta = delta / static_cast<double>(support.size());
 
   EntropyCalculator calc(session, &r);
+  EntropyEngine& engine = calc.engine();
+  engine.CatchUp();
+  const EpochPin pin = engine.Pin();
   bool all_qualified = true;
   for (const Mvd& mvd : support) {
     MvdCertificate mc;
@@ -51,9 +54,10 @@ Result<LossCertificate> CertifyLoss(AnalysisSession* session,
         calc.ConditionalMutualInformation(mvd.side_a, mvd.side_b, mvd.lhs);
     AttrSet a_branch = mvd.side_a.Minus(mvd.lhs);
     AttrSet b_branch = mvd.side_b.Minus(mvd.lhs);
-    mc.d_a = a_branch.Empty() ? 1 : CountDistinct(r, a_branch);
-    mc.d_b = b_branch.Empty() ? 1 : CountDistinct(r, b_branch);
-    mc.d_c = mvd.lhs.Empty() ? 1 : CountDistinct(r, mvd.lhs);
+    const MvdDomainSizes d = MvdDomainSizesAt(&engine, pin, mvd);
+    mc.d_a = d.d_a;
+    mc.d_b = d.d_b;
+    mc.d_c = d.d_c;
     mc.epsilon =
         EpsilonStarMvd(mc.d_a, mc.d_b, mc.d_c, cert.n, per_mvd_delta);
     mc.qualifies_37 =

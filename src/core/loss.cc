@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/partition_counts.h"
+#include "engine/analysis_session.h"
 #include "relation/row_hash.h"
 #include "util/math.h"
 
@@ -29,8 +31,10 @@ Result<LossReport> ComputeLoss(const Relation& r, const JoinTree& tree) {
   return report;
 }
 
-Result<LossReport> ComputeMvdLoss(const Relation& r, const Mvd& mvd) {
-  if (r.NumRows() == 0) {
+namespace {
+
+Status ValidateMvdLoss(const Relation& r, uint64_t rows, const Mvd& mvd) {
+  if (rows == 0) {
     return Status::FailedPrecondition("loss is undefined for |R| = 0");
   }
   if (!mvd.Universe().IsSubsetOf(r.schema().AllAttrs())) {
@@ -40,6 +44,26 @@ Result<LossReport> ComputeMvdLoss(const Relation& r, const Mvd& mvd) {
   if (!mvd.WellFormed()) {
     return Status::InvalidArgument("malformed MVD: " + mvd.ToString());
   }
+  return Status::OK();
+}
+
+LossReport MvdLossReport(uint64_t num_tuples, uint64_t join_size) {
+  LossReport report;
+  report.num_tuples = num_tuples;
+  report.join_size = static_cast<double>(join_size);
+  report.join_size_exact = join_size;
+  const double n = static_cast<double>(num_tuples);
+  report.rho = (static_cast<double>(join_size) - n) / n;
+  if (report.rho < 0.0 && report.rho > -1e-9) report.rho = 0.0;
+  report.log1p_rho = std::log1p(report.rho);
+  return report;
+}
+
+}  // namespace
+
+Result<LossReport> ComputeMvdLoss(const Relation& r, const Mvd& mvd) {
+  Status valid = ValidateMvdLoss(r, r.NumRows(), mvd);
+  if (!valid.ok()) return valid;
   // Natural-join key = all shared attributes of the two sides.
   AttrSet key_attrs = mvd.side_a.Intersect(mvd.side_b);
   std::vector<uint32_t> a_pos = mvd.side_a.ToIndices();
@@ -107,15 +131,21 @@ Result<LossReport> ComputeMvdLoss(const Relation& r, const Mvd& mvd) {
     }
   }
 
-  LossReport report;
-  report.num_tuples = r.NumRows();
-  report.join_size = static_cast<double>(join_size);
-  report.join_size_exact = join_size;
-  const double n = static_cast<double>(r.NumRows());
-  report.rho = (static_cast<double>(join_size) - n) / n;
-  if (report.rho < 0.0 && report.rho > -1e-9) report.rho = 0.0;
-  report.log1p_rho = std::log1p(report.rho);
-  return report;
+  return MvdLossReport(r.NumRows(), join_size);
+}
+
+Result<LossReport> ComputeMvdLoss(AnalysisSession* session, const Relation& r,
+                                  const Mvd& mvd) {
+  EntropyEngine& engine = session->EngineFor(r);
+  engine.CatchUp();
+  return ComputeMvdLossAt(&engine, engine.Pin(), mvd);
+}
+
+Result<LossReport> ComputeMvdLossAt(EntropyEngine* engine, const EpochPin& pin,
+                                    const Mvd& mvd) {
+  Status valid = ValidateMvdLoss(engine->relation(), pin.rows, mvd);
+  if (!valid.ok()) return valid;
+  return MvdLossReport(pin.rows, MvdJoinSizeAt(engine, pin, mvd));
 }
 
 }  // namespace ajd

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "engine/cache_arbiter.h"
@@ -16,6 +15,16 @@
 #include "util/failpoint.h"
 
 namespace ajd {
+
+namespace {
+
+// The batch thread policy: num_threads, with 0 meaning every CPU the
+// process may run on. refine_threads = 0 inherits it.
+uint32_t BatchThreads(const EngineOptions& options) {
+  return options.num_threads != 0 ? options.num_threads : EffectiveCpuCount();
+}
+
+}  // namespace
 
 EntropyEngine::EntropyEngine(const Relation* r, EngineOptions options)
     : store_(r),
@@ -392,11 +401,9 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   // reproducibility (and per-entry work is order-independent), so the
   // published cache — and every value served from it — is unchanged at any
   // thread count. Publish order below stays serial and sorted.
-  const uint32_t catchup_threads =
-      options_.refine_threads != 0 ? options_.refine_threads
-      : options_.num_threads != 0
-          ? options_.num_threads
-          : std::max(1u, std::thread::hardware_concurrency());
+  const uint32_t catchup_threads = options_.refine_threads != 0
+                                       ? options_.refine_threads
+                                       : BatchThreads(options_);
   size_t lvl_begin = 0;
   while (lvl_begin < claimed.size()) {
     const uint32_t level = claimed[lvl_begin].set.Count();
@@ -578,8 +585,35 @@ double EntropyEngine::EntropyAt(AttrSet attrs, const EpochPin& pin) {
   return ComputeEntropy(attrs, pin);
 }
 
-double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
-                                     bool materialize_final) {
+std::shared_ptr<const Partition> EntropyEngine::PartitionAt(
+    AttrSet attrs, const EpochPin& pin) {
+  AJD_CHECK(!attrs.Empty());
+  AJD_CHECK(attrs.IsSubsetOf(relation().schema().AllAttrs()));
+  if (pin.rows == 0) return std::make_shared<const Partition>();
+  std::shared_ptr<const Partition> p;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = partitions_.find(attrs);
+    if (it != partitions_.end() && it->second.rows == pin.rows) {
+      it->second.last_used = ++tick_;
+      p = it->second.partition;
+    }
+  }
+  if (p != nullptr) {
+    if (arbiter_ != nullptr) arbiter_->Touch(this, attrs);
+    return p;
+  }
+  // The compute hands back the partition it built (or reloaded) itself: a
+  // cache lookup afterwards could find it already evicted by the arbiter.
+  ComputeEntropy(attrs, pin, /*materialize_final=*/true, &p);
+  AJD_CHECK(p != nullptr);
+  return p;
+}
+
+double EntropyEngine::ComputeEntropy(
+    AttrSet attrs, const EpochPin& pin, bool materialize_final,
+    std::shared_ptr<const Partition>* partition_out) {
+  AJD_CHECK(materialize_final || partition_out == nullptr);
   // The PINNED row count, not the live one: every column view, sketch, and
   // cached base consumed below is frozen at pin.rows, so the value is the
   // cold answer over exactly that prefix no matter how many appends land
@@ -594,7 +628,8 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
   // below; a bad disk entry can cost time, never change an answer.
   if (persist_ != nullptr) {
     double h_disk;
-    if (TryServeFromDisk(attrs, pin, materialize_final, &h_disk)) {
+    if (TryServeFromDisk(attrs, pin, materialize_final, &h_disk,
+                         partition_out)) {
       return h_disk;
     }
   }
@@ -772,6 +807,10 @@ double EntropyEngine::ComputeEntropy(AttrSet attrs, const EpochPin& pin,
     AJD_CHECK(cur != nullptr);
     h = cur->EntropyNats(n);
   }
+  // With materialize_final every step ran, so cur groups exactly like
+  // attrs (the all-singleton shortcut stops early on an equally empty
+  // partition).
+  if (partition_out != nullptr) *partition_out = cur;
 
   std::vector<std::pair<AttrSet, size_t>> charged;
   {
@@ -931,9 +970,7 @@ void EntropyEngine::DropPartitionForArbiter(AttrSet attrs) {
 }
 
 bool EntropyEngine::ParallelBatches() const {
-  return (options_.num_threads != 0
-              ? options_.num_threads
-              : std::max(1u, std::thread::hardware_concurrency())) > 1;
+  return BatchThreads(options_) > 1;
 }
 
 uint32_t EntropyEngine::PoolSizeFor(size_t n) const {
@@ -943,18 +980,14 @@ uint32_t EntropyEngine::PoolSizeFor(size_t n) const {
   // neighborhoods).
   constexpr size_t kMinMissesPerWorker = 4;
   if (n < 2 * kMinMissesPerWorker) return 1;
-  uint32_t threads = options_.num_threads != 0
-                         ? options_.num_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
+  const uint32_t threads = BatchThreads(options_);
   return static_cast<uint32_t>(
       std::min<size_t>(threads, n / kMinMissesPerWorker));
 }
 
 uint32_t EntropyEngine::RefineThreadsFor(uint64_t mass) const {
   uint32_t threads = options_.refine_threads != 0 ? options_.refine_threads
-                     : options_.num_threads != 0
-                         ? options_.num_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
+                                                  : BatchThreads(options_);
   if (threads <= 1 || mass < kShardedRefineMinMass) return 1;
   // One thread per shard's worth of rows: below that a shard finishes
   // faster than the fan-out costs (PlanShardCount in the kernels clamps
@@ -1098,8 +1131,9 @@ uint64_t EntropyEngine::FingerprintFor(uint64_t rows) {
   return fp_->At(rows);
 }
 
-bool EntropyEngine::TryServeFromDisk(AttrSet attrs, const EpochPin& pin,
-                                     bool materialize_final, double* h_out) {
+bool EntropyEngine::TryServeFromDisk(
+    AttrSet attrs, const EpochPin& pin, bool materialize_final, double* h_out,
+    std::shared_ptr<const Partition>* partition_out) {
   {
     // The entropy VALUE can miss while the partition itself is resident at
     // the pinned row count (a catch-up sweeps entropies_ but revalidates
@@ -1201,6 +1235,7 @@ bool EntropyEngine::TryServeFromDisk(AttrSet attrs, const EpochPin& pin,
     arbiter_->Charge(this, charged);
   }
   *h_out = h;
+  if (partition_out != nullptr) *partition_out = std::move(p);
   return true;
 }
 

@@ -49,11 +49,11 @@
 //
 // Failure semantics: no runtime failure aborts the process or corrupts a
 // served answer.
-//   - Query paths (Entropy/EntropyAt/BatchEntropy/Prewarm*) propagate
-//     failures — allocation exhaustion, injected faults — to the CALLING
-//     thread as exceptions, with no partial cache entries left behind; a
-//     batch task that throws is contained by the WorkerPool (the batch
-//     completes, the first error rethrows on the submitter —
+//   - Query paths (Entropy/EntropyAt/PartitionAt/BatchEntropy/Prewarm*)
+//     propagate failures — allocation exhaustion, injected faults — to the
+//     CALLING thread as exceptions, with no partial cache entries left
+//     behind; a batch task that throws is contained by the WorkerPool
+//     (the batch completes, the first error rethrows on the submitter —
 //     engine/worker_pool.h). Retrying the same query is always safe.
 //   - Catch-up DEGRADES instead of failing: a claimed entry whose
 //     extension throws is dropped (EngineStats::catchup_dropped) and the
@@ -109,8 +109,9 @@ struct EngineOptions {
   /// Ignored when `cache_arbiter` is set: the arbiter's single global
   /// budget governs instead, evicting across every attached engine.
   size_t cache_budget_bytes = size_t{256} << 20;
-  /// Threads for BatchEntropy/PrewarmSubsets; 0 means
-  /// std::thread::hardware_concurrency(). Defaults to 1 (serial):
+  /// Threads for BatchEntropy/PrewarmSubsets; 0 means every CPU the
+  /// process may run on (EffectiveCpuCount(), engine/worker_pool.h:
+  /// affinity mask capped by the cgroup quota). Defaults to 1 (serial):
   /// concurrent workers race the partition cache, which perturbs fp
   /// accumulation order and costs seeded experiment drivers their
   /// bit-for-bit reproducibility (values still agree to ~1e-12, so
@@ -155,7 +156,7 @@ struct EngineOptions {
   /// engine/refine_kernels.h): a single large query or catch-up extension
   /// is split into mass-balanced block shards fanned out on the pool. 0
   /// (default) inherits the batch policy: num_threads, with num_threads'
-  /// own 0 meaning hardware_concurrency(). 1 pins every refinement
+  /// own 0 meaning EffectiveCpuCount(). 1 pins every refinement
   /// serial. The engine goes parallel only above a mass threshold
   /// (kShardedRefineMinMass), so small refinements keep their current
   /// nanosecond paths. Unlike cross-entry batching, intra-op sharding is
@@ -241,6 +242,21 @@ class EntropyEngine {
   /// later epochs are published concurrently. Values computed at a
   /// superseded pin bypass (and never pollute) the caches of newer pins.
   double EntropyAt(AttrSet attrs, const EpochPin& pin);
+
+  /// The stripped partition of `attrs` over exactly the first pin.rows
+  /// rows — the pinned counterpart of EntropyAt for callers that need the
+  /// grouping itself (distinct counts, per-group join sizes, per-row
+  /// block sizes), not just its entropy. A partition cached at the pin's
+  /// row count is returned as is; otherwise the miss takes the disk-tier
+  /// probe, then the ordinary refinement chain with the last step
+  /// materialized (the PrewarmSubsets path), caching every step. The
+  /// returned pointer is the caller's to hold: an eviction after the call
+  /// (arbiter pressure, catch-up sweep) drops the cache's reference, never
+  /// the caller's, and catch-up extends a reader-held entry by copying, so
+  /// the grouping never changes underneath. `attrs` must be non-empty.
+  /// Does NOT catch up, exactly like EntropyAt.
+  std::shared_ptr<const Partition> PartitionAt(AttrSet attrs,
+                                               const EpochPin& pin);
 
   /// Evaluates n independent entropy terms, writing out[i] = H(sets[i]).
   /// Runs on the engine's thread pool when it pays; safe to call while
@@ -376,9 +392,11 @@ class EntropyEngine {
   /// at pin.rows and cached entries whose row tag equals pin.rows. When
   /// `materialize_final` is set, the last refinement step builds and caches
   /// the full partition of `attrs` instead of taking the count-only
-  /// pass (the PrewarmSubsets path).
-  double ComputeEntropy(AttrSet attrs, const EpochPin& pin,
-                        bool materialize_final = false);
+  /// pass (the PrewarmSubsets path); `partition_out`, which requires
+  /// materialize_final, then receives that partition directly.
+  double ComputeEntropy(
+      AttrSet attrs, const EpochPin& pin, bool materialize_final = false,
+      std::shared_ptr<const Partition>* partition_out = nullptr);
 
   /// Inserts a partition with its build recipe and row tag; returns its
   /// heap bytes if actually inserted (0 for duplicates — an existing entry
@@ -438,10 +456,12 @@ class EntropyEngine {
 
   /// Miss-path probe of the disk tier: serves H(attrs) at `pin` from a
   /// persisted entry when one matches exactly, reloading (and caching) its
-  /// partition. False on miss or any load/validation failure — the caller
-  /// computes cold (counted in persist_fallbacks). Called without mu_.
+  /// partition (also handed to `partition_out` when non-null). False on
+  /// miss or any load/validation failure — the caller computes cold
+  /// (counted in persist_fallbacks). Called without mu_.
   bool TryServeFromDisk(AttrSet attrs, const EpochPin& pin,
-                        bool materialize_final, double* h_out);
+                        bool materialize_final, double* h_out,
+                        std::shared_ptr<const Partition>* partition_out);
 
   /// Offers one evicted current-generation entry to the disk tier (best
   /// effort; failures degrade to a plain eviction). Requires mu_ held.
@@ -460,7 +480,7 @@ class EntropyEngine {
 
   /// Resolved intra-operation shard thread count for ONE refinement over
   /// `mass` stripped rows: options_.refine_threads (0 inherits
-  /// num_threads, whose own 0 means hardware_concurrency()), clamped to 1
+  /// num_threads, whose own 0 means EffectiveCpuCount()), clamped to 1
   /// below kShardedRefineMinMass and to one thread per
   /// kShardedRefineShardMass rows above it. Returning 1 selects the
   /// serial kernel unchanged.

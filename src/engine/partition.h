@@ -225,6 +225,14 @@ class Partition {
     return chunked_ ? mass_ : rows_.size();
   }
 
+  /// Number of distinct values of the grouping's attribute set over the
+  /// first `num_rows` rows: one per stripped block plus one per row the
+  /// stripping dropped as a singleton. `num_rows` is |R|, as for
+  /// EntropyNats.
+  uint64_t NumDistinct(uint64_t num_rows) const {
+    return NumBlocks() + (num_rows - NumStrippedRows());
+  }
+
   /// Rows of block `b` as [begin, end); contiguous per block in BOTH
   /// layouts (a block never straddles a chunk boundary).
   const uint32_t* BlockBegin(uint32_t b) const {

@@ -1,8 +1,72 @@
 #include "engine/worker_pool.h"
 
+#include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <string>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "engine/refine_kernels.h"
 
 namespace ajd {
+
+namespace {
+
+// CPUs granted by the cgroup v2 `cpu.max` of the process's own cgroup
+// ("<quota> <period>", or "max <period>" for none), rounded up; 0 when
+// there is no quota or no cgroup v2 hierarchy to read it from.
+uint32_t CgroupCpuLimit() {
+  std::string dir;
+  std::ifstream self("/proc/self/cgroup");
+  for (std::string line; std::getline(self, line);) {
+    if (line.rfind("0::", 0) == 0) {
+      dir = line.substr(3);
+      break;
+    }
+  }
+  const std::string paths[] = {"/sys/fs/cgroup" + dir + "/cpu.max",
+                               "/sys/fs/cgroup/cpu.max"};
+  for (const std::string& path : paths) {
+    std::ifstream f(path);
+    std::string quota;
+    double period = 0;
+    if (!(f >> quota >> period)) continue;
+    if (quota == "max" || period <= 0) return 0;
+    const double cpus = std::ceil(std::stod(quota) / period);
+    return cpus < 1 ? 1 : static_cast<uint32_t>(cpus);
+  }
+  return 0;
+}
+
+uint32_t ResolveEffectiveCpuCount() {
+  const uint32_t hw = std::thread::hardware_concurrency();
+  uint32_t cpus = hw;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    cpus = static_cast<uint32_t>(CPU_COUNT(&set));
+  }
+#endif
+  try {
+    const uint32_t quota = CgroupCpuLimit();
+    if (quota != 0 && (cpus == 0 || quota < cpus)) cpus = quota;
+  } catch (const std::exception&) {
+    // An unparsable cpu.max limits nothing.
+  }
+  if (hw != 0) cpus = std::min(cpus, hw);
+  return std::max(cpus, 1u);
+}
+
+}  // namespace
+
+uint32_t EffectiveCpuCount() {
+  static const uint32_t count = ResolveEffectiveCpuCount();
+  return count;
+}
 
 WorkerPool::WorkerPool() = default;
 

@@ -8,6 +8,7 @@
 #include "core/worstcase.h"
 #include "random/random_relation.h"
 #include "random/rng.h"
+#include "relation/ops.h"
 #include "test_util.h"
 
 namespace ajd {
@@ -18,6 +19,14 @@ TEST(Certificate, AssemblesPerMvdIngredients) {
   Instance inst = MakeLosslessMvdInstance(8, 8, 4, 3, 3, &rng).value();
   LossCertificate cert = CertifyLoss(inst.relation, inst.tree).value();
   ASSERT_EQ(cert.mvds.size(), 1u);
+  // The active-domain sizes come off the engine's partitions and must be
+  // the exact distinct counts.
+  const Mvd& mvd = cert.mvds[0].mvd;
+  EXPECT_EQ(cert.mvds[0].d_a,
+            CountDistinct(inst.relation, mvd.side_a.Minus(mvd.lhs)));
+  EXPECT_EQ(cert.mvds[0].d_b,
+            CountDistinct(inst.relation, mvd.side_b.Minus(mvd.lhs)));
+  EXPECT_EQ(cert.mvds[0].d_c, CountDistinct(inst.relation, mvd.lhs));
   EXPECT_NEAR(cert.mvds[0].cmi, 0.0, 1e-9);
   EXPECT_GT(cert.mvds[0].epsilon, 0.0);
   EXPECT_NEAR(cert.bound_nats, cert.mvds[0].cmi + cert.mvds[0].epsilon,

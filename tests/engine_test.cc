@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.h"
@@ -22,6 +26,7 @@
 #include "engine/worker_pool.h"
 #include "info/entropy.h"
 #include "random/rng.h"
+#include "relation/ops.h"
 #include "test_util.h"
 
 namespace ajd {
@@ -513,7 +518,158 @@ TEST(EntropyEngine, TinyBudgetEvictionPreservesValues) {
   EXPECT_EQ(pressured.Stats().fused_refinements, 0u);
 }
 
+// --- EntropyEngine::PartitionAt -----------------------------------------
+
+// The stripped grouping as sorted row lists: what a partition means,
+// independent of the block order its build chain produced.
+std::vector<std::vector<uint32_t>> CanonicalBlocks(const Partition& p) {
+  std::vector<std::vector<uint32_t>> blocks;
+  for (uint32_t b = 0; b < p.NumBlocks(); ++b) {
+    blocks.emplace_back(p.BlockBegin(b), p.BlockEnd(b));
+  }
+  std::sort(blocks.begin(), blocks.end());
+  return blocks;
+}
+
+// The same grouping of the first `rows` rows by hashing them directly.
+std::vector<std::vector<uint32_t>> HashGrouping(const Relation& r,
+                                                AttrSet attrs, uint64_t rows) {
+  const std::vector<uint32_t> pos = attrs.ToIndices();
+  std::map<std::vector<uint32_t>, std::vector<uint32_t>> groups;
+  std::vector<uint32_t> key(pos.size());
+  for (uint64_t i = 0; i < rows; ++i) {
+    for (size_t k = 0; k < pos.size(); ++k) key[k] = r.Row(i)[pos[k]];
+    groups[key].push_back(static_cast<uint32_t>(i));
+  }
+  std::vector<std::vector<uint32_t>> blocks;
+  for (auto& g : groups) {
+    if (g.second.size() >= 2) blocks.push_back(std::move(g.second));
+  }
+  std::sort(blocks.begin(), blocks.end());
+  return blocks;
+}
+
+TEST(EntropyEngine, PartitionAtMatchesColdChainOnHitAndMiss) {
+  Rng rng(930);
+  for (int trial = 0; trial < 4; ++trial) {
+    Relation r = RandomMultisetRelation(&rng, 5, 2 + trial, 200);
+    EntropyEngine engine(&r);
+    ColumnStore cold(&r);
+    const EpochPin pin = engine.Pin();
+    int hits = 0;
+    int misses = 0;
+    // Supersets first: their chains cache subsets that later read as hits.
+    for (uint64_t mask = 31; mask >= 1; --mask) {
+      const AttrSet s = AttrSet::FromMask(mask);
+      // Plain queries cache intermediates and count-only finals (later
+      // misses that refine from a cached base).
+      if (rng.Bernoulli(0.3)) engine.Entropy(s);
+      const bool cached = engine.CachedPartitionInfo(s, nullptr, nullptr);
+      (cached ? hits : misses) += 1;
+      const std::shared_ptr<const Partition> p = engine.PartitionAt(s, pin);
+      std::vector<uint32_t> chain;
+      std::shared_ptr<const Partition> entry;
+      ASSERT_TRUE(engine.CachedPartitionInfo(s, &chain, &entry));
+      EXPECT_EQ(entry.get(), p.get()) << s.ToString();
+      // A second read is a hit on the very same partition.
+      EXPECT_EQ(engine.PartitionAt(s, pin).get(), p.get());
+      ASSERT_EQ(chain.size(), s.Count());
+      Partition replay = Partition::OfColumn(cold.column(chain[0]));
+      for (size_t j = 1; j < chain.size(); ++j) {
+        replay = replay.RefinedBy(cold.column(chain[j]));
+      }
+      std::vector<uint32_t> got_rows, got_offsets, want_rows, want_offsets;
+      p->FlattenStripped(&got_rows, &got_offsets);
+      replay.FlattenStripped(&want_rows, &want_offsets);
+      EXPECT_EQ(got_rows, want_rows) << s.ToString();
+      EXPECT_EQ(got_offsets, want_offsets) << s.ToString();
+      EXPECT_EQ(p->NumDistinct(pin.rows), CountDistinct(r, s));
+    }
+    EXPECT_GT(hits, 0);
+    EXPECT_GT(misses, 0);
+  }
+}
+
+TEST(EntropyEngine, PartitionAtSurvivesEvictionOnEveryMiss) {
+  // A 1-byte arbiter budget evicts each partition as soon as it is
+  // charged; PartitionAt must still hand back what the compute built.
+  Rng rng(931);
+  Relation r = RandomMultisetRelation(&rng, 5, 3, 150);
+  SessionOptions options;
+  options.cache_budget_bytes = 1;
+  AnalysisSession session(options);
+  EntropyEngine& engine = session.EngineFor(r);
+  const EpochPin pin = engine.Pin();
+  for (uint64_t mask = 1; mask < 32; ++mask) {
+    const AttrSet s = AttrSet::FromMask(mask);
+    const std::shared_ptr<const Partition> p = engine.PartitionAt(s, pin);
+    EXPECT_EQ(CanonicalBlocks(*p), HashGrouping(r, s, pin.rows))
+        << s.ToString();
+  }
+  EXPECT_GT(engine.Stats().evictions, 0u);
+}
+
+TEST(EntropyEngine, PinnedPartitionAtStaysAtItsEpochWhileNextPublishes) {
+  // A reader pinned at epoch k keeps getting k-row partitions while the
+  // appender lands epoch k+1 and catch-up publishes it concurrently.
+  Rng rng(932);
+  for (int trial = 0; trial < 3; ++trial) {
+    Relation r = RandomMultisetRelation(&rng, 4, 3, 120);
+    const Relation prefix = r;  // frozen epoch-k copy
+    EntropyEngine engine(&r);
+    engine.Entropy(AttrSet{0, 1});  // something for catch-up to claim
+    const EpochPin pin = engine.Pin();
+    std::vector<std::vector<uint32_t>> batch(80, std::vector<uint32_t>(4));
+    for (auto& row : batch) {
+      for (uint32_t& v : row) v = static_cast<uint32_t>(rng.UniformU64(5));
+    }
+
+    std::vector<std::pair<uint32_t, std::shared_ptr<const Partition>>> seen;
+    std::atomic<bool> published{false};
+    std::thread reader([&engine, &seen, &published, pin, trial] {
+      Rng trng(940 + static_cast<uint64_t>(trial));
+      // Keep reading through the publish and a while after it.
+      for (int after = 0; after < 32;) {
+        if (published.load(std::memory_order_acquire)) ++after;
+        const uint32_t mask = 1 + static_cast<uint32_t>(trng.UniformU64(15));
+        seen.emplace_back(mask,
+                          engine.PartitionAt(AttrSet::FromMask(mask), pin));
+      }
+    });
+    const Status appended = r.AppendBatch(batch);
+    engine.CatchUp();
+    published.store(true, std::memory_order_release);
+    reader.join();
+    ASSERT_TRUE(appended.ok());
+
+    ASSERT_GT(engine.Pin().rows, pin.rows);
+    for (const auto& [mask, p] : seen) {
+      const AttrSet s = AttrSet::FromMask(mask);
+      ASSERT_EQ(CanonicalBlocks(*p), HashGrouping(prefix, s, pin.rows))
+          << s.ToString();
+      ASSERT_EQ(p->NumDistinct(pin.rows), CountDistinct(prefix, s));
+    }
+    // The published epoch serves the grown relation.
+    const EpochPin now = engine.Pin();
+    for (uint64_t mask = 1; mask < 16; ++mask) {
+      const AttrSet s = AttrSet::FromMask(mask);
+      EXPECT_EQ(CanonicalBlocks(*engine.PartitionAt(s, now)),
+                HashGrouping(r, s, now.rows));
+    }
+  }
+}
+
 // --- Shared WorkerPool (engine/worker_pool.h) ---------------------------
+
+TEST(WorkerPool, EffectiveCpuCountWithinHardwareThreads) {
+  const uint32_t cpus = EffectiveCpuCount();
+  EXPECT_GE(cpus, 1u);
+  const uint32_t hw = std::thread::hardware_concurrency();
+  if (hw != 0) {
+    EXPECT_LE(cpus, hw);
+  }
+  EXPECT_EQ(EffectiveCpuCount(), cpus);  // resolved once
+}
 
 TEST(WorkerPool, SharedAcrossEnginesMatchesPrivatePools) {
   Rng rng(925);

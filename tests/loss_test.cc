@@ -4,6 +4,7 @@
 
 #include "core/loss.h"
 #include "core/worstcase.h"
+#include "engine/analysis_session.h"
 #include "random/rng.h"
 #include "relation/acyclic_join.h"
 #include "relation/ops.h"
@@ -114,6 +115,29 @@ TEST(ComputeMvdLoss, OverlappingSidesJoinOnAllSharedAttrs) {
   // R[ABC] join R[BC] on {B,C} has exactly |R| tuples (R is a set).
   EXPECT_EQ(report.join_size_exact.value(), r.NumRows());
   EXPECT_EQ(report.rho, 0.0);
+}
+
+TEST(ComputeMvdLoss, SessionFormRejectsWhatTheHashFormRejects) {
+  AnalysisSession session;
+  Schema s = Schema::Make({{"A", 2}, {"B", 2}}).value();
+  Relation empty = Relation::FromRows(s, {}).value();
+  Relation r = Relation::FromRows(s, {{0, 1}, {1, 0}}).value();
+  const Mvd foreign = MakeMvd(AttrSet(), AttrSet{0}, AttrSet{5});
+  Mvd malformed;
+  malformed.lhs = AttrSet{1};
+  malformed.side_a = AttrSet{0};
+  malformed.side_b = AttrSet{1};
+  EXPECT_EQ(ComputeMvdLoss(&session, empty, MakeMvd(AttrSet(), AttrSet{0},
+                                                     AttrSet{1}))
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ComputeMvdLoss(&session, r, foreign).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ComputeMvdLoss(&session, r, malformed).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ComputeMvdLoss(r, malformed).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
