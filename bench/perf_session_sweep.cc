@@ -6,14 +6,15 @@
 // uneven sizes, visited in zipf-skewed bursts (hot relations get long
 // mining-shaped random walks over the subset lattice, cold ones short
 // ones). Four contenders answer the same deterministic query schedule:
-//   baseline   — private per-engine budgets, effectively unbounded (the
-//                value reference and the working-set probe);
+//   baseline   — per-engine budgets, effectively unbounded (the value
+//                reference and the working-set probe);
 //   global     — one shared budget B = 2x the largest single-relation
 //                working set, arbitrated globally-LRU across relations;
-//   split-even — the same B split evenly: each engine gets B / R, private;
+//   split-even — the same B split evenly: each engine gets B / R on its
+//                own single-engine arbiter;
 //   split-prop — B split proportionally to each relation's standalone
 //                working set (the best fixed split one could pick a
-//                priori), private.
+//                priori), again one arbiter per engine.
 // The gate: the global budget's base hit rate (fraction of misses that
 // refined a cached partition instead of rebuilding from raw columns) must
 // be >= both fixed splits', and every entropy must match the baseline to
@@ -100,8 +101,8 @@ struct SweepResult {
 };
 
 // Replays the schedule against one engine per relation; `budgets[i]` is
-// relation i's private budget, or, when `arbiter` is set, every engine
-// charges that shared arbiter instead.
+// the budget of relation i's own single-engine arbiter, or, when `arbiter`
+// is set, every engine charges that shared arbiter instead.
 SweepResult RunSweep(const std::vector<Relation>& relations,
                      const std::vector<Query>& schedule,
                      const std::vector<size_t>& budgets,
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
   const std::vector<Query> schedule =
       BuildSchedule(relations, kBursts, kBurstLen, &rng);
 
-  // Baseline: unbounded private budgets — the value reference, and the
+  // Baseline: unbounded per-engine budgets — the value reference, and the
   // probe that measures each relation's standalone working set.
   std::vector<size_t> unbounded(kRelations, ~size_t{0});
   SweepResult baseline = RunSweep(relations, schedule, unbounded, nullptr);

@@ -13,16 +13,13 @@ AnalysisSession::AnalysisSession(SessionOptions options)
   if (engine_options_.worker_pool == nullptr) {
     engine_options_.worker_pool = WorkerPool::Shared();
   }
-  // Resolve the shared cache budget the same way. cache_budget_bytes == 0
-  // means "no arbiter" (private per-engine budgets, the legacy behavior);
-  // unset promotes the per-engine budget to one session-global budget. An
-  // arbiter injected through the engine options is respected as-is
-  // (several sessions can then share ONE budget).
-  if (engine_options_.cache_arbiter == nullptr &&
-      options.cache_budget_bytes.value_or(1) != 0) {
+  // Resolve the shared cache budget the same way: the per-engine budget
+  // becomes one session-global budget. An arbiter injected through the
+  // engine options is respected as-is (several sessions can then share
+  // ONE budget).
+  if (engine_options_.cache_arbiter == nullptr) {
     ArbiterOptions arb;
-    arb.budget_bytes = options.cache_budget_bytes.value_or(
-        engine_options_.cache_budget_bytes);
+    arb.budget_bytes = engine_options_.cache_budget_bytes;
     arb.engine_floor_bytes = options.cache_floor_bytes;
     engine_options_.cache_arbiter = std::make_shared<CacheArbiter>(arb);
   }
@@ -91,9 +88,7 @@ size_t AnalysisSession::NumRelations() const {
 }
 
 size_t AnalysisSession::CacheBytes() const {
-  return engine_options_.cache_arbiter == nullptr
-             ? 0
-             : engine_options_.cache_arbiter->AccountedBytes();
+  return engine_options_.cache_arbiter->AccountedBytes();
 }
 
 EngineStats AnalysisSession::TotalStats() const {

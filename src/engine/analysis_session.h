@@ -24,9 +24,9 @@
 // time (relation/relation.h).
 //
 // The session is SHARDED across relations: all of its engines share one
-// WorkerPool (batches serialize instead of oversubscribing cores) and, by
-// default, one CacheArbiter (engine/cache_arbiter.h) holding a single
-// partition-cache byte budget, evicted globally-LRU across relations. A
+// WorkerPool (batches serialize instead of oversubscribing cores) and one
+// CacheArbiter (engine/cache_arbiter.h) holding a single partition-cache
+// byte budget, evicted globally-LRU across relations. A
 // sweep over dozens of relations therefore spends its memory on whichever
 // relations are actually reusing partitions, instead of provisioning an
 // even slice per relation.
@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "engine/cache_arbiter.h"
@@ -53,21 +52,14 @@ struct SessionOptions {
   /// `worker_pool` and `cache_arbiter` are resolved once at session scope
   /// so all engines share one of each; an arbiter injected here is kept
   /// as-is (several sessions can then share ONE budget — in which case
-  /// the two budget fields below are ignored), otherwise the session
-  /// builds its own from `cache_budget_bytes`. `refine_threads` (intra-op
+  /// `cache_budget_bytes` and `cache_floor_bytes` are ignored), otherwise
+  /// the session builds one arbiter whose single budget, shared by every
+  /// relation, is `cache_budget_bytes`. `refine_threads` (intra-op
   /// sharding of ONE large refinement, bit-identical to serial at any
   /// thread count) rides through here too and fans out on the same shared
   /// pool; nested submission from a batch task degrades to serial via the
   /// pool's busy-inline fallback, so enabling both never deadlocks.
   EngineOptions engine;
-
-  /// The session-global partition-cache budget. Unset (the default)
-  /// promotes `engine.cache_budget_bytes` from a per-engine cap to ONE
-  /// cap shared by every relation. Any explicit value — including
-  /// SIZE_MAX for "never evict" — overrides it. 0 disables the shared
-  /// arbiter entirely: each engine keeps its private LRU budget (the
-  /// legacy, unsharded behavior).
-  std::optional<size_t> cache_budget_bytes;
 
   /// Per-engine eviction floor under the shared budget: an engine at or
   /// below this footprint is never an eviction victim, so one hot relation
@@ -81,14 +73,14 @@ struct SessionOptions {
 ///   - the batch pool (EngineOptions::worker_pool, resolved once to the
 ///     process-wide WorkerPool::Shared() by default), which SERIALIZES
 ///     batches so a many-relation sweep never runs relations x threads;
-///   - the cache arbiter (SessionOptions::cache_budget_bytes), which holds
-///     one partition byte budget for all relations and evicts the globally
-///     coldest entry, with a per-engine floor.
+///   - the cache arbiter (sized by EngineOptions::cache_budget_bytes),
+///     which holds one partition byte budget for all relations and evicts
+///     the globally coldest entry, with a per-engine floor.
 class AnalysisSession {
  public:
   explicit AnalysisSession(SessionOptions options);
-  /// Legacy-shaped constructor: per-engine options with the default
-  /// session sharding (the engine budget becomes the session budget).
+  /// Per-engine options with the default session sharding (the engine
+  /// budget becomes the session budget).
   explicit AnalysisSession(EngineOptions options = {});
 
   AnalysisSession(const AnalysisSession&) = delete;
@@ -132,13 +124,12 @@ class AnalysisSession {
   /// The batch pool shared by all of this session's engines.
   WorkerPool& worker_pool() const { return *engine_options_.worker_pool; }
 
-  /// The shared cache budget, or nullptr when the session was built with
-  /// cache_budget_bytes == 0 (private per-engine budgets).
+  /// The cache budget shared by all of this session's engines. Never null.
   CacheArbiter* cache_arbiter() const {
     return engine_options_.cache_arbiter.get();
   }
 
-  /// Bytes currently accounted by the shared budget (0 when unsharded).
+  /// Bytes currently accounted by the shared budget.
   size_t CacheBytes() const;
 
  private:

@@ -1,15 +1,15 @@
-// CacheArbiter: one partition-cache byte budget shared by many
-// EntropyEngines.
+// CacheArbiter: the partition-cache byte budget, and the only eviction
+// mechanism, of every EntropyEngine.
 //
-// Each engine used to own a private LRU budget, so a session sweeping
-// dozens of relations (the approximate-scheme-mining workload) split its
-// memory evenly whether or not the reuse was even: a hot relation thrashed
-// inside its slice while a cold one parked bytes it would never touch
-// again. The arbiter lifts the budget to session scope — engines register
-// at construction, charge every cached partition they insert, and the
-// arbiter evicts the GLOBALLY least-recently-used entry whenever the
-// accounted total passes the budget, so bytes flow to whichever relation is
-// actually reusing them. A per-engine floor keeps a hot relation from
+// Engines register at construction, charge every cached partition they
+// insert, and the arbiter evicts the GLOBALLY least-recently-used entry
+// whenever the accounted total passes the budget. A standalone engine
+// holds a single-engine arbiter of its own; an AnalysisSession attaches
+// one arbiter to all of its engines, so a sweep over dozens of relations
+// (the approximate-scheme-mining workload) spends one budget on whichever
+// relations are actually reusing partitions, instead of an even slice per
+// relation in which a hot relation thrashes while a cold one parks bytes
+// it will never touch again. A per-engine floor keeps a hot relation from
 // starving a warm one to zero: an engine at or below the floor is never
 // picked as a victim (the floor self-clamps to budget / num_engines so the
 // floors can always be honored while staying within budget).
@@ -17,10 +17,12 @@
 // Locking contract (the reason cross-engine eviction cannot deadlock):
 //   - Engines call the arbiter ONLY while holding no engine mutex.
 //   - The arbiter invokes an engine's evict callback while holding its own
-//     mutex; the callback takes that engine's mutex.
-// So the only lock order that ever occurs is arbiter -> engine, never the
-// reverse. The accounted total therefore never exceeds the budget after any
-// Charge() returns, no matter how many engines charge concurrently.
+//     mutex; the callback takes that engine's mutex (and, when the engine
+//     spills the victim to its disk tier, the store's leaf mutex).
+// So the only lock order that ever occurs is arbiter -> engine -> store,
+// never the reverse. The accounted total therefore never exceeds the budget
+// after any Charge() returns, no matter how many engines charge
+// concurrently.
 //
 // Victim selection is an intrusive LRU list threaded through every
 // accounted entry (front = most recent): charges and touches splice to the
@@ -68,8 +70,9 @@ struct ArbiterStats {
   uint64_t evictions = 0;  ///< entries evicted for the budget.
 };
 
-/// The shared budget. Thread-safe; typically owned by an AnalysisSession
-/// and attached to its engines via EngineOptions::cache_arbiter.
+/// The budget. Thread-safe; owned by an AnalysisSession and attached to its
+/// engines via EngineOptions::cache_arbiter, or created by a standalone
+/// engine for itself.
 class CacheArbiter {
  public:
   /// Drops one cached entry engine-side. Called by the arbiter with its

@@ -24,6 +24,16 @@ uint32_t BatchThreads(const EngineOptions& options) {
   return options.num_threads != 0 ? options.num_threads : EffectiveCpuCount();
 }
 
+// The arbiter the engine charges: the shared one when attached, else a
+// single-engine arbiter holding cache_budget_bytes, so every engine evicts
+// by the same policy and lock order.
+std::shared_ptr<CacheArbiter> ResolveArbiter(const EngineOptions& options) {
+  if (options.cache_arbiter != nullptr) return options.cache_arbiter;
+  ArbiterOptions arb;
+  arb.budget_bytes = options.cache_budget_bytes;
+  return std::make_shared<CacheArbiter>(arb);
+}
+
 }  // namespace
 
 EntropyEngine::EntropyEngine(const Relation* r, EngineOptions options)
@@ -33,17 +43,15 @@ EntropyEngine::EntropyEngine(const Relation* r, EngineOptions options)
       synced_epoch_(r->epoch()),
       pool_(options.worker_pool != nullptr ? options.worker_pool
                                            : WorkerPool::Shared()),
-      arbiter_(options.cache_arbiter),
+      arbiter_(ResolveArbiter(options)),
       persist_(options.persist_store),
       keys_by_count_(kMaxAttrs + 1) {
   stamp_ = std::make_shared<const EpochPin>(EpochPin{
       store_.SyncedRows(), synced_epoch_.load(std::memory_order_relaxed)});
-  if (arbiter_ != nullptr) {
-    // No other thread can reach this engine yet, so registering before the
-    // body finishes cannot race a Charge.
-    arbiter_->RegisterEngine(
-        this, [this](AttrSet attrs) { DropPartitionForArbiter(attrs); });
-  }
+  // No other thread can reach this engine yet, so registering before the
+  // body finishes cannot race a Charge.
+  arbiter_->RegisterEngine(
+      this, [this](AttrSet attrs) { DropPartitionForArbiter(attrs); });
   if (persist_ != nullptr) {
     fp_ = std::make_unique<FingerprintTracker>(r);
     try {
@@ -58,11 +66,9 @@ EntropyEngine::EntropyEngine(const Relation* r, EngineOptions options)
 }
 
 EntropyEngine::~EntropyEngine() {
-  if (arbiter_ != nullptr) {
-    // Discharges this engine's whole footprint in O(its entries) — the
-    // fast path behind AnalysisSession::Release on short-lived relations.
-    arbiter_->ReleaseEngine(this);
-  }
+  // Discharges this engine's whole footprint in O(its entries) — the fast
+  // path behind AnalysisSession::Release on short-lived relations.
+  arbiter_->ReleaseEngine(this);
 }
 
 void EntropyEngine::CatchUp() {
@@ -190,7 +196,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       claimed.push_back(std::move(c));
     }
   }
-  if (arbiter_ != nullptr && !discharged.empty()) {
+  if (!discharged.empty()) {
     // Settle outside mu_ (arbiter -> engine is the only permitted lock
     // order). Claimed entries leave the arbiter's books for the duration of
     // the extension and are re-charged at publish — Discharge/Charge rather
@@ -505,7 +511,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
     stats_.partitions_extended += extended_count;
     stats_.partitions_replayed += replayed_count;
     stats_.catchup_dropped += dropped_count;
-    if (arbiter_ == nullptr) EvictToPrivateBudgetLocked(AttrSet());
     last_catchup_tick_ = tick_;
     // The stamp flips INSIDE mu_, atomically with the sweep: a reader that
     // pins the new generation afterwards can never observe (or seed)
@@ -517,10 +522,8 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
         std::memory_order_release);
     synced_epoch_.store(target_epoch, std::memory_order_release);
   }
-  if (arbiter_ != nullptr) {
-    if (!swept.empty()) arbiter_->Discharge(this, swept);
-    if (!charges.empty()) arbiter_->Charge(this, charges);
-  }
+  if (!swept.empty()) arbiter_->Discharge(this, swept);
+  if (!charges.empty()) arbiter_->Charge(this, charges);
 
   // Publish DOWN: the disk tier follows the in-memory cache to the new
   // generation, so a restart right now warm-starts at target_rows instead
@@ -600,7 +603,7 @@ std::shared_ptr<const Partition> EntropyEngine::PartitionAt(
     }
   }
   if (p != nullptr) {
-    if (arbiter_ != nullptr) arbiter_->Touch(this, attrs);
+    arbiter_->Touch(this, attrs);
     return p;
   }
   // The compute hands back the partition it built (or reloaded) itself: a
@@ -686,7 +689,7 @@ double EntropyEngine::ComputeEntropy(
       ++stats_.base_reuses;
     }
   }
-  if (arbiter_ != nullptr && base != nullptr) {
+  if (base != nullptr) {
     // Recency signal for the global LRU; outside mu_ per the lock order.
     arbiter_->Touch(this, base_set);
   }
@@ -831,10 +834,10 @@ double EntropyEngine::ComputeEntropy(
       const size_t bytes = InsertPartitionLocked(
           set, std::move(entry.partition), std::move(entry.chain),
           entry.last_col_card, pin.rows, std::move(entry.delta));
-      if (arbiter_ != nullptr && bytes > 0) charged.emplace_back(set, bytes);
+      if (bytes > 0) charged.emplace_back(set, bytes);
     }
   }
-  if (arbiter_ != nullptr && !charged.empty()) {
+  if (!charged.empty()) {
     // Charge outside mu_: the arbiter may evict — from this engine or any
     // other on the same budget — and its evict callbacks re-take engine
     // mutexes (arbiter -> engine order only).
@@ -855,7 +858,6 @@ size_t EntropyEngine::InsertPartitionLocked(AttrSet attrs,
     // generation while this insert races in from a reader at a superseded
     // pin. Touch it for recency and drop the new copy.
     it->second.last_used = ++tick_;
-    if (arbiter_ == nullptr) EvictToPrivateBudgetLocked(attrs);
     return 0;
   }
   // A stale-pin compute must not seed the cache either: an entry tagged
@@ -878,32 +880,7 @@ size_t EntropyEngine::InsertPartitionLocked(AttrSet attrs,
   partitions_.emplace(attrs, std::move(cp));
   partition_bytes_ += inserted_bytes;
   keys_by_count_[attrs.Count()].push_back({attrs, mass, rows});
-  // With a shared arbiter attached, eviction is global and happens when the
-  // caller charges the arbiter after releasing mu_; the private budget is
-  // inert.
-  if (arbiter_ != nullptr) return inserted_bytes;
-  EvictToPrivateBudgetLocked(attrs);
   return inserted_bytes;
-}
-
-void EntropyEngine::EvictToPrivateBudgetLocked(AttrSet spare) {
-  // Evict least-recently-used partitions past the budget, sparing the entry
-  // just touched. Linear scans are fine: the cache holds at most a few
-  // hundred lattice points in practice.
-  while (partition_bytes_ > options_.cache_budget_bytes &&
-         partitions_.size() > 1) {
-    auto victim = partitions_.end();
-    uint64_t oldest = UINT64_MAX;
-    for (auto jt = partitions_.begin(); jt != partitions_.end(); ++jt) {
-      if (jt->first == spare) continue;
-      if (jt->second.last_used < oldest) {
-        oldest = jt->second.last_used;
-        victim = jt;
-      }
-    }
-    if (victim == partitions_.end()) break;
-    EvictPartitionLocked(victim, /*allow_spill=*/true);
-  }
 }
 
 void EntropyEngine::RemovePartitionLocked(
@@ -1230,7 +1207,7 @@ bool EntropyEngine::TryServeFromDisk(
                                   meta.last_col_card, pin.rows,
                                   PartitionDelta{});
   }
-  if (arbiter_ != nullptr && bytes > 0) {
+  if (bytes > 0) {
     std::vector<std::pair<AttrSet, size_t>> charged{{attrs, bytes}};
     arbiter_->Charge(this, charged);
   }
@@ -1390,9 +1367,7 @@ void EntropyEngine::WarmStartFromPersist() {
       const size_t bytes = InsertPartitionLocked(
           kv.first, r.final, r.meta->chain, last_col_card, now,
           std::move(r.delta));
-      if (arbiter_ != nullptr && bytes > 0) {
-        charged.emplace_back(kv.first, bytes);
-      }
+      if (bytes > 0) charged.emplace_back(kv.first, bytes);
       // A stored H is only current when the entry needed no extension.
       if (r.meta->rows == now && r.meta->has_entropy) {
         entropies_[kv.first] = CachedEntropy{r.meta->entropy, now};
@@ -1409,9 +1384,7 @@ void EntropyEngine::WarmStartFromPersist() {
     stats_.persist_fallbacks += fallbacks;
     stats_.persist_hits += value_hits;
   }
-  if (arbiter_ != nullptr && !charged.empty()) {
-    arbiter_->Charge(this, charged);
-  }
+  if (!charged.empty()) arbiter_->Charge(this, charged);
 }
 
 Status EntropyEngine::PersistCache() {

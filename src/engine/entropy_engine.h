@@ -105,9 +105,10 @@ struct EpochPin {
 struct EngineOptions {
   /// Cap on the total heap bytes of cached partitions. Entropy values
   /// themselves (16 bytes a term) are always cached; partitions are the
-  /// bulky part and are evicted least-recently-used past this budget.
-  /// Ignored when `cache_arbiter` is set: the arbiter's single global
-  /// budget governs instead, evicting across every attached engine.
+  /// bulky part and are evicted least-recently-used past this budget. An
+  /// engine without `cache_arbiter` spends it through a single-engine
+  /// arbiter of its own; with one attached, the arbiter's budget governs
+  /// instead. AnalysisSession sizes its shared arbiter from this field.
   size_t cache_budget_bytes = size_t{256} << 20;
   /// Threads for BatchEntropy/PrewarmSubsets; 0 means every CPU the
   /// process may run on (EffectiveCpuCount(), engine/worker_pool.h:
@@ -124,12 +125,12 @@ struct EngineOptions {
   /// a session's engines share one pool and a many-relation sweep stops
   /// oversubscribing cores.
   std::shared_ptr<WorkerPool> worker_pool;
-  /// The shared cache budget to charge cached partitions against
-  /// (engine/cache_arbiter.h). nullptr (the default) keeps the engine's
-  /// private `cache_budget_bytes` LRU — standalone engines and legacy
-  /// callers. AnalysisSession attaches one arbiter to all of its engines,
-  /// so a many-relation sweep spends ONE budget where the reuse actually
-  /// is, instead of slicing it evenly per relation.
+  /// The cache budget to charge cached partitions against
+  /// (engine/cache_arbiter.h). nullptr (the default) gives the engine a
+  /// single-engine arbiter holding `cache_budget_bytes`. AnalysisSession
+  /// attaches one arbiter to all of its engines, so a many-relation sweep
+  /// spends ONE budget where the reuse actually is, instead of slicing it
+  /// evenly per relation.
   std::shared_ptr<CacheArbiter> cache_arbiter;
   /// The crash-safe on-disk cache tier (persist/persistent_store.h), shared
   /// across engines and PROCESS LIFETIMES. When set, the engine consults it
@@ -402,19 +403,13 @@ class EntropyEngine {
   /// heap bytes if actually inserted (0 for duplicates — an existing entry
   /// under the key, at any tag, is only touched, never replaced: the
   /// current generation's entry must not be clobbered by a stale-pin
-  /// compute). With no arbiter attached, also evicts private-LRU entries
-  /// past cache_budget_bytes; with one, eviction is the arbiter's job and
-  /// the caller charges it AFTER releasing mu_. Requires mu_ held.
+  /// compute). Never evicts: eviction is the arbiter's job, and the caller
+  /// charges it AFTER releasing mu_. Requires mu_ held.
   size_t InsertPartitionLocked(AttrSet attrs,
                                std::shared_ptr<const Partition> p,
                                std::vector<uint32_t> chain,
                                uint32_t last_col_card, uint64_t rows,
                                PartitionDelta delta);
-
-  /// Evicts private-LRU entries until partition_bytes_ fits the private
-  /// budget, sparing `spare` (the entry just touched). Requires mu_ held
-  /// and no arbiter attached.
-  void EvictToPrivateBudgetLocked(AttrSet spare);
 
   /// The catch-up owner's body; runs with catchup_mu_ held and mu_ NOT
   /// held. Three phases: CLAIM (under mu_: remove the recently-used cached
@@ -443,9 +438,9 @@ class EntropyEngine {
   /// form (budget pressure, generational drop, stale-generation sweep).
   /// `allow_spill` additionally offers the entry to the disk tier first
   /// (EngineOptions::persist_spill_on_evict): true for evictions of
-  /// current-generation entries (budget pressure, idle drop, arbiter
-  /// victims), false for stale-generation sweeps. Requires mu_ held (the
-  /// store is a leaf in the lock order, so the synchronous spill is legal).
+  /// current-generation entries (arbiter victims, idle drop), false for
+  /// stale-generation sweeps. Requires mu_ held (the store is a leaf in
+  /// the lock order, so the synchronous spill is legal).
   void EvictPartitionLocked(
       std::unordered_map<AttrSet, CachedPartition, AttrSetHash>::iterator it,
       bool allow_spill);
@@ -496,9 +491,10 @@ class EntropyEngine {
   /// default). Engines only ever submit batches; the pool owns the
   /// threads and serializes batches across engines.
   std::shared_ptr<WorkerPool> pool_;
-  /// The shared cache budget, if any (options_.cache_arbiter). The engine
-  /// registers at construction and releases its whole footprint at
-  /// destruction. Arbiter calls are made only while mu_ is NOT held.
+  /// The cache budget: options_.cache_arbiter, or the engine's own
+  /// single-engine arbiter. Never null. The engine registers at
+  /// construction and releases its whole footprint at destruction.
+  /// Arbiter calls are made only while mu_ is NOT held.
   std::shared_ptr<CacheArbiter> arbiter_;
   /// The disk tier, if any (options_.persist_store). A LEAF in the lock
   /// order (arbiter -> engine -> store): safe to call under mu_.

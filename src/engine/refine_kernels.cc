@@ -139,14 +139,11 @@ class ScratchGuard {
 // it, so the gather prefetch runs against the global end and keeps the
 // pipeline primed across block boundaries — the case that matters, since
 // refined partitions shatter into blocks far shorter than any useful
-// prefetch distance. kPrefetchCounts (the kMid variant) additionally
-// prefetches the count[code] line close ahead, for cardinalities whose
-// counter array no longer sits in cache; at dense cardinalities it is
-// pure overhead. kKeepCodes streams every gathered code into
+// prefetch distance. kKeepCodes streams every gathered code into
 // s->comp[0..m), so a following scatter pass re-reads codes sequentially
 // from L1 instead of re-gathering — the gather is the dominant cost of a
 // refinement once the column outgrows L1.
-template <bool kPrefetchCounts, bool kKeepCodes>
+template <bool kKeepCodes>
 size_t Tally(const uint32_t* begin, const uint32_t* end,
              const uint32_t* hard_end, const uint32_t* codes,
              RefineScratch* s) {
@@ -161,14 +158,10 @@ size_t Tally(const uint32_t* begin, const uint32_t* end,
   uint32_t* touched = s->touched.data();
   uint32_t* count = s->count.data();
   constexpr size_t kGatherAhead = 16;
-  constexpr size_t kCountAhead = 4;
   size_t t = 0;
   for (size_t i = 0; i < m; ++i) {
     if (begin + i + kGatherAhead < hard_end) {
       __builtin_prefetch(&codes[begin[i + kGatherAhead]]);
-    }
-    if (kPrefetchCounts && i + kCountAhead < m) {
-      __builtin_prefetch(&count[codes[begin[i + kCountAhead]]]);
     }
     const uint32_t c = codes[begin[i]];
     if (kKeepCodes) comp[i] = c;
@@ -263,7 +256,7 @@ constexpr ptrdiff_t kSimdMinBlock = 256;
 // Picks the tally for a count-only (entropy) pass.
 size_t EntropyTally(const uint32_t* begin, const uint32_t* end,
                     const uint32_t* hard_end, const uint32_t* codes,
-                    RefineKernel kernel, RefineScratch* s) {
+                    RefineScratch* s) {
 #if defined(AJD_SIMD_AVX2)
   if (CpuHasAvx2() && end - begin >= kSimdMinBlock) {
     return SimdTally(begin, end, codes, s);
@@ -271,9 +264,7 @@ size_t EntropyTally(const uint32_t* begin, const uint32_t* end,
 #elif defined(AJD_SIMD_NEON)
   if (end - begin >= kSimdMinBlock) return SimdTally(begin, end, codes, s);
 #endif
-  return kernel == RefineKernel::kMid
-             ? Tally<true, false>(begin, end, hard_end, codes, s)
-             : Tally<false, false>(begin, end, hard_end, codes, s);
+  return Tally<false>(begin, end, hard_end, codes, s);
 }
 
 // ---------------------------------------------------------------------------
@@ -464,8 +455,7 @@ RefineKernel ChooseRefineKernel(uint32_t cardinality,
       cardinality >= stripped_rows / 2) {
     return RefineKernel::kSort;
   }
-  if (cardinality <= kDenseCardinalityMax) return RefineKernel::kDense;
-  return RefineKernel::kMid;
+  return RefineKernel::kDense;
 }
 
 bool SimdTallyEnabled() {
@@ -580,10 +570,7 @@ void RefineByColumn(const PartitionView& in, const Column& col,
           emit_delta(begin, num_out - before);
           continue;
         }
-        const size_t t =
-            kernel == RefineKernel::kMid
-                ? Tally<true, true>(begin, end, hard_end, codes, &scratch)
-                : Tally<false, true>(begin, end, hard_end, codes, &scratch);
+        const size_t t = Tally<true>(begin, end, hard_end, codes, &scratch);
         // The two degenerate outcomes dominate real chains and need no
         // emit/scatter: a fully-shattered block (every row its own code)
         // emits nothing, and an unsplit block (one code) is copied verbatim.
@@ -687,8 +674,7 @@ void RefineEntropyScan(const PartitionView& in, const Column& col,
           emit(TinyBlockEntropy(begin, m, codes));
           continue;
         }
-        const size_t t =
-            EntropyTally(begin, end, hard_end, codes, kernel, &scratch);
+        const size_t t = EntropyTally(begin, end, hard_end, codes, &scratch);
         if (t == 1) {
           // Unsplit block: one group of m rows.
           emit(XLogXCount(static_cast<uint32_t>(m)));

@@ -4,17 +4,14 @@
 // partition by a dense column (engine/partition.h). One counting strategy
 // cannot be right across the cardinality spectrum:
 //
-//   kDense — the classic counting pass over a code-indexed scratch array.
-//            Unbeatable while the counter array stays cache-resident.
-//   kMid   — the same counting pass, branchless and with software prefetch
-//            of the codes[row] gather, for cardinalities where the scratch
-//            misses cache and the gather dominates.
+//   kDense — a branchless counting pass over a code-indexed scratch array,
+//            with software prefetch of the codes[row] gather.
 //   kSort  — a per-block radix sort of (code, row) pairs. Scratch is sized
 //            by the BLOCK, not the cardinality, so a near-key column no
 //            longer spikes a cardinality-sized allocation just to strip
 //            almost everything.
 //
-// All three produce bit-identical partitions: blocks emitted per input
+// Both produce bit-identical partitions: blocks emitted per input
 // block in first-occurrence order of the code, rows in ascending order
 // (the library-wide invariant — every Partition factory scans rows in
 // ascending order, so block members are always sorted).
@@ -75,12 +72,8 @@ namespace ajd {
 class WorkerPool;  // engine/worker_pool.h
 
 /// Refinement strategy. kAuto picks per call from the column cardinality
-/// and the partition's stripped mass (thresholds below).
-enum class RefineKernel : uint8_t { kAuto = 0, kDense, kMid, kSort };
-
-/// kDense is used up to this cardinality (counter array ~16 KiB, safely
-/// cache-resident); kMid beyond it.
-inline constexpr uint32_t kDenseCardinalityMax = 4096;
+/// and the partition's stripped mass (threshold below).
+enum class RefineKernel : uint8_t { kAuto = 0, kDense, kSort };
 
 /// kSort requires BOTH cardinality >= half the stripped mass (the
 /// measured crossover: past it the code-indexed scratch costs as much as

@@ -202,7 +202,7 @@ TEST(AnalyzeAjd, PartitionCountsExactUnderOneByteArbiterBudget) {
   // charged, so every PartitionAt computes and must keep what it built.
   Rng rng(145);
   SessionOptions options;
-  options.cache_budget_bytes = 1;
+  options.engine.cache_budget_bytes = 1;
   for (int trial = 0; trial < 8; ++trial) {
     Relation r = testing_util::RandomTestRelation(&rng, 5, 3, 120);
     AnalysisSession session(options);

@@ -223,37 +223,32 @@ TEST(CacheArbiter, RealEnginesShareOneBudgetAndStayCorrect) {
             e1.PartitionBytes() + e2.PartitionBytes());
 }
 
-TEST(CacheArbiter, SessionBudgetOverridesPerEngineBudget) {
+TEST(CacheArbiter, SessionArbiterBudgetIsEngineBudget) {
   Rng rng(931);
   Relation r = testing_util::RandomTestRelation(&rng, 6, 3, 250);
 
-  // The engine-level budget is tiny, but the session-level budget is huge
-  // and must win: no evictions despite the engine options.
+  // The session builds one arbiter whose budget is the engine budget, and
+  // every engine it serves stays within it.
   SessionOptions opts;
-  opts.engine.cache_budget_bytes = 512;
-  opts.cache_budget_bytes = size_t{1} << 30;
+  opts.engine.cache_budget_bytes = 4096;
   AnalysisSession session(opts);
   ASSERT_NE(session.cache_arbiter(), nullptr);
-  EXPECT_EQ(session.cache_arbiter()->budget_bytes(), size_t{1} << 30);
+  EXPECT_EQ(session.cache_arbiter()->budget_bytes(),
+            opts.engine.cache_budget_bytes);
   EntropyEngine& engine = session.EngineFor(r);
-  for (uint32_t m = 1; m < 64; ++m) engine.Entropy(AttrSet::FromMask(m));
-  EXPECT_EQ(session.TotalStats().evictions, 0u);
-  EXPECT_GT(session.CacheBytes(), 512u);
-
-  // cache_budget_bytes = 0 disables the arbiter: the per-engine private
-  // budget (the legacy path) governs again.
-  SessionOptions legacy;
-  legacy.engine.cache_budget_bytes = 4096;
-  legacy.cache_budget_bytes = 0;
-  AnalysisSession private_session(legacy);
-  EXPECT_EQ(private_session.cache_arbiter(), nullptr);
-  EXPECT_EQ(private_session.CacheBytes(), 0u);
-  EntropyEngine& private_engine = private_session.EngineFor(r);
   for (uint32_t m = 1; m < 64; ++m) {
-    private_engine.Entropy(AttrSet::FromMask(m));
-    EXPECT_LE(private_engine.PartitionBytes(), 4096u);
+    engine.Entropy(AttrSet::FromMask(m));
+    EXPECT_LE(session.CacheBytes(), opts.engine.cache_budget_bytes);
   }
-  EXPECT_GT(private_session.TotalStats().evictions, 0u);
+  EXPECT_GT(session.TotalStats().evictions, 0u);
+
+  // The EngineOptions constructor resolves the same way.
+  EngineOptions engine_opts;
+  engine_opts.cache_budget_bytes = size_t{1} << 30;
+  AnalysisSession from_engine_opts(engine_opts);
+  ASSERT_NE(from_engine_opts.cache_arbiter(), nullptr);
+  EXPECT_EQ(from_engine_opts.cache_arbiter()->budget_bytes(),
+            engine_opts.cache_budget_bytes);
 }
 
 TEST(CacheArbiter, SessionReleaseReturnsBytesToSurvivors) {
@@ -262,7 +257,7 @@ TEST(CacheArbiter, SessionReleaseReturnsBytesToSurvivors) {
   Relation drop = testing_util::RandomTestRelation(&rng, 5, 3, 220);
 
   SessionOptions opts;
-  opts.cache_budget_bytes = size_t{1} << 30;
+  opts.engine.cache_budget_bytes = size_t{1} << 30;
   AnalysisSession session(opts);
   for (uint32_t m = 1; m < 32; ++m) {
     session.EngineFor(keep).Entropy(AttrSet::FromMask(m));

@@ -12,8 +12,9 @@
 //    partition after catch-up equals the cold replay of its recorded chain
 //    over the full relation EXACTLY, and every entropy served from it is
 //    bitwise equal to that replay's XLogX accumulation — across kernels
-//    and private/arbiter budgets under eviction pressure. When no queries ran before the appends, the whole engine is
-//    bitwise indistinguishable from a cold engine.
+//    and session/standalone budgets under eviction pressure. When no
+//    queries ran before the appends, the whole engine is bitwise
+//    indistinguishable from a cold engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -491,7 +493,7 @@ TEST(EpochPartition, KernelCrossoverMidExtensionMatchesColdRebuild) {
   // among 140k rows), and below mass/2 by the end (~110k seen among 300k).
   constexpr uint32_t kCard = 120000;
   constexpr uint32_t kStart = 140000;  // card >= mass/2 -> radix (kSort)
-  constexpr uint32_t kEnd = 300000;    // card <  mass/2 -> counting (kMid)
+  constexpr uint32_t kEnd = 300000;    // card <  mass/2 -> counting (kDense)
   std::vector<uint32_t> raw(kEnd);
   for (auto& v : raw) v = static_cast<uint32_t>(rng.UniformU64(kCard));
   std::vector<uint32_t> codes, first_row;
@@ -502,7 +504,8 @@ TEST(EpochPartition, KernelCrossoverMidExtensionMatchesColdRebuild) {
   const Column c_end = ColumnAtCut(codes, first_row, kEnd);
   ASSERT_EQ(ChooseRefineKernel(c_start.cardinality, kStart),
             RefineKernel::kSort);
-  ASSERT_EQ(ChooseRefineKernel(c_end.cardinality, kEnd), RefineKernel::kMid);
+  ASSERT_EQ(ChooseRefineKernel(c_end.cardinality, kEnd),
+            RefineKernel::kDense);
 
   Partition parent = Partition::Trivial(kStart);
   PartitionDelta meta;
@@ -536,8 +539,8 @@ TEST(EpochPartition, KernelCrossoverMidExtensionMatchesColdRebuild) {
 
 struct EngineCase {
   const char* name;
-  size_t session_budget;  // 0 = private per-engine budgets (no arbiter)
-  size_t engine_budget;
+  bool standalone;  // own single-engine arbiter instead of a session's
+  size_t budget;
 };
 
 // Replays the recorded chain of a cached partition cold over the full
@@ -572,10 +575,10 @@ void VerifyCachedPartitionsAgainstColdReplay(EntropyEngine* engine,
 
 TEST(EpochEngine, IncrementalCatchUpEqualsColdReplayForAnySplit) {
   const EngineCase cases[] = {
-      {"arbiter", size_t{64} << 20, size_t{64} << 20},
-      {"private", 0, size_t{64} << 20},
-      {"tiny-arbiter-evicting", size_t{6} << 10, size_t{6} << 10},
-      {"tiny-private-evicting", 0, size_t{6} << 10},
+      {"session", false, size_t{64} << 20},
+      {"standalone", true, size_t{64} << 20},
+      {"tiny-session-evicting", false, size_t{6} << 10},
+      {"tiny-standalone-evicting", true, size_t{6} << 10},
   };
   Rng rng(7300);
   for (const EngineCase& c : cases) {
@@ -590,10 +593,14 @@ TEST(EpochEngine, IncrementalCatchUpEqualsColdReplayForAnySplit) {
       Relation r = RelationFromRows(num_attrs, first);
 
       SessionOptions opts;
-      opts.engine.cache_budget_bytes = c.engine_budget;
-      opts.cache_budget_bytes = c.session_budget;
+      opts.engine.cache_budget_bytes = c.budget;
       AnalysisSession session(opts);
-      EntropyEngine& engine = session.EngineFor(r);
+      std::unique_ptr<EntropyEngine> standalone;
+      if (c.standalone) {
+        standalone = std::make_unique<EntropyEngine>(&r, opts.engine);
+      }
+      EntropyEngine& engine =
+          c.standalone ? *standalone : session.EngineFor(r);
 
       const uint64_t all_masks = (uint64_t{1} << num_attrs) - 1;
       for (uint32_t k = 0; k < batches; ++k) {
@@ -620,9 +627,7 @@ TEST(EpochEngine, IncrementalCatchUpEqualsColdReplayForAnySplit) {
       engine.Entropy(AttrSet::FromMask(all_masks));
       ASSERT_EQ(engine.Stats().epoch_catchups, batches) << c.name;
       VerifyCachedPartitionsAgainstColdReplay(&engine, r);
-      if (session.cache_arbiter() != nullptr) {
-        EXPECT_LE(session.CacheBytes(), c.session_budget) << c.name;
-      }
+      EXPECT_LE(engine.PartitionBytes(), c.budget) << c.name;
     }
   }
 }
@@ -905,17 +910,37 @@ TEST(EpochEngine, ExtensionAndReplayPathsBothRun) {
   e1.Entropy(AttrSet{0, 1, 2});
   EXPECT_GT(e1.Stats().partitions_extended, 0u);
 
-  // A one-byte private budget keeps only the most recently inserted
-  // partition: the prewarm caches {0,1,2,3} and evicts every prefix of its
-  // chain, so catch-up finds no ancestor to extend from and replays.
+  // The budget holds exactly the {0,1,2,3} partition, before and after
+  // the append (its bytes measured on unbounded probe engines over both
+  // row sets; kernels copy out at exact size, so a cold build and a chain
+  // replay take the same bytes). The prewarm charges every prefix of the
+  // chain before the final partition and the arbiter evicts them
+  // least-recent first, so catch-up finds no ancestor to extend from and
+  // replays; the replayed partition then fits the budget and survives.
+  const auto appended = RandomRows(&rng, 5, 4, 40);
+  auto final_bytes = [](const std::vector<std::vector<uint32_t>>& probe_rows,
+                        size_t* bytes) {
+    Relation probe_rel = RelationFromRows(5, probe_rows);
+    EntropyEngine probe(&probe_rel);
+    probe.PrewarmSubsets({AttrSet{0, 1, 2, 3}});
+    std::shared_ptr<const Partition> p;
+    ASSERT_TRUE(probe.CachedPartitionInfo(AttrSet{0, 1, 2, 3}, nullptr, &p));
+    *bytes = p->MemoryBytes();
+  };
+  std::vector<std::vector<uint32_t>> all_rows = rows;
+  all_rows.insert(all_rows.end(), appended.begin(), appended.end());
+  size_t before_bytes = 0, after_bytes = 0;
+  final_bytes(rows, &before_bytes);
+  final_bytes(all_rows, &after_bytes);
   Relation r2 = RelationFromRows(5, rows);
   EngineOptions tiny;
-  tiny.cache_budget_bytes = 1;
+  tiny.cache_budget_bytes = std::max(before_bytes, after_bytes);
   EntropyEngine e2(&r2, tiny);
   e2.PrewarmSubsets({AttrSet{0, 1, 2, 3}});
   ASSERT_EQ(e2.PartitionCacheSize(), 1u);
+  ASSERT_TRUE(e2.CachedPartitionInfo(AttrSet{0, 1, 2, 3}, nullptr, nullptr));
   ASSERT_GT(e2.Stats().evictions, 0u);
-  ASSERT_TRUE(r2.AppendBatch(RandomRows(&rng, 5, 4, 40)).ok());
+  ASSERT_TRUE(r2.AppendBatch(appended).ok());
   e2.Entropy(AttrSet{0, 1, 2, 3});
   EXPECT_GT(e2.Stats().partitions_replayed, 0u);
   // The replayed entry is served bit-identically to a cold chain replay.

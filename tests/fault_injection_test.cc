@@ -508,7 +508,7 @@ class FaultSoak {
     store_ = opened.value();
     SessionOptions sopts;
     sopts.engine.num_threads = 4;
-    sopts.cache_budget_bytes = size_t{2} << 20;
+    sopts.engine.cache_budget_bytes = size_t{2} << 20;
     session_ = std::make_unique<AnalysisSession>(sopts);
     StreamingOptions mopts;
     mopts.drift_threshold = 0.0;

@@ -283,7 +283,7 @@ TEST(RefineScratchShed, ShedReleasesSpikesAndKeepsKernelsCorrect) {
   // shed targets.
   Column big = DensifiedColumn(&rng, rows, rows, 0.0);
   Partition base = Partition::Trivial(rows);
-  Partition want = base.RefinedBy(big, RefineKernel::kMid);
+  Partition want = base.RefinedBy(big, RefineKernel::kDense);
   const size_t before = RefineScratchBytes();
   EXPECT_GT(before, size_t{1} << 20) << "expected a lingering spike";
   const size_t freed = ShedOversizedRefineScratch();
@@ -293,7 +293,7 @@ TEST(RefineScratchShed, ShedReleasesSpikesAndKeepsKernelsCorrect) {
   EXPECT_LE(RefineScratchBytes(), size_t{9} * (size_t{1} << 16) * 8);
   // Shedding must not corrupt the scratch invariants (zeroed counters):
   // the same refinement replays byte-identically.
-  ExpectSamePartition(want, base.RefinedBy(big, RefineKernel::kMid),
+  ExpectSamePartition(want, base.RefinedBy(big, RefineKernel::kDense),
                       "post-shed counting refinement");
   // Repeated shed on already-small scratch is a no-op.
   ShedOversizedRefineScratch();
@@ -312,7 +312,7 @@ TEST(RefineScratchShed, CountOnlyEntropyExactAcrossSpikeAndShed) {
   const Partition small_base =
       Partition::OfColumn(DensifiedColumn(&rng, small_rows, 5, 0.0));
   const double want_small =
-      small_base.RefinedEntropy(small, small_rows, RefineKernel::kMid);
+      small_base.RefinedEntropy(small, small_rows, RefineKernel::kDense);
 
   // 1) Spike: a near-key column sizes the counter arrays past the keep
   //    threshold, and (capacity == cardinality) they linger after the call.
@@ -321,21 +321,21 @@ TEST(RefineScratchShed, CountOnlyEntropyExactAcrossSpikeAndShed) {
   ASSERT_GT(big.cardinality, uint32_t{1} << 16);
   const Partition big_base = Partition::Trivial(rows);
   const double want_big =
-      big_base.RefinedEntropy(big, rows, RefineKernel::kMid);
+      big_base.RefinedEntropy(big, rows, RefineKernel::kDense);
   EXPECT_GT(RefineScratchBytes(), size_t{1} << 20) << "expected a spike";
 
   // 2) A small call judges the spike against its own cardinality and sheds
   //    it on the way out; its value must not see the old counters.
   EXPECT_EQ(want_small,
-            small_base.RefinedEntropy(small, small_rows, RefineKernel::kMid));
+            small_base.RefinedEntropy(small, small_rows, RefineKernel::kDense));
   EXPECT_LE(RefineScratchBytes(), size_t{9} * (size_t{1} << 16) * 8);
 
   // 3) Re-spike, park-shed, then replay both sizes on the shed scratch.
-  EXPECT_EQ(want_big, big_base.RefinedEntropy(big, rows, RefineKernel::kMid));
+  EXPECT_EQ(want_big, big_base.RefinedEntropy(big, rows, RefineKernel::kDense));
   EXPECT_GT(ShedOversizedRefineScratch(), 0u);
   EXPECT_EQ(want_small,
-            small_base.RefinedEntropy(small, small_rows, RefineKernel::kMid));
-  EXPECT_EQ(want_big, big_base.RefinedEntropy(big, rows, RefineKernel::kMid));
+            small_base.RefinedEntropy(small, small_rows, RefineKernel::kDense));
+  EXPECT_EQ(want_big, big_base.RefinedEntropy(big, rows, RefineKernel::kDense));
 }
 
 TEST(RefineScratchShed, PoolThreadsShedScratchWhenParking) {
@@ -376,7 +376,7 @@ TEST(RefineScratchShed, PoolThreadsShedScratchWhenParking) {
   Rendezvous spike_barrier;
   std::function<void(size_t)> spike = [&](size_t) {
     spike_barrier.Arrive();
-    Partition::Trivial(rows).RefinedBy(big, RefineKernel::kMid);
+    Partition::Trivial(rows).RefinedBy(big, RefineKernel::kDense);
     // The spike is live on this thread right now (capacity tracks the
     // near-key cardinality, which ScratchGuard's relative rule keeps).
     EXPECT_GT(RefineScratchBytes(), size_t{1} << 20);

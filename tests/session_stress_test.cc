@@ -79,11 +79,9 @@ void ChurnSession(AnalysisSession* session, uint64_t seed, size_t budget) {
   std::vector<std::optional<Relation>> slots(kSlots);
 
   auto check_budget = [&] {
-    if (session->cache_arbiter() != nullptr) {
-      EXPECT_LE(session->CacheBytes(), budget);
-      EXPECT_LE(session->cache_arbiter()->AccountedBytes(),
-                session->cache_arbiter()->budget_bytes());
-    }
+    EXPECT_LE(session->CacheBytes(), budget);
+    EXPECT_LE(session->cache_arbiter()->AccountedBytes(),
+              session->cache_arbiter()->budget_bytes());
   };
   auto query_and_check = [&](const Relation& r) {
     AttrSet attrs = RandomNonEmptySubset(&rng, r.NumAttrs());
@@ -131,7 +129,7 @@ void ChurnSession(AnalysisSession* session, uint64_t seed, size_t budget) {
     }
   }
   // Drain every survivor: releases discharge exactly what is accounted, so
-  // a sharded session ends at zero accounted bytes.
+  // the session ends at zero accounted bytes.
   for (auto& slot : slots) {
     if (slot.has_value()) {
       EXPECT_TRUE(session->Release(*slot));
@@ -139,21 +137,20 @@ void ChurnSession(AnalysisSession* session, uint64_t seed, size_t budget) {
     }
   }
   EXPECT_EQ(session->NumRelations(), 0u);
-  if (session->cache_arbiter() != nullptr) {
-    EXPECT_EQ(session->CacheBytes(), 0u);
-  }
+  EXPECT_EQ(session->CacheBytes(), 0u);
 }
 
 TEST(SessionStress, RandomChurnHoldsValueAndBudgetInvariants) {
-  // Budgets spanning "evict almost everything" to "never evict", plus the
-  // legacy unsharded configuration (budget 0 = no arbiter) as control.
+  // Budgets spanning "evict almost everything" to "never evict", plus
+  // budget 0, which caches no partition at all.
   const size_t kBudgets[] = {2048, 64 << 10, size_t{1} << 30, 0};
   uint64_t seed = 940;
   for (size_t budget : kBudgets) {
     SessionOptions opts;
-    opts.cache_budget_bytes = budget;
+    opts.engine.cache_budget_bytes = budget;
     AnalysisSession session(opts);
-    ASSERT_EQ(session.cache_arbiter() != nullptr, budget != 0);
+    ASSERT_NE(session.cache_arbiter(), nullptr);
+    EXPECT_EQ(session.cache_arbiter()->budget_bytes(), budget);
     ChurnSession(&session, ++seed, budget);
   }
 }
@@ -164,9 +161,9 @@ TEST(SessionStress, ParallelEnginesChurnHoldsInvariants) {
   // from the pool's workers).
   SessionOptions opts;
   opts.engine.num_threads = 4;
-  opts.cache_budget_bytes = 32 << 10;
+  opts.engine.cache_budget_bytes = 32 << 10;
   AnalysisSession session(opts);
-  ChurnSession(&session, 950, *opts.cache_budget_bytes);
+  ChurnSession(&session, 950, opts.engine.cache_budget_bytes);
 }
 
 TEST(SessionStress, ReleaseOfUnknownRelationIsFalseAndDoubleReleaseIsNoOp) {
@@ -413,7 +410,7 @@ TEST(SessionStress, MultiReaderSingleAppenderSoakHoldsValueAndBudget) {
   }
 
   SessionOptions opts;
-  opts.cache_budget_bytes = 24 << 10;  // small: evictions mid-soak
+  opts.engine.cache_budget_bytes = 24 << 10;  // small: evictions mid-soak
   AnalysisSession session(opts);
   Relation r = from_rows(rows);
   EntropyEngine& engine = session.EngineFor(r);
@@ -472,7 +469,7 @@ TEST(SessionStress, MultiReaderSingleAppenderSoakHoldsValueAndBudget) {
                 1e-9)
         << mask;
   }
-  EXPECT_LE(session.CacheBytes(), *opts.cache_budget_bytes);
+  EXPECT_LE(session.CacheBytes(), opts.engine.cache_budget_bytes);
 }
 
 // --- Cross-engine concurrency on one arbiter ----------------------------
@@ -487,7 +484,7 @@ TEST(SessionConcurrency, TwoEngineConcurrentBatchesAreByteIdenticalToSerial) {
   // Serial reference: one engine after the other, huge shared budget (no
   // evictions), each engine computing on the calling thread.
   SessionOptions opts;
-  opts.cache_budget_bytes = size_t{1} << 30;
+  opts.engine.cache_budget_bytes = size_t{1} << 30;
   AnalysisSession serial(opts);
   const std::vector<double> want1 = serial.EngineFor(r1).BatchEntropy(sets);
   const std::vector<double> want2 = serial.EngineFor(r2).BatchEntropy(sets);
@@ -531,7 +528,7 @@ TEST(SessionConcurrency, FanOutUnderEvictionPressureStaysCorrect) {
   // the engine has.
   SessionOptions opts;
   opts.engine.num_threads = 4;
-  opts.cache_budget_bytes = 8 << 10;
+  opts.engine.cache_budget_bytes = 8 << 10;
   opts.cache_floor_bytes = 1 << 10;
   AnalysisSession session(opts);
   EntropyEngine& e1 = session.EngineFor(r1);
@@ -545,7 +542,7 @@ TEST(SessionConcurrency, FanOutUnderEvictionPressureStaysCorrect) {
     EXPECT_NEAR(got1[i], EntropyOf(r1, sets[i]), 1e-9);
     EXPECT_NEAR(got2[i], EntropyOf(r2, sets[i]), 1e-9);
   }
-  EXPECT_LE(session.CacheBytes(), opts.cache_budget_bytes);
+  EXPECT_LE(session.CacheBytes(), opts.engine.cache_budget_bytes);
   EXPECT_GT(session.cache_arbiter()->Stats().evictions, 0u);
 }
 
