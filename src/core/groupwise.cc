@@ -5,6 +5,7 @@
 
 #include "core/bounds.h"
 #include "engine/analysis_session.h"
+#include "engine/block_histogram.h"
 #include "relation/row_hash.h"
 #include "util/math.h"
 #include "util/string_util.h"
@@ -125,6 +126,11 @@ Result<GroupwiseMvdReport> AnalyzeMvdGroupwiseImpl(const Relation& r,
   }
 
   const double n = static_cast<double>(r.NumRows());
+  // Every entropy below — the per-group H_c terms and H(C) itself — is
+  // evaluated from a group-size histogram, the same accumulator the engine
+  // uses (engine/block_histogram.h).
+  BlockSizeHistogram sizes;
+  BlockSizeHistogram c_sizes;
   double mvd_join_size = 0.0;
   double mixture = 0.0;
   double eq44_mixture = 0.0;
@@ -146,12 +152,11 @@ Result<GroupwiseMvdReport> AnalyzeMvdGroupwiseImpl(const Relation& r,
     // I(A;B | C=c) over the group's empirical distribution:
     //   H_c(A) + H_c(B) - H_c(AB), with H from the per-group counters.
     auto entropy = [&](const TupleCounter& counter) {
-      double sum_clogc = 0.0;
+      sizes.Clear();
       for (uint32_t i = 0; i < counter.NumDistinct(); ++i) {
-        sum_clogc += XLogX(static_cast<double>(counter.CountAt(i)));
+        sizes.Add(counter.CountAt(i));
       }
-      double gn = static_cast<double>(stat.n);
-      return std::log(gn) - sum_clogc / gn;
+      return sizes.EntropyNats(stat.n);
     };
     stat.mi = entropy(acc.a) + entropy(acc.b) - entropy(acc.ab);
     if (stat.mi < 0.0 && stat.mi > -1e-9) stat.mi = 0.0;
@@ -164,11 +169,12 @@ Result<GroupwiseMvdReport> AnalyzeMvdGroupwiseImpl(const Relation& r,
                          static_cast<double>(stat.n) -
                      1.0;
     eq44_mixture += p_c * std::log1p(std::max(rho_bar, 0.0));
-    report.h_c -= XLogX(p_c);
+    c_sizes.Add(stat.n);
     report.min_group = std::min(report.min_group, stat.n);
     report.groups.push_back(std::move(stat));
   }
 
+  report.h_c = c_sizes.EntropyNats(report.n);
   report.mixture_cmi = mixture;
   report.cmi = mixture;  // Eq. (336): the mixture IS the conditional MI.
   report.log1p_rho = std::log(mvd_join_size / n);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "core/bounds.h"
 #include "engine/analysis_session.h"
@@ -26,12 +25,11 @@ struct SplitCandidate {
 };
 
 // Margin a candidate must win by before it replaces the incumbent in any
-// scoring or candidate comparison. Entropy values may differ by ~1e-12
-// between runs with different cache-fill histories (serial vs threaded
-// fills perturb fp accumulation order), so any argmin decided by a smaller
-// gap would let that noise pick different splits in different modes. At or
-// below this margin the earliest candidate in the deterministic scan order
-// wins instead. Must comfortably dominate the fill-order noise; 1e-9
+// scoring or candidate comparison. Entropies are exact functions of the
+// attribute set (the same bits at any thread count), but a CMI is a
+// difference of four of them, so two splits that are mathematically tied
+// can still differ by cancellation error. At or below this margin the
+// earliest candidate in the deterministic scan order wins instead; 1e-9
 // matches the CMI clamp in the engine.
 constexpr double kSelectionEps = 1e-9;
 
@@ -103,14 +101,16 @@ double ScoreAssignment(EntropyCalculator* calc,
 // masks); beyond it BestBipartition hill-climbs.
 constexpr size_t kMaxExhaustiveUnits = 16;
 
-// Adds the side terms H(A u C), H(B u C) of every exhaustive candidate
-// mask for `units` under separator `c` to *terms. Deduping at insertion
-// keeps the transient bounded by the number of DISTINCT attr-sets (side
-// terms overlap heavily across masks and separators), not by the mask
-// count. No-op when the space is too large to enumerate (the hill-climb
-// case batches per neighborhood instead).
+// Candidate terms BestSplit hands WarmEntropies per call.
+constexpr size_t kWarmBatchTerms = size_t{1} << 16;
+
+// Appends the side terms H(A u C), H(B u C) of every exhaustive candidate
+// mask for `units` under separator `c` to *terms (at most 2^16 of them;
+// the masks of one separator give distinct sides, and WarmEntropies folds
+// duplicates across separators). No-op when the space is too large to
+// enumerate (the hill-climb case batches per neighborhood instead).
 void CollectExhaustiveTerms(const std::vector<AttrSet>& units, AttrSet c,
-                            std::unordered_set<AttrSet, AttrSetHash>* terms) {
+                            std::vector<AttrSet>* terms) {
   const size_t k = units.size();
   if (k < 2 || k > kMaxExhaustiveUnits) return;
   const uint64_t total = uint64_t{1} << k;
@@ -121,8 +121,8 @@ void CollectExhaustiveTerms(const std::vector<AttrSet>& units, AttrSet c,
     if (mask == total - 1) continue;    // side B empty
     AttrSet a, b;
     ExpandMask(units, mask, &a, &b);
-    terms->insert(a.Union(c));
-    terms->insert(b.Union(c));
+    terms->push_back(a.Union(c));
+    terms->push_back(b.Union(c));
   }
 }
 
@@ -262,20 +262,24 @@ SplitCandidate BestSplit(EntropyCalculator* calc, AttrSet bag,
     calc->engine().PrewarmSubsets(seps);
 
     if (calc->engine().ParallelBatches()) {
-      // One deduped batch for every exhaustive candidate this size emits
-      // (every mask shares H(bag) and H(C), neighboring masks share side
-      // terms). With a serial engine the scoring loop below fills the same
-      // cache at the same cost, so the batch would be pure overhead.
-      std::unordered_set<AttrSet, AttrSetHash> term_set;
-      term_set.insert(bag);
+      // Every exhaustive candidate this size emits goes to the pool in
+      // batches of about kWarmBatchTerms (every mask shares H(bag) and
+      // H(C), neighboring masks share side terms), which bounds the
+      // transient however many separators there are. WarmEntropies drops
+      // a batch whose predicted work cannot pay for the pool, and with a
+      // serial engine the scoring loop below fills the same cache at the
+      // same cost, so batching there would be pure overhead. Term order is
+      // irrelevant: the engine orders its misses itself.
+      std::vector<AttrSet> terms{bag};
       for (const SeparatorWork& w : work) {
-        if (!w.c.Empty()) term_set.insert(w.c);
-        CollectExhaustiveTerms(w.units, w.c, &term_set);
+        if (!w.c.Empty()) terms.push_back(w.c);
+        CollectExhaustiveTerms(w.units, w.c, &terms);
+        if (terms.size() >= kWarmBatchTerms) {
+          calc->engine().WarmEntropies(terms);
+          terms.clear();
+        }
       }
-      // Set order is irrelevant: WarmEntropies sorts its miss list before
-      // computing, so the cache fill stays deterministic.
-      calc->engine().WarmEntropies(
-          std::vector<AttrSet>(term_set.begin(), term_set.end()));
+      calc->engine().WarmEntropies(terms);
     }
 
     for (const SeparatorWork& w : work) {

@@ -47,14 +47,16 @@ struct MinerOptions {
   uint32_t hill_climb_restarts = 4;
   /// Seed for hill-climb randomization.
   uint64_t seed = 1234;
-  /// Engine threads for batched entropy scoring in the convenience overload
-  /// (0 = all hardware threads). The default 1 keeps the fully serial
-  /// engine. The mined tree and scores are the same either way — candidate
-  /// scoring batches fan the entropy misses out, and selection happens
-  /// after each batch completes, in deterministic mask order — so threads
-  /// buy wall clock, not different answers. The session overload uses the
-  /// session's own EngineOptions instead.
-  uint32_t num_threads = 1;
+  /// Engine threads for batched entropy scoring in the convenience
+  /// overload: EngineOptions::num_threads semantics, so the default 0 uses
+  /// every CPU the process may run on wherever a batch's predicted work
+  /// pays for it, and 1 keeps the fully serial engine. The mined tree and
+  /// every score are bit-identical at any setting — entropies are pure
+  /// functions of the attribute set, and selection runs after each batch
+  /// completes, in deterministic mask order — so threads buy wall clock,
+  /// not different answers. The session overload uses the session's own
+  /// EngineOptions instead.
+  uint32_t num_threads = 0;
   /// Batch pool for the convenience overload's session. nullptr = the
   /// process-wide shared pool; inject one to isolate a miner run's
   /// threading from the rest of the process. The session overload uses the

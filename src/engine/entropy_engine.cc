@@ -24,6 +24,33 @@ uint32_t BatchThreads(const EngineOptions& options) {
   return options.num_threads != 0 ? options.num_threads : EffectiveCpuCount();
 }
 
+// Predicted work, in stripped-row refinement steps (the cost model's unit),
+// that one pool participant must have before a fan-out pays for its
+// hand-off: ~1 ms of kernel time at a few ns per row-step, against pool
+// wakeups and cache-mutex traffic in the tens of microseconds. Sized so
+// perf_miner's hill-climb sweeps (a few dozen misses over <= 1500 rows)
+// stay inline while the e2e fit lattice fans out.
+constexpr uint64_t kFanOutWorkPerWorker = uint64_t{1} << 18;
+
+// A miss's work outside the kernel — column ranking, chain and result
+// allocation, cache insert — in the same unit: ~15 us per miss on the
+// perf_miner exhaustive configuration, where refinements are small.
+constexpr uint64_t kMissFixedWork = uint64_t{1} << 12;
+
+// The one fan-out gate, shared by batch, warm, prewarm and catch-up:
+// how many pool participants `tasks` tasks predicted to cost
+// `predicted_work` row-steps in total should get. An explicit thread count
+// is a demand and is honored up to one participant per task; the default
+// (every CPU) fans out only as far as the work pays.
+uint32_t FanOutWorkers(uint32_t threads, bool explicit_threads,
+                       uint64_t predicted_work, size_t tasks) {
+  uint64_t workers = std::min<uint64_t>(threads, tasks);
+  if (!explicit_threads) {
+    workers = std::min(workers, predicted_work / kFanOutWorkPerWorker);
+  }
+  return workers < 1 ? 1 : static_cast<uint32_t>(workers);
+}
+
 // The arbiter the engine charges: the shared one when attached, else a
 // single-engine arbiter holding cache_budget_bytes, so every engine evicts
 // by the same policy and lock order.
@@ -45,7 +72,8 @@ EntropyEngine::EntropyEngine(const Relation* r, EngineOptions options)
                                            : WorkerPool::Shared()),
       arbiter_(ResolveArbiter(options)),
       persist_(options.persist_store),
-      keys_by_count_(kMaxAttrs + 1) {
+      keys_by_count_(kMaxAttrs + 1),
+      mass_by_count_(kMaxAttrs + 1, 0) {
   stamp_ = std::make_shared<const EpochPin>(EpochPin{
       store_.SyncedRows(), synced_epoch_.load(std::memory_order_relaxed)});
   // No other thread can reach this engine yet, so registering before the
@@ -189,6 +217,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       c.cp.epoch = it->second.epoch;
       c.cp.rows = it->second.rows;
       c.cp.last_col_card = it->second.last_col_card;
+      c.cp.extended = it->second.extended;
       c.cp.chain = std::move(it->second.chain);
       c.cp.delta = std::move(it->second.delta);
       RemovePartitionLocked(it);
@@ -320,11 +349,16 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       // first affected block is never copied, which is what makes catch-up
       // track the changed region on locality-friendly streams instead of
       // the partition's whole mass. Reader-held entries take the copying
-      // path, leaving the old object untouched for its pinned readers.
+      // path, leaving the old object untouched for its pinned readers, and
+      // so does an entry's FIRST extension: in-place extension adopts the
+      // chunked layout with ~50% tail slack, which pays only for entries
+      // that keep growing, while a lattice built once and extended once
+      // (a restart's catch-up, the catch-up after a re-mine) would hold
+      // half its bytes again as slack. The copy is exact-sized.
       const PartitionDelta* meta = meta_ok ? &cp.delta : nullptr;
       const Partition* old_parent_ptr = meta_ok ? nullptr : parent_old.get();
       PartitionDelta next;
-      if (cp.partition.use_count() == 1) {
+      if (cp.extended && cp.partition.use_count() == 1) {
         std::const_pointer_cast<Partition>(cp.partition)
             ->ExtendInPlaceBy(old_parent_ptr, *parent_new, last_col,
                               old_rows, meta, &next);
@@ -335,13 +369,15 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
                                      old_rows, meta, &next));
       }
       cp.delta = std::move(next);
+      cp.extended = true;
       ++extended_count;
     } else if (chain.size() == 1) {
-      if (cp.partition.use_count() == 1) {
+      if (cp.extended && cp.partition.use_count() == 1) {
         // Sole-owner root: blocks the appended rows touched grow through
         // their chunk slack in place — no full ascending-code rebuild of
         // the untouched blocks. Reader-held (or old-parent-retained) roots
-        // take the copying merge, leaving the old object untouched.
+        // and first extensions take the copying merge, leaving the old
+        // object untouched.
         std::const_pointer_cast<Partition>(cp.partition)
             ->ExtendOfColumnInPlace(last_col, old_rows);
         np = cp.partition;
@@ -349,6 +385,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
         np = std::make_shared<Partition>(
             cp.partition->ExtendedOfColumn(last_col, old_rows));
       }
+      cp.extended = true;
       ++extended_count;
     } else {
       // Evicted ancestor, divergent chain, or a column whose
@@ -410,6 +447,8 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   const uint32_t catchup_threads = options_.refine_threads != 0
                                        ? options_.refine_threads
                                        : BatchThreads(options_);
+  const bool catchup_explicit =
+      options_.refine_threads != 0 || options_.num_threads != 0;
   size_t lvl_begin = 0;
   while (lvl_begin < claimed.size()) {
     const uint32_t level = claimed[lvl_begin].set.Count();
@@ -419,33 +458,18 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       ++lvl_end;
     }
     const size_t lvl_n = lvl_end - lvl_begin;
-    const uint32_t workers =
-        static_cast<uint32_t>(std::min<size_t>(catchup_threads, lvl_n));
-    // Work floor, mirroring RefineThreadsFor's mass gating: when the thread
-    // count is INHERITED (refine_threads == 0), a level of tiny extensions
-    // runs serially — the pool dispatch costs more than the extensions
-    // themselves. The old stripped mass is an upper proxy for per-entry
-    // extension work (delta paths touch less, replays touch chain × mass).
-    // An explicit refine_threads bypasses the floor: the caller asked for
-    // that fan-out, and the threaded catch-up soak relies on this to
-    // exercise the fan-out under TSan at toy sizes.
-    bool below_floor = false;
-    if (options_.refine_threads == 0) {
-      uint64_t lvl_mass = 0;
-      for (size_t i = lvl_begin;
-           i < lvl_end && lvl_mass < kShardedRefineMinMass; ++i) {
-        if (claimed[i].cp.partition != nullptr) {
-          lvl_mass += claimed[i].cp.partition->NumStrippedRows();
-        }
+    // The old stripped mass is the level's predicted work (an upper proxy:
+    // delta paths touch less, replays touch chain x mass).
+    uint64_t lvl_mass = 0;
+    for (size_t i = lvl_begin; i < lvl_end; ++i) {
+      if (claimed[i].cp.partition != nullptr) {
+        lvl_mass += claimed[i].cp.partition->NumStrippedRows();
       }
-      below_floor = lvl_mass < kShardedRefineMinMass;
     }
-    if (workers <= 1 || pool_ == nullptr || below_floor) {
-      for (size_t i = lvl_begin; i < lvl_end; ++i) run_one(claimed[i]);
-    } else {
-      pool_->Run(lvl_n, workers,
-                 [&](size_t i) { run_one(claimed[lvl_begin + i]); });
-    }
+    pool_->Run(lvl_n,
+               FanOutWorkers(catchup_threads, catchup_explicit, lvl_mass,
+                             lvl_n),
+               [&](size_t i) { run_one(claimed[lvl_begin + i]); });
     lvl_begin = lvl_end;
   }
   old_parts.clear();
@@ -470,9 +494,9 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
     std::lock_guard<std::mutex> lock(mu_);
     // Sweep whatever old-generation state concurrent readers seeded while
     // the extension ran (their inserts carry the old row tag). Entropy
-    // values recompute on demand from the extended partitions via the same
-    // XLogX-table accumulation the cold kernels use, so post-catch-up reads
-    // match the cold chain replay bit-for-bit.
+    // values recompute on demand from the extended partitions; H depends
+    // only on the grouping, so post-catch-up reads match the cold chain
+    // replay bit-for-bit.
     std::vector<AttrSet> stale;
     for (const auto& entry : partitions_) {
       if (entry.second.rows != target_rows) stale.push_back(entry.first);
@@ -506,6 +530,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       partitions_.emplace(c.set, std::move(c.cp));
       partition_bytes_ += bytes;
       keys_by_count_[c.set.Count()].push_back({c.set, mass, target_rows});
+      mass_by_count_[c.set.Count()] += mass;
       charges.emplace_back(c.set, bytes);
     }
     stats_.partitions_extended += extended_count;
@@ -880,6 +905,7 @@ size_t EntropyEngine::InsertPartitionLocked(AttrSet attrs,
   partitions_.emplace(attrs, std::move(cp));
   partition_bytes_ += inserted_bytes;
   keys_by_count_[attrs.Count()].push_back({attrs, mass, rows});
+  mass_by_count_[attrs.Count()] += mass;
   return inserted_bytes;
 }
 
@@ -892,6 +918,7 @@ void EntropyEngine::RemovePartitionLocked(
       std::find_if(bucket.begin(), bucket.end(),
                    [&](const KeyEntry& e) { return e.set == attrs; });
   AJD_CHECK(pos != bucket.end());
+  mass_by_count_[attrs.Count()] -= pos->mass;
   *pos = bucket.back();
   bucket.pop_back();
   partitions_.erase(it);
@@ -950,65 +977,136 @@ bool EntropyEngine::ParallelBatches() const {
   return BatchThreads(options_) > 1;
 }
 
-uint32_t EntropyEngine::PoolSizeFor(size_t n) const {
-  // Demand a few misses per participant: waking the pool for a handful of
-  // terms costs more in wakeup latency and cache-mutex contention than the
-  // misses themselves (hill-climb sweeps re-batch mostly-warm
-  // neighborhoods).
-  constexpr size_t kMinMissesPerWorker = 4;
-  if (n < 2 * kMinMissesPerWorker) return 1;
-  const uint32_t threads = BatchThreads(options_);
-  return static_cast<uint32_t>(
-      std::min<size_t>(threads, n / kMinMissesPerWorker));
+uint32_t EntropyEngine::RefineThreadsFor(uint64_t mass) const {
+  // One refinement is `mass` row-steps of work, split into at most one
+  // shard per kShardedRefineShardMass rows (PlanShardCount in the kernels
+  // clamps identically).
+  return FanOutWorkers(options_.refine_threads != 0 ? options_.refine_threads
+                                                    : BatchThreads(options_),
+                       options_.refine_threads != 0 ||
+                           options_.num_threads != 0,
+                       mass, mass / kShardedRefineShardMass);
 }
 
-uint32_t EntropyEngine::RefineThreadsFor(uint64_t mass) const {
-  uint32_t threads = options_.refine_threads != 0 ? options_.refine_threads
-                                                  : BatchThreads(options_);
-  if (threads <= 1 || mass < kShardedRefineMinMass) return 1;
-  // One thread per shard's worth of rows: below that a shard finishes
-  // faster than the fan-out costs (PlanShardCount in the kernels clamps
-  // identically; clamping here too keeps the resolved count honest for
-  // observers).
-  const uint64_t by_mass = mass / kShardedRefineShardMass;
-  if (by_mass < threads) threads = static_cast<uint32_t>(by_mass);
-  return threads < 1 ? 1 : threads;
+uint32_t EntropyEngine::BatchWorkers(uint64_t predicted_work,
+                                     size_t tasks) const {
+  return FanOutWorkers(BatchThreads(options_), options_.num_threads != 0,
+                       predicted_work, tasks);
+}
+
+uint64_t EntropyEngine::FanOutWork(const AttrSet* sets, size_t n,
+                                   uint64_t rows) const {
+  // A miss of s attributes is priced the way the cost model prices its
+  // plan, the base's stripped mass times the steps from it, plus its
+  // fixed work outside the kernel. The base is taken to be a typical
+  // partition of the deepest cached level below s (its mean mass), or a
+  // raw column (N rows, s steps) when none is cached. From that comes off
+  // the lattice scan the miss pays to choose its base: one look at every
+  // cached key at or below its level, under mu_. That part never runs in
+  // parallel, and with W participants each scan also stalls the W - 1
+  // others queued on mu_, so it is weighted W times (perf_miner: the
+  // hill-climb configurations, whose caches hold 50-150k keys, then stay
+  // inline, while the exhaustive one still fans out).
+  const uint64_t scan_weight = BatchThreads(options_);
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t price[kMaxAttrs + 1];
+  uint64_t scan[kMaxAttrs + 1];
+  scan[0] = 0;
+  uint32_t deepest = 0;  // deepest level below s with cached partitions
+  for (uint32_t level = 1; level <= kMaxAttrs; ++level) {
+    price[level] =
+        kMissFixedWork +
+        (deepest == 0 ? rows * level
+                      : mass_by_count_[deepest] /
+                            keys_by_count_[deepest].size() * (level - deepest));
+    scan[level] = scan[level - 1] + keys_by_count_[level].size();
+    if (!keys_by_count_[level].empty()) deepest = level;
+  }
+  uint64_t work = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t level = sets[i].Count();
+    const uint64_t stall = scan_weight * scan[level];
+    if (price[level] > stall) work += price[level] - stall;
+  }
+  return work;
+}
+
+std::vector<AttrSet> EntropyEngine::FanOutMisses(const AttrSet* sets,
+                                                size_t n, const EpochPin& pin,
+                                                bool materialize_final) {
+  std::vector<AttrSet> inline_sets;
+  if (BatchThreads(options_) <= 1) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!sets[i].Empty()) inline_sets.push_back(sets[i]);
+    }
+    return inline_sets;
+  }
+  // Level order, largest sets first, with a barrier between levels. A
+  // large miss's refinement chain caches its prefixes on the way up, and
+  // the smaller batch members then find those partitions cached, zero or
+  // one step away; concurrent misses of one level cannot serve each other
+  // as bases anyway. Smallest-first would compute every small set
+  // count-only and rebuild it later as an intermediate of a larger one.
+  std::vector<std::vector<AttrSet>> by_level(kMaxAttrs + 1);
+  for (size_t i = 0; i < n; ++i) {
+    if (!sets[i].Empty()) by_level[sets[i].Count()].push_back(sets[i]);
+  }
+  for (uint32_t level = kMaxAttrs; level >= 1; --level) {
+    std::vector<AttrSet>& todo = by_level[level];
+    if (todo.empty()) continue;
+    // Priced before any cache probe (duplicates only raise the price): a
+    // level that cannot pay for the pool even if every set misses is left
+    // to the caller untouched. The price is re-taken per level because the
+    // lattice scans grow with the cache the batch fills.
+    if (BatchWorkers(FanOutWork(todo.data(), todo.size(), pin.rows),
+                     todo.size()) > 1) {
+      std::sort(todo.begin(), todo.end());
+      todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
+      std::vector<AttrSet> misses;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (AttrSet s : todo) {
+          const bool cached =
+              materialize_final ? HasPartitionLocked(s, pin.rows)
+                                : HasEntropyLocked(s, pin.rows);
+          if (!cached) misses.push_back(s);
+        }
+      }
+      const uint32_t workers =
+          BatchWorkers(FanOutWork(misses.data(), misses.size(), pin.rows),
+                       misses.size());
+      if (workers > 1) {
+        pool_->Run(misses.size(), workers, [&](size_t i) {
+          AJD_INJECT_FAULT(failpoints::kEngineBatchTask);
+          ComputeEntropy(misses[i], pin, materialize_final);
+        });
+        continue;
+      }
+      todo = std::move(misses);
+    }
+    inline_sets.insert(inline_sets.end(), todo.begin(), todo.end());
+  }
+  return inline_sets;
+}
+
+bool EntropyEngine::HasEntropyLocked(AttrSet attrs, uint64_t rows) const {
+  auto it = entropies_.find(attrs);
+  return it != entropies_.end() && it->second.rows == rows;
+}
+
+bool EntropyEngine::HasPartitionLocked(AttrSet attrs, uint64_t rows) const {
+  auto it = partitions_.find(attrs);
+  return it != partitions_.end() && it->second.rows == rows;
 }
 
 void EntropyEngine::BatchEntropy(const AttrSet* sets, size_t n, double* out) {
   CatchUp();
   // ONE pin for the whole batch: every term is evaluated over the same
   // pinned prefix, so the batch is internally consistent even if appends
-  // land mid-flight.
+  // land mid-flight. The misses that pay for the pool are computed there
+  // first; the reads below compute the rest on demand, in order.
   const EpochPin pin = Pin();
-  // Size the pool by *distinct misses*, not batch size: waking workers to
-  // service cache hits costs more than the hits themselves (the miner
-  // re-batches mostly-warm term lists every split round), and dispatching
-  // duplicate sets to the pool would compute the same refinement chain
-  // once per copy (the cache dedups only at the final insert).
-  std::vector<AttrSet> misses;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < n; ++i) {
-      if (sets[i].Empty()) continue;
-      auto it = entropies_.find(sets[i]);
-      if (it == entropies_.end() || it->second.rows != pin.rows) {
-        misses.push_back(sets[i]);
-      }
-    }
-  }
-  std::sort(misses.begin(), misses.end());
-  misses.erase(std::unique(misses.begin(), misses.end()), misses.end());
-  const uint32_t pool = pin.rows == 0 ? 1 : PoolSizeFor(misses.size());
-  if (pool > 1) {
-    // Fill the cache from the deduped miss list in parallel, then read the
-    // whole batch out of it below.
-    std::function<void(size_t)> fn = [this, &misses, pin](size_t i) {
-      AJD_INJECT_FAULT(failpoints::kEngineBatchTask);
-      ComputeEntropy(misses[i], pin);
-    };
-    pool_->Run(misses.size(), pool, fn);
-  }
+  if (pin.rows > 0) FanOutMisses(sets, n, pin, /*materialize_final=*/false);
   for (size_t i = 0; i < n; ++i) out[i] = EntropyAt(sets[i], pin);
 }
 
@@ -1023,65 +1121,33 @@ void EntropyEngine::WarmEntropies(const std::vector<AttrSet>& sets) {
   CatchUp();
   const EpochPin pin = Pin();
   if (pin.rows == 0) return;
-  std::vector<AttrSet> need;
-  need.reserve(sets.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (AttrSet s : sets) {
-      if (s.Empty()) continue;
-      auto it = entropies_.find(s);
-      if (it == entropies_.end() || it->second.rows != pin.rows) {
-        need.push_back(s);
-      }
-    }
-  }
-  std::sort(need.begin(), need.end());
-  need.erase(std::unique(need.begin(), need.end()), need.end());
-  if (need.empty()) return;
-  const uint32_t pool = PoolSizeFor(need.size());
-  if (pool <= 1) {
-    for (AttrSet s : need) ComputeEntropy(s, pin);
-    return;
-  }
-  std::function<void(size_t)> fn = [this, &need, pin](size_t i) {
-    ComputeEntropy(need[i], pin);
-  };
-  pool_->Run(need.size(), pool, fn);
+  // What the pool cannot pay for is dropped: the caller's own reads then
+  // compute those misses on demand, in its own order, exactly as a serial
+  // engine does.
+  FanOutMisses(sets.data(), sets.size(), pin, /*materialize_final=*/false);
 }
 
 void EntropyEngine::PrewarmSubsets(const std::vector<AttrSet>& sets) {
   CatchUp();
   const EpochPin pin = Pin();
   if (pin.rows == 0) return;
-  // Only sets without a pin-current materialized partition need work;
-  // sorting the survivors makes the serial fill order (and thus the exact
-  // cached values) independent of the caller's enumeration order.
+  for (AttrSet s : sets) {
+    AJD_CHECK(s.IsSubsetOf(relation().schema().AllAttrs()));
+  }
+  // The rest runs inline in mask order, so the fill order (and with it
+  // every cache decision) is independent of the caller's enumeration.
   std::vector<AttrSet> need;
-  need.reserve(sets.size());
   {
+    const std::vector<AttrSet> rest = FanOutMisses(
+        sets.data(), sets.size(), pin, /*materialize_final=*/true);
     std::lock_guard<std::mutex> lock(mu_);
-    for (AttrSet s : sets) {
-      if (s.Empty()) continue;
-      AJD_CHECK(s.IsSubsetOf(relation().schema().AllAttrs()));
-      auto it = partitions_.find(s);
-      if (it == partitions_.end() || it->second.rows != pin.rows) {
-        need.push_back(s);
-      }
+    for (AttrSet s : rest) {
+      if (!HasPartitionLocked(s, pin.rows)) need.push_back(s);
     }
   }
   std::sort(need.begin(), need.end());
   need.erase(std::unique(need.begin(), need.end()), need.end());
-  if (need.empty()) return;
-
-  const uint32_t pool = PoolSizeFor(need.size());
-  if (pool <= 1) {
-    for (AttrSet s : need) ComputeEntropy(s, pin, /*materialize_final=*/true);
-    return;
-  }
-  std::function<void(size_t)> fn = [this, &need, pin](size_t i) {
-    ComputeEntropy(need[i], pin, /*materialize_final=*/true);
-  };
-  pool_->Run(need.size(), pool, fn);
+  for (AttrSet s : need) ComputeEntropy(s, pin, /*materialize_final=*/true);
 }
 
 double EntropyEngine::ConditionalEntropy(AttrSet a, AttrSet c) {
@@ -1190,8 +1256,8 @@ bool EntropyEngine::TryServeFromDisk(
   }
   auto p = std::make_shared<const Partition>(std::move(rebuilt).value());
   // H derives from the VALIDATED partition, not the stored double: the
-  // partition is the entry's load-bearing content, and EntropyNats runs
-  // the same XLogX block-order accumulation the engine uses everywhere.
+  // partition is the entry's load-bearing content, and its H is the same
+  // histogram evaluation every other path runs.
   const double h = p->EntropyNats(pin.rows);
   size_t bytes = 0;
   {

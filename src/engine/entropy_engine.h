@@ -28,6 +28,12 @@
 // WorkerPool (engine/worker_pool.h) shared across engines — the shape of
 // the miner's candidate-split enumeration.
 //
+// Values: H(S) is a pure function of (relation prefix, S). Every path
+// evaluates it from the block-size histogram of S's grouping
+// (engine/block_histogram.h), so a value does not depend on which cached
+// base a miss refined from, on cache history, on catch-up vs cold, on a
+// disk reload, or on the thread count; it equals EntropyOf bit for bit.
+//
 // Epochs: the engine follows its relation across batch appends
 // (relation/relation.h). Every query entry point calls CatchUp() first
 // (one atomic load when already synced). Catch-up is COOPERATIVE: the
@@ -44,8 +50,8 @@
 // instead (extension costs O(mass); paying it for a dead miner
 // intermediate every batch would turn catch-up back into the O(cache)
 // rebuild it replaces). Stale entropy values are swept by row-count tag;
-// subsequent queries recompute them from the extended partitions through
-// the same XLogX-table accumulation the cold kernels use.
+// subsequent queries recompute them from the extended partitions, and get
+// the cold value bit for bit (H depends only on the grouping).
 //
 // Failure semantics: no runtime failure aborts the process or corrupts a
 // served answer.
@@ -110,16 +116,19 @@ struct EngineOptions {
   /// arbiter of its own; with one attached, the arbiter's budget governs
   /// instead. AnalysisSession sizes its shared arbiter from this field.
   size_t cache_budget_bytes = size_t{256} << 20;
-  /// Threads for BatchEntropy/PrewarmSubsets; 0 means every CPU the
+  /// Threads for the batch paths (BatchEntropy, WarmEntropies,
+  /// PrewarmSubsets) and catch-up. 0 (the default) means every CPU the
   /// process may run on (EffectiveCpuCount(), engine/worker_pool.h:
-  /// affinity mask capped by the cgroup quota). Defaults to 1 (serial):
-  /// concurrent workers race the partition cache, which perturbs fp
-  /// accumulation order and costs seeded experiment drivers their
-  /// bit-for-bit reproducibility (values still agree to ~1e-12, so
-  /// rounded renderings like MinerReport::ToString stay byte-identical).
+  /// affinity mask capped by the cgroup quota), used only as far as the
+  /// predicted work pays: a batch or catch-up level fans out one
+  /// participant per ~2^18 stripped-row refinement steps the cost model
+  /// prices it at, less the lattice scans its misses pay under the cache
+  /// mutex, so small batches run inline. An explicit count is a demand,
+  /// honored up to one participant per task; 1 is fully serial.
+  /// Values are identical at every setting (see the header comment).
   /// MinerOptions::num_threads and AnalysisSession plumb this knob through
   /// to the mining hot path.
-  uint32_t num_threads = 1;
+  uint32_t num_threads = 0;
   /// The batch pool to fan out on. nullptr = the process-wide shared pool
   /// (WorkerPool::Shared()). AnalysisSession resolves this once, so all of
   /// a session's engines share one pool and a many-relation sweep stops
@@ -158,12 +167,12 @@ struct EngineOptions {
   /// is split into mass-balanced block shards fanned out on the pool. 0
   /// (default) inherits the batch policy: num_threads, with num_threads'
   /// own 0 meaning EffectiveCpuCount(). 1 pins every refinement
-  /// serial. The engine goes parallel only above a mass threshold
-  /// (kShardedRefineMinMass), so small refinements keep their current
-  /// nanosecond paths. Unlike cross-entry batching, intra-op sharding is
-  /// BIT-IDENTICAL to serial at any thread count — same blocks, same
-  /// rows, same entropies — so it never costs seeded drivers their
-  /// reproducibility.
+  /// serial. The default shards through the same work gate as batches
+  /// (a refinement's work is its stripped mass), so small refinements
+  /// keep their nanosecond paths; an explicit count is honored up to one
+  /// shard per kShardedRefineShardMass rows. Sharding is BIT-IDENTICAL to
+  /// serial at any thread count — same blocks, same rows, same
+  /// entropies.
   uint32_t refine_threads = 0;
 };
 
@@ -225,11 +234,8 @@ class EntropyEngine {
   EntropyEngine& operator=(const EntropyEngine&) = delete;
 
   /// H(attrs) in nats over the relation's empirical distribution.
-  /// H(empty) = 0. Agrees with EntropyOf (info/entropy.h) up to
-  /// floating-point accumulation order — the partition path sums c ln c
-  /// in refinement order, which depends on prior query history, so expect
-  /// ~1e-12 relative agreement, not bit identity. Equivalent to
-  /// CatchUp() + EntropyAt(attrs, Pin()).
+  /// H(empty) = 0. Equals EntropyOf (info/entropy.h) bit for bit.
+  /// Equivalent to CatchUp() + EntropyAt(attrs, Pin()).
   double Entropy(AttrSet attrs);
 
   /// The engine's current synchronized view: the row count and epoch a
@@ -260,25 +266,29 @@ class EntropyEngine {
                                                const EpochPin& pin);
 
   /// Evaluates n independent entropy terms, writing out[i] = H(sets[i]).
-  /// Runs on the engine's thread pool when it pays; safe to call while
-  /// other threads query the engine.
+  /// The distinct misses are computed first, in ascending set size, on the
+  /// engine's thread pool when their predicted work pays for it; safe to
+  /// call while other threads query the engine.
   void BatchEntropy(const AttrSet* sets, size_t n, double* out);
 
-  /// True when BatchEntropy can actually fan out (num_threads resolves to
-  /// more than one worker). Callers that only batch to exploit
-  /// parallelism — e.g. the miner's split enumeration — can skip building
-  /// the batch otherwise.
+  /// True when BatchEntropy can fan out at all (num_threads resolves to
+  /// more than one worker; whether a given batch does is up to its
+  /// predicted work). Callers that only batch to exploit parallelism —
+  /// e.g. the miner's split enumeration — can skip building the batch
+  /// otherwise.
   bool ParallelBatches() const;
 
   /// Convenience vector form of BatchEntropy.
   std::vector<double> BatchEntropy(const std::vector<AttrSet>& sets);
 
-  /// Cache-warming form of BatchEntropy: computes and caches H(s) for
-  /// every set not already cached (duplicates folded), fanning the misses
-  /// out on the pool; returns nothing. The fit for callers that re-read
-  /// the values through Entropy() afterwards — the miner's scoring loops —
-  /// where a mostly-warm batch should cost one hash probe per term, not a
-  /// full query round-trip.
+  /// Cache-warming form of BatchEntropy: when the misses' predicted work
+  /// pays for a fan-out, computes and caches H(s) for every set not
+  /// already cached (duplicates folded) on the pool; otherwise it does
+  /// nothing, and the caller's reads compute the misses on demand, in the
+  /// caller's order, as on a serial engine. Returns nothing. The fit for
+  /// callers that re-read the values through Entropy() afterwards — the
+  /// miner's scoring loops — where a mostly-warm batch should cost one
+  /// hash probe per term, not a full query round-trip.
   void WarmEntropies(const std::vector<AttrSet>& sets);
 
   /// Ensures the entropy AND the materialized partition of every given set
@@ -381,6 +391,10 @@ class EntropyEngine {
     /// catch-up falls back from delta extension to a full recompute when
     /// the grown cardinality crosses a kernel-selection threshold.
     uint32_t last_col_card = 0;
+    /// True once catch-up has delta-extended the entry: only then does
+    /// the next extension run in place (engine/partition.h's chunked
+    /// layout); a first extension copies, exact-sized.
+    bool extended = false;
     /// Parent-block correspondence emitted by the latest extension
     /// (engine/partition.h): makes the NEXT extension scan-free and frees
     /// catch-up from retaining the old parent partition. Empty until the
@@ -398,6 +412,29 @@ class EntropyEngine {
   double ComputeEntropy(
       AttrSet attrs, const EpochPin& pin, bool materialize_final = false,
       std::shared_ptr<const Partition>* partition_out = nullptr);
+
+  /// The batch paths' shared fan-out: computes (and caches) the sets that
+  /// miss at `pin` (a missing entropy, or with `materialize_final` a
+  /// missing partition) on the pool, one level at a time, largest sets
+  /// first — for every level whose predicted work pays for the pool.
+  /// Returns the sets of the other levels, unprobed, for the caller to run
+  /// inline.
+  std::vector<AttrSet> FanOutMisses(const AttrSet* sets, size_t n,
+                                    const EpochPin& pin,
+                                    bool materialize_final);
+
+  /// Whether H(attrs) / the partition of attrs is cached at `rows` rows.
+  /// Require mu_ held.
+  bool HasEntropyLocked(AttrSet attrs, uint64_t rows) const;
+  bool HasPartitionLocked(AttrSet attrs, uint64_t rows) const;
+
+  /// The work gate's price of computing sets[0..n) at `rows` rows:
+  /// predicted stripped-row refinement steps, which can run in parallel,
+  /// net of the lattice scans, which cannot. Takes mu_.
+  uint64_t FanOutWork(const AttrSet* sets, size_t n, uint64_t rows) const;
+
+  /// FanOutWorkers (entropy_engine.cc) under the batch thread policy.
+  uint32_t BatchWorkers(uint64_t predicted_work, size_t tasks) const;
 
   /// Inserts a partition with its build recipe and row tag; returns its
   /// heap bytes if actually inserted (0 for duplicates — an existing entry
@@ -470,15 +507,11 @@ class EntropyEngine {
   /// replayed — warm restart must never cost more than a cold start.
   void WarmStartFromPersist();
 
-  /// Resolved BatchEntropy pool size for a batch of n terms.
-  uint32_t PoolSizeFor(size_t n) const;
-
   /// Resolved intra-operation shard thread count for ONE refinement over
   /// `mass` stripped rows: options_.refine_threads (0 inherits
-  /// num_threads, whose own 0 means EffectiveCpuCount()), clamped to 1
-  /// below kShardedRefineMinMass and to one thread per
-  /// kShardedRefineShardMass rows above it. Returning 1 selects the
-  /// serial kernel unchanged.
+  /// num_threads, whose own 0 means EffectiveCpuCount()) through the
+  /// work gate, never more than one thread per kShardedRefineShardMass
+  /// rows. Returning 1 selects the serial kernel unchanged.
   uint32_t RefineThreadsFor(uint64_t mass) const;
 
   ColumnStore store_;
@@ -536,6 +569,9 @@ class EntropyEngine {
   /// scans the largest-subset levels first and stops at the first hit
   /// instead of walking the whole cache.
   std::vector<std::vector<KeyEntry>> keys_by_count_;
+  /// Sum of the stripped masses in each keys_by_count_ bucket (the work
+  /// gate's estimate of a typical base at that level).
+  std::vector<uint64_t> mass_by_count_;
   size_t partition_bytes_ = 0;
   uint64_t tick_ = 0;
   /// tick_ at the end of the last catch-up: entries not touched since are

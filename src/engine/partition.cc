@@ -1199,12 +1199,10 @@ void Partition::ExtendInPlaceBy(const Partition* parent_old,
 
 double Partition::EntropyNats(uint64_t num_rows) const {
   if (num_rows == 0) return 0.0;
-  const double n = static_cast<double>(num_rows);
-  double sum_clogc = 0.0;
-  for (uint32_t b = 0; b < NumBlocks(); ++b) {
-    sum_clogc += XLogXCount(BlockSize(b));
-  }
-  return std::log(n) - sum_clogc / n;
+  static thread_local BlockSizeHistogram sizes;
+  sizes.Clear();
+  for (uint32_t b = 0; b < NumBlocks(); ++b) sizes.Add(BlockSize(b));
+  return sizes.EntropyNats(num_rows);
 }
 
 }  // namespace ajd

@@ -8,8 +8,9 @@
 // N * |A u {b}| words. Singleton groups carry no information for entropy
 // (c ln c = 0 for c = 1) and no refinement work, so they are never stored.
 //
-// H(attrs) = ln N - (1/N) * sum over stripped blocks of c ln c,
-// matching the formula in info/entropy.cc exactly.
+// H(attrs) = ln N - (1/N) * sum over stripped blocks of c ln c, evaluated
+// from the block-size histogram (engine/block_histogram.h) exactly as
+// info/entropy.cc evaluates it.
 #ifndef AJD_ENGINE_PARTITION_H_
 #define AJD_ENGINE_PARTITION_H_
 
@@ -121,11 +122,11 @@ class Partition {
   /// block ranges, each shard runs the unchanged serial kernel on the
   /// pool, and outputs are concatenated in block order. Results are
   /// IDENTICAL to the serial methods at any thread count — byte-identical
-  /// blocks/rows/delta, bit-identical entropies (refine_kernels.h
-  /// documents the left-to-right partial reduction behind the entropy
-  /// contract). threads <= 1, a null pool, or a view below the shard-mass
-  /// floor degrade to the serial call; nested submission from a pool task
-  /// degrades to serial via the pool's busy-inline fallback.
+  /// blocks/rows/delta, bit-identical entropies (shards merge their
+  /// block-size histograms). threads <= 1, a null pool, or a view below
+  /// the shard-mass floor degrade to the serial call; nested submission
+  /// from a pool task degrades to serial via the pool's busy-inline
+  /// fallback.
   Partition RefinedBySharded(const Column& col, RefineKernel kernel,
                              uint32_t threads, WorkerPool* pool,
                              PartitionDelta* delta_out = nullptr) const;
@@ -136,9 +137,9 @@ class Partition {
   /// H over the empirical distribution whose grouping this partition is,
   /// in nats: ln n - (1/n) sum_blocks c ln c. `num_rows` is |R| (the
   /// stripped representation does not know how many singletons exist).
-  /// Accumulates through the same XLogX table as the refinement kernels,
-  /// in block order, so the value is bit-identical to the count-only
-  /// kernel that would have produced this partition's grouping.
+  /// Evaluated from the block-size histogram (engine/block_histogram.h),
+  /// so the value is bit-identical to the count-only kernel that would
+  /// have produced this grouping, and to every other path's H of it.
   double EntropyNats(uint64_t num_rows) const;
 
   // --- Delta extension (epoch catch-up) ---------------------------------

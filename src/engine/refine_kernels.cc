@@ -1,13 +1,11 @@
 #include "engine/refine_kernels.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <functional>
 
 #include "engine/worker_pool.h"
 #include "util/check.h"
-#include "util/math.h"
 
 #if defined(__x86_64__) && !defined(AJD_DISABLE_SIMD)
 #include <immintrin.h>
@@ -40,33 +38,13 @@ struct RefineScratch {
   std::vector<uint32_t> stage_starts;
   size_t block_watermark = 0;       // largest block touched this call
   size_t stage_watermark = 0;       // largest staged mass this call
+  BlockSizeHistogram sizes;         // count-only passes: emitted group sizes
 };
 
 RefineScratch& LocalScratch() {
   static thread_local RefineScratch scratch;
   return scratch;
 }
-
-// c ln c for small integer counts, which is nearly every stripped block:
-// entropy passes call it once per distinct group, and std::log costs more
-// than the whole tally of a tiny block. Entries are XLogX(c) verbatim, so
-// substituting the table is bit-identical.
-constexpr uint32_t kXLogXTableSize = 1024;
-
-}  // namespace
-
-double XLogXCount(uint32_t c) {
-  static const std::vector<double>& table = *[] {
-    auto* t = new std::vector<double>(kXLogXTableSize);
-    for (uint32_t i = 0; i < kXLogXTableSize; ++i) {
-      (*t)[i] = XLogX(static_cast<double>(i));
-    }
-    return t;
-  }();
-  return c < kXLogXTableSize ? table[c] : XLogX(static_cast<double>(c));
-}
-
-namespace {
 
 // Releases pathologically large scratch when the guarded call finishes: a
 // single refinement against a near-key column sizes the code-indexed
@@ -312,15 +290,13 @@ inline uint32_t TinyBlockRefine(const uint32_t* begin, size_t m,
   return total;
 }
 
-// Count-only form: adds the tiny block's c ln c terms (first-occurrence
-// order; singleton groups contribute an exact 0, so skipping them leaves
-// the accumulation bit-identical to the counting path).
-inline double TinyBlockEntropy(const uint32_t* begin, size_t m,
-                               const uint32_t* codes) {
+// Count-only form: records the tiny block's group sizes (singleton groups
+// contribute nothing to the entropy, so they are not recorded).
+inline void TinyBlockSizes(const uint32_t* begin, size_t m,
+                           const uint32_t* codes, BlockSizeHistogram* sizes) {
   uint32_t buf[kTinyBlockMax];
   for (size_t i = 0; i < m; ++i) buf[i] = codes[begin[i]];
   uint32_t done = 0;
-  double sum = 0.0;
   for (size_t i = 0; i < m; ++i) {
     if ((done >> i) & 1) continue;
     const uint32_t c = buf[i];
@@ -333,9 +309,8 @@ inline double TinyBlockEntropy(const uint32_t* begin, size_t m,
       }
     }
     done |= members;
-    if (cnt >= 2) sum += XLogXCount(cnt);
+    if (cnt >= 2) sizes->Add(cnt);
   }
-  return sum;
 }
 
 // ---------------------------------------------------------------------------
@@ -621,18 +596,12 @@ void RefineByColumn(const PartitionView& in, const Column& col,
 
 namespace {
 
-// The body of RefineEntropy, parameterized on the accumulator: `emit` is
-// called once per PARTIAL — exactly the operand sequence the serial
-// accumulation adds, in emission order (one c ln c term per emitted group,
-// one pre-reduced term per tiny block). The serial wrapper reduces on the
-// fly; the sharded wrapper records each shard's partials and reduces them
-// left-to-right afterwards, which is the same reduction in the same order
-// — the mechanism behind the bit-identical-at-any-thread-count contract.
-// `kernel` must be concrete (kAuto resolved by the caller, from the FULL
-// view's mass so shard sub-views never flip the choice).
-template <typename Emit>
+// The body of RefineEntropy: records the size of every group the
+// refinement of `in` by `col` would emit into `sizes`. `kernel` must be
+// concrete (kAuto resolved by the caller, from the FULL view's mass so
+// shard sub-views never flip the choice).
 void RefineEntropyScan(const PartitionView& in, const Column& col,
-                       RefineKernel kernel, Emit&& emit) {
+                       RefineKernel kernel, BlockSizeHistogram* sizes) {
   RefineScratch& scratch = LocalScratch();
   const uint32_t* codes = col.codes.data();
 
@@ -645,17 +614,14 @@ void RefineEntropyScan(const PartitionView& in, const Column& col,
         const uint32_t* end = run.rows + run.starts[b + 1];
         const size_t m = static_cast<size_t>(end - begin);
         if (m <= kTinyBlockMax) {
-          emit(TinyBlockEntropy(begin, m, codes));
+          TinyBlockSizes(begin, m, codes, sizes);
           continue;
         }
         const size_t num_groups =
             SortBlockIntoGroups(begin, end, codes, col.cardinality, &scratch);
-        // Singleton groups contribute XLogX(1) = 0 exactly, so summing only
-        // the size >= 2 groups — in first-occurrence order, like the counting
-        // kernels' touched list — is bit-identical to the scalar path.
-        OrderGroupsByFirstRow(&scratch, num_groups);
+        // Only size >= 2 groups are listed; singletons contribute nothing.
         for (size_t g = 0; g < num_groups; ++g) {
-          emit(XLogXCount(scratch.groups[2 * g + 1]));
+          sizes->Add(scratch.groups[2 * g + 1]);
         }
       }
     }
@@ -671,13 +637,13 @@ void RefineEntropyScan(const PartitionView& in, const Column& col,
         const uint32_t* end = run.rows + run.starts[b + 1];
         const size_t m = static_cast<size_t>(end - begin);
         if (m <= kTinyBlockMax) {
-          emit(TinyBlockEntropy(begin, m, codes));
+          TinyBlockSizes(begin, m, codes, sizes);
           continue;
         }
         const size_t t = EntropyTally(begin, end, hard_end, codes, &scratch);
         if (t == 1) {
           // Unsplit block: one group of m rows.
-          emit(XLogXCount(static_cast<uint32_t>(m)));
+          sizes->Add(m);
           scratch.count[scratch.touched[0]] = 0;
           continue;
         }
@@ -689,8 +655,9 @@ void RefineEntropyScan(const PartitionView& in, const Column& col,
         }
         for (size_t j = 0; j < t; ++j) {
           const uint32_t c = scratch.touched[j];
-          // XLogX(1) == 0: sub-singletons vanish, exactly as if stripped.
-          emit(XLogXCount(scratch.count[c]));
+          // Sub-singletons land in the size-1 counter and contribute
+          // nothing, exactly as if stripped.
+          sizes->Add(scratch.count[c]);
           scratch.count[c] = 0;
         }
       }
@@ -705,10 +672,12 @@ double RefineEntropy(const PartitionView& in, const Column& col,
   if (kernel == RefineKernel::kAuto) {
     kernel = ChooseRefineKernel(col.cardinality, in.mass);
   }
-  double sum_clogc = 0.0;
-  RefineEntropyScan(in, col, kernel, [&](double v) { sum_clogc += v; });
-  const double n = static_cast<double>(num_rows);
-  return std::log(n) - sum_clogc / n;
+  BlockSizeHistogram& sizes = LocalScratch().sizes;
+  // Cleared on entry, not exit: a scan that throws must not leave counts
+  // behind for this thread's next call.
+  sizes.Clear();
+  RefineEntropyScan(in, col, kernel, &sizes);
+  return sizes.EntropyNats(num_rows);
 }
 
 void SortPartitionOfColumn(const Column& col, const PartitionBuild& out) {
@@ -756,9 +725,8 @@ void SortPartitionOfColumn(const Column& col, const PartitionBuild& out) {
 // Sharded (intra-operation parallel) entry points. See the header contract:
 // shards are contiguous block ranges of the input view, each processed by
 // the unchanged serial kernel, outputs concatenated in shard (= block)
-// order; entropy partials are reduced strictly left-to-right in global
-// emission order, so every result is byte/bit-identical to the serial
-// kernel at any shard count.
+// order; entropy shards merge their group-size histograms, so every result
+// is byte/bit-identical to the serial kernel at any shard count.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -780,7 +748,6 @@ struct ShardOut {
   std::vector<uint32_t> rows;
   std::vector<uint32_t> starts;
   PartitionDelta delta;
-  std::vector<double> partials;  // entropy terms, in shard emission order
 };
 
 // Concatenates per-shard refinement outputs into `out` (and `delta_out`
@@ -834,19 +801,6 @@ void ConcatShardOutputs(const std::vector<ShardOut>& parts,
                                           p.delta.parent_first_rows.end());
     }
   }
-}
-
-// Reduces per-shard entropy partials strictly left-to-right in global
-// emission order — the exact operand sequence the serial accumulation
-// adds, in the exact order it adds them.
-double ReduceEntropyPartials(const std::vector<ShardOut>& parts,
-                             uint64_t num_rows) {
-  double sum_clogc = 0.0;
-  for (const ShardOut& p : parts) {
-    for (const double v : p.partials) sum_clogc += v;
-  }
-  const double n = static_cast<double>(num_rows);
-  return std::log(n) - sum_clogc / n;
 }
 
 }  // namespace
@@ -958,13 +912,12 @@ double RefineEntropySharded(const PartitionView& in, const Column& col,
   std::vector<PartitionView> shards;
   const uint32_t ns = SplitViewForRefine(in, want, &runs, &shards);
   if (ns <= 1) return RefineEntropy(in, col, kernel, num_rows);
-  std::vector<ShardOut> parts(ns);
+  std::vector<BlockSizeHistogram> sizes(ns);
   pool->Run(ns, ns, [&](size_t i) {
-    std::vector<double>& partials = parts[i].partials;
-    RefineEntropyScan(shards[i], col, kernel,
-                      [&partials](double v) { partials.push_back(v); });
+    RefineEntropyScan(shards[i], col, kernel, &sizes[i]);
   });
-  return ReduceEntropyPartials(parts, num_rows);
+  for (uint32_t i = 1; i < ns; ++i) sizes[0].Merge(sizes[i]);
+  return sizes[0].EntropyNats(num_rows);
 }
 
 size_t ShedOversizedRefineScratch() {

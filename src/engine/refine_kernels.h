@@ -26,8 +26,8 @@
 // -DAJD_DISABLE_SIMD removes it entirely — and on x86-64 additionally
 // runtime-dispatched on cpuid, so the binary stays portable. The SIMD path
 // only vectorizes the codes[row] gather; tallying stays scalar and in scan
-// order, so touched-code order (and therefore output and fp accumulation
-// order) is identical to the scalar kernels.
+// order, so touched-code order (and therefore every output) is identical
+// to the scalar kernels.
 //
 // --- Sharded (intra-operation parallel) entry points ----------------------
 //
@@ -42,17 +42,11 @@
 // order, row order, and the PartitionDelta come out identical to the
 // serial kernel by construction — not within tolerance, byte-identical.
 //
-// Entropy accumulation is the one place parallelism could perturb output:
-// float addition is not associative, so per-shard running sums would
-// change the value with the thread count. The sharded entropy kernels
-// instead record one PARTIAL SUM PER EMITTED BLOCK (exactly the operand
-// sequence the serial accumulation adds, in emission order: one c ln c
-// term per emitted group, one pre-reduced term per tiny block) and reduce
-// the partials STRICTLY LEFT TO RIGHT in global emission order after all
-// shards complete. The serial kernels are that same reduction at one
-// shard, so every entropy is bit-identical at ANY thread count, including
-// 1 — the thread-count-independence contract the engine's reproducibility
-// guarantees (and the TSan equivalence suite) rest on.
+// Entropies are order-free by construction: every kernel records its
+// emitted group sizes in a BlockSizeHistogram (engine/block_histogram.h)
+// and evaluates H from the histogram alone, so a sharded entropy pass
+// merges per-shard histograms with integer adds and returns the same bits
+// as the serial pass at any thread count, including 1.
 //
 // Nested submission is safe by the pool's busy-inline contract
 // (engine/worker_pool.h): a sharded kernel invoked from inside a pool
@@ -65,6 +59,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "engine/block_histogram.h"
 #include "engine/column_store.h"
 
 namespace ajd {
@@ -86,12 +81,6 @@ RefineKernel ChooseRefineKernel(uint32_t cardinality, uint64_t stripped_rows);
 
 /// Whether the SIMD tally is compiled in AND usable on this machine.
 bool SimdTallyEnabled();
-
-/// c ln c for an integer count, via a precomputed table for small counts
-/// (bit-identical to XLogX(double(c)), which it falls back to). Entropy
-/// passes pay one of these per distinct group — at tiny group sizes the
-/// libm log call would outweigh the whole tally.
-double XLogXCount(uint32_t c);
 
 /// One maximal contiguous run of a stripped partition's storage: blocks
 /// whose rows sit back to back in memory with no slack between them. A
@@ -159,8 +148,8 @@ void RefineByColumn(const PartitionView& in, const Column& col,
                     PartitionDelta* delta_out = nullptr);
 
 /// Entropy of the refinement WITHOUT materializing it: ln n - (1/n) sum of
-/// c ln c over the refined blocks, accumulated in emission order (so the
-/// value is bit-identical across kernels).
+/// c ln c over the refined blocks, evaluated from their size histogram (so
+/// the value is bit-identical across kernels and shard splits).
 double RefineEntropy(const PartitionView& in, const Column& col,
                      RefineKernel kernel, uint64_t num_rows);
 
@@ -173,28 +162,14 @@ void SortPartitionOfColumn(const Column& col, const PartitionBuild& out);
 // --- Sharded (intra-operation parallel) entry points ----------------------
 // Contract: each *Sharded function produces output BYTE-IDENTICAL to its
 // serial counterpart above — block order, row order, PartitionDelta, and
-// every entropy BIT — at any `threads` value, including 1 (see the header
-// comment for why: contiguous row-mass-balanced shards over block-local
-// kernels, plus strictly left-to-right reduction of per-emitted-block
-// entropy partials in global emission order). With threads <= 1, a null
-// pool, or fewer than two plannable shards, they simply call the serial
-// kernel. Invoked from inside a pool task they degrade to serial via the
-// pool's busy-inline fallback. kAuto is resolved ONCE from the full view's
-// mass before sharding, so kernel choice never depends on the shard split.
-//
-// Memory note: the entropy-returning variants buffer one double per emitted
-// group in per-shard partial vectors before the ordered reduction — an
-// O(groups) transient (worst case ~8 bytes per stripped row, since
-// singleton groups emit XLogX(1) == 0 terms too) that the serial O(1)
-// accumulation never allocates. The terms must be kept individually because
-// bit-identity requires adding them in exactly the serial emission order;
-// dropping even exact-zero terms would have to be mirrored in a serial
-// reduction that does not exist.
-
-/// Row mass below which the engine keeps a refinement on the serial
-/// nanosecond path: at ~5 ns/row a shard must amortize the pool wakeup
-/// (tens of microseconds), measured on the perf_partition threads sweep.
-inline constexpr uint64_t kShardedRefineMinMass = uint64_t{1} << 19;
+// every entropy BIT — at any `threads` value, including 1 (contiguous
+// row-mass-balanced shards over block-local kernels, concatenated in shard
+// order; entropy shards merge their size histograms). With threads <= 1, a
+// null pool, or fewer than two plannable shards, they simply call the
+// serial kernel. Invoked from inside a pool task they degrade to serial via
+// the pool's busy-inline fallback. kAuto is resolved ONCE from the full
+// view's mass before sharding, so kernel choice never depends on the shard
+// split.
 
 /// Minimum row mass per shard: splitting finer than this loses more to
 /// per-shard staging and wakeup than the extra core returns.

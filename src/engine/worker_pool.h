@@ -24,6 +24,11 @@
 // threshold) finds submit_mu_ held by its own enclosing batch and degrades
 // to the inline loop — serial on that task's thread, never a deadlock.
 //
+// Before its first worker spawns, the pool caps glibc malloc at one arena
+// for the whole process (worker_pool.cc has the measurements): workers
+// build the partitions the cache keeps, and per-thread arenas would let
+// freed partitions strand memory only their own worker can reuse.
+//
 // Workers shed oversized thread-local kernel scratch (refine_kernels.h's
 // ShedOversizedRefineScratch) each time they park: ScratchGuard polices a
 // single call's spike, but its keep allowance would otherwise linger on

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "engine/analysis_session.h"
+#include "engine/block_histogram.h"
 #include "relation/row_hash.h"
 #include "util/math.h"
 
@@ -20,13 +21,13 @@ double EntropyOf(const Relation& r, AttrSet attrs) {
     counter.Add(key.data());
   }
   // H = ln N - (1/N) sum_y c_y ln c_y, numerically stabler than summing
-  // p ln p for large N.
-  const double n = static_cast<double>(r.NumRows());
-  double sum_clogc = 0.0;
+  // p ln p for large N, and evaluated from the group-size histogram so it
+  // equals the engine's value for the same grouping bit for bit.
+  BlockSizeHistogram sizes;
   for (uint32_t i = 0; i < counter.NumDistinct(); ++i) {
-    sum_clogc += XLogX(static_cast<double>(counter.CountAt(i)));
+    sizes.Add(counter.CountAt(i));
   }
-  return std::log(n) - sum_clogc / n;
+  return sizes.EntropyNats(r.NumRows());
 }
 
 EntropyCalculator::EntropyCalculator(const Relation* r)

@@ -39,9 +39,14 @@ void SetCrashSimulation(bool on) {
 
 namespace {
 
-constexpr char kManifestMagic[8] = {'A', 'J', 'D', 'C', 'A', 'C', 'H', '1'};
+// Version 2: entropies are evaluated from block-size histograms
+// (engine/block_histogram.h). A store written under the older
+// emission-order summation holds values that differ from fresh ones in
+// the last bits, so its journal reads as foreign: Open starts fresh and
+// garbage-collects the old blobs as orphans.
+constexpr char kManifestMagic[8] = {'A', 'J', 'D', 'C', 'A', 'C', 'H', '2'};
 constexpr uint32_t kBlobMagic = 0x424A4441u;  // "AJDB" little-endian
-constexpr uint32_t kBlobVersion = 1;
+constexpr uint32_t kBlobVersion = 2;
 // A manifest record's payload can't plausibly exceed this (the largest is
 // a put: fixed fields + a <= 64-entry chain); larger lengths mean a torn
 // or foreign frame.

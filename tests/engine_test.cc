@@ -105,11 +105,9 @@ TEST(Partition, RefinementMatchesDirectGrouping) {
         Partition::OfColumn(store.column(0)).RefinedBy(store.column(1));
     // Refining {0} by column 1 must give the grouping of {0,1}: compare
     // entropies against the legacy path (same formula, same data).
-    EXPECT_NEAR(p01.EntropyNats(r.NumRows()),
-                EntropyOf(r, AttrSet{0, 1}), 1e-9);
+    EXPECT_EQ(p01.EntropyNats(r.NumRows()), EntropyOf(r, AttrSet{0, 1}));
     Partition p012 = p01.RefinedBy(store.column(2));
-    EXPECT_NEAR(p012.EntropyNats(r.NumRows()),
-                EntropyOf(r, AttrSet{0, 1, 2}), 1e-9);
+    EXPECT_EQ(p012.EntropyNats(r.NumRows()), EntropyOf(r, AttrSet{0, 1, 2}));
   }
 }
 
@@ -132,13 +130,13 @@ TEST(EntropyEngine, RandomizedEquivalenceWithEntropyOf) {
     rng.Shuffle(&masks);
     for (uint32_t m : masks) {
       AttrSet attrs = AttrSet::FromMask(m);
-      EXPECT_NEAR(engine.Entropy(attrs), EntropyOf(r, attrs), 1e-9)
+      EXPECT_EQ(engine.Entropy(attrs), EntropyOf(r, attrs))
           << "attrs=" << attrs.ToString() << " trial=" << trial;
     }
     // Re-query everything: all hits, same values.
     for (uint32_t m : masks) {
       AttrSet attrs = AttrSet::FromMask(m);
-      EXPECT_NEAR(engine.Entropy(attrs), EntropyOf(r, attrs), 1e-9);
+      EXPECT_EQ(engine.Entropy(attrs), EntropyOf(r, attrs));
     }
     EngineStats stats = engine.Stats();
     EXPECT_GT(stats.hits, 0u);
@@ -169,7 +167,7 @@ TEST(EntropyEngine, BatchEntropyMatchesSerialAndUsesThreads) {
   std::vector<double> batch = engine.BatchEntropy(sets);
   ASSERT_EQ(batch.size(), sets.size());
   for (size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_NEAR(batch[i], EntropyOf(r, sets[i]), 1e-9);
+    EXPECT_EQ(batch[i], EntropyOf(r, sets[i]));
   }
   EXPECT_EQ(engine.Stats().queries, 31u);  // empty set short-circuits
 }
@@ -188,7 +186,7 @@ TEST(EntropyEngine, CmiMatchesLegacyCalculatorSemantics) {
           EntropyOf(r, a.Union(c)) + EntropyOf(r, b.Union(c)) -
           EntropyOf(r, a.Union(b).Union(c)) - EntropyOf(r, c);
       EXPECT_GE(via_engine, 0.0);
-      EXPECT_NEAR(via_engine, std::max(via_entropy_of, 0.0), 1e-9);
+      EXPECT_EQ(via_engine, std::max(via_entropy_of, 0.0));
     }
   }
 }
@@ -207,7 +205,7 @@ TEST(EntropyEngine, PartitionBudgetEvicts) {
   // Entropy values stay cached and correct even with partitions evicted.
   for (uint32_t m = 1; m < 64; ++m) {
     AttrSet attrs = AttrSet::FromMask(m);
-    EXPECT_NEAR(engine.Entropy(attrs), EntropyOf(r, attrs), 1e-9);
+    EXPECT_EQ(engine.Entropy(attrs), EntropyOf(r, attrs));
   }
 }
 
@@ -238,7 +236,7 @@ TEST(EntropyEngine, StandaloneBudgetHoldsAcrossCatchUp) {
             0u);
   for (uint32_t m = 1; m < 64; ++m) {
     AttrSet attrs = AttrSet::FromMask(m);
-    EXPECT_NEAR(engine.Entropy(attrs), EntropyOf(r, attrs), 1e-9)
+    EXPECT_EQ(engine.Entropy(attrs), EntropyOf(r, attrs))
         << attrs.ToString();
     EXPECT_LE(engine.PartitionBytes(), options.cache_budget_bytes);
   }
@@ -263,14 +261,14 @@ TEST(AnalysisSession, MinerAndAnalysisShareOneEngine) {
   // The analysis re-walks terms the miner already evaluated: the hit
   // count must strictly grow, and the J-measures must agree.
   EXPECT_GT(after_analysis.hits, after_mining.hits);
-  EXPECT_NEAR(analysis.j, mined.j, 1e-9);
+  EXPECT_EQ(analysis.j, mined.j);
   EXPECT_EQ(session.NumRelations(), 1u);
 
   // The same tree analyzed without the session gives identical numbers.
   AjdAnalysis cold = AnalyzeAjd(r, mined.tree).value();
-  EXPECT_NEAR(cold.j, analysis.j, 1e-12);
-  EXPECT_NEAR(cold.sum_dfs_cmi, analysis.sum_dfs_cmi, 1e-12);
-  EXPECT_NEAR(cold.loss.rho, analysis.loss.rho, 1e-12);
+  EXPECT_EQ(cold.j, analysis.j);
+  EXPECT_EQ(cold.sum_dfs_cmi, analysis.sum_dfs_cmi);
+  EXPECT_EQ(cold.loss.rho, analysis.loss.rho);
 }
 
 TEST(AnalysisSession, GroupwiseEngineCmiMatchesMixture) {
@@ -293,11 +291,13 @@ TEST(AnalysisSession, GroupwiseEngineCmiMatchesMixture) {
 
 TEST(AnalysisSession, ParallelMinerMatchesSerial) {
   // A parallel-batch session takes the miner's pre-warm path in
-  // BestBipartition (dead under the serial default); the mined tree and
-  // scores must match the serial run.
+  // BestBipartition (dead on a serial engine); the mined tree and scores
+  // must match the serial run bit for bit.
   Rng rng(909);
   Relation r = testing_util::RandomTestRelation(&rng, 6, 3, 150);
-  AnalysisSession serial_session;
+  EngineOptions serial;
+  serial.num_threads = 1;
+  AnalysisSession serial_session(serial);
   EngineOptions parallel;
   parallel.num_threads = 4;
   AnalysisSession parallel_session(parallel);
@@ -307,8 +307,8 @@ TEST(AnalysisSession, ParallelMinerMatchesSerial) {
   for (uint32_t v = 0; v < a.tree.NumNodes(); ++v) {
     EXPECT_EQ(a.tree.bag(v), b.tree.bag(v));
   }
-  EXPECT_NEAR(a.j, b.j, 1e-9);
-  EXPECT_NEAR(a.sum_split_cmi, b.sum_split_cmi, 1e-9);
+  EXPECT_EQ(a.j, b.j);
+  EXPECT_EQ(a.sum_split_cmi, b.sum_split_cmi);
 }
 
 TEST(EntropyEngine, PrewarmSubsetsSeedsPartitionsAndPreservesValues) {
@@ -324,7 +324,7 @@ TEST(EntropyEngine, PrewarmSubsetsSeedsPartitionsAndPreservesValues) {
   EXPECT_GE(engine.PartitionCacheSize(), 2u);
   // Values answered after the prewarm match the reference path.
   for (AttrSet s : {AttrSet{0}, AttrSet{0, 1}, AttrSet{0, 1, 2}}) {
-    EXPECT_NEAR(engine.Entropy(s), EntropyOf(r, s), 1e-9);
+    EXPECT_EQ(engine.Entropy(s), EntropyOf(r, s));
   }
   // A superset query now refines from the warmed ancestor instead of
   // rebuilding from a raw column.
@@ -337,14 +337,14 @@ TEST(EntropyEngine, PrewarmSubsetsSeedsPartitionsAndPreservesValues) {
 TEST(EntropyEngine, PrewarmedEntropyValueIsUnchanged) {
   // Prewarming after a value is cached must not overwrite it, and
   // prewarming before must yield the same number the count-only path
-  // would report (to fp accumulation order).
+  // would report, bit for bit.
   Rng rng(912);
   Relation r = RandomMultisetRelation(&rng, 4, 3, 200);
   EntropyEngine cold(&r);
   double count_only = cold.Entropy(AttrSet{0, 1, 2});
   EntropyEngine warmed(&r);
   warmed.PrewarmSubsets({AttrSet{0, 1, 2}});
-  EXPECT_NEAR(warmed.Entropy(AttrSet{0, 1, 2}), count_only, 1e-9);
+  EXPECT_EQ(warmed.Entropy(AttrSet{0, 1, 2}), count_only);
   cold.PrewarmSubsets({AttrSet{0, 1, 2}});
   EXPECT_EQ(cold.Entropy(AttrSet{0, 1, 2}), count_only);
 }
@@ -359,8 +359,8 @@ TEST(AnalysisSession, ReleaseDropsTheEngine) {
   EXPECT_EQ(session.NumRelations(), 0u);
   EXPECT_FALSE(session.Release(r));  // nothing left to drop
   // A fresh engine serves the relation again after the release.
-  EXPECT_NEAR(session.EngineFor(r).Entropy(AttrSet{0, 1}),
-              EntropyOf(r, AttrSet{0, 1}), 1e-9);
+  EXPECT_EQ(session.EngineFor(r).Entropy(AttrSet{0, 1}),
+            EntropyOf(r, AttrSet{0, 1}));
 }
 
 // --- Refinement kernel suite (engine/refine_kernels.h) ------------------
@@ -455,15 +455,15 @@ TEST(RefineKernels, ChainEndingInCountOnlyStepMatchesFullRefinement) {
     }
     const Partition full = penultimate.RefinedBy(cols[k - 1]);
     const double count_only = penultimate.RefinedEntropy(cols[k - 1], kRows);
-    EXPECT_NEAR(count_only, full.EntropyNats(kRows), 1e-12) << what;
+    EXPECT_EQ(count_only, full.EntropyNats(kRows)) << what;
 
     // The reversed chain groups rows identically: same stripped mass and
-    // block count, and (block order aside) the same entropy.
+    // block count, and (whatever the block order) the same entropy bits.
     Partition reversed = base;
     for (size_t j = k; j-- > 0;) reversed = reversed.RefinedBy(cols[j]);
     EXPECT_EQ(full.NumStrippedRows(), reversed.NumStrippedRows()) << what;
     EXPECT_EQ(full.NumBlocks(), reversed.NumBlocks()) << what;
-    EXPECT_NEAR(full.EntropyNats(kRows), reversed.EntropyNats(kRows), 1e-12)
+    EXPECT_EQ(full.EntropyNats(kRows), reversed.EntropyNats(kRows))
         << what;
   }
 }
@@ -538,14 +538,14 @@ TEST(EntropyEngine, TinyBudgetEvictionPreservesValues) {
   Relation r = RandomMultisetRelation(&rng, 6, 3, 300);
   // A tiny partition budget keeps the cache under constant eviction, so
   // misses keep losing their best bases mid-run. Values must still match
-  // the reference path to fp tolerance.
+  // the reference path exactly.
   EngineOptions tiny;
   tiny.cache_budget_bytes = 2048;
   EntropyEngine pressured(&r, tiny);
   for (uint32_t m = 1; m < 64; ++m) {
     AttrSet attrs = AttrSet::FromMask(m);
     const double want = EntropyOf(r, attrs);
-    EXPECT_NEAR(pressured.Entropy(attrs), want, 1e-9) << attrs.ToString();
+    EXPECT_EQ(pressured.Entropy(attrs), want) << attrs.ToString();
   }
   EXPECT_GT(pressured.Stats().evictions, 0u);
   // No step refines by more than one column at a time.
@@ -733,8 +733,8 @@ TEST(WorkerPool, SharedAcrossEnginesMatchesPrivatePools) {
         shared_session.EngineFor(*r).BatchEntropy(sets);
     std::vector<double> via_private = priv.EngineFor(*r).BatchEntropy(sets);
     for (size_t i = 0; i < sets.size(); ++i) {
-      EXPECT_NEAR(via_shared[i], EntropyOf(*r, sets[i]), 1e-9);
-      EXPECT_NEAR(via_shared[i], via_private[i], 1e-9);
+      EXPECT_EQ(via_shared[i], EntropyOf(*r, sets[i]));
+      EXPECT_EQ(via_shared[i], via_private[i]);
     }
   }
   // The shared pool actually spawned workers (4 workers = caller + 3) and

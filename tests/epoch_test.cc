@@ -11,7 +11,7 @@
 //    batches, with queries interleaved at every epoch, every cached
 //    partition after catch-up equals the cold replay of its recorded chain
 //    over the full relation EXACTLY, and every entropy served from it is
-//    bitwise equal to that replay's XLogX accumulation — across kernels
+//    bitwise equal to that replay's entropy — across kernels
 //    and session/standalone budgets under eviction pressure. When no
 //    queries ran before the appends, the whole engine is bitwise
 //    indistinguishable from a cold engine.
@@ -188,7 +188,7 @@ TEST(EpochRelation, RestoredSnapshotAtServedAddressGetsFreshEngine) {
   EXPECT_EQ(engine.relation_uid(), r.uid());
   for (uint64_t mask = 1; mask < 8; ++mask) {
     const AttrSet s = AttrSet::FromMask(mask);
-    EXPECT_NEAR(engine.Entropy(s), EntropyOf(r, s), 1e-9) << mask;
+    EXPECT_EQ(engine.Entropy(s), EntropyOf(r, s)) << mask;
   }
 }
 
@@ -322,7 +322,8 @@ TEST(EpochPartition, ExtendedByMatchesColdRefinementAcrossRandomSplits) {
         parent_old, parent_new, full_store.column(col), split);
     Partition cold = parent_new.RefinedBy(full_store.column(col));
     ExpectPartitionsIdentical(extended, cold, "ExtendedBy");
-    // Entropy of the extended partition: same XLogX accumulation.
+    // Entropy of the extended partition: the same grouping, so the same
+    // histogram and the same bits.
     const double he = extended.EntropyNats(total);
     const double hc = cold.EntropyNats(total);
     EXPECT_EQ(he, hc);
@@ -565,11 +566,11 @@ void VerifyCachedPartitionsAgainstColdReplay(EntropyEngine* engine,
     }
     ExpectPartitionsIdentical(*cached, replay, "cached vs chain replay");
     // Bitwise: the engine's exact-hit path answers from the cached
-    // partition with the very accumulation the replay uses.
+    // partition, whose block-size histogram is the replay's.
     EXPECT_EQ(engine->Entropy(s), replay.EntropyNats(n))
         << "set mask " << mask;
     // And the value is the right entropy (vs the legacy reference).
-    EXPECT_NEAR(engine->Entropy(s), EntropyOf(r, s), 1e-9);
+    EXPECT_EQ(engine->Entropy(s), EntropyOf(r, s));
   }
 }
 
@@ -679,7 +680,7 @@ TEST(EpochEngine, CatchUpThenParallelBatchIsCorrect) {
   }
   std::vector<double> out = engine.BatchEntropy(sets);
   for (size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_NEAR(out[i], EntropyOf(r, sets[i]), 1e-9) << i;
+    EXPECT_EQ(out[i], EntropyOf(r, sets[i])) << i;
   }
   EXPECT_EQ(engine.Stats().epoch_catchups, 1u);
 }
@@ -704,7 +705,9 @@ TEST(EpochEngine, ThreadedCatchUpSoakIsBitwiseEqualToSerial) {
     EngineOptions par_opts;
     par_opts.refine_threads = 4;
     EntropyEngine par(&r_par, par_opts);
-    EntropyEngine ser(&r_ser);
+    EngineOptions ser_opts;
+    ser_opts.num_threads = 1;
+    EntropyEngine ser(&r_ser, ser_opts);
     const uint64_t all_masks = (uint64_t{1} << num_attrs) - 1;
     const uint32_t batches = 4;
     for (uint32_t k = 0; k < batches; ++k) {
@@ -789,7 +792,7 @@ TEST(EpochConcurrency, PinnedReaderIsBitwiseColdWhileNextEpochLands) {
     // And the published epoch serves the grown relation exactly.
     for (uint64_t mask = 1; mask <= all_masks; mask += 3) {
       const AttrSet s = AttrSet::FromMask(mask);
-      EXPECT_NEAR(engine.Entropy(s), EntropyOf(r, s), 1e-9) << mask;
+      EXPECT_EQ(engine.Entropy(s), EntropyOf(r, s)) << mask;
     }
     VerifyCachedPartitionsAgainstColdReplay(&engine, r);
   }
@@ -879,7 +882,7 @@ TEST(EpochConcurrency, PinnedReadersStayExactWhileAppenderPublishes) {
     for (const Obs& o : per_thread) {
       auto it = expected.find(o.rows);
       ASSERT_NE(it, expected.end()) << "pin at non-boundary rows " << o.rows;
-      EXPECT_NEAR(o.h, it->second[o.mask], 1e-9)
+      EXPECT_EQ(o.h, it->second[o.mask])
           << "rows " << o.rows << " mask " << o.mask;
       ++checked;
     }
@@ -890,8 +893,7 @@ TEST(EpochConcurrency, PinnedReadersStayExactWhileAppenderPublishes) {
   EXPECT_EQ(engine.Pin().rows, r.NumRows());
   const std::vector<double>& final_vals = expected.at(r.NumRows());
   for (uint64_t mask = 1; mask < 16; ++mask) {
-    EXPECT_NEAR(engine.Entropy(AttrSet::FromMask(mask)), final_vals[mask],
-                1e-9)
+    EXPECT_EQ(engine.Entropy(AttrSet::FromMask(mask)), final_vals[mask])
         << mask;
   }
 }

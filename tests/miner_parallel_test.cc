@@ -17,8 +17,7 @@ namespace {
 
 // Randomized matrix over attrs/rows/threads: for every relation the serial
 // rendering is the reference and every thread count must reproduce it
-// byte for byte (FormatDouble rounds away the <= 1e-12 fp-accumulation
-// wiggle different cache-fill orders can produce).
+// byte for byte.
 TEST(MinerParallel, MatchesSerialAcrossMatrix) {
   Rng rng(4242);
   const uint32_t attr_counts[] = {4, 5, 6};

@@ -8,7 +8,7 @@
 //      blobs, crashed tmp files) — these run in every build, no failpoints
 //      needed.
 //   2. Warm-restart equivalence — a fresh engine over a reopened store must
-//      serve the fault-free cold reference to 1e-9, and its
+//      serve the fault-free cold reference exactly, and its
 //      reloaded-then-extended partitions must be BITWISE identical to a
 //      cold chain replay over the full relation.
 //   3. The crash-recovery soak (needs -DAJD_ENABLE_FAILPOINTS=ON) —
@@ -380,14 +380,14 @@ TEST(PersistEngine, WarmRestartServesColdAnswersWithBitwisePartitions) {
 
   // Sweep at N0: pure disk serves, exact to the cold reference.
   for (AttrSet s : sets) {
-    ASSERT_NEAR(engine.Entropy(s), EntropyOf(r, s), 1e-9)
+    ASSERT_EQ(engine.Entropy(s), EntropyOf(r, s))
         << "attrs=" << s.ToString();
   }
 
   // Grow the relation; catch-up delta-extends the reloaded partitions.
   ASSERT_TRUE(r.AppendBatch(delta_rows).ok());
   for (AttrSet s : sets) {
-    ASSERT_NEAR(engine.Entropy(s), EntropyOf(r, s), 1e-9)
+    ASSERT_EQ(engine.Entropy(s), EntropyOf(r, s))
         << "attrs=" << s.ToString();
   }
   EXPECT_GT(engine.Stats().partitions_extended, 0u);
@@ -443,9 +443,65 @@ TEST(PersistEngine, ForeignStoreContentIsIgnoredNotTrusted) {
   EntropyEngine engine(&b, opt);
   EXPECT_EQ(engine.Stats().persist_reloads, 0u);
   for (AttrSet s : sets) {
-    ASSERT_NEAR(engine.Entropy(s), EntropyOf(b, s), 1e-9)
+    ASSERT_EQ(engine.Entropy(s), EntropyOf(b, s))
         << "attrs=" << s.ToString();
   }
+}
+
+// A store written under the previous format (entropies summed in block
+// emission order, manifest magic AJDCACH1) must not serve: its values can
+// differ from fresh ones in the last bits. Open reads the old magic as a
+// foreign journal and starts fresh, collecting the old blobs as orphans,
+// and every value is then the cold engine's, bit for bit.
+TEST(PersistEngine, PreviousFormatStoreOpensEmptyAndServesColdValues) {
+  constexpr uint32_t kAttrs = 4;
+  Rng rng(20261017);
+  const auto rows = RandomCodeRows(&rng, kAttrs, 3, 80);
+  const std::vector<AttrSet> sets = AllNonEmptySubsets(kAttrs);
+
+  TempDir dir;
+  {
+    Relation seed = RelationOver(rows, kAttrs);
+    EngineOptions opt;
+    opt.persist_store = MustOpen(dir.str());
+    EntropyEngine engine(&seed, opt);
+    (void)engine.BatchEntropy(sets);
+    ASSERT_TRUE(engine.PersistCache().ok());
+  }
+  const fs::path blobs = dir.path / "blobs";
+  const auto count_blobs = [&blobs] {
+    size_t n = 0;
+    for (const auto& e : fs::directory_iterator(blobs)) {
+      n += e.is_regular_file();
+    }
+    return n;
+  };
+  const size_t old_blobs = count_blobs();
+  ASSERT_GT(old_blobs, 0u);
+  {
+    std::fstream manifest(dir.path / "MANIFEST",
+                          std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(manifest.good());
+    manifest.write("AJDCACH1", 8);
+  }
+
+  std::shared_ptr<PersistentCacheStore> store = MustOpen(dir.str());
+  EXPECT_EQ(store->Stats().entries, 0u);
+  EXPECT_EQ(store->Stats().orphan_blobs_removed, old_blobs);
+  EXPECT_EQ(count_blobs(), 0u);
+
+  Relation r = RelationOver(rows, kAttrs);
+  EngineOptions opt;
+  opt.persist_store = store;
+  EntropyEngine engine(&r, opt);
+  EntropyEngine cold(&r);
+  for (AttrSet s : sets) {
+    ASSERT_EQ(engine.Entropy(s), cold.Entropy(s)) << "attrs=" << s.ToString();
+    ASSERT_EQ(engine.Entropy(s), EntropyOf(r, s)) << "attrs=" << s.ToString();
+  }
+  EXPECT_EQ(engine.Stats().persist_reloads, 0u);
+  EXPECT_EQ(engine.Stats().persist_hits, 0u);
+  EXPECT_EQ(engine.Stats().persist_fallbacks, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -532,12 +588,12 @@ TEST(PersistCrashSoak, RandomizedKillAtOffsetAlwaysReopensClean) {
       opt.persist_on_catchup = false;
       EntropyEngine engine(&r, opt);
       for (size_t k = 0; k < sets.size(); ++k) {
-        ASSERT_NEAR(engine.Entropy(sets[k]), ref_base[k], 1e-9)
+        ASSERT_EQ(engine.Entropy(sets[k]), ref_base[k])
             << "iteration " << it << " attrs=" << sets[k].ToString();
       }
       ASSERT_TRUE(r.AppendBatch(delta_rows).ok());
       for (size_t k = 0; k < sets.size(); ++k) {
-        ASSERT_NEAR(engine.Entropy(sets[k]), ref_full[k], 1e-9)
+        ASSERT_EQ(engine.Entropy(sets[k]), ref_full[k])
             << "iteration " << it << " attrs=" << sets[k].ToString();
       }
     }

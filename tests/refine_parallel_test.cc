@@ -179,8 +179,8 @@ TEST(RefineParallel, RefinedByShardedBitIdenticalAcrossThreadCounts) {
           EXPECT_EQ(want_delta.run_lengths, got_delta.run_lengths) << what;
           EXPECT_EQ(want_delta.parent_first_rows, got_delta.parent_first_rows)
               << what;
-          // Entropy must agree BITWISE: the sharded reduction replays the
-          // serial accumulation's operand order exactly.
+          // Entropy must agree BITWISE: shards merge their block-size
+          // histograms with integer adds.
           EXPECT_EQ(want_h, base.RefinedEntropySharded(
                                 col, kBigRows, RefineKernel::kAuto, threads,
                                 &pool))

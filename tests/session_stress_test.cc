@@ -2,12 +2,12 @@
 // relations of random schemas and skews churned through one session —
 // created, queried, released, and recreated at REUSED addresses (the
 // uid-identity path) — asserting after every operation that
-//   (a) every entropy matches the legacy EntropyOf reference to 1e-9, and
+//   (a) every entropy equals the legacy EntropyOf reference, and
 //   (b) the shared arbiter's accounted bytes never exceed the budget.
 // Plus the cross-engine concurrency coverage: multi-threaded BatchEntropy
 // from two engines on one arbiter must be byte-identical to the serial
-// run when each engine computes serially, and correct to 1e-9 under full
-// fan-out with eviction pressure. The TSan CI leg runs this file.
+// run when each engine computes serially, and exact under full fan-out
+// with eviction pressure. The TSan CI leg runs this file.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -85,8 +85,7 @@ void ChurnSession(AnalysisSession* session, uint64_t seed, size_t budget) {
   };
   auto query_and_check = [&](const Relation& r) {
     AttrSet attrs = RandomNonEmptySubset(&rng, r.NumAttrs());
-    EXPECT_NEAR(session->EngineFor(r).Entropy(attrs), EntropyOf(r, attrs),
-                1e-9)
+    EXPECT_EQ(session->EngineFor(r).Entropy(attrs), EntropyOf(r, attrs))
         << "attrs=" << attrs.ToString();
     check_budget();
   };
@@ -111,7 +110,7 @@ void ChurnSession(AnalysisSession* session, uint64_t seed, size_t budget) {
         std::vector<double> got =
             session->EngineFor(*slot).BatchEntropy(sets);
         for (size_t k = 0; k < sets.size(); ++k) {
-          EXPECT_NEAR(got[k], EntropyOf(*slot, sets[k]), 1e-9);
+          EXPECT_EQ(got[k], EntropyOf(*slot, sets[k]));
         }
         check_budget();
         break;
@@ -185,8 +184,8 @@ TEST(SessionStress, ReleaseOfUnknownRelationIsFalseAndDoubleReleaseIsNoOp) {
   EXPECT_FALSE(session.Release(served));
   EXPECT_EQ(session.NumRelations(), 0u);
   EXPECT_EQ(session.CacheBytes(), 0u);
-  EXPECT_NEAR(session.EngineFor(served).Entropy(AttrSet{0, 1}),
-              EntropyOf(served, AttrSet{0, 1}), 1e-9);
+  EXPECT_EQ(session.EngineFor(served).Entropy(AttrSet{0, 1}),
+            EntropyOf(served, AttrSet{0, 1}));
 }
 
 TEST(SessionStress, UnreleasedAddressReuseRebuildsTransparently) {
@@ -206,8 +205,7 @@ TEST(SessionStress, UnreleasedAddressReuseRebuildsTransparently) {
   ASSERT_NE(slot->uid(), old_uid);
   EntropyEngine& rebuilt = session.EngineFor(*slot);
   EXPECT_EQ(rebuilt.relation_uid(), slot->uid());
-  EXPECT_NEAR(rebuilt.Entropy(AttrSet{0, 1}),
-              EntropyOf(*slot, AttrSet{0, 1}), 1e-9);
+  EXPECT_EQ(rebuilt.Entropy(AttrSet{0, 1}), EntropyOf(*slot, AttrSet{0, 1}));
   EXPECT_EQ(session.NumRelations(), 1u);
   (void)before;
 }
@@ -231,7 +229,7 @@ TEST(SessionStress, AppendUnderSessionCatchesUpInsteadOfAborting) {
   EXPECT_EQ(&same, &engine);  // no rebuild: identity matched
   for (uint64_t mask = 1; mask < 8; ++mask) {
     const AttrSet s = AttrSet::FromMask(mask);
-    EXPECT_NEAR(same.Entropy(s), EntropyOf(r, s), 1e-9) << mask;
+    EXPECT_EQ(same.Entropy(s), EntropyOf(r, s)) << mask;
   }
   EXPECT_EQ(same.Stats().epoch_catchups, 1u);
 }
@@ -456,7 +454,7 @@ TEST(SessionStress, MultiReaderSingleAppenderSoakHoldsValueAndBudget) {
     for (const Obs& o : per_thread) {
       auto it = expected.find(o.rows);
       ASSERT_NE(it, expected.end()) << "pin at non-boundary rows " << o.rows;
-      EXPECT_NEAR(o.h, it->second[o.mask], 1e-9)
+      EXPECT_EQ(o.h, it->second[o.mask])
           << "rows " << o.rows << " mask " << o.mask;
       ++checked;
     }
@@ -465,8 +463,7 @@ TEST(SessionStress, MultiReaderSingleAppenderSoakHoldsValueAndBudget) {
   engine.CatchUp();
   const std::vector<double>& final_vals = expected.at(r.NumRows());
   for (uint64_t mask = 1; mask < 16; ++mask) {
-    EXPECT_NEAR(engine.Entropy(AttrSet::FromMask(mask)), final_vals[mask],
-                1e-9)
+    EXPECT_EQ(engine.Entropy(AttrSet::FromMask(mask)), final_vals[mask])
         << mask;
   }
   EXPECT_LE(session.CacheBytes(), opts.engine.cache_budget_bytes);
@@ -485,6 +482,7 @@ TEST(SessionConcurrency, TwoEngineConcurrentBatchesAreByteIdenticalToSerial) {
   // evictions), each engine computing on the calling thread.
   SessionOptions opts;
   opts.engine.cache_budget_bytes = size_t{1} << 30;
+  opts.engine.num_threads = 1;
   AnalysisSession serial(opts);
   const std::vector<double> want1 = serial.EngineFor(r1).BatchEntropy(sets);
   const std::vector<double> want2 = serial.EngineFor(r2).BatchEntropy(sets);
@@ -539,8 +537,8 @@ TEST(SessionConcurrency, FanOutUnderEvictionPressureStaysCorrect) {
   t1.join();
   t2.join();
   for (size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_NEAR(got1[i], EntropyOf(r1, sets[i]), 1e-9);
-    EXPECT_NEAR(got2[i], EntropyOf(r2, sets[i]), 1e-9);
+    EXPECT_EQ(got1[i], EntropyOf(r1, sets[i]));
+    EXPECT_EQ(got2[i], EntropyOf(r2, sets[i]));
   }
   EXPECT_LE(session.CacheBytes(), opts.engine.cache_budget_bytes);
   EXPECT_GT(session.cache_arbiter()->Stats().evictions, 0u);
