@@ -37,7 +37,8 @@ double EntropyOf(const Relation& r, AttrSet attrs);
 class EntropyCalculator {
  public:
   /// Stand-alone calculator owning a private engine for `r` (default
-  /// EngineOptions: serial batches, process-shared worker pool).
+  /// EngineOptions: batches on every CPU where they pay, process-shared
+  /// worker pool).
   explicit EntropyCalculator(const Relation* r);
 
   /// Stand-alone calculator with explicit engine tuning (cache budget,
