@@ -54,8 +54,11 @@ struct MinerOptions {
   /// every score are bit-identical at any setting — entropies are pure
   /// functions of the attribute set, and selection runs after each batch
   /// completes, in deterministic mask order — so threads buy wall clock,
-  /// not different answers. The session overload uses the session's own
-  /// EngineOptions instead.
+  /// not different answers. Like any engine setting above 1, a fan-out
+  /// caps glibc malloc at one arena for the whole process the first time
+  /// a pool worker spawns, unless the MALLOC_ARENA_MAX environment
+  /// variable is set (see EngineOptions::num_threads). The session
+  /// overload uses the session's own EngineOptions instead.
   uint32_t num_threads = 0;
   /// Batch pool for the convenience overload's session. nullptr = the
   /// process-wide shared pool; inject one to isolate a miner run's

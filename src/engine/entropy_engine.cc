@@ -37,17 +37,15 @@ constexpr uint64_t kFanOutWorkPerWorker = uint64_t{1} << 18;
 // perf_miner exhaustive configuration, where refinements are small.
 constexpr uint64_t kMissFixedWork = uint64_t{1} << 12;
 
-// The one fan-out gate, shared by batch, warm, prewarm and catch-up:
-// how many pool participants `tasks` tasks predicted to cost
-// `predicted_work` row-steps in total should get. An explicit thread count
-// is a demand and is honored up to one participant per task; the default
-// (every CPU) fans out only as far as the work pays.
-uint32_t FanOutWorkers(uint32_t threads, bool explicit_threads,
-                       uint64_t predicted_work, size_t tasks) {
+// The one fan-out gate, shared by batch, warm, prewarm, catch-up and
+// intra-op shards: how many pool participants `tasks` tasks predicted to
+// cost `predicted_work` row-steps in total should get. `threads` (the
+// resolved thread count, explicit or every CPU) only caps the answer; the
+// work decides it.
+uint32_t FanOutWorkers(uint32_t threads, uint64_t predicted_work,
+                       size_t tasks) {
   uint64_t workers = std::min<uint64_t>(threads, tasks);
-  if (!explicit_threads) {
-    workers = std::min(workers, predicted_work / kFanOutWorkPerWorker);
-  }
+  workers = std::min(workers, predicted_work / kFanOutWorkPerWorker);
   return workers < 1 ? 1 : static_cast<uint32_t>(workers);
 }
 
@@ -447,8 +445,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   const uint32_t catchup_threads = options_.refine_threads != 0
                                        ? options_.refine_threads
                                        : BatchThreads(options_);
-  const bool catchup_explicit =
-      options_.refine_threads != 0 || options_.num_threads != 0;
   size_t lvl_begin = 0;
   while (lvl_begin < claimed.size()) {
     const uint32_t level = claimed[lvl_begin].set.Count();
@@ -467,8 +463,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       }
     }
     pool_->Run(lvl_n,
-               FanOutWorkers(catchup_threads, catchup_explicit, lvl_mass,
-                             lvl_n),
+               FanOutWorkers(catchup_threads, lvl_mass, lvl_n),
                [&](size_t i) { run_one(claimed[lvl_begin + i]); });
     lvl_begin = lvl_end;
   }
@@ -983,19 +978,11 @@ uint32_t EntropyEngine::RefineThreadsFor(uint64_t mass) const {
   // clamps identically).
   return FanOutWorkers(options_.refine_threads != 0 ? options_.refine_threads
                                                     : BatchThreads(options_),
-                       options_.refine_threads != 0 ||
-                           options_.num_threads != 0,
                        mass, mass / kShardedRefineShardMass);
 }
 
-uint32_t EntropyEngine::BatchWorkers(uint64_t predicted_work,
-                                     size_t tasks) const {
-  return FanOutWorkers(BatchThreads(options_), options_.num_threads != 0,
-                       predicted_work, tasks);
-}
-
-uint64_t EntropyEngine::FanOutWork(const AttrSet* sets, size_t n,
-                                   uint64_t rows) const {
+uint64_t EntropyEngine::FanOutWorkLocked(const AttrSet* sets, size_t n,
+                                         uint64_t rows) const {
   // A miss of s attributes is priced the way the cost model prices its
   // plan, the base's stripped mass times the steps from it, plus its
   // fixed work outside the kernel. The base is taken to be a typical
@@ -1008,7 +995,6 @@ uint64_t EntropyEngine::FanOutWork(const AttrSet* sets, size_t n,
   // hill-climb configurations, whose caches hold 50-150k keys, then stay
   // inline, while the exhaustive one still fans out).
   const uint64_t scan_weight = BatchThreads(options_);
-  std::lock_guard<std::mutex> lock(mu_);
   uint64_t price[kMaxAttrs + 1];
   uint64_t scan[kMaxAttrs + 1];
   scan[0] = 0;
@@ -1054,37 +1040,33 @@ std::vector<AttrSet> EntropyEngine::FanOutMisses(const AttrSet* sets,
   for (uint32_t level = kMaxAttrs; level >= 1; --level) {
     std::vector<AttrSet>& todo = by_level[level];
     if (todo.empty()) continue;
-    // Priced before any cache probe (duplicates only raise the price): a
-    // level that cannot pay for the pool even if every set misses is left
-    // to the caller untouched. The price is re-taken per level because the
-    // lattice scans grow with the cache the batch fills.
-    if (BatchWorkers(FanOutWork(todo.data(), todo.size(), pin.rows),
-                     todo.size()) > 1) {
-      std::sort(todo.begin(), todo.end());
-      todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
-      std::vector<AttrSet> misses;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (AttrSet s : todo) {
-          const bool cached =
-              materialize_final ? HasPartitionLocked(s, pin.rows)
+    std::sort(todo.begin(), todo.end());
+    todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
+    // Probed and priced in one hold of mu_. The price is taken per level
+    // because the lattice scans grow with the cache the batch fills.
+    std::vector<AttrSet> misses;
+    uint32_t workers = 1;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (AttrSet s : todo) {
+        const bool cached = materialize_final
+                                ? HasPartitionLocked(s, pin.rows)
                                 : HasEntropyLocked(s, pin.rows);
-          if (!cached) misses.push_back(s);
-        }
+        if (!cached) misses.push_back(s);
       }
-      const uint32_t workers =
-          BatchWorkers(FanOutWork(misses.data(), misses.size(), pin.rows),
-                       misses.size());
-      if (workers > 1) {
-        pool_->Run(misses.size(), workers, [&](size_t i) {
-          AJD_INJECT_FAULT(failpoints::kEngineBatchTask);
-          ComputeEntropy(misses[i], pin, materialize_final);
-        });
-        continue;
-      }
-      todo = std::move(misses);
+      workers = FanOutWorkers(
+          BatchThreads(options_),
+          FanOutWorkLocked(misses.data(), misses.size(), pin.rows),
+          misses.size());
     }
-    inline_sets.insert(inline_sets.end(), todo.begin(), todo.end());
+    if (workers > 1) {
+      pool_->Run(misses.size(), workers, [&](size_t i) {
+        AJD_INJECT_FAULT(failpoints::kEngineBatchTask);
+        ComputeEntropy(misses[i], pin, materialize_final);
+      });
+    } else {
+      inline_sets.insert(inline_sets.end(), misses.begin(), misses.end());
+    }
   }
   return inline_sets;
 }

@@ -123,8 +123,15 @@ struct EngineOptions {
   /// predicted work pays: a batch or catch-up level fans out one
   /// participant per ~2^18 stripped-row refinement steps the cost model
   /// prices it at, less the lattice scans its misses pay under the cache
-  /// mutex, so small batches run inline. An explicit count is a demand,
-  /// honored up to one participant per task; 1 is fully serial.
+  /// mutex, so small batches run inline. An explicit count only caps the
+  /// participants the same gate grants; 1 is fully serial.
+  /// Process-wide side effect: the first time a pool spawns a worker (any
+  /// setting above 1, including the default on a multi-CPU host, and pools
+  /// injected through `worker_pool`), glibc malloc is capped at ONE arena
+  /// for the whole host process (mallopt(M_ARENA_MAX, 1); measurements in
+  /// engine/worker_pool.cc). Setting the MALLOC_ARENA_MAX environment
+  /// variable keeps the caller's own arena policy instead. An engine at
+  /// num_threads = 1 (refine_threads left at 0) never spawns a worker.
   /// Values are identical at every setting (see the header comment).
   /// MinerOptions::num_threads and AnalysisSession plumb this knob through
   /// to the mining hot path.
@@ -167,12 +174,11 @@ struct EngineOptions {
   /// is split into mass-balanced block shards fanned out on the pool. 0
   /// (default) inherits the batch policy: num_threads, with num_threads'
   /// own 0 meaning EffectiveCpuCount(). 1 pins every refinement
-  /// serial. The default shards through the same work gate as batches
+  /// serial. Every setting shards through the same work gate as batches
   /// (a refinement's work is its stripped mass), so small refinements
-  /// keep their nanosecond paths; an explicit count is honored up to one
-  /// shard per kShardedRefineShardMass rows. Sharding is BIT-IDENTICAL to
-  /// serial at any thread count — same blocks, same rows, same
-  /// entropies.
+  /// keep their nanosecond paths; an explicit count only caps the shards
+  /// that gate grants. Sharding is BIT-IDENTICAL to serial at any thread
+  /// count — same blocks, same rows, same entropies.
   uint32_t refine_threads = 0;
 };
 
@@ -266,9 +272,10 @@ class EntropyEngine {
                                                const EpochPin& pin);
 
   /// Evaluates n independent entropy terms, writing out[i] = H(sets[i]).
-  /// The distinct misses are computed first, in ascending set size, on the
-  /// engine's thread pool when their predicted work pays for it; safe to
-  /// call while other threads query the engine.
+  /// Set sizes are taken largest first: each size's distinct misses are
+  /// computed on the engine's thread pool when their predicted work pays
+  /// for it, and the reads then compute the remaining misses on demand, in
+  /// order. Safe to call while other threads query the engine.
   void BatchEntropy(const AttrSet* sets, size_t n, double* out);
 
   /// True when BatchEntropy can fan out at all (num_threads resolves to
@@ -417,8 +424,9 @@ class EntropyEngine {
   /// miss at `pin` (a missing entropy, or with `materialize_final` a
   /// missing partition) on the pool, one level at a time, largest sets
   /// first — for every level whose predicted work pays for the pool.
-  /// Returns the sets of the other levels, unprobed, for the caller to run
-  /// inline.
+  /// Returns the misses of the other levels (deduplicated per level) for
+  /// the caller to run inline; a serial engine returns every non-empty set
+  /// unprobed.
   std::vector<AttrSet> FanOutMisses(const AttrSet* sets, size_t n,
                                     const EpochPin& pin,
                                     bool materialize_final);
@@ -430,11 +438,9 @@ class EntropyEngine {
 
   /// The work gate's price of computing sets[0..n) at `rows` rows:
   /// predicted stripped-row refinement steps, which can run in parallel,
-  /// net of the lattice scans, which cannot. Takes mu_.
-  uint64_t FanOutWork(const AttrSet* sets, size_t n, uint64_t rows) const;
-
-  /// FanOutWorkers (entropy_engine.cc) under the batch thread policy.
-  uint32_t BatchWorkers(uint64_t predicted_work, size_t tasks) const;
+  /// net of the lattice scans, which cannot. Requires mu_ held.
+  uint64_t FanOutWorkLocked(const AttrSet* sets, size_t n,
+                            uint64_t rows) const;
 
   /// Inserts a partition with its build recipe and row tag; returns its
   /// heap bytes if actually inserted (0 for duplicates — an existing entry

@@ -157,10 +157,14 @@ TEST(EntropyEngine, EmptyAndDegenerateInputs) {
 }
 
 TEST(EntropyEngine, BatchEntropyMatchesSerialAndUsesThreads) {
+  // A batch fans out only as far as its predicted work pays for the pool,
+  // so the relation is sized for that: the five cold four-attribute misses
+  // alone price at two participants' worth of refinement steps.
   Rng rng(903);
-  Relation r = testing_util::RandomTestRelation(&rng, 5, 4, 200);
+  Relation r = RandomMultisetRelation(&rng, 5, 4, 30000);
   EngineOptions options;
-  options.num_threads = 4;  // force a real pool regardless of the host
+  options.num_threads = 4;  // a real pool regardless of the host
+  options.worker_pool = std::make_shared<WorkerPool>();
   EntropyEngine engine(&r, options);
   std::vector<AttrSet> sets;
   for (uint32_t m = 0; m < 32; ++m) sets.push_back(AttrSet::FromMask(m));
@@ -170,6 +174,7 @@ TEST(EntropyEngine, BatchEntropyMatchesSerialAndUsesThreads) {
     EXPECT_EQ(batch[i], EntropyOf(r, sets[i]));
   }
   EXPECT_EQ(engine.Stats().queries, 31u);  // empty set short-circuits
+  EXPECT_GT(options.worker_pool->NumThreads(), 0u);
 }
 
 TEST(EntropyEngine, CmiMatchesLegacyCalculatorSemantics) {
@@ -706,9 +711,11 @@ TEST(WorkerPool, EffectiveCpuCountWithinHardwareThreads) {
 }
 
 TEST(WorkerPool, SharedAcrossEnginesMatchesPrivatePools) {
+  // Sized so a cold batch over every subset pays for the pool (the work
+  // gate keeps toy batches inline at any thread count).
   Rng rng(925);
-  Relation r1 = testing_util::RandomTestRelation(&rng, 5, 3, 150);
-  Relation r2 = RandomMultisetRelation(&rng, 5, 4, 120);
+  Relation r1 = testing_util::RandomTestRelation(&rng, 5, 10, 40000);
+  Relation r2 = RandomMultisetRelation(&rng, 5, 4, 30000);
 
   // One explicit pool serving every engine of one session.
   auto pool = std::make_shared<WorkerPool>();

@@ -33,6 +33,7 @@
 #include "engine/entropy_engine.h"
 #include "engine/maintenance.h"
 #include "engine/partition.h"
+#include "engine/worker_pool.h"
 #include "info/entropy.h"
 #include "random/rng.h"
 #include "relation/attr_set.h"
@@ -666,11 +667,13 @@ TEST(EpochEngine, QueriesOnlyAfterAppendsAreBitwiseEqualToColdEngine) {
 
 TEST(EpochEngine, CatchUpThenParallelBatchIsCorrect) {
   // After an append, a threaded BatchEntropy must catch up once and fan
-  // out safely (the TSan leg runs this test).
+  // out safely (the TSan leg runs this test). The relation is large
+  // enough that the batch's predicted work pays for the pool.
   Rng rng(7500);
-  Relation r = testing_util::RandomTestRelation(&rng, 5, 4, 120);
+  Relation r = RelationFromRows(5, RandomRows(&rng, 5, 4, 30000));
   EngineOptions opts;
   opts.num_threads = 4;
+  opts.worker_pool = std::make_shared<WorkerPool>();
   EntropyEngine engine(&r, opts);
   engine.Entropy(AttrSet{0, 1});
   ASSERT_TRUE(r.AppendBatch(RandomRows(&rng, 5, 4, 60)).ok());
@@ -683,36 +686,49 @@ TEST(EpochEngine, CatchUpThenParallelBatchIsCorrect) {
     EXPECT_EQ(out[i], EntropyOf(r, sets[i])) << i;
   }
   EXPECT_EQ(engine.Stats().epoch_catchups, 1u);
+  EXPECT_GT(opts.worker_pool->NumThreads(), 0u);
 }
 
 TEST(EpochEngine, ThreadedCatchUpSoakIsBitwiseEqualToSerial) {
-  // The parallel EXTEND fan-out (refine_threads > 1 fans claimed entries
-  // out level-by-level on the pool) must publish a cache — and serve
-  // values — bitwise equal to the serial catch-up. Two engines over
-  // identical relations run the same append/query schedule, one with
-  // parallel catch-up and one pinned serial; every served value must be
-  // EQ, and the threaded engine's final cache must equal the cold replay
-  // exactly. The TSan leg runs this file, so the fan-out's memory
-  // ordering (level barriers, atomic counters, shared parent reads) is
-  // exercised under the race detector.
+  // The parallel EXTEND fan-out (catch-up fans claimed entries out
+  // level-by-level on the pool, as far as a level's stripped mass pays for
+  // it) must publish a cache — and serve values — bitwise equal to the
+  // serial catch-up. Two engines over identical relations run the same
+  // prewarm/append/query schedule; both answer queries serially, and only
+  // one extends on the pool (refine_threads = 4). Every served value must
+  // be EQ, and the threaded engine's final cache must equal the cold
+  // replay exactly. The relations are sized so that every cached subset's
+  // partition keeps ~60k stripped rows: the ten entries of level 2 and of
+  // level 3 then pass the work gate, and the test checks that the pool
+  // spawned. The TSan leg runs this file, so the fan-out's memory ordering
+  // (level barriers, atomic counters, shared parent reads) is exercised
+  // under the race detector.
   Rng rng(7600);
+  constexpr uint32_t kAttrs = 5;
   for (int trial = 0; trial < 4; ++trial) {
-    const uint32_t num_attrs = 4 + static_cast<uint32_t>(rng.UniformU64(2));
     const uint32_t domain = 3 + static_cast<uint32_t>(rng.UniformU64(5));
-    auto first = RandomRows(&rng, num_attrs, domain, 60);
-    Relation r_par = RelationFromRows(num_attrs, first);
-    Relation r_ser = RelationFromRows(num_attrs, first);
+    auto first = RandomRows(&rng, kAttrs, domain, 60000);
+    Relation r_par = RelationFromRows(kAttrs, first);
+    Relation r_ser = RelationFromRows(kAttrs, first);
     EngineOptions par_opts;
+    par_opts.num_threads = 1;
     par_opts.refine_threads = 4;
+    par_opts.worker_pool = std::make_shared<WorkerPool>();
     EntropyEngine par(&r_par, par_opts);
     EngineOptions ser_opts;
     ser_opts.num_threads = 1;
     EntropyEngine ser(&r_ser, ser_opts);
-    const uint64_t all_masks = (uint64_t{1} << num_attrs) - 1;
+    const uint64_t all_masks = (uint64_t{1} << kAttrs) - 1;
+    // Every subset's partition cached, so each catch-up claims whole
+    // lattice levels (the fan-out's unit of work).
+    std::vector<AttrSet> lattice;
+    for (uint64_t mask = 1; mask <= all_masks; ++mask) {
+      lattice.push_back(AttrSet::FromMask(mask));
+    }
+    par.PrewarmSubsets(lattice);
+    ser.PrewarmSubsets(lattice);
     const uint32_t batches = 4;
     for (uint32_t k = 0; k < batches; ++k) {
-      // Warm a spread of chains so each catch-up claims several entries
-      // across several set-size levels (the fan-out's unit of work).
       for (int q = 0; q < 12; ++q) {
         const AttrSet s =
             AttrSet::FromMask(1 + rng.UniformU64(all_masks - 1));
@@ -720,7 +736,7 @@ TEST(EpochEngine, ThreadedCatchUpSoakIsBitwiseEqualToSerial) {
             << "trial " << trial << " epoch " << k << " mask " << s.mask();
       }
       const auto batch =
-          RandomRows(&rng, num_attrs, domain + k,
+          RandomRows(&rng, kAttrs, domain + k,
                      5 + static_cast<uint32_t>(rng.UniformU64(30)));
       ASSERT_TRUE(r_par.AppendBatch(batch).ok());
       ASSERT_TRUE(r_ser.AppendBatch(batch).ok());
@@ -731,6 +747,7 @@ TEST(EpochEngine, ThreadedCatchUpSoakIsBitwiseEqualToSerial) {
     EXPECT_EQ(par.Stats().partitions_extended + par.Stats().partitions_replayed,
               ser.Stats().partitions_extended + ser.Stats().partitions_replayed);
     EXPECT_EQ(par.Stats().catchup_dropped, 0u);
+    EXPECT_GT(par_opts.worker_pool->NumThreads(), 0u) << "trial " << trial;
     VerifyCachedPartitionsAgainstColdReplay(&par, r_par);
   }
 }

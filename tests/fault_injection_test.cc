@@ -310,7 +310,7 @@ TEST(FaultInjection, EngineQueryFaultsAreContainedAndRecoverable) {
   AJD_REQUIRE_FAILPOINT_BUILD();
   DisarmOnExit guard;
   Rng rng(13);
-  Relation r = testing_util::RandomTestRelation(&rng, 4, 4, 120);
+  Relation r = testing_util::RandomTestRelation(&rng, 4, 30, 60000);
   EngineOptions opts;
   opts.num_threads = 4;
   EntropyEngine engine(&r, opts);
@@ -322,7 +322,8 @@ TEST(FaultInjection, EngineQueryFaultsAreContainedAndRecoverable) {
 
   // A task dying inside a pooled batch is contained by the WorkerPool: the
   // batch completes and the first error rethrows on the submitter. All 15
-  // subsets miss cold, which is enough distinct work to engage the pool.
+  // subsets miss cold, and at ~58k rows the two- and three-attribute levels
+  // each price above the work gate, so the batch runs on the pool.
   Reg().Arm(failpoints::kEngineBatchTask, FailpointConfig::OneShot());
   std::vector<AttrSet> sets;
   for (uint64_t mask = 1; mask < 16; ++mask) {
@@ -491,6 +492,7 @@ class FaultSoak {
   explicit FaultSoak(uint64_t seed)
       : rng_(seed),
         code_rel_(testing_util::RandomTestRelation(&rng_, 4, 4, 80)),
+        batch_rel_(testing_util::RandomTestRelation(&rng_, 4, 30, 60000)),
         stream_rel_(testing_util::RandomTestRelation(&rng_, 3, 3, 40)),
         string_rel_(EmptyStringRelation({"a", "b", "c"})),
         csv_rel_(EmptyStringRelation({"a", "b"})) {
@@ -532,18 +534,25 @@ class FaultSoak {
   /// else (abort, budget breach) fails the test on the spot.
   void Drive(int iterations) {
     for (int it = 0; it < iterations; ++it) {
-      // Engine queries: point + pooled batch (compute_partition,
-      // batch_task).
+      // Engine queries: point + batches (compute_partition, batch_task).
+      std::vector<AttrSet> sets;
+      for (uint64_t mask = 1; mask < 16; ++mask) {
+        sets.push_back(AttrSet::FromMask(mask));
+      }
       try {
         EntropyEngine& e = session_->EngineFor(code_rel_);
         e.Entropy(RandomNonEmptySubset(&rng_, 4));
-        // Every non-empty subset: enough distinct misses (after an append
-        // staled the cache) that BatchEntropy fans out on the pool.
-        std::vector<AttrSet> sets;
-        for (uint64_t mask = 1; mask < 16; ++mask) {
-          sets.push_back(AttrSet::FromMask(mask));
-        }
+        // Every non-empty subset, after an append staled the cache: too
+        // little work for the pool, so the misses run inline.
         e.BatchEntropy(sets);
+      } catch (const std::exception&) {
+      }
+      try {
+        // The same batch over a relation the session has just released:
+        // every term misses cold, and ~58k rows price it above the work
+        // gate, so it fans out on the pool.
+        session_->Release(batch_rel_);
+        session_->EngineFor(batch_rel_).BatchEntropy(sets);
       } catch (const std::exception&) {
       }
       CheckBudget();
@@ -579,7 +588,10 @@ class FaultSoak {
         PersistedEntryMeta meta;
         meta.fingerprint = 0xFA0C + (it % 4);
         meta.attrs = RandomNonEmptySubset(&rng_, 4);
-        meta.rows = 40 + it;
+        // A fresh key per put: a repeated key dedupes without reaching
+        // the blob or manifest writes, so a soak that had already put
+        // every (fingerprint, attrs, rows) key would stop driving them.
+        meta.rows = 40 + puts_++;
         meta.has_entropy = true;
         meta.entropy = 1.5;
         meta.chain = meta.attrs.ToIndices();
@@ -608,6 +620,7 @@ class FaultSoak {
       Relation* rel;
     };
     std::vector<Target> targets = {{session_.get(), &code_rel_},
+                                   {session_.get(), &batch_rel_},
                                    {session_.get(), &string_rel_},
                                    {session_.get(), &csv_rel_},
                                    {&monitor_->session(), &stream_rel_}};
@@ -631,6 +644,8 @@ class FaultSoak {
 
   Rng rng_;
   Relation code_rel_;
+  Relation batch_rel_;
+  uint64_t puts_ = 0;
   Relation stream_rel_;
   Relation string_rel_;
   Relation csv_rel_;

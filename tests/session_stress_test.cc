@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -155,9 +156,10 @@ TEST(SessionStress, RandomChurnHoldsValueAndBudgetInvariants) {
 }
 
 TEST(SessionStress, ParallelEnginesChurnHoldsInvariants) {
-  // Same churn, but every engine fans batches out on the shared pool (the
-  // WorkerPool serializes batches; the arbiter sees concurrent charges
-  // from the pool's workers).
+  // Same churn with threaded engines: batches take the level-ordered,
+  // probed path of a threaded engine. The churn's relations (<= 200 rows)
+  // are too small for any batch to pass the work gate, so the pool itself
+  // stays idle here; FanOutUnderEvictionPressureStaysCorrect drives it.
   SessionOptions opts;
   opts.engine.num_threads = 4;
   opts.engine.cache_budget_bytes = 32 << 10;
@@ -513,19 +515,23 @@ TEST(SessionConcurrency, TwoEngineConcurrentBatchesAreByteIdenticalToSerial) {
 }
 
 TEST(SessionConcurrency, FanOutUnderEvictionPressureStaysCorrect) {
+  // ~19k distinct rows each: with nothing surviving the budget, every
+  // subset of two to five attributes is a cold miss, and each of those
+  // levels prices above the work gate's two-participant threshold.
   Rng rng(961);
-  Relation r1 = testing_util::RandomTestRelation(&rng, 6, 3, 250);
-  Relation r2 = testing_util::RandomTestRelation(&rng, 6, 4, 200);
+  Relation r1 = testing_util::RandomTestRelation(&rng, 6, 8, 20000);
+  Relation r2 = testing_util::RandomTestRelation(&rng, 6, 7, 20000);
   std::vector<AttrSet> sets;
   for (uint32_t m = 1; m < 64; ++m) sets.push_back(AttrSet::FromMask(m));
 
-  // Full fan-out (engines use the shared pool) under a budget small enough
+  // Full fan-out (both engines share one pool) under a budget small enough
   // that the arbiter evicts across engines mid-batch. Values are checked
   // against the legacy reference; the budget invariant must hold at the
   // end, and under TSan this is the hottest charge/evict/drop interleaving
   // the engine has.
   SessionOptions opts;
   opts.engine.num_threads = 4;
+  opts.engine.worker_pool = std::make_shared<WorkerPool>();
   opts.engine.cache_budget_bytes = 8 << 10;
   opts.cache_floor_bytes = 1 << 10;
   AnalysisSession session(opts);
@@ -542,6 +548,7 @@ TEST(SessionConcurrency, FanOutUnderEvictionPressureStaysCorrect) {
   }
   EXPECT_LE(session.CacheBytes(), opts.engine.cache_budget_bytes);
   EXPECT_GT(session.cache_arbiter()->Stats().evictions, 0u);
+  EXPECT_GT(opts.engine.worker_pool->NumThreads(), 0u);
 }
 
 }  // namespace
