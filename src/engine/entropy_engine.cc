@@ -49,6 +49,42 @@ uint32_t FanOutWorkers(uint32_t threads, uint64_t predicted_work,
   return workers < 1 ? 1 : static_cast<uint32_t>(workers);
 }
 
+// The engine's one level loop, shared by catch-up and the warm-start
+// extension: runs task(i) for i in [0, n), whose items are sorted by
+// ascending level_of(i), one level at a time with a pool barrier between
+// levels, so a task may read the results of every lower level and of none
+// in its own. Each level gets the participants its predicted work (work_of
+// summed, in stripped rows) pays for.
+void RunByLevel(WorkerPool* pool, uint32_t threads, size_t n,
+                const std::function<uint32_t(size_t)>& level_of,
+                const std::function<uint64_t(size_t)>& work_of,
+                const std::function<void(size_t)>& task) {
+  size_t begin = 0;
+  while (begin < n) {
+    const uint32_t level = level_of(begin);
+    uint64_t work = work_of(begin);
+    size_t end = begin + 1;
+    for (; end < n && level_of(end) == level; ++end) work += work_of(end);
+    pool->Run(end - begin, FanOutWorkers(threads, work, end - begin),
+              [&](size_t i) { task(begin + i); });
+    begin = end;
+  }
+}
+
+// A persisted recipe is usable only as a permutation of exactly its
+// entry's attribute set; anything else is a stale or foreign producer's
+// record, and a partition admitted under the wrong recipe would extend
+// incorrectly at the next catch-up.
+bool ChainCovers(const std::vector<uint32_t>& chain, AttrSet attrs) {
+  if (chain.empty() || chain.size() != attrs.Count()) return false;
+  AttrSet seen;
+  for (uint32_t a : chain) {
+    if (a >= kMaxAttrs || seen.Contains(a)) return false;
+    seen.Add(a);
+  }
+  return seen == attrs;
+}
+
 // The arbiter the engine charges: the shared one when attached, else a
 // single-engine arbiter holding cache_budget_bytes, so every engine evicts
 // by the same policy and lock order.
@@ -136,11 +172,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   // atomically at the publish step.
   const uint64_t old_rows =
       std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)->rows;
-  // The superseded generation's fingerprint, captured while the tracker
-  // still sits at old_rows (one cached read); the publish-down step below
-  // erases the disk entries it supersedes under this key.
-  const bool persist_down = persist_ != nullptr && options_.persist_on_catchup;
-  const uint64_t fp_old = persist_down ? FingerprintFor(old_rows) : 0;
 
   // Columns and sketches first: extension publishes fresh RCU views over
   // the grown buffers, never touching bytes an old-pin view can see.
@@ -442,31 +473,18 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   // reproducibility (and per-entry work is order-independent), so the
   // published cache — and every value served from it — is unchanged at any
   // thread count. Publish order below stays serial and sorted.
-  const uint32_t catchup_threads = options_.refine_threads != 0
-                                       ? options_.refine_threads
-                                       : BatchThreads(options_);
-  size_t lvl_begin = 0;
-  while (lvl_begin < claimed.size()) {
-    const uint32_t level = claimed[lvl_begin].set.Count();
-    size_t lvl_end = lvl_begin + 1;
-    while (lvl_end < claimed.size() &&
-           claimed[lvl_end].set.Count() == level) {
-      ++lvl_end;
-    }
-    const size_t lvl_n = lvl_end - lvl_begin;
-    // The old stripped mass is the level's predicted work (an upper proxy:
-    // delta paths touch less, replays touch chain x mass).
-    uint64_t lvl_mass = 0;
-    for (size_t i = lvl_begin; i < lvl_end; ++i) {
-      if (claimed[i].cp.partition != nullptr) {
-        lvl_mass += claimed[i].cp.partition->NumStrippedRows();
-      }
-    }
-    pool_->Run(lvl_n,
-               FanOutWorkers(catchup_threads, lvl_mass, lvl_n),
-               [&](size_t i) { run_one(claimed[lvl_begin + i]); });
-    lvl_begin = lvl_end;
-  }
+  // The old stripped mass is an entry's predicted work (an upper proxy:
+  // delta paths touch less, replays touch chain x mass).
+  RunByLevel(
+      pool_.get(),
+      options_.refine_threads != 0 ? options_.refine_threads
+                                   : BatchThreads(options_),
+      claimed.size(), [&](size_t i) { return claimed[i].set.Count(); },
+      [&](size_t i) -> uint64_t {
+        const auto& p = claimed[i].cp.partition;
+        return p != nullptr ? p->NumStrippedRows() : 0;
+      },
+      [&](size_t i) { run_one(claimed[i]); });
   old_parts.clear();
 
   AJD_INJECT_FAULT(failpoints::kEngineCatchupPublish);
@@ -475,16 +493,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   std::vector<AttrSet> swept;
   std::vector<std::pair<AttrSet, size_t>> charges;
   charges.reserve(claimed.size());
-  /// Extended entries to publish DOWN to the disk tier after the in-memory
-  /// publish (captured under mu_, written outside it; the partition
-  /// pointers are immutable shared state, so the writes race nothing).
-  struct DownEntry {
-    AttrSet set;
-    std::shared_ptr<const Partition> partition;
-    std::vector<uint32_t> chain;
-    uint32_t last_col_card = 0;
-  };
-  std::vector<DownEntry> down;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Sweep whatever old-generation state concurrent readers seeded while
@@ -518,10 +526,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       if (partitions_.find(c.set) != partitions_.end()) continue;
       const size_t bytes = c.cp.partition->MemoryBytes();
       const uint64_t mass = c.cp.partition->NumStrippedRows();
-      if (persist_down) {
-        down.push_back(
-            {c.set, c.cp.partition, c.cp.chain, c.cp.last_col_card});
-      }
       partitions_.emplace(c.set, std::move(c.cp));
       partition_bytes_ += bytes;
       keys_by_count_[c.set.Count()].push_back({c.set, mass, target_rows});
@@ -544,33 +548,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   }
   if (!swept.empty()) arbiter_->Discharge(this, swept);
   if (!charges.empty()) arbiter_->Charge(this, charges);
-
-  // Publish DOWN: the disk tier follows the in-memory cache to the new
-  // generation, so a restart right now warm-starts at target_rows instead
-  // of the previous epoch's prefix. Each write supersedes that entry's
-  // old-generation record, which is erased under the old fingerprint.
-  // Best effort throughout — a full disk degrades the tier, never the
-  // published generation.
-  if (persist_down && !down.empty()) {
-    const uint64_t fp_new = FingerprintFor(target_rows);
-    uint64_t spilled = 0;
-    for (const DownEntry& d : down) {
-      PersistedEntryMeta meta;
-      meta.fingerprint = fp_new;
-      meta.attrs = d.set;
-      meta.rows = target_rows;
-      meta.chain = d.chain;
-      meta.last_col_card = d.last_col_card;
-      PartitionPayload payload;
-      d.partition->FlattenStripped(&payload.rows, &payload.offsets);
-      if (persist_->Put(meta, &payload).ok()) ++spilled;
-      if (target_rows != old_rows) {
-        (void)persist_->Erase(fp_old, d.set, old_rows);
-      }
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.persist_spills += spilled;
-  }
 }
 
 bool EntropyEngine::CachedPartitionInfo(
@@ -957,7 +934,10 @@ void EntropyEngine::SpillPartitionLocked(AttrSet attrs,
   }
   PartitionPayload payload;
   cp.partition->FlattenStripped(&payload.rows, &payload.offsets);
-  if (persist_->Put(meta, &payload).ok()) ++stats_.persist_spills;
+  if (persist_->Put(meta, &payload).ok()) {
+    ++stats_.persist_spills;
+    disk_keys_.insert({meta.fingerprint, attrs, meta.rows});
+  }
 }
 
 void EntropyEngine::DropPartitionForArbiter(AttrSet attrs) {
@@ -1151,6 +1131,11 @@ double EntropyEngine::MutualInformation(AttrSet a, AttrSet b) {
   return ConditionalMutualInformation(a, b, AttrSet());
 }
 
+size_t EntropyEngine::DiskKeyHash::operator()(const DiskKey& k) const {
+  return static_cast<size_t>(
+      Mix64(k.fingerprint ^ Mix64(k.attrs.mask() ^ Mix64(k.rows))));
+}
+
 uint64_t EntropyEngine::FingerprintFor(uint64_t rows) {
   std::lock_guard<std::mutex> lock(fp_mu_);
   return fp_->At(rows);
@@ -1188,6 +1173,7 @@ bool EntropyEngine::TryServeFromDisk(
     if (!meta.has_entropy || materialize_final) return false;
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.persist_hits;
+    disk_keys_.insert({fp, attrs, pin.rows});
     if (pin.rows ==
         std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)
             ->rows) {
@@ -1197,22 +1183,7 @@ bool EntropyEngine::TryServeFromDisk(
     return true;
   }
 
-  // The recorded chain must be a permutation of exactly this attribute
-  // set — anything else is a stale or foreign producer's record, and a
-  // partition admitted under the wrong recipe would extend incorrectly at
-  // the next catch-up.
-  AttrSet chain_set;
-  bool chain_ok =
-      !meta.chain.empty() && meta.chain.size() == attrs.Count();
-  for (uint32_t a : meta.chain) {
-    if (!chain_ok) break;
-    if (a >= kMaxAttrs || chain_set.Contains(a)) {
-      chain_ok = false;
-      break;
-    }
-    chain_set.Add(a);
-  }
-  if (!chain_ok || chain_set != attrs) {
+  if (!ChainCovers(meta.chain, attrs)) {
     (void)persist_->Erase(fp, attrs, pin.rows);
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.persist_fallbacks;
@@ -1246,6 +1217,7 @@ bool EntropyEngine::TryServeFromDisk(
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.persist_hits;
     ++stats_.persist_reloads;
+    disk_keys_.insert({fp, attrs, pin.rows});
     if (pin.rows ==
         std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)
             ->rows) {
@@ -1286,12 +1258,16 @@ void EntropyEngine::WarmStartFromPersist() {
   // Per attribute set, the deepest usable prefix entry: content-verified
   // (its fingerprint matches OUR relation at its recorded row count —
   // entries of other relations sharing the store simply never match) and
-  // longest, payload-carrying entries preferred on ties.
+  // longest, payload-carrying entries preferred on ties. Every matched
+  // entry is recorded: picked or not, it is a generation of this relation
+  // that the next PersistCache supersedes.
   std::unordered_map<AttrSet, const PersistedEntryMeta*, AttrSetHash> best;
+  std::vector<DiskKey> matched;
   for (const PersistedEntryMeta& e : all) {
     if (e.rows == 0 || e.rows > now) continue;
     auto fit = fp_at.find(e.rows);
     if (fit == fp_at.end() || fit->second != e.fingerprint) continue;
+    matched.push_back({e.fingerprint, e.attrs, e.rows});
     auto [bit, inserted] = best.emplace(e.attrs, &e);
     if (!inserted && (e.rows > bit->second->rows ||
                       (e.rows == bit->second->rows && e.has_payload &&
@@ -1301,129 +1277,147 @@ void EntropyEngine::WarmStartFromPersist() {
   }
   if (best.empty()) return;
 
-  // Chain length ascending, so every entry's direct parent (a strict chain
-  // prefix, hence a smaller set) is reloaded and extended before the entry
-  // needs it — the same order catch-up extends in.
-  std::vector<const PersistedEntryMeta*> picked;
-  picked.reserve(best.size());
-  for (const auto& kv : best) picked.push_back(kv.second);
-  std::sort(picked.begin(), picked.end(),
-            [](const PersistedEntryMeta* a, const PersistedEntryMeta* b) {
-              if (a->attrs.Count() != b->attrs.Count()) {
-                return a->attrs.Count() < b->attrs.Count();
-              }
-              return a->attrs < b->attrs;
-            });
-
   struct Reloaded {
+    const PersistedEntryMeta* meta = nullptr;
     std::shared_ptr<const Partition> original;  // at meta->rows
     std::shared_ptr<const Partition> final;     // extended to `now`
-    const PersistedEntryMeta* meta = nullptr;
     PartitionDelta delta;  // emitted by the extension, when one ran
+    bool extended = false;
   };
-  std::unordered_map<AttrSet, Reloaded, AttrSetHash> ready;
-  uint64_t reloads = 0, extended = 0, fallbacks = 0, value_hits = 0;
-
-  for (const PersistedEntryMeta* e : picked) {
-    if (!e->has_payload) continue;  // value-only entries handled below
-    // Same recipe sanity as the miss path.
-    AttrSet chain_set;
-    bool chain_ok =
-        !e->chain.empty() && e->chain.size() == e->attrs.Count();
-    for (uint32_t a : e->chain) {
-      if (!chain_ok) break;
-      if (a >= kMaxAttrs || chain_set.Contains(a)) {
-        chain_ok = false;
-        break;
-      }
-      chain_set.Add(a);
-    }
-    if (!chain_ok || chain_set != e->attrs) {
-      ++fallbacks;
-      continue;
-    }
-    Result<PartitionPayload> loaded = persist_->LoadPayload(*e);
-    if (!loaded.ok()) {
-      ++fallbacks;
-      continue;
-    }
-    Result<Partition> rebuilt = Partition::FromStripped(
-        std::move(loaded.value().rows), std::move(loaded.value().offsets),
-        e->rows);
-    if (!rebuilt.ok()) {
-      (void)persist_->Erase(e->fingerprint, e->attrs, e->rows);
-      ++fallbacks;
-      continue;
-    }
-    Reloaded r;
-    r.meta = e;
-    r.original =
-        std::make_shared<const Partition>(std::move(rebuilt).value());
-    ++reloads;
-    const uint64_t m = e->rows;
-    if (m == now) {
-      r.final = r.original;
-    } else if (e->chain.size() == 1) {
-      // Root of a chain: the single-column extension needs no parent.
-      const Column col = store_.ColumnAt(e->chain[0], now);
-      r.final = std::make_shared<const Partition>(
-          r.original->ExtendedOfColumn(col, m));
-      ++extended;
+  std::vector<Reloaded> slots;
+  std::vector<const PersistedEntryMeta*> values;  // value-only entries
+  for (const auto& kv : best) {
+    if (kv.second->has_payload) {
+      slots.emplace_back();
+      slots.back().meta = kv.second;
     } else {
-      // Deeper entry: the delta path needs the direct parent both in its
-      // persisted form (at the same row count — the block correspondence
-      // seed) and already extended to `now`. Entries that can't extend
-      // cheaply are SKIPPED, not replayed: a warm restart that silently
-      // replays chains cold costs more than the cold start it replaces.
-      AttrSet parent_set;
-      for (size_t j = 0; j + 1 < e->chain.size(); ++j) {
-        parent_set.Add(e->chain[j]);
-      }
-      auto pit = ready.find(parent_set);
-      const Column col = store_.ColumnAt(e->chain.back(), now);
-      const bool parent_usable =
-          pit != ready.end() && pit->second.final != nullptr &&
-          pit->second.meta->rows == m &&
-          pit->second.meta->chain.size() + 1 == e->chain.size() &&
-          std::equal(pit->second.meta->chain.begin(),
-                     pit->second.meta->chain.end(), e->chain.begin());
-      const bool kernel_stable =
-          parent_usable &&
-          ChooseRefineKernel(col.cardinality,
-                             pit->second.final->NumStrippedRows()) ==
-              ChooseRefineKernel(e->last_col_card,
-                                 pit->second.final->NumStrippedRows());
-      if (!parent_usable || !kernel_stable) {
-        ++fallbacks;
-        continue;
-      }
-      r.final = std::make_shared<const Partition>(r.original->ExtendedBy(
-          pit->second.original.get(), *pit->second.final, col, m, nullptr,
-          &r.delta));
-      ++extended;
+      values.push_back(kv.second);
     }
-    ready.emplace(e->attrs, std::move(r));
   }
+  // Chain length ascending (chains cover their sets, so set size), so
+  // every entry's direct parent — a strict chain prefix, hence a smaller
+  // set — sits in a lower level than the entry: the order catch-up
+  // extends in.
+  std::sort(slots.begin(), slots.end(),
+            [](const Reloaded& a, const Reloaded& b) {
+              if (a.meta->attrs.Count() != b.meta->attrs.Count()) {
+                return a.meta->attrs.Count() < b.meta->attrs.Count();
+              }
+              return a.meta->attrs < b.meta->attrs;
+            });
+  const uint32_t threads = BatchThreads(options_);
 
+  // Load, CRC-verify and validate every blob on the pool. A load is priced
+  // at its entry's row count, the bound on its stripped rows (the blob's
+  // size is not known before it is read).
+  uint64_t load_work = 0;
+  for (const Reloaded& r : slots) load_work += r.meta->rows;
+  pool_->Run(slots.size(), FanOutWorkers(threads, load_work, slots.size()),
+             [&](size_t i) {
+               const PersistedEntryMeta& e = *slots[i].meta;
+               if (!ChainCovers(e.chain, e.attrs)) return;
+               Result<PartitionPayload> loaded = persist_->LoadPayload(e);
+               if (!loaded.ok()) return;
+               Result<Partition> rebuilt = Partition::FromStripped(
+                   std::move(loaded.value().rows),
+                   std::move(loaded.value().offsets), e.rows);
+               if (!rebuilt.ok()) {
+                 (void)persist_->Erase(e.fingerprint, e.attrs, e.rows);
+                 return;
+               }
+               slots[i].original = std::make_shared<const Partition>(
+                   std::move(rebuilt).value());
+             });
+
+  // Extend the reloaded entries to `now`, level by level. Entries that
+  // can't extend cheaply are SKIPPED, not replayed: a warm restart that
+  // silently replays chains cold costs more than the cold start it
+  // replaces.
+  std::unordered_map<AttrSet, const Reloaded*, AttrSetHash> by_set;
+  for (const Reloaded& r : slots) {
+    if (r.original != nullptr) by_set.emplace(r.meta->attrs, &r);
+  }
+  RunByLevel(
+      pool_.get(), threads, slots.size(),
+      [&](size_t i) { return slots[i].meta->attrs.Count(); },
+      [&](size_t i) -> uint64_t {
+        const Reloaded& r = slots[i];
+        return r.original != nullptr && r.meta->rows != now
+                   ? r.original->NumStrippedRows()
+                   : 0;
+      },
+      [&](size_t i) {
+        Reloaded& r = slots[i];
+        if (r.original == nullptr) return;
+        const PersistedEntryMeta& e = *r.meta;
+        const uint64_t m = e.rows;
+        if (m == now) {
+          r.final = r.original;
+          return;
+        }
+        const Column col = store_.ColumnAt(e.chain.back(), now);
+        if (e.chain.size() == 1) {
+          // Root of a chain: the single-column extension needs no parent.
+          r.final = std::make_shared<const Partition>(
+              r.original->ExtendedOfColumn(col, m));
+          r.extended = true;
+          return;
+        }
+        // Deeper entry: the delta path needs the direct parent both in its
+        // persisted form (at the same row count — the block correspondence
+        // seed) and already extended to `now` (a lower level).
+        AttrSet parent_set;
+        for (size_t j = 0; j + 1 < e.chain.size(); ++j) {
+          parent_set.Add(e.chain[j]);
+        }
+        auto pit = by_set.find(parent_set);
+        if (pit == by_set.end()) return;
+        const Reloaded& parent = *pit->second;
+        const bool parent_usable =
+            parent.final != nullptr && parent.meta->rows == m &&
+            parent.meta->chain.size() + 1 == e.chain.size() &&
+            std::equal(parent.meta->chain.begin(), parent.meta->chain.end(),
+                       e.chain.begin());
+        if (!parent_usable ||
+            ChooseRefineKernel(col.cardinality,
+                               parent.final->NumStrippedRows()) !=
+                ChooseRefineKernel(e.last_col_card,
+                                   parent.final->NumStrippedRows())) {
+          return;
+        }
+        r.final = std::make_shared<const Partition>(r.original->ExtendedBy(
+            parent.original.get(), *parent.final, col, m, nullptr,
+            &r.delta));
+        r.extended = true;
+      });
+
+  uint64_t reloads = 0, extended = 0, fallbacks = 0, value_hits = 0;
   std::vector<std::pair<AttrSet, size_t>> charged;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& kv : ready) {
-      Reloaded& r = kv.second;
+    disk_keys_.insert(matched.begin(), matched.end());
+    for (Reloaded& r : slots) {
+      reloads += r.original != nullptr;
+      extended += r.extended;
+      if (r.final == nullptr) {
+        ++fallbacks;
+        continue;
+      }
+      const AttrSet set = r.meta->attrs;
       const uint32_t last_col_card =
           store_.ColumnAt(r.meta->chain.back(), now).cardinality;
       const size_t bytes = InsertPartitionLocked(
-          kv.first, r.final, r.meta->chain, last_col_card, now,
+          set, r.final, r.meta->chain, last_col_card, now,
           std::move(r.delta));
-      if (bytes > 0) charged.emplace_back(kv.first, bytes);
+      if (bytes > 0) charged.emplace_back(set, bytes);
       // A stored H is only current when the entry needed no extension.
       if (r.meta->rows == now && r.meta->has_entropy) {
-        entropies_[kv.first] = CachedEntropy{r.meta->entropy, now};
+        entropies_[set] = CachedEntropy{r.meta->entropy, now};
         ++value_hits;
       }
     }
-    for (const PersistedEntryMeta* e : picked) {
-      if (e->has_payload || !e->has_entropy || e->rows != now) continue;
+    for (const PersistedEntryMeta* e : values) {
+      if (!e->has_entropy || e->rows != now) continue;
       entropies_[e->attrs] = CachedEntropy{e->entropy, now};
       ++value_hits;
     }
@@ -1486,34 +1480,62 @@ Status EntropyEngine::PersistCache() {
   }
   if (rows_now == 0 || items.empty()) return Status::OK();
   const uint64_t fp = FingerprintFor(rows_now);
+  // The puts go out on the pool, each priced at its stripped rows (what
+  // flattening, CRC and writing the blob cost); the store writes blobs
+  // outside its lock.
+  std::vector<Status> results(items.size());
+  uint64_t work = 0;
+  for (const Item& item : items) {
+    if (item.partition != nullptr) work += item.partition->NumStrippedRows();
+  }
+  pool_->Run(items.size(),
+             FanOutWorkers(BatchThreads(options_), work, items.size()),
+             [&](size_t i) {
+               const Item& item = items[i];
+               PersistedEntryMeta meta;
+               meta.fingerprint = fp;
+               meta.attrs = item.set;
+               meta.rows = rows_now;
+               meta.has_entropy = item.has_entropy;
+               meta.entropy = item.h;
+               meta.chain = item.chain;
+               meta.last_col_card = item.last_col_card;
+               if (item.partition == nullptr) {
+                 results[i] = persist_->Put(meta, nullptr);
+                 return;
+               }
+               PartitionPayload payload;
+               item.partition->FlattenStripped(&payload.rows,
+                                               &payload.offsets);
+               results[i] = persist_->Put(meta, &payload);
+             });
   Status first = Status::OK();
   uint64_t spilled = 0;
-  for (const Item& item : items) {
-    PersistedEntryMeta meta;
-    meta.fingerprint = fp;
-    meta.attrs = item.set;
-    meta.rows = rows_now;
-    meta.has_entropy = item.has_entropy;
-    meta.entropy = item.h;
-    meta.chain = item.chain;
-    meta.last_col_card = item.last_col_card;
-    Status s;
-    if (item.partition != nullptr) {
-      PartitionPayload payload;
-      item.partition->FlattenStripped(&payload.rows, &payload.offsets);
-      s = persist_->Put(meta, &payload);
-    } else {
-      s = persist_->Put(meta, nullptr);
-    }
-    if (s.ok()) {
-      ++spilled;
-    } else if (first.ok()) {
-      first = s;  // keep going: persist everything that still can be
-    }
-  }
+  std::vector<DiskKey> superseded;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (results[i].ok()) {
+        ++spilled;
+        disk_keys_.insert({fp, items[i].set, rows_now});
+      } else if (first.ok()) {
+        first = results[i];  // the rest were still attempted
+      }
+    }
     stats_.persist_spills += spilled;
+    // The generations this one supersedes: every older key this engine
+    // reloaded or spilled, so the store keeps one generation per relation.
+    for (auto it = disk_keys_.begin(); it != disk_keys_.end();) {
+      if (it->rows < rows_now) {
+        superseded.push_back(*it);
+        it = disk_keys_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (const DiskKey& k : superseded) {
+    (void)persist_->Erase(k.fingerprint, k.attrs, k.rows);
   }
   return first;
 }

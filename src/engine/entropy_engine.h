@@ -82,6 +82,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -117,9 +118,10 @@ struct EngineOptions {
   /// instead. AnalysisSession sizes its shared arbiter from this field.
   size_t cache_budget_bytes = size_t{256} << 20;
   /// Threads for the batch paths (BatchEntropy, WarmEntropies,
-  /// PrewarmSubsets) and catch-up. 0 (the default) means every CPU the
-  /// process may run on (EffectiveCpuCount(), engine/worker_pool.h:
-  /// affinity mask capped by the cgroup quota), used only as far as the
+  /// PrewarmSubsets), catch-up, and the disk tier's warm start and
+  /// PersistCache. 0 (the default) means every CPU the process may run on
+  /// (EffectiveCpuCount(), engine/worker_pool.h: affinity mask capped by
+  /// the cgroup quota), used only as far as the
   /// predicted work pays: a batch or catch-up level fans out one
   /// participant per ~2^18 stripped-row refinement steps the cost model
   /// prices it at, less the lattice scans its misses pay under the cache
@@ -155,20 +157,15 @@ struct EngineOptions {
   /// never change an answer), seeds its in-memory cache from it at
   /// construction (warm restart: persisted prefix partitions are reloaded
   /// and delta-extended to the current row count through the same
-  /// bit-identical extension machinery catch-up uses), and publishes
-  /// extended entries back down after each catch-up. nullptr (default): no
-  /// disk tier.
+  /// bit-identical extension machinery catch-up uses). It learns entries
+  /// at eviction (persist_spill_on_evict) and at PersistCache; catch-up
+  /// never writes to it. nullptr (default): no disk tier.
   std::shared_ptr<PersistentCacheStore> persist_store;
   /// With a disk tier attached: spill a partition to disk when it is
   /// evicted from memory (budget pressure, generational idle drop), so the
   /// eviction demotes the entry a tier instead of discarding the work.
   /// Stale-generation sweeps never spill (their row tag is superseded).
   bool persist_spill_on_evict = true;
-  /// With a disk tier attached: after each epoch catch-up, write the
-  /// extended partitions back down so the disk tier tracks the current row
-  /// count (and erase the superseded prefix entries they replace). Off, the
-  /// disk tier only learns entries at eviction/PersistCache time.
-  bool persist_on_catchup = true;
   /// Threads for ONE refinement (intra-operation sharding,
   /// engine/refine_kernels.h): a single large query or catch-up extension
   /// is split into mass-balanced block shards fanned out on the pool. 0
@@ -216,8 +213,7 @@ struct EngineStats {
                                  ///< from their persisted row count to the
                                  ///< relation's current one.
   uint64_t persist_spills = 0;   ///< entries written down to the disk tier
-                                 ///< (evictions, catch-up publish,
-                                 ///< PersistCache).
+                                 ///< (evictions and PersistCache).
   uint64_t persist_fallbacks = 0; ///< disk entries that failed to load or
                                   ///< validate; served cold instead (the
                                   ///< degrade-never-corrupt path).
@@ -366,8 +362,12 @@ class EntropyEngine {
   /// entropy value) and every value-only entropy term. The complement of
   /// the constructor's warm restart — call it before a planned shutdown so
   /// the next process starts where this one left off. Identical-content
-  /// entries already on disk are skipped (the store dedups). Returns the
-  /// first write failure (remaining entries are still attempted);
+  /// entries already on disk are skipped (the store dedups). The entries
+  /// this generation supersedes — every key this engine reloaded or
+  /// spilled at an older row count — are then erased, so the store keeps
+  /// one generation per relation. The puts fan out on the batch pool as
+  /// far as their stripped rows pay (num_threads = 1: all inline). Returns
+  /// the first write failure (remaining entries are still attempted);
   /// FailedPrecondition without a disk tier.
   Status PersistCache();
 
@@ -506,8 +506,9 @@ class EntropyEngine {
   void SpillPartitionLocked(AttrSet attrs, const CachedPartition& cp);
 
   /// Constructor-time warm restart: reloads this relation's persisted
-  /// entries (fingerprint-verified at their recorded row counts) and
-  /// delta-extends them to the current row count through the engine's
+  /// entries (fingerprint-verified at their recorded row counts; loads,
+  /// CRC checks and validation fan out on the pool) and delta-extends them
+  /// to the current row count level by level through the engine's
   /// bit-identical extension machinery. Entries that cannot be extended
   /// cheaply (missing parent, kernel threshold crossed) are skipped, not
   /// replayed — warm restart must never cost more than a cold start.
@@ -542,6 +543,19 @@ class EntropyEngine {
   /// only used with a disk tier attached).
   mutable std::mutex fp_mu_;
   std::unique_ptr<FingerprintTracker> fp_;
+  /// One disk-tier key: (relation fingerprint, set, row count).
+  struct DiskKey {
+    uint64_t fingerprint;
+    AttrSet attrs;
+    uint64_t rows;
+    bool operator==(const DiskKey& o) const {
+      return fingerprint == o.fingerprint && attrs == o.attrs &&
+             rows == o.rows;
+    }
+  };
+  struct DiskKeyHash {
+    size_t operator()(const DiskKey& k) const;
+  };
 
   /// Serializes catch-up owners. Acquired BEFORE mu_ (lock order:
   /// catchup_mu_ -> mu_, catchup_mu_ -> column-store internals; never the
@@ -583,6 +597,9 @@ class EntropyEngine {
   /// tick_ at the end of the last catch-up: entries not touched since are
   /// dropped rather than extended at the next one (generational policy).
   uint64_t last_catchup_tick_ = 0;
+  /// The disk-tier keys this engine matched at warm start, reloaded or
+  /// spilled; PersistCache erases those its generation supersedes.
+  std::unordered_set<DiskKey, DiskKeyHash> disk_keys_;
   EngineStats stats_;
 };
 

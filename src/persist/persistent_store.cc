@@ -1,7 +1,9 @@
 #include "persist/persistent_store.h"
 
 #include <fcntl.h>
+#include <limits.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,6 +49,10 @@ namespace {
 constexpr char kManifestMagic[8] = {'A', 'J', 'D', 'C', 'A', 'C', 'H', '2'};
 constexpr uint32_t kBlobMagic = 0x424A4441u;  // "AJDB" little-endian
 constexpr uint32_t kBlobVersion = 2;
+// Blob header: magic, version, body length, body CRC. The body follows:
+// the two array lengths (u64 each), then the rows and offsets arrays.
+constexpr size_t kBlobHeaderBytes = 4 + 4 + 8 + 4;
+constexpr size_t kBlobCountsBytes = 8 + 8;
 // A manifest record's payload can't plausibly exceed this (the largest is
 // a put: fixed fields + a <= 64-entry chain); larger lengths mean a torn
 // or foreign frame.
@@ -127,6 +133,88 @@ size_t WriteFully(int fd, const char* data, size_t n) {
     done += static_cast<size_t>(w);
   }
   return done;
+}
+
+/// writev's counterpart of WriteFully: writes the first `limit` bytes of
+/// the `n` pieces in `iov` (clipping them in place), retrying short writes;
+/// returns bytes actually written (< limit only on a real I/O error).
+size_t WritevFully(int fd, struct iovec* iov, int n, size_t limit) {
+  size_t total = 0;
+  int used = 0;
+  for (; used < n && total < limit; ++used) {
+    iov[used].iov_len = std::min(iov[used].iov_len, limit - total);
+    total += iov[used].iov_len;
+  }
+  size_t done = 0;
+  int first = 0;
+  while (done < total) {
+    const ssize_t w = ::writev(fd, iov + first, std::min(used - first, IOV_MAX));
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) break;
+    done += static_cast<size_t>(w);
+    size_t left = static_cast<size_t>(w);
+    while (first < used && left >= iov[first].iov_len) {
+      left -= iov[first].iov_len;
+      ++first;
+    }
+    if (left > 0) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + left;
+      iov[first].iov_len -= left;
+    }
+  }
+  return done;
+}
+
+/// Reads exactly `n` bytes from `fd` into `out`, retrying short reads.
+bool ReadFully(int fd, void* out, size_t n) {
+  char* p = static_cast<char*>(out);
+  while (n > 0) {
+    const ssize_t r = ::read(fd, p, n);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) return false;
+    p += r;
+    n -= static_cast<size_t>(r);
+  }
+  return true;
+}
+
+/// Reads and verifies one open blob straight into `out`'s arrays: the
+/// header must match, the array lengths must account for the file's
+/// exact size (which also bounds the allocation), and the CRC must match
+/// the body. False on any mismatch or short read.
+bool ReadBlobFd(int fd, PartitionPayload* out) {
+  struct stat st;
+  char head[kBlobHeaderBytes + kBlobCountsBytes];
+  if (::fstat(fd, &st) != 0 || !ReadFully(fd, head, sizeof(head))) {
+    return false;
+  }
+  const char* p = head;
+  const char* end = head + sizeof(head);
+  uint32_t magic = 0, version = 0, crc = 0;
+  uint64_t body_len = 0, n_rows = 0, n_offsets = 0;
+  GetU32(&p, end, &magic);
+  GetU32(&p, end, &version);
+  GetU64(&p, end, &body_len);
+  GetU32(&p, end, &crc);
+  GetU64(&p, end, &n_rows);
+  GetU64(&p, end, &n_offsets);
+  const uint64_t file_bytes = static_cast<uint64_t>(st.st_size);
+  if (magic != kBlobMagic || version != kBlobVersion ||
+      body_len != file_bytes - kBlobHeaderBytes || n_rows > body_len / 4 ||
+      n_offsets > body_len / 4 ||
+      kBlobCountsBytes + 4 * (n_rows + n_offsets) != body_len) {
+    return false;
+  }
+  out->rows.resize(n_rows);
+  out->offsets.resize(n_offsets);
+  if (!ReadFully(fd, out->rows.data(), n_rows * 4) ||
+      !ReadFully(fd, out->offsets.data(), n_offsets * 4)) {
+    return false;
+  }
+  uint32_t got = Crc32cExtend(0, head + kBlobHeaderBytes, kBlobCountsBytes);
+  got = Crc32cExtend(got, out->rows.data(), n_rows * 4);
+  got = Crc32cExtend(got, out->offsets.data(), n_offsets * 4);
+  return got == crc;
 }
 
 void SyncDirBestEffort(const std::string& dir) {
@@ -443,36 +531,41 @@ Status PersistentCacheStore::AppendRecordLocked(const std::string& payload) {
   return Status::OK();
 }
 
-Status PersistentCacheStore::WriteBlobLocked(uint64_t blob_id,
-                                             const PartitionPayload& payload) {
-  std::string buf;
-  {
-    std::string body;
-    body.reserve(16 + 4 * (payload.rows.size() + payload.offsets.size()));
-    PutU64(&body, payload.rows.size());
-    PutU64(&body, payload.offsets.size());
-    body.append(reinterpret_cast<const char*>(payload.rows.data()),
-                payload.rows.size() * 4);
-    body.append(reinterpret_cast<const char*>(payload.offsets.data()),
-                payload.offsets.size() * 4);
-    PutU32(&buf, kBlobMagic);
-    PutU32(&buf, kBlobVersion);
-    PutU64(&buf, body.size());
-    PutU32(&buf, Crc32c(body.data(), body.size()));
-    buf += body;
-  }
+Status PersistentCacheStore::WriteBlob(uint64_t blob_id,
+                                       const PartitionPayload& payload) const {
+  // Header, lengths and arrays go out in one writev straight from the
+  // payload's vectors; the CRC extends over the same pieces.
+  uint64_t counts[2] = {payload.rows.size(), payload.offsets.size()};
+  const size_t rows_bytes = payload.rows.size() * 4;
+  const size_t offsets_bytes = payload.offsets.size() * 4;
+  uint32_t crc = Crc32cExtend(0, counts, sizeof(counts));
+  crc = Crc32cExtend(crc, payload.rows.data(), rows_bytes);
+  crc = Crc32cExtend(crc, payload.offsets.data(), offsets_bytes);
+  std::string header;
+  PutU32(&header, kBlobMagic);
+  PutU32(&header, kBlobVersion);
+  PutU64(&header, sizeof(counts) + rows_bytes + offsets_bytes);
+  PutU32(&header, crc);
+  struct iovec iov[4] = {
+      {&header[0], header.size()},
+      {counts, sizeof(counts)},
+      {const_cast<uint32_t*>(payload.rows.data()), rows_bytes},
+      {const_cast<uint32_t*>(payload.offsets.data()), offsets_bytes}};
+  const size_t size = header.size() + sizeof(counts) + rows_bytes +
+                      offsets_bytes;
+
   const std::string path = BlobPath(blob_id);
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::IoError("cannot create blob tmp file: " + tmp);
-  size_t limit = buf.size();
+  size_t limit = size;
   bool injected = false;
   if (AJD_FAILPOINT(failpoints::kPersistBlobWrite)) {
     injected = true;
-    limit = TornLimit(buf.size());
+    limit = TornLimit(size);
   }
-  const size_t wrote = WriteFully(fd, buf.data(), limit);
-  if (injected || wrote < buf.size()) {
+  const size_t wrote = WritevFully(fd, iov, 4, limit);
+  if (injected || wrote < size) {
     ::close(fd);
     if (!(injected && CrashSim())) {
       std::error_code ec;
@@ -497,60 +590,73 @@ Status PersistentCacheStore::WriteBlobLocked(uint64_t blob_id,
 
 Status PersistentCacheStore::Put(const PersistedEntryMeta& meta,
                                  const PartitionPayload* payload) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (meta.chain.size() > kMaxAttrs) {
     return Status::InvalidArgument("persist put: chain longer than 64");
   }
   const Key key{meta.fingerprint, meta.attrs.mask(), meta.rows};
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Identical-content dedupe: spill-on-evict and catch-up re-offer hot
-    // entries every epoch; rewriting bytes already on disk would churn the
-    // journal for nothing. "Carries at least as much" is enough — an
-    // entropy-only put never downgrades a resident blob entry.
-    const PersistedEntryMeta& have = it->second;
-    const bool payload_covered = (payload == nullptr) || have.has_payload;
-    const bool entropy_covered = !meta.has_entropy || have.has_entropy;
-    if (payload_covered && entropy_covered && have.chain == meta.chain) {
-      ++stats_.dedup_puts;
-      return Status::OK();
-    }
-  }
   PersistedEntryMeta entry = meta;
   entry.has_payload = payload != nullptr;
   entry.blob_id = 0;
-  if (payload != nullptr) {
-    entry.blob_id = next_blob_id_++;
-    Status s = WriteBlobLocked(entry.blob_id, *payload);
+  // 1. Under the lock: dedupe against the resident entry, reserve a blob id.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      // Identical-content dedupe: spill-on-evict re-offers hot entries;
+      // rewriting bytes already on disk would churn the journal for
+      // nothing. "Carries at least as much" is enough — an entropy-only
+      // put never downgrades a resident blob entry.
+      const PersistedEntryMeta& have = it->second;
+      const bool payload_covered = (payload == nullptr) || have.has_payload;
+      const bool entropy_covered = !meta.has_entropy || have.has_entropy;
+      if (payload_covered && entropy_covered && have.chain == meta.chain) {
+        ++stats_.dedup_puts;
+        return Status::OK();
+      }
+    }
+    if (payload != nullptr) {
+      entry.blob_id = next_blob_id_++;
+      in_flight_.insert(entry.blob_id);
+    }
+  }
+  // 2. Without it: encode, CRC and write the blob.
+  Status s = payload != nullptr ? WriteBlob(entry.blob_id, *payload)
+                                : Status::OK();
+  // 3. Under the lock again: journal record, then the index. The last
+  // commit of a key wins; the blob it replaces (or, on failure, this put's
+  // own orphaned blob) is unlinked after the lock is released.
+  std::string doomed;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    in_flight_.erase(entry.blob_id);
+    if (s.ok()) {
+      s = AppendRecordLocked(EncodePut(entry));
+      // The blob never got a manifest record: it is an orphan, removed
+      // here in-process or by the next open after a simulated crash.
+      if (!s.ok() && payload != nullptr && !CrashSim()) {
+        doomed = BlobPath(entry.blob_id);
+      }
+    }
     if (!s.ok()) {
       ++stats_.put_failures;
-      return s;
+    } else {
+      auto it = index_.find(key);
+      if (it != index_.end()) {
+        if (it->second.has_payload) doomed = BlobPath(it->second.blob_id);
+        ++dead_records_;
+        it->second = std::move(entry);
+      } else {
+        index_.emplace(key, std::move(entry));
+      }
+      ++stats_.puts;
+      stats_.entries = index_.size();
     }
   }
-  Status s = AppendRecordLocked(EncodePut(entry));
-  if (!s.ok()) {
-    // The blob (if any) never got a manifest record: it is an orphan,
-    // removed here in-process or by the next open after a simulated crash.
-    if (payload != nullptr && !CrashSim()) {
-      std::error_code ec;
-      fs::remove(BlobPath(entry.blob_id), ec);
-    }
-    ++stats_.put_failures;
-    return s;
+  if (!doomed.empty()) {
+    std::error_code ec;
+    fs::remove(doomed, ec);
   }
-  if (it != index_.end()) {
-    if (it->second.has_payload) {
-      std::error_code ec;
-      fs::remove(BlobPath(it->second.blob_id), ec);
-    }
-    ++dead_records_;
-    it->second = std::move(entry);
-  } else {
-    index_.emplace(key, std::move(entry));
-  }
-  ++stats_.puts;
-  stats_.entries = index_.size();
-  return Status::OK();
+  return s;
 }
 
 bool PersistentCacheStore::LookupExact(uint64_t fingerprint, AttrSet attrs,
@@ -573,12 +679,13 @@ std::vector<PersistedEntryMeta> PersistentCacheStore::AllEntries() const {
   return out;
 }
 
-void PersistentCacheStore::QuarantineBlobLocked(const Key& key,
-                                                const char* why) {
+bool PersistentCacheStore::QuarantineBlobLocked(const Key& key,
+                                                uint64_t blob_id) {
   auto it = index_.find(key);
-  if (it == index_.end()) return;
-  (void)why;
-  const uint64_t blob_id = it->second.blob_id;
+  if (it == index_.end() || !it->second.has_payload ||
+      it->second.blob_id != blob_id) {
+    return false;
+  }
   const std::string path = BlobPath(blob_id);
   // Keep the bytes around for postmortems (tools/ajdcache scrub removes
   // them); if even the rename fails, fall back to unlinking.
@@ -594,93 +701,66 @@ void PersistentCacheStore::QuarantineBlobLocked(const Key& key,
   ++dead_records_;
   ++stats_.quarantined_blobs;
   stats_.entries = index_.size();
+  return true;
 }
 
 Result<PartitionPayload> PersistentCacheStore::LoadPayload(
     const PersistedEntryMeta& meta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.payload_loads;
   const Key key{meta.fingerprint, meta.attrs.mask(), meta.rows};
-  auto it = index_.find(key);
-  if (it == index_.end() || !it->second.has_payload) {
-    ++stats_.payload_load_failures;
-    return Status::NotFound("no persisted payload for entry");
-  }
-  if (AJD_FAILPOINT(failpoints::kPersistBlobRead)) {
-    ++stats_.payload_load_failures;
-    QuarantineBlobLocked(key, "injected read fault");
-    return Status::IoError("injected blob read failure (quarantined)");
-  }
-  // One sized read through the raw fd: a warm restart loads every blob in
-  // the store back to back, and streaming the bytes through an ifstream
-  // iterator costs more than the CRC pass itself.
-  std::string bytes;
+  uint64_t blob_id = 0;
   {
-    const int fd = ::open(BlobPath(it->second.blob_id).c_str(), O_RDONLY);
-    if (fd >= 0) {
-      struct stat st;
-      if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-        bytes.resize(static_cast<size_t>(st.st_size));
-        size_t got = 0;
-        while (got < bytes.size()) {
-          const ssize_t n =
-              ::read(fd, &bytes[got], bytes.size() - got);
-          if (n > 0) {
-            got += static_cast<size_t>(n);
-          } else if (n == 0 || errno != EINTR) {
-            break;
-          }
-        }
-        bytes.resize(got);
-      }
-      ::close(fd);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.payload_loads;
+    auto it = index_.find(key);
+    if (it == index_.end() || !it->second.has_payload) {
+      ++stats_.payload_load_failures;
+      return Status::NotFound("no persisted payload for entry");
+    }
+    blob_id = it->second.blob_id;
+    if (AJD_FAILPOINT(failpoints::kPersistBlobRead)) {
+      ++stats_.payload_load_failures;
+      QuarantineBlobLocked(key, blob_id);
+      return Status::IoError("injected blob read failure (quarantined)");
     }
   }
-  const char* p = bytes.data();
-  const char* end = p + bytes.size();
-  uint32_t magic = 0, version = 0, crc = 0;
-  uint64_t body_len = 0;
-  if (!GetU32(&p, end, &magic) || !GetU32(&p, end, &version) ||
-      !GetU64(&p, end, &body_len) || !GetU32(&p, end, &crc) ||
-      magic != kBlobMagic || version != kBlobVersion ||
-      static_cast<uint64_t>(end - p) != body_len ||
-      Crc32c(p, static_cast<size_t>(body_len)) != crc) {
-    ++stats_.payload_load_failures;
-    QuarantineBlobLocked(key, "blob failed verification");
-    return Status::IoError("blob failed verification (quarantined)");
-  }
-  uint64_t n_rows = 0, n_offsets = 0;
+  // Read and verify without the lock: a warm restart loads every blob in
+  // the store, many at once.
   PartitionPayload payload;
-  if (!GetU64(&p, end, &n_rows) || !GetU64(&p, end, &n_offsets) ||
-      static_cast<uint64_t>(end - p) != 4 * (n_rows + n_offsets)) {
-    ++stats_.payload_load_failures;
-    QuarantineBlobLocked(key, "blob body malformed");
-    return Status::IoError("blob body malformed (quarantined)");
+  const int fd = ::open(BlobPath(blob_id).c_str(), O_RDONLY);
+  const bool ok = fd >= 0 && ReadBlobFd(fd, &payload);
+  if (fd >= 0) ::close(fd);
+  if (ok) return payload;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.payload_load_failures;
+  // A Put or Erase that replaced the entry mid-read unlinks the blob this
+  // load was reading: a lost race, not damage, and nothing to quarantine.
+  if (!QuarantineBlobLocked(key, blob_id)) {
+    return Status::NotFound("persisted entry replaced during load");
   }
-  payload.rows.resize(n_rows);
-  payload.offsets.resize(n_offsets);
-  std::memcpy(payload.rows.data(), p, n_rows * 4);
-  std::memcpy(payload.offsets.data(), p + n_rows * 4, n_offsets * 4);
-  return payload;
+  return Status::IoError("blob failed verification (quarantined)");
 }
 
 Status PersistentCacheStore::Erase(uint64_t fingerprint, AttrSet attrs,
                                    uint64_t rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Key key{fingerprint, attrs.mask(), rows};
-  auto it = index_.find(key);
-  if (it == index_.end()) return Status::OK();
-  Status s =
-      AppendRecordLocked(EncodeErase(fingerprint, attrs.mask(), rows));
-  if (!s.ok()) return s;
-  if (it->second.has_payload) {
-    std::error_code ec;
-    fs::remove(BlobPath(it->second.blob_id), ec);
+  std::string doomed;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const Key key{fingerprint, attrs.mask(), rows};
+    auto it = index_.find(key);
+    if (it == index_.end()) return Status::OK();
+    Status s =
+        AppendRecordLocked(EncodeErase(fingerprint, attrs.mask(), rows));
+    if (!s.ok()) return s;
+    if (it->second.has_payload) doomed = BlobPath(it->second.blob_id);
+    index_.erase(it);
+    dead_records_ += 2;  // the put it cancels plus the erase itself
+    ++stats_.erases;
+    stats_.entries = index_.size();
   }
-  index_.erase(it);
-  dead_records_ += 2;  // the put it cancels plus the erase itself
-  ++stats_.erases;
-  stats_.entries = index_.size();
+  if (!doomed.empty()) {
+    std::error_code ec;
+    fs::remove(doomed, ec);
+  }
   return Status::OK();
 }
 
@@ -738,7 +818,8 @@ Status PersistentCacheStore::Compact() {
   dead_records_ = 0;
   read_only_ = false;  // the journal was just rebuilt whole
   // Blobs no live entry references (erase-path leftovers, quarantine races)
-  // are garbage now.
+  // are garbage now — except those of puts still writing, which commit
+  // their record after this.
   std::unordered_map<uint64_t, bool> referenced;
   for (const auto& kv : index_) {
     if (kv.second.has_payload) referenced[kv.second.blob_id] = true;
@@ -753,7 +834,9 @@ Status PersistentCacheStore::Compact() {
       id = id * 10 + static_cast<uint64_t>(name[i] - '0');
       ++i;
     }
-    if (i == 1 || referenced.count(id) != 0) continue;
+    if (i == 1 || referenced.count(id) != 0 || in_flight_.count(id) != 0) {
+      continue;
+    }
     std::error_code rec;
     fs::remove(ent.path(), rec);
   }

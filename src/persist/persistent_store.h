@@ -47,10 +47,19 @@
 // sites are torn-write capable — see persist_internal below — which is how
 // the crash-recovery soak simulates kill -9 at randomized byte offsets.
 //
-// Thread safety: all methods are fully synchronized by one internal mutex
-// (I/O included). The store is a LEAF in the lock order — it never calls
-// back into engine or arbiter code — so the engine may use it while holding
-// its own mutex (lock order: arbiter -> engine -> store).
+// Thread safety: every method may be called concurrently. One internal
+// mutex guards the in-memory index, blob-id reservation, journal appends,
+// compaction (journal rewrite and blob sweep) and quarantine renames.
+// Blob reads, blob writes and their CRCs run outside it, so puts and loads
+// of different entries proceed in parallel: Put reserves a blob id under
+// the lock, writes the blob without it, and appends the journal record and
+// updates the index under it again (the last commit of a key wins; the
+// blob it replaces is unlinked). LoadPayload reads and verifies without the
+// lock and quarantines only when the entry still maps to the blob it read.
+// Compact never collects a blob whose write is still in flight. The store
+// is a LEAF in the lock order — it never calls back into engine or arbiter
+// code — so the engine may use it while holding its own mutex (lock order:
+// arbiter -> engine -> store).
 #ifndef AJD_PERSIST_PERSISTENT_STORE_H_
 #define AJD_PERSIST_PERSISTENT_STORE_H_
 
@@ -60,6 +69,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "relation/attr_set.h"
@@ -168,9 +178,10 @@ class PersistentCacheStore {
 
   /// Loads and CRC-verifies the blob of an entry previously returned by
   /// LookupExact/AllEntries. NotFound when the entry no longer exists or
-  /// has no payload; IoError when the blob fails verification — in which
-  /// case the blob has been QUARANTINED (renamed .quarantined, entry
-  /// dropped, counter bumped) and the caller must compute cold.
+  /// has no payload, or a concurrent Put or Erase replaced it mid-read;
+  /// IoError when the blob fails verification — in which case the blob
+  /// has been QUARANTINED (renamed .quarantined, entry dropped, counter
+  /// bumped) and the caller must compute cold.
   Result<PartitionPayload> LoadPayload(const PersistedEntryMeta& meta);
 
   /// Removes an entry (journal record + blob file). OK when absent.
@@ -203,8 +214,12 @@ class PersistentCacheStore {
   PersistentCacheStore(std::string dir, PersistOptions options);
 
   Status AppendRecordLocked(const std::string& payload);
-  Status WriteBlobLocked(uint64_t blob_id, const PartitionPayload& payload);
-  void QuarantineBlobLocked(const Key& key, const char* why);
+  /// Writes blob `blob_id` (tmp file, fsync, rename). Called without mu_.
+  Status WriteBlob(uint64_t blob_id, const PartitionPayload& payload) const;
+  /// Quarantines `key`'s blob — iff the entry still maps to `blob_id` (a
+  /// concurrent Put or Erase may have replaced it since the caller looked).
+  /// True when it did.
+  bool QuarantineBlobLocked(const Key& key, uint64_t blob_id);
   std::string BlobPath(uint64_t blob_id) const;
   Status OpenManifestLocked();
 
@@ -223,6 +238,9 @@ class PersistentCacheStore {
   /// journal — reads keep working throughout.
   bool read_only_ = false;
   uint64_t next_blob_id_ = 1;
+  /// Blob ids reserved by a Put whose write has not committed yet; Compact
+  /// must not collect their files.
+  std::unordered_set<uint64_t> in_flight_;
   uint64_t dead_records_ = 0;
   std::unordered_map<Key, PersistedEntryMeta, KeyHash> index_;
   PersistStats stats_;

@@ -19,16 +19,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/column_store.h"
 #include "engine/entropy_engine.h"
 #include "engine/partition.h"
+#include "engine/worker_pool.h"
 #include "info/entropy.h"
 #include "persist/persistent_store.h"
 #include "random/rng.h"
@@ -310,7 +313,103 @@ TEST(PersistStore, CompactRewritesJournalToLiveEntries) {
   PersistedEntryMeta got;
   for (uint64_t k = 0; k < 8; ++k) {
     EXPECT_EQ(store->LookupExact(k, AttrSet::FromMask(0x1), 10, &got), k >= 4);
-    if (k >= 4) EXPECT_DOUBLE_EQ(got.entropy, 0.5 * k);
+    if (k >= 4) {
+      EXPECT_DOUBLE_EQ(got.entropy, 0.5 * k);
+    }
+  }
+}
+
+// Blob reads and writes run outside the store's mutex. Four threads put,
+// load and erase overlapping keys while a fifth compacts: every load must
+// return the exact bytes its key was written with (or NotFound when it
+// lost a race to an erase), nothing may be quarantined, and the reopened
+// store must find exactly the blobs its journal references.
+TEST(PersistStore, ConcurrentPutLoadEraseCompact) {
+  constexpr uint64_t kKeys = 6;
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 150;
+  // A key's payload is a function of the key alone, so any load can be
+  // checked byte for byte whichever put it observes.
+  const auto payload_of = [](uint64_t k) {
+    return SmallPayload(static_cast<uint32_t>(2 + k), 3);
+  };
+  TempDir dir;
+  PersistOptions options;
+  options.fsync_writes = false;
+  {
+    auto opened = PersistentCacheStore::Open(dir.str(), options);
+    ASSERT_TRUE(opened.ok());
+    std::shared_ptr<PersistentCacheStore> store = opened.value();
+    std::atomic<int> running{kThreads};
+    std::atomic<uint64_t> loads_ok{0};
+    std::atomic<uint64_t> bad_loads{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(4100 + static_cast<uint64_t>(t));
+        for (int op = 0; op < kOpsPerThread; ++op) {
+          const uint64_t k = rng.UniformU64(kKeys);
+          const AttrSet attrs = AttrSet::FromMask(0x3);
+          switch (rng.UniformU64(3)) {
+            case 0: {
+              // Alternating chains defeat the dedupe, so puts really
+              // replace resident entries (and unlink their blobs).
+              PersistedEntryMeta m = ValueEntry(k, 0x3, 10, 1.0);
+              m.chain = rng.Bernoulli(0.5) ? std::vector<uint32_t>{0, 1}
+                                           : std::vector<uint32_t>{1, 0};
+              const PartitionPayload payload = payload_of(k);
+              EXPECT_TRUE(store->Put(m, &payload).ok());
+              break;
+            }
+            case 1: {
+              PersistedEntryMeta got;
+              if (!store->LookupExact(k, attrs, 10, &got)) break;
+              Result<PartitionPayload> loaded = store->LoadPayload(got);
+              if (loaded.ok()) {
+                const PartitionPayload want = payload_of(k);
+                if (loaded.value().rows != want.rows ||
+                    loaded.value().offsets != want.offsets) {
+                  ++bad_loads;
+                }
+                ++loads_ok;
+              } else if (loaded.status().code() != StatusCode::kNotFound) {
+                ++bad_loads;
+              }
+              break;
+            }
+            default:
+              EXPECT_TRUE(store->Erase(k, attrs, 10).ok());
+          }
+        }
+        --running;
+      });
+    }
+    uint64_t compactions = 0;
+    while (running.load() > 0) {
+      EXPECT_TRUE(store->Compact().ok());
+      ++compactions;
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_GT(compactions, 0u);
+    EXPECT_GT(loads_ok.load(), 0u);
+    EXPECT_EQ(bad_loads.load(), 0u);
+    const PersistStats stats = store->Stats();
+    EXPECT_EQ(stats.quarantined_blobs, 0u);
+    EXPECT_EQ(stats.put_failures, 0u);
+  }
+  auto reopened = PersistentCacheStore::Open(dir.str(), options);
+  ASSERT_TRUE(reopened.ok());
+  std::shared_ptr<PersistentCacheStore> store = reopened.value();
+  EXPECT_EQ(store->Stats().orphan_blobs_removed, 0u);
+  EXPECT_EQ(store->Stats().missing_blob_entries_dropped, 0u);
+  EXPECT_EQ(store->Stats().tmp_files_removed, 0u);
+  for (const PersistedEntryMeta& e : store->AllEntries()) {
+    ASSERT_TRUE(e.has_payload);
+    Result<PartitionPayload> loaded = store->LoadPayload(e);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const PartitionPayload want = payload_of(e.fingerprint);
+    EXPECT_EQ(loaded.value().rows, want.rows);
+    EXPECT_EQ(loaded.value().offsets, want.offsets);
   }
 }
 
@@ -347,6 +446,38 @@ std::vector<AttrSet> AllNonEmptySubsets(uint32_t attrs) {
     sets.push_back(AttrSet::FromMask(mask));
   }
   return sets;
+}
+
+/// Every partition `engine` holds must equal the cold replay of its
+/// recorded chain over all of `r` — same stripped rows, same block
+/// boundaries, same entropy — and every served value must equal EntropyOf
+/// bit for bit. `*checked` receives the number of partitions compared.
+void CheckColdBitwise(EntropyEngine* engine, const Relation& r,
+                      const std::vector<AttrSet>& sets, uint64_t* checked) {
+  ColumnStore cold(&r);
+  *checked = 0;
+  for (AttrSet s : sets) {
+    std::vector<uint32_t> chain;
+    std::shared_ptr<const Partition> cached;
+    if (!engine->CachedPartitionInfo(s, &chain, &cached)) continue;
+    ASSERT_EQ(chain.size(), s.Count());
+    Partition replay = Partition::OfColumn(cold.column(chain[0]));
+    for (size_t j = 1; j < chain.size(); ++j) {
+      replay = replay.RefinedBy(cold.column(chain[j]));
+    }
+    std::vector<uint32_t> cached_rows, cached_offsets;
+    std::vector<uint32_t> replay_rows, replay_offsets;
+    cached->FlattenStripped(&cached_rows, &cached_offsets);
+    replay.FlattenStripped(&replay_rows, &replay_offsets);
+    EXPECT_EQ(cached_rows, replay_rows) << "attrs=" << s.ToString();
+    EXPECT_EQ(cached_offsets, replay_offsets) << "attrs=" << s.ToString();
+    EXPECT_EQ(engine->Entropy(s), replay.EntropyNats(r.NumRows()))
+        << "attrs=" << s.ToString();
+    ++*checked;
+  }
+  for (AttrSet s : sets) {
+    ASSERT_EQ(engine->Entropy(s), EntropyOf(r, s)) << "attrs=" << s.ToString();
+  }
 }
 
 TEST(PersistEngine, WarmRestartServesColdAnswersWithBitwisePartitions) {
@@ -393,30 +524,158 @@ TEST(PersistEngine, WarmRestartServesColdAnswersWithBitwisePartitions) {
   EXPECT_GT(engine.Stats().partitions_extended, 0u);
 
   // Bitwise acceptance: every reloaded-then-extended partition must equal
-  // the cold replay of its recorded chain over the FULL relation — same
-  // stripped rows, same block boundaries, same accumulated entropy bits.
-  ColumnStore cold(&r);
+  // the cold replay of its recorded chain over the FULL relation.
   uint64_t checked = 0;
-  for (AttrSet s : sets) {
-    std::vector<uint32_t> chain;
-    std::shared_ptr<const Partition> cached;
-    if (!engine.CachedPartitionInfo(s, &chain, &cached)) continue;
-    ASSERT_EQ(chain.size(), s.Count());
-    Partition replay = Partition::OfColumn(cold.column(chain[0]));
-    for (size_t j = 1; j < chain.size(); ++j) {
-      replay = replay.RefinedBy(cold.column(chain[j]));
-    }
-    std::vector<uint32_t> cached_rows, cached_offsets;
-    std::vector<uint32_t> replay_rows, replay_offsets;
-    cached->FlattenStripped(&cached_rows, &cached_offsets);
-    replay.FlattenStripped(&replay_rows, &replay_offsets);
-    EXPECT_EQ(cached_rows, replay_rows) << "attrs=" << s.ToString();
-    EXPECT_EQ(cached_offsets, replay_offsets) << "attrs=" << s.ToString();
-    EXPECT_EQ(engine.Entropy(s), replay.EntropyNats(r.NumRows()))
-        << "attrs=" << s.ToString();
-    ++checked;
-  }
+  ASSERT_NO_FATAL_FAILURE(CheckColdBitwise(&engine, r, sets, &checked));
   EXPECT_GT(checked, 0u);
+}
+
+// A store persisted at N0 and reopened over N0 + delta rows (a process
+// that crashed mid-stream, or one that appended before attaching): warm
+// start reloads the N0 partitions and delta-extends them to the current
+// row count itself, level by level, before the first query.
+TEST(PersistEngine, WarmStartAtOlderPrefixExtendsBitwise) {
+  constexpr uint32_t kAttrs = 4;
+  Rng rng(20261017);
+  const auto all_rows = RandomCodeRows(&rng, kAttrs, 3, 120);
+  const std::vector<std::vector<uint32_t>> base_rows(all_rows.begin(),
+                                                     all_rows.end() - 24);
+  const std::vector<std::vector<uint32_t>> delta_rows(all_rows.end() - 24,
+                                                      all_rows.end());
+  const std::vector<AttrSet> sets = AllNonEmptySubsets(kAttrs);
+
+  TempDir dir;
+  {
+    Relation seed = RelationOver(base_rows, kAttrs);
+    EngineOptions opt;
+    opt.persist_store = MustOpen(dir.str());
+    EntropyEngine engine(&seed, opt);
+    engine.PrewarmSubsets(sets);
+    ASSERT_TRUE(engine.PersistCache().ok());
+  }
+
+  Relation r = RelationOver(base_rows, kAttrs);
+  ASSERT_TRUE(r.AppendBatch(delta_rows).ok());
+  EngineOptions opt;
+  opt.persist_store = MustOpen(dir.str());
+  EntropyEngine engine(&r, opt);
+  const EngineStats warm = engine.Stats();
+  EXPECT_GT(warm.persist_reloads, 0u);
+  EXPECT_GT(warm.persist_extended, 0u);
+  EXPECT_EQ(warm.persist_fallbacks, 0u);
+  uint64_t checked = 0;
+  ASSERT_NO_FATAL_FAILURE(CheckColdBitwise(&engine, r, sets, &checked));
+  EXPECT_GT(checked, 0u);
+}
+
+// PersistCache at a newer row count supersedes the generation this engine
+// reloaded: the old-row keys are erased, so the store holds one generation
+// and the next restart reloads it without extending anything.
+TEST(PersistEngine, PersistCacheSupersedesReloadedGeneration) {
+  constexpr uint32_t kAttrs = 4;
+  Rng rng(314159);
+  const auto all_rows = RandomCodeRows(&rng, kAttrs, 3, 100);
+  const std::vector<std::vector<uint32_t>> base_rows(all_rows.begin(),
+                                                     all_rows.end() - 20);
+  const std::vector<std::vector<uint32_t>> delta_rows(all_rows.end() - 20,
+                                                      all_rows.end());
+  const std::vector<AttrSet> sets = AllNonEmptySubsets(kAttrs);
+  const uint64_t n0 = base_rows.size();
+  const uint64_t n1 = all_rows.size();
+
+  TempDir dir;
+  {
+    Relation seed = RelationOver(base_rows, kAttrs);
+    EngineOptions opt;
+    opt.persist_store = MustOpen(dir.str());
+    EntropyEngine engine(&seed, opt);
+    engine.PrewarmSubsets(sets);
+    ASSERT_TRUE(engine.PersistCache().ok());
+  }
+  {
+    Relation r = RelationOver(base_rows, kAttrs);
+    EngineOptions opt;
+    opt.persist_store = MustOpen(dir.str());
+    EntropyEngine engine(&r, opt);
+    ASSERT_GT(engine.Stats().persist_reloads, 0u);
+    ASSERT_TRUE(r.AppendBatch(delta_rows).ok());
+    for (AttrSet s : sets) {
+      ASSERT_EQ(engine.Entropy(s), EntropyOf(r, s)) << "attrs=" << s.ToString();
+    }
+    // Catch-up extended the reloaded partitions without writing to disk.
+    for (const PersistedEntryMeta& e : opt.persist_store->AllEntries()) {
+      EXPECT_EQ(e.rows, n0);
+    }
+    ASSERT_TRUE(engine.PersistCache().ok());
+    uint64_t current = 0;
+    for (const PersistedEntryMeta& e : opt.persist_store->AllEntries()) {
+      EXPECT_EQ(e.rows, n1) << "attrs=" << e.attrs.ToString();
+      ++current;
+    }
+    EXPECT_GT(current, 0u);
+  }
+  Relation r = RelationOver(all_rows, kAttrs);
+  EngineOptions opt;
+  opt.persist_store = MustOpen(dir.str());
+  EntropyEngine engine(&r, opt);
+  const EngineStats warm = engine.Stats();
+  EXPECT_GT(warm.persist_reloads, 0u);
+  EXPECT_EQ(warm.persist_extended, 0u);
+  EXPECT_EQ(warm.persist_fallbacks, 0u);
+  uint64_t checked = 0;
+  ASSERT_NO_FATAL_FAILURE(CheckColdBitwise(&engine, r, sets, &checked));
+  EXPECT_GT(checked, 0u);
+}
+
+// The disk tier's bulk paths — PersistCache's puts, warm start's loads and
+// its level-by-level extension — fan out through the engine's work gate:
+// at num_threads = 1 they never reach the pool, above it a relation large
+// enough to pay for workers spawns them, and the reloaded cache is the
+// same bitwise either way.
+TEST(PersistEngine, BulkPathsFanOutOnlyAsThreadsAllow) {
+  constexpr uint32_t kAttrs = 5;
+  Rng rng(27182818);
+  const auto all_rows = RandomCodeRows(&rng, kAttrs, 4, 40000);
+  const std::vector<std::vector<uint32_t>> base_rows(all_rows.begin(),
+                                                     all_rows.end() - 800);
+  const std::vector<std::vector<uint32_t>> delta_rows(all_rows.end() - 800,
+                                                      all_rows.end());
+  const std::vector<AttrSet> sets = AllNonEmptySubsets(kAttrs);
+
+  TempDir dir;
+  PersistOptions popt;
+  popt.fsync_writes = false;
+  {
+    Relation seed = RelationOver(base_rows, kAttrs);
+    auto pool = std::make_shared<WorkerPool>();
+    EngineOptions opt;
+    opt.num_threads = 1;
+    opt.worker_pool = pool;
+    opt.persist_store = PersistentCacheStore::Open(dir.str(), popt).value();
+    EntropyEngine engine(&seed, opt);
+    engine.PrewarmSubsets(sets);
+    ASSERT_TRUE(engine.PersistCache().ok());
+    EXPECT_EQ(pool->NumThreads(), 0u);
+  }
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    Relation r = RelationOver(base_rows, kAttrs);
+    ASSERT_TRUE(r.AppendBatch(delta_rows).ok());
+    auto pool = std::make_shared<WorkerPool>();
+    EngineOptions opt;
+    opt.num_threads = threads;
+    opt.worker_pool = pool;
+    opt.persist_store = PersistentCacheStore::Open(dir.str(), popt).value();
+    EntropyEngine engine(&r, opt);
+    EXPECT_EQ(pool->NumThreads() > 0, threads > 1);
+    const EngineStats warm = engine.Stats();
+    EXPECT_EQ(warm.persist_reloads, sets.size());
+    EXPECT_GT(warm.persist_extended, 0u);
+    EXPECT_EQ(warm.persist_fallbacks, 0u);
+    uint64_t checked = 0;
+    ASSERT_NO_FATAL_FAILURE(CheckColdBitwise(&engine, r, sets, &checked));
+    EXPECT_EQ(checked, sets.size());
+  }
 }
 
 TEST(PersistEngine, ForeignStoreContentIsIgnoredNotTrusted) {
@@ -583,9 +842,6 @@ TEST(PersistCrashSoak, RandomizedKillAtOffsetAlwaysReopensClean) {
       Relation r = RelationOver(base_rows, kAttrs);
       EngineOptions opt;
       opt.persist_store = opened.value();
-      // Keep the verify pass read-mostly: publish-down would reintroduce
-      // un-injected writes between iterations.
-      opt.persist_on_catchup = false;
       EntropyEngine engine(&r, opt);
       for (size_t k = 0; k < sets.size(); ++k) {
         ASSERT_EQ(engine.Entropy(sets[k]), ref_base[k])

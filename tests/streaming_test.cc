@@ -225,13 +225,18 @@ TEST(StreamingConcurrency, PinnedQueriesDuringIngestStayExact) {
   constexpr int kReaders = 2;
   std::vector<std::vector<Obs>> observed(kReaders);
   std::atomic<bool> done{false};
+  // Start barrier: every reader records an observation before the first
+  // batch lands, so the check below never depends on the scheduler
+  // running the readers while the ingest loop is still going.
+  std::atomic<int> started{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&engine, &observed, &done, t] {
+    readers.emplace_back([&engine, &observed, &done, &started, t] {
       Rng trng(9900 + static_cast<uint64_t>(t));
       auto& out = observed[static_cast<size_t>(t)];
-      while (!done.load(std::memory_order_acquire)) {
+      bool first = true;
+      do {
         const EpochPin pin = engine.Pin();
         for (int q = 0; q < 2; ++q) {
           const uint32_t mask =
@@ -239,8 +244,15 @@ TEST(StreamingConcurrency, PinnedQueriesDuringIngestStayExact) {
           out.push_back({pin.rows, mask,
                          engine.EntropyAt(AttrSet::FromMask(mask), pin)});
         }
-      }
+        if (first) {
+          started.fetch_add(1, std::memory_order_release);
+          first = false;
+        }
+      } while (!done.load(std::memory_order_acquire));
     });
+  }
+  while (started.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
   }
   for (const auto& batch : batches) {
     Result<StreamingPoint> point = monitor.IngestBatch(batch);
