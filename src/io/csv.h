@@ -1,6 +1,22 @@
 // CSV input/output for relations. All columns are dictionary-encoded
-// strings; the first row may carry attribute names. Minimal quoting support
-// (double quotes, embedded commas, doubled quotes).
+// strings; the first row may carry attribute names.
+//
+// The accepted dialect:
+//   - A row ends at '\n'. A quoted field cannot span lines: a '\n' inside
+//     quotes still ends the row (and leaves the quote unterminated).
+//   - Empty lines are skipped; a line holding only '\r' is a row of one
+//     empty field.
+//   - Fields are split at the separator outside quotes.
+//   - A '"' toggles quoting anywhere in a field; it is not kept. Inside
+//     quotes, a doubled quote "" is one literal '"'.
+//   - '\r' outside quotes is dropped (so "\r\n" line ends work); inside
+//     quotes it is kept.
+//
+// Every reader goes through one block scanner: it reads the stream in
+// blocks of up to 1 MiB, finds row ends with memchr, and hands each batch
+// on as string_views into the block (fields that need unescaping go
+// through a per-batch arena). No field becomes a std::string on its way to
+// a dictionary code; only ReadCsvBatches builds strings, for its callers.
 #ifndef AJD_IO_CSV_H_
 #define AJD_IO_CSV_H_
 
@@ -9,6 +25,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "relation/relation.h"
@@ -23,6 +40,36 @@ struct CsvOptions {
   bool dedupe = true;       ///< Build a set (drop duplicate rows).
 };
 
+/// One scanned batch, handed to a ScanCsvBatches sink.
+struct CsvBatch {
+  /// `rows` rows back to back, header-width values each. The views point
+  /// into the scanner's buffers and are valid only during the sink call.
+  const std::vector<std::string_view>& fields;
+  uint64_t rows;
+  /// Stream offset just past the batch's last row (end of stream for the
+  /// final flush); -1 when the stream reports no position (tellg() = -1
+  /// at the start of the scan).
+  int64_t end_offset;
+};
+
+/// The scanner every reader below uses: parses `in` at most `batch_rows`
+/// rows at a time and hands each batch, as views, to `sink` along with the
+/// header names (the file's first non-empty row with options.has_header,
+/// else "col0".."col{k-1}" sized by that row). Stops at the first non-OK
+/// sink status and returns it; ragged rows and empty input yield
+/// InvalidArgument. The sink also runs (with an empty batch) for a
+/// header-only file, so callers always learn the schema.
+///
+/// It reads only what the stream already buffers (at most 1 MiB at a
+/// time) and otherwise blocks for one byte at a time, so a batch reaches
+/// the sink as soon as its last row has arrived, even from a pipe. It
+/// reads ahead of the rows it has delivered: after an error, the stream's
+/// position is meaningless — use CsvIngestSummary::resume_offset.
+Status ScanCsvBatches(
+    std::istream& in, const CsvOptions& options, uint64_t batch_rows,
+    const std::function<Status(const std::vector<std::string>& header,
+                               const CsvBatch& batch)>& sink);
+
 /// Parses a relation from a stream. Without a header, attributes are named
 /// "col0".."col{k-1}". Ragged rows yield InvalidArgument.
 Result<Relation> ReadCsv(std::istream& in, const CsvOptions& options = {});
@@ -31,13 +78,11 @@ Result<Relation> ReadCsv(std::istream& in, const CsvOptions& options = {});
 Result<Relation> ReadCsvFile(const std::string& path,
                              const CsvOptions& options = {});
 
-/// Streaming chunked reader: parses `in` at most `batch_rows` rows at a
-/// time and hands each chunk (raw string fields) to `sink` along with the
-/// header names. The whole file is never materialized — the path that lets
+/// Streaming chunked reader: ScanCsvBatches with each chunk copied out as
+/// string rows. The whole file is never materialized — the path that lets
 /// the streaming loss monitor (core/streaming.h) follow files larger than
-/// memory. Stops at the first non-OK sink status and returns it; ragged
-/// rows and empty input yield InvalidArgument. The sink also runs (with an
-/// empty batch) for a header-only file, so callers always learn the schema.
+/// memory. Same batching, errors and header-only behaviour as
+/// ScanCsvBatches.
 Status ReadCsvBatches(
     std::istream& in, const CsvOptions& options, uint64_t batch_rows,
     const std::function<Status(const std::vector<std::string>& header,
@@ -71,7 +116,9 @@ struct CsvIngestSummary {
   uint64_t batches_committed = 0;
   /// Stream offset just past the last committed batch — seek here (and
   /// set has_header=false) to resume after a mid-file failure. -1 when the
-  /// stream is not seekable or nothing committed.
+  /// stream reports no position or nothing committed. After a failure this
+  /// is the only meaningful position: the scanner reads ahead, so the
+  /// stream itself may sit anywhere past it.
   int64_t resume_offset = -1;
 };
 

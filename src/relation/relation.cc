@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <stdexcept>
 
 #include "relation/row_hash.h"
 #include "util/failpoint.h"
@@ -94,27 +96,108 @@ RowsSnapshot Relation::Snapshot() const {
   return snap;
 }
 
-uint32_t Dictionary::Intern(const std::string& value) {
-  auto it = index_.find(value);
-  if (it != index_.end()) return it->second;
-  uint32_t code = static_cast<uint32_t>(values_.size());
-  values_.push_back(value);
-  index_.emplace(value, code);
+namespace {
+
+template <typename Word>
+uint64_t Load(const char* p) {
+  Word w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+/// Up to 8 bytes of `p` as one word: the first 8 when n >= 8, otherwise
+/// all n packed with overlapping loads (injective for a given n).
+uint64_t Head(const char* p, size_t n) {
+  if (n >= 8) return Load<uint64_t>(p);
+  if (n >= 4) return Load<uint32_t>(p) | Load<uint32_t>(p + n - 4) << 32;
+  if (n == 0) return 0;
+  return static_cast<uint64_t>(static_cast<uint8_t>(p[0])) |
+         static_cast<uint64_t>(static_cast<uint8_t>(p[n / 2])) << 8 |
+         static_cast<uint64_t>(static_cast<uint8_t>(p[n - 1])) << 16;
+}
+
+/// Folded 64x64->128 multiply (the wyhash mixer).
+uint64_t Fold(uint64_t a, uint64_t b) {
+  const __uint128_t product = static_cast<__uint128_t>(a) * b;
+  return static_cast<uint64_t>(product) ^
+         static_cast<uint64_t>(product >> 64);
+}
+
+constexpr uint64_t kHashA = 0xa0761d6478bd642fULL;
+constexpr uint64_t kHashB = 0xe7037ed1a0b428dbULL;
+
+}  // namespace
+
+Dictionary::Key Dictionary::KeyOf(std::string_view value) {
+  const size_t n = value.size();
+  const char* p = value.data();
+  const uint64_t prefix = Head(p, n);
+  uint64_t h = Fold(prefix ^ kHashA, n ^ kHashB);
+  for (size_t i = 8; i < n; i += 8) {
+    h = Fold(h ^ Head(p + i, std::min<size_t>(n - i, 8)), kHashB);
+  }
+  const uint32_t length_byte = static_cast<uint32_t>(std::min<size_t>(n, 255));
+  return {h, prefix, static_cast<uint32_t>(h >> 40) << 8 | length_byte};
+}
+
+size_t Dictionary::Probe(const Key& key, std::string_view value) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = key.hash & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.code == kNoCode) return i;
+    // Equal check words mean equal lengths below 255, and a value of at
+    // most 8 bytes is all prefix: only longer values need the full compare.
+    if (s.check == key.check && s.prefix == key.prefix &&
+        (value.size() <= 8 || values_[s.code] == value)) {
+      return i;
+    }
+  }
+}
+
+void Dictionary::Rehash(size_t capacity) {
+  std::vector<Slot>(capacity).swap(slots_);
+  for (uint32_t code = 0; code < values_.size(); ++code) {
+    const Key key = KeyOf(values_[code]);
+    slots_[Probe(key, values_[code])] = {key.prefix, key.check, code};
+  }
+}
+
+uint32_t Dictionary::Intern(std::string_view value) {
+  // Load factor <= 3/4. Growing before the probe lets an insert claim the
+  // empty slot the probe ends at (a hit may grow the table one insert early).
+  if ((values_.size() + 1) * 4 > slots_.size() * 3) {
+    Rehash(std::max<size_t>(16, slots_.size() * 2));
+  }
+  const Key key = KeyOf(value);
+  const size_t i = Probe(key, value);
+  if (slots_[i].code != kNoCode) return slots_[i].code;
+  if (values_.size() >= kNoCode) {
+    throw std::length_error("dictionary holds 2^32 - 1 values");
+  }
+  // Store the value before claiming the slot: if the copy throws, the
+  // table still matches values_.
+  const uint32_t code = static_cast<uint32_t>(values_.size());
+  values_.emplace_back(value);
+  slots_[i] = {key.prefix, key.check, code};
   return code;
 }
 
 void Dictionary::TruncateTo(uint32_t size) {
   if (size >= values_.size()) return;
-  for (uint32_t code = size; code < values_.size(); ++code) {
-    index_.erase(values_[code]);
+  // Newest code first. The table equals the sequential insertion of codes
+  // 0..c, and inserting c filled exactly one slot, so emptying that slot
+  // leaves the sequential insertion of codes 0..c-1.
+  for (uint32_t code = static_cast<uint32_t>(values_.size()); code-- > size;) {
+    slots_[Probe(KeyOf(values_[code]), values_[code])] = Slot{};
   }
   values_.resize(size);
 }
 
-std::optional<uint32_t> Dictionary::Lookup(const std::string& value) const {
-  auto it = index_.find(value);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+std::optional<uint32_t> Dictionary::Lookup(std::string_view value) const {
+  if (slots_.empty()) return std::nullopt;
+  const Slot& s = slots_[Probe(KeyOf(value), value)];
+  if (s.code == kNoCode) return std::nullopt;
+  return s.code;
 }
 
 const std::string& Dictionary::ValueOf(uint32_t code) const {
@@ -188,6 +271,10 @@ Status Relation::AppendCodesUnchecked(const std::vector<uint32_t>& flat,
       }
     }
     if (appended == 0) return Status::OK();
+    if (!RowsFit(committed, appended)) {
+      throw std::length_error("relation would pass " +
+                              std::to_string(kMaxRelationRows) + " rows");
+    }
     // Domain sizes grow before the rows publish so a reader that sees the
     // new rows also sees domains covering them. (Schema counters are
     // appender-side state; concurrent readers only use the attribute
@@ -253,6 +340,22 @@ Status Relation::AppendStringBatch(
           " does not match schema width " + std::to_string(width));
     }
   }
+  std::vector<std::string_view> fields;
+  try {
+    fields.reserve(rows.size() * width);
+    for (const auto& row : rows) {
+      fields.insert(fields.end(), row.begin(), row.end());
+    }
+  } catch (const std::exception& e) {
+    return Status::CapacityExceeded(
+        std::string("append failed staging the batch: ") + e.what());
+  }
+  return AppendStringBatch(fields.data(), rows.size(), dedupe);
+}
+
+Status Relation::AppendStringBatch(const std::string_view* fields,
+                                   uint64_t rows, bool dedupe) {
+  const uint32_t width = NumAttrs();
   // A non-empty relation built from raw codes has no dictionary to intern
   // into: inventing one here would assign fresh codes starting at 0, which
   // ALIAS the existing raw code space — silent corruption, not an append.
@@ -288,16 +391,19 @@ Status Relation::AppendStringBatch(
   };
   Status append;
   try {
-    std::vector<uint32_t> flat;
-    flat.reserve(rows.size() * width);
-    for (const auto& row : rows) {
+    std::vector<uint32_t> flat(rows * width);
+    for (uint32_t a = 0; a < width && rows > 0; ++a) {
+      if (!dicts_[a].has_value()) dicts_[a].emplace();
+    }
+    const std::string_view* value = fields;
+    uint32_t* code = flat.data();
+    for (uint64_t i = 0; i < rows; ++i) {
       for (uint32_t a = 0; a < width; ++a) {
         AJD_INJECT_BAD_ALLOC(failpoints::kRelationIntern);
-        if (!dicts_[a].has_value()) dicts_[a].emplace();
-        flat.push_back(dicts_[a]->Intern(row[a]));
+        *code++ = dicts_[a]->Intern(*value++);
       }
     }
-    append = AppendCodesUnchecked(flat, rows.size(), dedupe);
+    append = AppendCodesUnchecked(flat, rows, dedupe);
   } catch (const std::exception& e) {
     roll_back_dicts();
     return Status::CapacityExceeded(
@@ -383,11 +489,22 @@ void RelationBuilder::AddStringRow(const std::vector<std::string>& row) {
   AJD_CHECK_MSG(row.size() == schema_.size(),
                 "row width %zu != schema width %u", row.size(),
                 schema_.size());
-  for (uint32_t a = 0; a < schema_.size(); ++a) {
+  const std::vector<std::string_view> fields(row.begin(), row.end());
+  AddStringRows(fields.data(), 1);
+}
+
+void RelationBuilder::AddStringRows(const std::string_view* fields,
+                                    uint64_t rows) {
+  const uint32_t width = schema_.size();
+  for (uint32_t a = 0; a < width && rows > 0; ++a) {
     if (!dicts_[a].has_value()) dicts_[a].emplace();
-    data_.push_back(dicts_[a]->Intern(row[a]));
   }
-  ++num_rows_;
+  for (uint64_t i = 0; i < rows; ++i) {
+    for (uint32_t a = 0; a < width; ++a) {
+      data_.push_back(dicts_[a]->Intern(*fields++));
+    }
+    ++num_rows_;
+  }
 }
 
 void RelationBuilder::Reserve(uint64_t rows) {

@@ -35,7 +35,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -61,10 +61,27 @@ struct RowsSnapshot {
 };
 
 /// Per-attribute dictionary mapping string values to dense codes.
+///
+/// Storage: each value is stored once, as a std::string in code order.
+/// Lookups go through one open-addressing (linear probing) table of 16-byte
+/// slots, each holding a code plus the value's first 8 bytes (a shorter
+/// value packs all of its bytes), its length (capped at 255) and a 24-bit
+/// hash tag. A probe compares inside the slot first, so a value of up to 8
+/// bytes — category codes, small integers — resolves without touching the
+/// stored string; a longer value is compared in full only after its
+/// prefix, length and tag match.
+///
+/// The table holds codes, never pointers: a copied dictionary copies the
+/// values and the table independently and never points into its source.
+/// The table always equals the sequential insertion of codes 0..size()-1
+/// (growth re-inserts in code order), which is what lets TruncateTo drop a
+/// tail of codes by emptying their slots newest-first, with no tombstones.
 class Dictionary {
  public:
-  /// Returns the code for `value`, inserting it if new.
-  uint32_t Intern(const std::string& value);
+  /// Returns the code for `value`, inserting it if new. Strong guarantee:
+  /// if the insertion throws (allocation failure, a full code space), the
+  /// dictionary is unchanged.
+  uint32_t Intern(std::string_view value);
 
   /// Drops every value with code >= `size` (appender-side rollback after a
   /// failed batch: codes are assigned densely in intern order, so the
@@ -73,7 +90,7 @@ class Dictionary {
   void TruncateTo(uint32_t size);
 
   /// Returns the code for `value` if already interned.
-  std::optional<uint32_t> Lookup(const std::string& value) const;
+  std::optional<uint32_t> Lookup(std::string_view value) const;
 
   /// The string for `code`; aborts if out of range.
   const std::string& ValueOf(uint32_t code) const;
@@ -82,9 +99,47 @@ class Dictionary {
   uint32_t size() const { return static_cast<uint32_t>(values_.size()); }
 
  private:
+  /// Marks an empty slot; also one past the largest code handed out.
+  static constexpr uint32_t kNoCode = UINT32_MAX;
+
+  struct Slot {
+    uint64_t prefix = 0;   ///< first 8 bytes, or all bytes packed
+    uint32_t check = 0;    ///< hash tag << 8 | min(length, 255)
+    uint32_t code = kNoCode;
+  };
+
+  /// A value's probe key: the full hash (home slot) and its slot image.
+  struct Key {
+    uint64_t hash;
+    uint64_t prefix;
+    uint32_t check;
+  };
+  static Key KeyOf(std::string_view value);
+
+  /// Index of the slot holding `value`, or of the empty slot that ends
+  /// its probe sequence. The table must be non-empty.
+  size_t Probe(const Key& key, std::string_view value) const;
+
+  /// Rebuilds the table with `capacity` slots (a power of two), inserting
+  /// codes in order. Leaves the table unchanged if the allocation throws.
+  void Rehash(size_t capacity);
+
   std::vector<std::string> values_;
-  std::unordered_map<std::string, uint32_t> index_;
+  std::vector<Slot> slots_;
 };
+
+/// The most rows a relation may hold. Partitions (engine/partition.h) index
+/// rows as uint32 and require N < UINT32_MAX, so appends stop one short of
+/// it.
+inline constexpr uint64_t kMaxRelationRows = uint64_t{UINT32_MAX} - 1;
+
+/// True iff a relation holding `committed` rows can take `added` more
+/// without passing kMaxRelationRows. The one place the row ceiling's
+/// arithmetic lives; overflow-safe for any inputs.
+inline bool RowsFit(uint64_t committed, uint64_t added) {
+  return committed <= kMaxRelationRows &&
+         added <= kMaxRelationRows - committed;
+}
 
 /// A relation instance: Schema + N rows of uint32 codes.
 class Relation {
@@ -169,9 +224,11 @@ class Relation {
   /// allocation failure mid-batch, injected fault — the relation is
   /// bit-identical to before the call: same rows, same NumRows(), same
   /// epoch, same domain sizes. Allocation failures surface as
-  /// CapacityExceeded, never as an exception. (The lazily built dedupe
-  /// membership index may be dropped on failure; it rebuilds on the next
-  /// deduped append and is not observable through any read API.)
+  /// CapacityExceeded, never as an exception, and so does a batch whose
+  /// landing rows would take NumRows() past kMaxRelationRows (the uint32
+  /// row ceiling partitions index with; see RowsFit). (The lazily built
+  /// dedupe membership index may be dropped on failure; it rebuilds on the
+  /// next deduped append and is not observable through any read API.)
   Status AppendBatch(const std::vector<std::vector<uint32_t>>& rows,
                      bool dedupe = false);
 
@@ -188,6 +245,14 @@ class Relation {
   /// SUCCESS, dedupe-dropped rows may still leave their values interned —
   /// that only grows a dictionary, never the relation's data.)
   Status AppendStringBatch(const std::vector<std::vector<std::string>>& rows,
+                           bool dedupe = false);
+
+  /// Row-major form of AppendStringBatch: `fields` holds `rows` rows back
+  /// to back, NumAttrs() values each. The views are only read during the
+  /// call, so they may point into a caller's scratch buffer (io/csv.cc
+  /// hands its block buffer straight through). Same contract otherwise;
+  /// the nested-vector form checks row widths and delegates here.
+  Status AppendStringBatch(const std::string_view* fields, uint64_t rows,
                            bool dedupe = false);
 
   /// True iff some row appears more than once (multiset data).
@@ -221,7 +286,8 @@ class Relation {
 
   /// Appends pre-validated code rows (flat, width-checked by the callers),
   /// handling dedupe, domain growth, and the epoch bump. Strong guarantee:
-  /// a mid-batch failure truncates staged bytes back to the committed
+  /// a mid-batch failure — including a batch that would take NumRows()
+  /// past kMaxRelationRows — truncates staged bytes back to the committed
   /// prefix (never published) and returns CapacityExceeded.
   Status AppendCodesUnchecked(const std::vector<uint32_t>& flat,
                               uint64_t rows, bool dedupe);
@@ -258,8 +324,13 @@ class RelationBuilder {
   /// Appends a row of codes from a raw pointer (schema width codes).
   void AddRowPtr(const uint32_t* row);
 
-  /// Appends a row of strings, interning each into its dictionary.
+  /// Appends a row of strings, interning each into its dictionary; aborts
+  /// if the width mismatches the schema.
   void AddStringRow(const std::vector<std::string>& row);
+
+  /// Appends `rows` rows given back to back (schema width values each),
+  /// interning each value.
+  void AddStringRows(const std::string_view* fields, uint64_t rows);
 
   /// Number of rows added so far.
   uint64_t NumRows() const { return num_rows_; }

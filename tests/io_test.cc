@@ -5,6 +5,7 @@
 #include "io/csv.h"
 #include "io/table_printer.h"
 #include "relation/ops.h"
+#include "test_util.h"
 
 namespace ajd {
 namespace {
@@ -159,6 +160,141 @@ TEST(Csv, ResumeIngestRejectsNegativeOffset) {
   // -1 is AppendCsvBatches' "stream not resumable" sentinel.
   EXPECT_EQ(ResumeCsvIngest(in, &r, opts, 2, -1).code(),
             StatusCode::kInvalidArgument);
+}
+
+// The rows of a two-column CSV, one batch of `batch_rows` per group, and
+// the byte offset just past each batch's last row.
+struct BatchedText {
+  std::string text;
+  std::vector<size_t> batch_ends;
+};
+
+BatchedText TwoColumnCsv(int rows, int batch_rows, int ragged_row = -1) {
+  BatchedText out{"a,b\n", {}};
+  for (int i = 0; i < rows; ++i) {
+    out.text += "x" + std::to_string(i % 5);
+    if (i != ragged_row) out.text += ",y" + std::to_string(i % 3);
+    out.text += "\n";
+    if ((i + 1) % batch_rows == 0 || i + 1 == rows) {
+      out.batch_ends.push_back(out.text.size());
+    }
+  }
+  return out;
+}
+
+Relation EmptyAB() {
+  Schema s = Schema::Make({{"a", 0}, {"b", 0}}).value();
+  return std::move(RelationBuilder(s)).Build(false);
+}
+
+TEST(Csv, RaggedRowReportsCommittedBatchesAndResumesBitIdentical) {
+  // A ragged row in batch k = 3 (batches of 4 rows): batches 1 and 2
+  // commit, the resume offset sits just past batch 2's last row, and
+  // resuming from a corrected stream gives the uninterrupted relation.
+  constexpr int kBatch = 4;
+  const BatchedText broken = TwoColumnCsv(14, kBatch, /*ragged_row=*/9);
+  const BatchedText fixed = TwoColumnCsv(14, kBatch);
+  CsvOptions opts;
+  opts.dedupe = false;
+
+  Relation clean = EmptyAB();
+  {
+    std::istringstream in(fixed.text);
+    ASSERT_TRUE(AppendCsvBatches(in, &clean, opts, kBatch).ok());
+  }
+
+  Relation r = EmptyAB();
+  CsvIngestSummary summary;
+  {
+    std::istringstream in(broken.text);
+    Status s = AppendCsvBatches(in, &r, opts, kBatch, &summary);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(summary.batches_committed, 2u);
+  EXPECT_EQ(summary.rows_read, 2u * kBatch);
+  EXPECT_EQ(summary.rows_appended, 2u * kBatch);
+  EXPECT_EQ(r.NumRows(), 2u * kBatch);
+  EXPECT_EQ(r.epoch(), 2u);
+  ASSERT_EQ(summary.resume_offset,
+            static_cast<int64_t>(broken.batch_ends[1]));
+
+  // The fixed stream has the same bytes before the ragged row, so the
+  // offset is valid in it too.
+  std::istringstream in(fixed.text);
+  CsvIngestSummary resumed;
+  ASSERT_TRUE(
+      ResumeCsvIngest(in, &r, opts, kBatch, summary.resume_offset, &resumed)
+          .ok());
+  EXPECT_EQ(resumed.batches_committed, 2u);  // rows 8..11, then 12..13
+  EXPECT_EQ(resumed.resume_offset, static_cast<int64_t>(fixed.text.size()));
+  EXPECT_EQ(r.NumRows(), clean.NumRows());
+  EXPECT_EQ(r.data(), clean.data());
+  EXPECT_EQ(r.epoch(), clean.epoch());
+  for (uint32_t a = 0; a < 2; ++a) {
+    ASSERT_EQ(r.dict(a)->size(), clean.dict(a)->size());
+    for (uint32_t c = 0; c < r.dict(a)->size(); ++c) {
+      EXPECT_EQ(r.dict(a)->ValueOf(c), clean.dict(a)->ValueOf(c));
+    }
+  }
+}
+
+TEST(Csv, StreamWithoutPositionReportsNoResumeOffset) {
+  const BatchedText text = TwoColumnCsv(7, 2);
+  CsvOptions opts;
+  {
+    testing_util::TrickleStreambuf buf(text.text, 5, /*seekable=*/false,
+                                       /*stop_at_newline=*/false);
+    std::istream in(&buf);
+    Relation r = EmptyAB();
+    CsvIngestSummary summary;
+    ASSERT_TRUE(AppendCsvBatches(in, &r, opts, 2, &summary).ok());
+    EXPECT_EQ(summary.batches_committed, 4u);
+    EXPECT_EQ(summary.resume_offset, -1);
+  }
+  {
+    // A failure from such a stream is not resumable either.
+    const BatchedText broken = TwoColumnCsv(7, 2, /*ragged_row=*/4);
+    testing_util::TrickleStreambuf buf(broken.text, 5, /*seekable=*/false,
+                                       /*stop_at_newline=*/false);
+    std::istream in(&buf);
+    Relation r = EmptyAB();
+    CsvIngestSummary summary;
+    EXPECT_EQ(AppendCsvBatches(in, &r, opts, 2, &summary).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(summary.batches_committed, 2u);
+    EXPECT_EQ(summary.resume_offset, -1);
+  }
+}
+
+TEST(Csv, TricklingStreamDeliversEachBatchBeforeReadingTheNext) {
+  // A pipe-like stream handing out at most 3 bytes per read, never past a
+  // row end: every batch must reach the sink when its last row's bytes
+  // are in, before any byte of the next batch is asked for.
+  constexpr int kBatch = 3;
+  const BatchedText text = TwoColumnCsv(11, kBatch);
+  testing_util::TrickleStreambuf buf(text.text, 3, /*seekable=*/true,
+                                     /*stop_at_newline=*/true);
+  std::istream in(&buf);
+  std::vector<size_t> seen;
+  Status s = ReadCsvBatches(
+      in, CsvOptions{}, kBatch,
+      [&](const std::vector<std::string>&,
+          std::vector<std::vector<std::string>>) {
+        seen.push_back(buf.handed_out());
+        return Status::OK();
+      });
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(seen, text.batch_ends);
+
+  // The same through AppendCsvBatches, whose resume offsets must track the
+  // batch ends as well.
+  testing_util::TrickleStreambuf buf2(text.text, 3, /*seekable=*/true,
+                                      /*stop_at_newline=*/true);
+  std::istream in2(&buf2);
+  Relation r = EmptyAB();
+  CsvIngestSummary summary;
+  ASSERT_TRUE(AppendCsvBatches(in2, &r, CsvOptions{}, kBatch, &summary).ok());
+  EXPECT_EQ(summary.resume_offset, static_cast<int64_t>(text.text.size()));
 }
 
 TEST(TablePrinter, AlignsColumns) {

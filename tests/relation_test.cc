@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "random/rng.h"
 #include "relation/relation.h"
 #include "relation/row_hash.h"
 #include "relation/schema.h"
@@ -119,6 +124,101 @@ TEST(Dictionary, TruncateKeepsValuesInternedBeforeTheCutoff) {
   // A clean retry recovers the identical code assignment a never-failed
   // run would have produced.
   EXPECT_EQ(d.Intern("new"), fresh);
+}
+
+TEST(Dictionary, MatchesAReferenceMapThroughInternsTruncatesAndCopies) {
+  // Values of every length class (empty, under 8 bytes, exactly 8, long
+  // ones sharing an 8-byte prefix, longer than 255) interned in random
+  // order with random rollbacks; codes and lookups must match a std::map
+  // reference throughout, and a copy must stay independent of its source.
+  Rng rng(7);
+  std::vector<std::string> pool = {"", "a", "ab", "abc", "abcd", "abcdefgh"};
+  for (int i = 0; i < 300; ++i) {
+    const std::string digits = std::to_string(i);
+    pool.push_back(digits);
+    pool.push_back("prefix__" + digits);          // long, shared prefix
+    pool.push_back(std::string(i % 300, 'z') + digits);  // up to ~300 bytes
+  }
+  Dictionary d;
+  std::map<std::string, uint32_t> ref;
+  std::vector<std::string> by_code;
+  for (int step = 0; step < 4000; ++step) {
+    if (rng.Bernoulli(0.02)) {
+      const uint32_t keep =
+          static_cast<uint32_t>(rng.UniformU64(by_code.size() + 1));
+      d.TruncateTo(keep);
+      for (size_t c = keep; c < by_code.size(); ++c) ref.erase(by_code[c]);
+      by_code.resize(keep);
+      continue;
+    }
+    const std::string& v = pool[rng.UniformU64(pool.size())];
+    auto [it, fresh] = ref.emplace(v, static_cast<uint32_t>(by_code.size()));
+    if (fresh) by_code.push_back(v);
+    ASSERT_EQ(d.Intern(v), it->second) << "step " << step;
+  }
+  ASSERT_EQ(d.size(), by_code.size());
+  for (const std::string& v : pool) {
+    auto it = ref.find(v);
+    const std::optional<uint32_t> want =
+        it == ref.end() ? std::nullopt : std::optional<uint32_t>(it->second);
+    EXPECT_EQ(d.Lookup(v), want);
+  }
+  for (uint32_t c = 0; c < d.size(); ++c) EXPECT_EQ(d.ValueOf(c), by_code[c]);
+
+  Dictionary copy = d;
+  d.TruncateTo(0);
+  EXPECT_EQ(d.Intern("only"), 0u);
+  ASSERT_EQ(copy.size(), by_code.size());
+  for (uint32_t c = 0; c < copy.size(); ++c) {
+    EXPECT_EQ(copy.ValueOf(c), by_code[c]);
+    EXPECT_EQ(copy.Lookup(by_code[c]), std::optional<uint32_t>(c));
+  }
+  EXPECT_FALSE(copy.Lookup("only").has_value());  // not in the pool
+}
+
+TEST(Relation, RowCeilingArithmeticAtTheBoundary) {
+  // Partitions need N < UINT32_MAX; RowsFit is the one place that rule is
+  // computed (a 4-billion-row relation is out of reach for a test).
+  EXPECT_EQ(kMaxRelationRows, uint64_t{UINT32_MAX} - 1);
+  EXPECT_TRUE(RowsFit(0, 0));
+  EXPECT_TRUE(RowsFit(0, kMaxRelationRows));
+  EXPECT_FALSE(RowsFit(0, kMaxRelationRows + 1));
+  EXPECT_TRUE(RowsFit(kMaxRelationRows - 1, 1));
+  EXPECT_FALSE(RowsFit(kMaxRelationRows - 1, 2));
+  EXPECT_TRUE(RowsFit(kMaxRelationRows, 0));
+  EXPECT_FALSE(RowsFit(kMaxRelationRows, 1));
+  EXPECT_FALSE(RowsFit(kMaxRelationRows + 1, 0));
+  // No wrap-around for huge inputs.
+  EXPECT_FALSE(RowsFit(1, UINT64_MAX));
+  EXPECT_FALSE(RowsFit(UINT64_MAX, UINT64_MAX));
+}
+
+TEST(Relation, RowMajorStringAppendMatchesNestedForm) {
+  // The string_view form the CSV path calls and the nested-vector form
+  // land the same rows, codes and dictionaries.
+  const std::vector<std::vector<std::string>> rows = {
+      {"x", "long value past eight"},
+      {"y", "p"},
+      {"x", "long value past eight"}};
+  Relation nested = std::move(RelationBuilder(
+                                  Schema::MakeUniform({"a", "b"}, 0).value()))
+                        .Build(false);
+  Relation flat = nested;
+  ASSERT_TRUE(nested.AppendStringBatch(rows, /*dedupe=*/true).ok());
+  std::vector<std::string_view> fields;
+  for (const auto& row : rows) {
+    fields.insert(fields.end(), row.begin(), row.end());
+  }
+  ASSERT_TRUE(flat.AppendStringBatch(fields.data(), rows.size(), true).ok());
+  EXPECT_EQ(flat.NumRows(), 2u);
+  EXPECT_EQ(flat.data(), nested.data());
+  EXPECT_EQ(flat.epoch(), nested.epoch());
+  for (uint32_t a = 0; a < 2; ++a) {
+    ASSERT_EQ(flat.dict(a)->size(), nested.dict(a)->size());
+    for (uint32_t c = 0; c < flat.dict(a)->size(); ++c) {
+      EXPECT_EQ(flat.dict(a)->ValueOf(c), nested.dict(a)->ValueOf(c));
+    }
+  }
 }
 
 TEST(RelationBuilder, BuildsAndDedupes) {

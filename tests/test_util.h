@@ -3,7 +3,12 @@
 #ifndef AJD_TESTS_TEST_UTIL_H_
 #define AJD_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <ios>
+#include <streambuf>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,6 +99,58 @@ inline JoinTree RandomJoinTree(Rng* rng, uint32_t num_attrs) {
   return rng->Bernoulli(0.5) ? RandomPathJoinTree(rng, num_attrs)
                              : RandomStarJoinTree(rng, num_attrs);
 }
+
+/// A streambuf over `text` that hands out at most `max_chunk` bytes per
+/// underflow (a seeded random size in [1, max_chunk]) and reports nothing
+/// buffered beyond its current chunk, like a pipe. With `stop_at_newline`
+/// no chunk crosses a '\n', so a reader that asks for more than it needs
+/// is visible in handed_out(). Reports its position to tellg() only when
+/// `seekable`; it never seeks.
+class TrickleStreambuf : public std::streambuf {
+ public:
+  TrickleStreambuf(std::string text, size_t max_chunk, bool seekable,
+                   bool stop_at_newline, uint64_t seed = 1)
+      : text_(std::move(text)),
+        max_chunk_(max_chunk),
+        seekable_(seekable),
+        stop_at_newline_(stop_at_newline),
+        rng_(seed) {}
+
+  /// Bytes handed to the reader so far (through the current chunk).
+  size_t handed_out() const { return next_; }
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (next_ >= text_.size()) return traits_type::eof();
+    size_t n = 1 + static_cast<size_t>(rng_.UniformU64(max_chunk_));
+    n = std::min(n, text_.size() - next_);
+    char* begin = text_.data() + next_;
+    if (stop_at_newline_) {
+      const void* nl = std::memchr(begin, '\n', n);
+      if (nl != nullptr) n = static_cast<const char*>(nl) - begin + 1;
+    }
+    setg(begin, begin, begin + n);
+    next_ += n;
+    return traits_type::to_int_type(*gptr());
+  }
+
+  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                   std::ios_base::openmode) override {
+    if (!seekable_ || off != 0 || dir != std::ios_base::cur) {
+      return pos_type(off_type(-1));
+    }
+    return pos_type(off_type(next_ - (egptr() - gptr())));
+  }
+
+ private:
+  std::string text_;
+  size_t max_chunk_;
+  bool seekable_;
+  bool stop_at_newline_;
+  Rng rng_;
+  size_t next_ = 0;
+};
 
 }  // namespace testing_util
 }  // namespace ajd
