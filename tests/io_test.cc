@@ -162,8 +162,9 @@ TEST(Csv, ResumeIngestRejectsNegativeOffset) {
             StatusCode::kInvalidArgument);
 }
 
-// The rows of a two-column CSV, one batch of `batch_rows` per group, and
-// the byte offset just past each batch's last row.
+// A two-column CSV of `rows` data rows (row `ragged_row`, if any, lacks
+// its second field), and the byte offset just past the last row of each
+// `batch_rows`-row batch.
 struct BatchedText {
   std::string text;
   std::vector<size_t> batch_ends;
