@@ -621,6 +621,23 @@ double EntropyEngine::ComputeEntropy(
   const uint64_t n = pin.rows;
   AJD_INJECT_BAD_ALLOC(failpoints::kEngineComputePartition);
 
+  // Every attribute over a duplicate-free prefix groups each row alone, so
+  // H = ln n: the refinement chain through every column would only confirm
+  // it. The value comes from an empty partition's EntropyNats, where every
+  // cold path ends, so it equals EntropyOf bit for bit. No partition is
+  // cached: an empty entry would carry a chain through every column, and
+  // the next catch-up would replay that chain cold.
+  if (attrs == relation().schema().AllAttrs() &&
+      n <= relation().DistinctPrefixRows()) {
+    const double h = Partition().EntropyNats(n);
+    if (partition_out != nullptr) {
+      *partition_out = std::make_shared<const Partition>();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    CacheEntropyLocked(attrs, h, n);
+    return h;
+  }
+
   // Disk tier first (persist/persistent_store.h): an exact-key persisted
   // entry — same content fingerprint, same set, same row count — serves the
   // miss for the cost of a reload instead of a refinement chain. Any
@@ -817,15 +834,7 @@ double EntropyEngine::ComputeEntropy(
     std::lock_guard<std::mutex> lock(mu_);
     stats_.partition_builds += builds;
     stats_.refinements += refinements;
-    // Cache the value only while the pin is still current: a superseded
-    // pin's value would be invisible to every future lookup (they filter
-    // by row tag) yet sit in the map until a sweep that may never come.
-    // InsertPartitionLocked applies the same rule to the partitions.
-    if (pin.rows ==
-        std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)
-            ->rows) {
-      entropies_[attrs] = CachedEntropy{h, pin.rows};
-    }
+    CacheEntropyLocked(attrs, h, pin.rows);
     for (auto& entry : fresh) {
       const AttrSet set = entry.set;
       const size_t bytes = InsertPartitionLocked(
@@ -841,6 +850,18 @@ double EntropyEngine::ComputeEntropy(
     arbiter_->Charge(this, charged);
   }
   return h;
+}
+
+void EntropyEngine::CacheEntropyLocked(AttrSet attrs, double h,
+                                       uint64_t rows) {
+  // Only while the pin is still current: a superseded pin's value would be
+  // invisible to every future lookup (they filter by row tag) yet sit in
+  // the map until a sweep that may never come. InsertPartitionLocked
+  // applies the same rule to the partitions.
+  if (rows ==
+      std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)->rows) {
+    entropies_[attrs] = CachedEntropy{h, rows};
+  }
 }
 
 size_t EntropyEngine::InsertPartitionLocked(AttrSet attrs,
@@ -1174,11 +1195,7 @@ bool EntropyEngine::TryServeFromDisk(
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.persist_hits;
     disk_keys_.insert({fp, attrs, pin.rows});
-    if (pin.rows ==
-        std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)
-            ->rows) {
-      entropies_[attrs] = CachedEntropy{meta.entropy, pin.rows};
-    }
+    CacheEntropyLocked(attrs, meta.entropy, pin.rows);
     *h_out = meta.entropy;
     return true;
   }
@@ -1218,11 +1235,7 @@ bool EntropyEngine::TryServeFromDisk(
     ++stats_.persist_hits;
     ++stats_.persist_reloads;
     disk_keys_.insert({fp, attrs, pin.rows});
-    if (pin.rows ==
-        std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)
-            ->rows) {
-      entropies_[attrs] = CachedEntropy{h, pin.rows};
-    }
+    CacheEntropyLocked(attrs, h, pin.rows);
     bytes = InsertPartitionLocked(attrs, p, std::move(meta.chain),
                                   meta.last_col_card, pin.rows,
                                   PartitionDelta{});

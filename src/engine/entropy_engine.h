@@ -16,6 +16,15 @@
 // cached as a future base; the last step of a plain query only counts the
 // refined blocks instead of materializing them.
 //
+// One set skips all of that. Over a prefix the relation knows to be
+// duplicate-free (Relation::DistinctPrefixRows()), every attribute at once
+// groups each row alone, so H(all attributes) = ln N — the last term of
+// J(T) for every tree over the whole schema. The miss path answers it
+// directly: no refinement chain, and NO cached partition (PartitionAt hands
+// out a fresh empty one). An all-attribute entry would record a chain
+// through every column, and each catch-up would extend that chain's deep
+// prefixes only to reconfirm ln N. Multisets take the ordinary path.
+//
 // Thread safety: all public methods are safe to call concurrently — WHILE
 // THE RELATION IS BEING APPENDED TO. There is no quiescence rule. Readers
 // pin the (synced row count, epoch) pair they started with (Pin()) and
@@ -258,7 +267,9 @@ class EntropyEngine {
   /// block sizes), not just its entropy. A partition cached at the pin's
   /// row count is returned as is; otherwise the miss takes the disk-tier
   /// probe, then the ordinary refinement chain with the last step
-  /// materialized (the PrewarmSubsets path), caching every step. The
+  /// materialized (the PrewarmSubsets path), caching every step. All
+  /// attributes over a duplicate-free prefix get a fresh empty partition
+  /// that is not cached (see the header comment). The
   /// returned pointer is the caller's to hold: an eviction after the call
   /// (arbiter pressure, catch-up sweep) drops the cache's reference, never
   /// the caller's, and catch-up extends a reader-held entry by copying, so
@@ -415,7 +426,10 @@ class EntropyEngine {
   /// `materialize_final` is set, the last refinement step builds and caches
   /// the full partition of `attrs` instead of taking the count-only
   /// pass (the PrewarmSubsets path); `partition_out`, which requires
-  /// materialize_final, then receives that partition directly.
+  /// materialize_final, then receives that partition directly. All
+  /// attributes over a prefix within Relation::DistinctPrefixRows() return
+  /// first, before the disk probe: H = ln N from an empty partition, the
+  /// value cached as usual, no partition cached (see the header comment).
   double ComputeEntropy(
       AttrSet attrs, const EpochPin& pin, bool materialize_final = false,
       std::shared_ptr<const Partition>* partition_out = nullptr);
@@ -441,6 +455,10 @@ class EntropyEngine {
   /// net of the lattice scans, which cannot. Requires mu_ held.
   uint64_t FanOutWorkLocked(const AttrSet* sets, size_t n,
                             uint64_t rows) const;
+
+  /// Caches H(attrs) = h at `rows` rows if `rows` is the current stamp's
+  /// row count (a superseded pin's value is dropped). Requires mu_ held.
+  void CacheEntropyLocked(AttrSet attrs, double h, uint64_t rows);
 
   /// Inserts a partition with its build recipe and row tag; returns its
   /// heap bytes if actually inserted (0 for duplicates — an existing entry

@@ -33,6 +33,8 @@ Relation::Relation(const Relation& other)
     : schema_(other.schema_),
       data_(std::make_shared<std::vector<uint32_t>>(*other.data_)),
       num_rows_(other.num_rows_.load(std::memory_order_relaxed)),
+      distinct_prefix_rows_(
+          other.distinct_prefix_rows_.load(std::memory_order_relaxed)),
       dicts_(other.dicts_),
       epoch_(other.epoch_.load(std::memory_order_relaxed)),
       uid_(NextRelationUid()) {}
@@ -43,6 +45,9 @@ Relation& Relation::operator=(const Relation& other) {
   data_ = std::make_shared<std::vector<uint32_t>>(*other.data_);
   num_rows_.store(other.num_rows_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
+  distinct_prefix_rows_.store(
+      other.distinct_prefix_rows_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
   dicts_ = other.dicts_;
   epoch_.store(other.epoch_.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
@@ -55,12 +60,15 @@ Relation::Relation(Relation&& other) noexcept
     : schema_(std::move(other.schema_)),
       data_(std::move(other.data_)),
       num_rows_(other.num_rows_.load(std::memory_order_relaxed)),
+      distinct_prefix_rows_(
+          other.distinct_prefix_rows_.load(std::memory_order_relaxed)),
       dicts_(std::move(other.dicts_)),
       epoch_(other.epoch_.load(std::memory_order_relaxed)),
       uid_(other.uid_),
       row_index_(std::move(other.row_index_)) {
   other.data_ = std::make_shared<std::vector<uint32_t>>();
   other.num_rows_.store(0, std::memory_order_relaxed);
+  other.distinct_prefix_rows_.store(0, std::memory_order_relaxed);
   other.epoch_.store(0, std::memory_order_relaxed);
   other.uid_ = 0;  // husk; see header. (0 is never a live uid.)
 }
@@ -71,6 +79,9 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   data_ = std::move(other.data_);
   num_rows_.store(other.num_rows_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
+  distinct_prefix_rows_.store(
+      other.distinct_prefix_rows_.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
   dicts_ = std::move(other.dicts_);
   epoch_.store(other.epoch_.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
@@ -78,6 +89,7 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   row_index_ = std::move(other.row_index_);
   other.data_ = std::make_shared<std::vector<uint32_t>>();
   other.num_rows_.store(0, std::memory_order_relaxed);
+  other.distinct_prefix_rows_.store(0, std::memory_order_relaxed);
   other.epoch_.store(0, std::memory_order_relaxed);
   other.uid_ = 0;
   return *this;
@@ -270,7 +282,12 @@ Status Relation::AppendCodesUnchecked(const std::vector<uint32_t>& flat,
         max_code[a] = std::max<uint64_t>(max_code[a], row[a]);
       }
     }
-    if (appended == 0) return Status::OK();
+    if (appended == 0) {
+      // Every row was a duplicate: nothing publishes, but a freshly built
+      // index may still prove the committed rows distinct.
+      RaiseDistinctPrefix(committed);
+      return Status::OK();
+    }
     if (!RowsFit(committed, appended)) {
       throw std::length_error("relation would pass " +
                               std::to_string(kMaxRelationRows) + " rows");
@@ -299,7 +316,10 @@ Status Relation::AppendCodesUnchecked(const std::vector<uint32_t>& flat,
   // Publication order: row bytes are fully written above; release the row
   // count, then release the epoch. Readers pair acquire loads in the
   // opposite order (epoch first), so a reader at epoch e sees at least the
-  // rows of epoch e. Stores cannot fail: the batch is committed.
+  // rows of epoch e. Stores cannot fail: the batch is committed. The
+  // distinct-prefix watermark goes first, so a reader that sees the new
+  // row count never finds the watermark behind a rise this batch made.
+  RaiseDistinctPrefix(committed + appended);
   num_rows_.store(committed + appended, std::memory_order_release);
   epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
                std::memory_order_release);
@@ -414,13 +434,20 @@ Status Relation::AppendStringBatch(const std::string_view* fields,
   return append;
 }
 
+void Relation::RaiseDistinctPrefix(uint64_t rows) {
+  // `rows` is never below the committed count, so this never lowers it.
+  if (row_index_ != nullptr && row_index_->NumDistinct() == rows) {
+    distinct_prefix_rows_.store(rows, std::memory_order_release);
+  }
+}
+
 bool Relation::HasDuplicateRows() const {
   return NumDistinctRows() != NumRows();
 }
 
 uint64_t Relation::NumDistinctRows() const {
   const uint64_t n = NumRows();
-  if (n == 0) return 0;
+  if (n <= DistinctPrefixRows()) return n;
   TupleCounter counter(NumAttrs(), n);
   for (uint64_t i = 0; i < n; ++i) counter.Add(Row(i));
   return counter.NumDistinct();
@@ -530,6 +557,8 @@ Relation RelationBuilder::Build(bool dedupe) && {
     }
     r.data_ = std::make_shared<std::vector<uint32_t>>(std::move(unique));
     r.num_rows_.store(r.data_->size() / width, std::memory_order_relaxed);
+    r.distinct_prefix_rows_.store(r.data_->size() / width,
+                                  std::memory_order_relaxed);
   } else {
     r.data_ = std::make_shared<std::vector<uint32_t>>(std::move(data_));
     r.num_rows_.store(num_rows_, std::memory_order_relaxed);

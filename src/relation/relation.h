@@ -21,9 +21,10 @@
 // the committed prefix, and when capacity runs out the data moves to a NEW
 // buffer published with an atomic pointer store (readers pin the old one
 // alive through Snapshot()). Publication order is: row bytes, then
-// NumRows() (release), then epoch() (release). A reader that loads the
-// epoch FIRST and the row count second therefore sees at least every row
-// of that epoch, and rows [0, NumRows()) are always fully written.
+// DistinctPrefixRows() (release, when it rises), then NumRows() (release),
+// then epoch() (release). A reader that loads the epoch FIRST and the row
+// count second therefore sees at least every row of that epoch, and rows
+// [0, NumRows()) are always fully written.
 // Appends themselves are single-writer (one appending thread at a time);
 // dictionaries, schema domain sizes, and the dedupe index are
 // appender-side state with no reader-safe access.
@@ -228,7 +229,8 @@ class Relation {
   /// landing rows would take NumRows() past kMaxRelationRows (the uint32
   /// row ceiling partitions index with; see RowsFit). (The lazily built
   /// dedupe membership index may be dropped on failure; it rebuilds on the
-  /// next deduped append and is not observable through any read API.)
+  /// next deduped append. Until then multiset appends cannot raise
+  /// DistinctPrefixRows(); no other read API can tell.)
   Status AppendBatch(const std::vector<std::vector<uint32_t>>& rows,
                      bool dedupe = false);
 
@@ -255,11 +257,32 @@ class Relation {
   Status AppendStringBatch(const std::string_view* fields, uint64_t rows,
                            bool dedupe = false);
 
-  /// True iff some row appears more than once (multiset data).
+  /// True iff some row appears more than once (multiset data). O(1) when
+  /// DistinctPrefixRows() covers every row; one counting pass otherwise.
   bool HasDuplicateRows() const;
 
-  /// Number of distinct rows.
+  /// Number of distinct rows (same cost rule as HasDuplicateRows).
   uint64_t NumDistinctRows() const;
+
+  /// The distinct-prefix watermark: the first DistinctPrefixRows() rows are
+  /// pairwise distinct. It is a lower bound on what is known, not a count:
+  ///   - Build(dedupe = true) over at least one attribute sets it to N;
+  ///     Build(dedupe = false) leaves it at 0, even over distinct rows.
+  ///   - A successful append raises it to the new row count when the
+  ///     dedupe row index exists and counts that many distinct rows. The
+  ///     first deduped append (into an empty relation too) builds the
+  ///     index, and later deduped AND multiset appends keep it exact, so a
+  ///     multiset append of a repeated row leaves the watermark where it
+  ///     was.
+  ///   - It never falls (rows never change). Copies keep it, moves carry
+  ///     it (the husk reads 0), a failed append leaves it as it was.
+  /// Safe concurrently with an append: it is release-stored before
+  /// NumRows(), so it may briefly exceed NumRows(). A reader that takes a
+  /// Snapshot() and then loads the watermark knows the first min(both)
+  /// rows of the snapshot are distinct.
+  uint64_t DistinctPrefixRows() const {
+    return distinct_prefix_rows_.load(std::memory_order_acquire);
+  }
 
   /// True iff row `r` (NumAttrs() codes) is present.
   bool ContainsRow(const uint32_t* row) const;
@@ -292,6 +315,10 @@ class Relation {
   Status AppendCodesUnchecked(const std::vector<uint32_t>& flat,
                               uint64_t rows, bool dedupe);
 
+  /// Raises the distinct-prefix watermark to `rows` when the dedupe row
+  /// index exists and counts `rows` distinct rows. Appender-side.
+  void RaiseDistinctPrefix(uint64_t rows);
+
   Schema schema_;
   /// Row-major code storage behind a shared pointer so concurrent readers
   /// can pin the buffer across capacity regrows: the appender writes new
@@ -300,6 +327,8 @@ class Relation {
   /// must regrow. Never null.
   std::shared_ptr<std::vector<uint32_t>> data_;
   std::atomic<uint64_t> num_rows_{0};
+  /// See DistinctPrefixRows(). Stored (release) before num_rows_.
+  std::atomic<uint64_t> distinct_prefix_rows_{0};
   std::vector<std::optional<Dictionary>> dicts_;
   std::atomic<uint64_t> epoch_{0};
   uint64_t uid_ = 0;
@@ -338,8 +367,9 @@ class RelationBuilder {
   /// Reserves space for `rows` rows.
   void Reserve(uint64_t rows);
 
-  /// Finalizes. Deduplicates when `dedupe`. Grows schema domain sizes to
-  /// cover observed codes.
+  /// Finalizes. Deduplicates when `dedupe`, which also sets the built
+  /// relation's DistinctPrefixRows() to its row count. Grows schema domain
+  /// sizes to cover observed codes.
   Relation Build(bool dedupe = true) &&;
 
  private:

@@ -117,10 +117,10 @@ TEST(EntropyEngine, RandomizedEquivalenceWithEntropyOf) {
     uint32_t num_attrs = 2 + static_cast<uint32_t>(rng.UniformU64(4));
     uint32_t domain = 2 + static_cast<uint32_t>(rng.UniformU64(5));
     uint32_t rows = 10 + static_cast<uint32_t>(rng.UniformU64(80));
-    Relation r = rng.Bernoulli(0.5)
-                     ? testing_util::RandomTestRelation(&rng, num_attrs,
-                                                        domain, rows)
-                     : RandomMultisetRelation(&rng, num_attrs, domain, rows);
+    const bool is_set = rng.Bernoulli(0.5);
+    Relation r = is_set ? testing_util::RandomTestRelation(&rng, num_attrs,
+                                                           domain, rows)
+                        : RandomMultisetRelation(&rng, num_attrs, domain, rows);
     EntropyEngine engine(&r);
     const uint32_t limit = uint32_t{1} << num_attrs;
     // Every subset, queried in random order (exercises subset reuse both
@@ -140,7 +140,16 @@ TEST(EntropyEngine, RandomizedEquivalenceWithEntropyOf) {
     }
     EngineStats stats = engine.Stats();
     EXPECT_GT(stats.hits, 0u);
-    EXPECT_GT(stats.base_reuses, 0u);
+    // A set answers H(all attributes) = ln N without refining, so with two
+    // attributes nothing is left to refine from a cached base.
+    if (num_attrs > 2 || !is_set) {
+      EXPECT_GT(stats.base_reuses, 0u) << "trial=" << trial;
+    }
+    if (is_set) {
+      EXPECT_FALSE(engine.CachedPartitionInfo(r.schema().AllAttrs(), nullptr,
+                                              nullptr))
+          << "trial=" << trial;
+    }
   }
 }
 
@@ -646,6 +655,47 @@ TEST(EntropyEngine, PartitionAtSurvivesEvictionOnEveryMiss) {
         << s.ToString();
   }
   EXPECT_GT(engine.Stats().evictions, 0u);
+}
+
+TEST(EntropyEngine, AllAttributesOfASetSkipThePartitionCache) {
+  // A duplicate-free relation answers H(all attributes) = ln N directly:
+  // the value equals EntropyOf bit for bit, PartitionAt hands out an empty
+  // (all-singleton) partition, and no all-attribute partition is cached.
+  // A multiset takes the ordinary chain and caches it.
+  Rng rng(933);
+  for (int trial = 0; trial < 8; ++trial) {
+    const uint32_t num_attrs = 2 + static_cast<uint32_t>(rng.UniformU64(4));
+    const uint32_t domain = 2 + static_cast<uint32_t>(rng.UniformU64(4));
+    const uint32_t rows = 20 + static_cast<uint32_t>(rng.UniformU64(100));
+    const bool is_set = trial % 2 == 0;
+    Relation r = is_set ? testing_util::RandomTestRelation(&rng, num_attrs,
+                                                           domain, rows)
+                        : RandomMultisetRelation(&rng, num_attrs, domain, rows);
+    ASSERT_EQ(r.DistinctPrefixRows(), is_set ? r.NumRows() : 0u);
+    const AttrSet all = r.schema().AllAttrs();
+    EntropyEngine engine(&r);
+    const uint32_t limit = uint32_t{1} << num_attrs;
+    std::vector<uint32_t> masks(limit);
+    for (uint32_t m = 0; m < limit; ++m) masks[m] = m;
+    rng.Shuffle(&masks);
+    for (uint32_t m : masks) {
+      const AttrSet s = AttrSet::FromMask(m);
+      EXPECT_EQ(engine.Entropy(s), EntropyOf(r, s)) << s.ToString();
+    }
+    engine.PrewarmSubsets({all});
+    const std::shared_ptr<const Partition> p =
+        engine.PartitionAt(all, engine.Pin());
+    EXPECT_EQ(CanonicalBlocks(*p), HashGrouping(r, all, r.NumRows()));
+    EXPECT_EQ(p->NumDistinct(r.NumRows()), CountDistinct(r, all));
+    EXPECT_EQ(engine.Entropy(all), EntropyOf(r, all));
+    if (is_set) {
+      EXPECT_EQ(p->NumBlocks(), 0u);
+      EXPECT_EQ(engine.Entropy(all),
+                std::log(static_cast<double>(r.NumRows())));
+    }
+    EXPECT_EQ(engine.CachedPartitionInfo(all, nullptr, nullptr), !is_set)
+        << "trial=" << trial;
+  }
 }
 
 TEST(EntropyEngine, PinnedPartitionAtStaysAtItsEpochWhileNextPublishes) {

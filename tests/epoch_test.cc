@@ -915,6 +915,88 @@ TEST(EpochConcurrency, PinnedReadersStayExactWhileAppenderPublishes) {
   }
 }
 
+TEST(EpochConcurrency, PinnedAllAttributeEntropyOfASetWhileNextEpochLands) {
+  // A duplicate-free relation answers H(all attributes) from its
+  // distinct-prefix watermark. Readers pinned at epoch k must still read
+  // exactly EntropyOf over the first rows-at-k rows while deduped appends
+  // land and catch-up publishes epoch k+1, and no all-attribute partition
+  // may ever be cached.
+  Rng rng(7900);
+  const uint32_t num_attrs = 4;
+  std::vector<uint64_t> dims(num_attrs, 2);
+  RelationBuilder b(Schema::MakeSynthetic(dims).value());
+  for (const auto& row : RandomRows(&rng, num_attrs, 5, 120)) b.AddRow(row);
+  Relation r = std::move(b).Build(/*dedupe=*/true);
+  std::vector<std::vector<std::vector<uint32_t>>> batches;
+  for (uint32_t k = 0; k < 6; ++k) {
+    batches.push_back(RandomRows(&rng, num_attrs, 5 + k, 40));
+  }
+  const AttrSet all = r.schema().AllAttrs();
+  EntropyEngine engine(&r);
+  engine.Entropy(AttrSet{0, 1});  // something cached for catch-up to claim
+
+  struct Obs {
+    uint64_t rows;
+    double h;
+    uint64_t distinct;
+  };
+  constexpr int kReaders = 3;
+  std::vector<std::vector<Obs>> observed(kReaders);
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  {
+    EpochMaintenance maintenance(&engine, std::chrono::microseconds(50));
+    std::vector<std::thread> readers;
+    readers.reserve(kReaders);
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&engine, &observed, &done, &started, all, t] {
+        auto& out = observed[static_cast<size_t>(t)];
+        while (!done.load(std::memory_order_acquire)) {
+          const EpochPin pin = engine.Pin();
+          out.push_back({pin.rows, engine.EntropyAt(all, pin),
+                         engine.PartitionAt(all, pin)->NumDistinct(pin.rows)});
+          if (out.size() == 1) started.fetch_add(1);
+          if (t == 0) engine.CatchUp();  // race the maintenance thread
+        }
+      });
+    }
+    // Every reader holds a pin before the first append lands.
+    while (started.load() < kReaders) std::this_thread::yield();
+    for (const auto& batch : batches) {
+      // EXPECT: an early return would leave the readers unjoined.
+      EXPECT_TRUE(r.AppendBatch(batch, /*dedupe=*/true).ok());
+      maintenance.Poke();
+      std::this_thread::sleep_for(std::chrono::microseconds(400));
+    }
+    done.store(true, std::memory_order_release);
+    for (auto& reader : readers) reader.join();
+  }
+  ASSERT_EQ(r.DistinctPrefixRows(), r.NumRows());
+
+  // Rows never change, so the reference at any pinned row count is the
+  // final relation's prefix.
+  std::unordered_map<uint64_t, double> expected;
+  size_t checked = 0;
+  for (const auto& per_thread : observed) {
+    for (const Obs& o : per_thread) {
+      auto it = expected.find(o.rows);
+      if (it == expected.end()) {
+        RelationBuilder prefix(r.schema());
+        for (uint64_t i = 0; i < o.rows; ++i) prefix.AddRowPtr(r.Row(i));
+        const Relation cold = std::move(prefix).Build(/*dedupe=*/false);
+        it = expected.emplace(o.rows, EntropyOf(cold, all)).first;
+      }
+      EXPECT_EQ(o.h, it->second) << "rows " << o.rows;
+      EXPECT_EQ(o.distinct, o.rows);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  engine.CatchUp();
+  EXPECT_EQ(engine.Entropy(all), EntropyOf(r, all));
+  EXPECT_FALSE(engine.CachedPartitionInfo(all, nullptr, nullptr));
+}
+
 TEST(EpochEngine, ExtensionAndReplayPathsBothRun) {
   // Sanity on the stats: an engine with a stable cache should delta-extend
   // its chains; an engine whose budget evicted a cached entry's ancestors

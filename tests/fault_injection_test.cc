@@ -218,6 +218,38 @@ TEST(FaultInjection, AppendBatchRollsBackBitIdentical) {
   EXPECT_EQ(r.epoch(), epoch_before + 1);
 }
 
+TEST(FaultInjection, FailedAppendLeavesTheDistinctPrefix) {
+  AJD_REQUIRE_FAILPOINT_BUILD();
+  DisarmOnExit guard;
+  Rng rng(13);
+  Relation r = testing_util::RandomTestRelation(&rng, 3, 4, 40);
+  ASSERT_TRUE(r.AppendBatch(RandomRows(&rng, 3, 5, 10), /*dedupe=*/true).ok());
+  const uint64_t watermark = r.DistinctPrefixRows();
+  ASSERT_EQ(watermark, r.NumRows());
+  // Fresh rows (codes past every earlier domain), so the batch would have
+  // raised the watermark had it landed.
+  std::vector<std::vector<uint32_t>> fresh(8, std::vector<uint32_t>(3));
+  for (uint32_t i = 0; i < fresh.size(); ++i) fresh[i] = {100 + i, 0, 0};
+  for (const char* point : {failpoints::kRelationAppendReserve,
+                            failpoints::kRelationAppendStage}) {
+    for (const bool dedupe : {true, false}) {
+      Reg().Arm(point, FailpointConfig::OneShot(
+                           point == failpoints::kRelationAppendStage ? 4 : 0));
+      EXPECT_EQ(r.AppendBatch(fresh, dedupe).code(),
+                StatusCode::kCapacityExceeded)
+          << point;
+      EXPECT_EQ(r.DistinctPrefixRows(), watermark) << point;
+      Reg().Disarm(point);
+    }
+  }
+  // The rollback dropped the row index; a multiset append cannot raise the
+  // watermark without it, and the next deduped append rebuilds it.
+  ASSERT_TRUE(r.AppendBatch({fresh[0]}, /*dedupe=*/false).ok());
+  EXPECT_EQ(r.DistinctPrefixRows(), watermark);
+  ASSERT_TRUE(r.AppendBatch({fresh[1]}, /*dedupe=*/true).ok());
+  EXPECT_EQ(r.DistinctPrefixRows(), r.NumRows());
+}
+
 TEST(FaultInjection, AppendStringBatchRollsBackDictionaries) {
   AJD_REQUIRE_FAILPOINT_BUILD();
   DisarmOnExit guard;

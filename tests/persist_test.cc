@@ -19,10 +19,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +41,7 @@
 #include "relation/attr_set.h"
 #include "relation/relation.h"
 #include "test_util.h"
+#include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 
@@ -478,6 +482,170 @@ void CheckColdBitwise(EntropyEngine* engine, const Relation& r,
   for (AttrSet s : sets) {
     ASSERT_EQ(engine->Entropy(s), EntropyOf(r, s)) << "attrs=" << s.ToString();
   }
+}
+
+std::string ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const fs::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void PutU32At(std::string* bytes, size_t pos, uint32_t v) {
+  std::memcpy(&(*bytes)[pos], &v, sizeof(v));
+}
+
+/// One seeded mutation of a store file. Raw damage (bit flips, a
+/// truncation, a splice of bytes from another store file) is what a torn
+/// write or a bad disk does, and the journal and blob CRCs must catch it.
+/// The re-framed kinds flip bytes INSIDE a checksummed region and then
+/// fix the CRC up, so the record and payload decoders behind the CRCs see
+/// garbage too. Returns true for raw damage.
+bool MutateStoreFile(Rng* rng, std::string* bytes, const std::string& other,
+                     bool is_manifest) {
+  auto flip = [&](size_t lo) {
+    if (bytes->size() <= lo) return;
+    const int flips = 1 + static_cast<int>(rng->UniformU64(4));
+    for (int i = 0; i < flips; ++i) {
+      const size_t pos = lo + rng->UniformU64(bytes->size() - lo);
+      (*bytes)[pos] = static_cast<char>(
+          (*bytes)[pos] ^ static_cast<char>(1 + rng->UniformU64(255)));
+    }
+  };
+  switch (rng->UniformU64(4)) {
+    case 0:
+      flip(0);
+      return true;
+    case 1:
+      bytes->resize(rng->UniformU64(bytes->size() + 1));
+      return true;
+    case 2: {
+      if (other.empty()) return true;
+      const size_t from = rng->UniformU64(other.size());
+      const size_t len = 1 + rng->UniformU64(other.size() - from);
+      const size_t at = rng->UniformU64(bytes->size() + 1);
+      if (rng->Bernoulli(0.5)) {
+        bytes->insert(at, other, from, len);
+      } else {
+        bytes->replace(at, std::min(len, bytes->size() - at), other, from,
+                       len);
+      }
+      return true;
+    }
+    default:
+      break;
+  }
+  if (is_manifest) {
+    // Records follow the 8-byte magic as [u32 len][u32 crc][payload].
+    std::vector<size_t> records;
+    for (size_t pos = 8; pos + 8 <= bytes->size();) {
+      uint32_t len = 0;
+      std::memcpy(&len, bytes->data() + pos, 4);
+      if (len == 0 || pos + 8 + len > bytes->size()) break;
+      records.push_back(pos);
+      pos += 8 + len;
+    }
+    if (records.empty()) return false;
+    const size_t pos = records[rng->UniformU64(records.size())];
+    uint32_t len = 0;
+    std::memcpy(&len, bytes->data() + pos, 4);
+    std::string payload = bytes->substr(pos + 8, len);
+    flip(0);  // stray damage elsewhere too, now and then
+    payload[rng->UniformU64(len)] ^= static_cast<char>(1 + rng->UniformU64(255));
+    bytes->replace(pos + 8, len, payload);
+    PutU32At(bytes, pos + 4, Crc32c(payload.data(), payload.size()));
+    return false;
+  }
+  // Blob: a 20-byte header (magic, version, u64 body length, u32 CRC),
+  // then the CRC-covered body.
+  constexpr size_t kHeader = 20;
+  if (bytes->size() <= kHeader) return false;
+  flip(kHeader);
+  PutU32At(bytes, 16,
+           Crc32c(bytes->data() + kHeader, bytes->size() - kHeader));
+  return false;
+}
+
+// A seeded in-repo fuzz loop over the persist decoders. An engine writes a
+// small valid store once; each round copies it, mutates one file, and
+// drives the reading side: Open must succeed (damage is dropped, never
+// fatal), every listed entry must load or fail as a Status (quarantined
+// or dropped), Compact must succeed, and the compacted store must reopen
+// with the same entries. A payload that loads through an intact CRC must
+// rebuild through FromStripped; a re-framed one may fail there, but only
+// with a Status.
+TEST(PersistStore, MutatedStoresReopenLoadAndCompact) {
+  constexpr uint32_t kAttrs = 4;
+  constexpr int kRounds = 240;
+  Rng rng(20261018);
+  TempDir seed;
+  {
+    const Relation r = RelationOver(RandomCodeRows(&rng, kAttrs, 3, 60), kAttrs);
+    EngineOptions opt;
+    opt.num_threads = 1;
+    opt.persist_store = MustOpen(seed.str());
+    EntropyEngine engine(&r, opt);
+    engine.PrewarmSubsets(AllNonEmptySubsets(kAttrs));
+    ASSERT_TRUE(engine.PersistCache().ok());
+  }
+  std::vector<fs::path> files = {"MANIFEST"};
+  for (const auto& e : fs::directory_iterator(seed.path / "blobs")) {
+    files.push_back(fs::path("blobs") / e.path().filename());
+  }
+  ASSERT_GE(files.size(), 4u);
+  PersistOptions fast;
+  fast.fsync_writes = false;
+  uint64_t loaded = 0;
+  uint64_t rejected = 0;
+  uint64_t invalid = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    TempDir dir;
+    fs::copy(seed.path, dir.path, fs::copy_options::recursive);
+    const fs::path& target = files[rng.UniformU64(files.size())];
+    const fs::path& donor = files[rng.UniformU64(files.size())];
+    std::string bytes = ReadBytes(dir.path / target);
+    const bool raw = MutateStoreFile(&rng, &bytes, ReadBytes(dir.path / donor),
+                                     target == "MANIFEST");
+    WriteBytes(dir.path / target, bytes);
+
+    auto opened = PersistentCacheStore::Open(dir.str(), fast);
+    ASSERT_TRUE(opened.ok()) << "round " << round << ": "
+                             << opened.status().ToString();
+    std::shared_ptr<PersistentCacheStore> store = opened.value();
+    for (const PersistedEntryMeta& e : store->AllEntries()) {
+      if (!e.has_payload) continue;
+      Result<PartitionPayload> payload = store->LoadPayload(e);
+      if (!payload.ok()) {
+        ++rejected;
+        continue;
+      }
+      ++loaded;
+      Result<Partition> p = Partition::FromStripped(
+          std::move(payload.value().rows), std::move(payload.value().offsets),
+          e.rows);
+      if (raw) {
+        EXPECT_TRUE(p.ok()) << "round " << round << " " << target << ": "
+                            << p.status().ToString();
+      }
+      if (!p.ok()) ++invalid;
+    }
+    ASSERT_TRUE(store->Compact().ok()) << "round " << round;
+    const size_t live = store->NumEntries();
+    store.reset();
+    auto reopened = PersistentCacheStore::Open(dir.str(), fast);
+    ASSERT_TRUE(reopened.ok()) << "round " << round;
+    EXPECT_EQ(reopened.value()->NumEntries(), live) << "round " << round;
+    EXPECT_EQ(reopened.value()->Stats().torn_tail_events, 0u)
+        << "round " << round;
+  }
+  // The loop reached both sides of the blob CRC, and garbage behind it
+  // reached FromStripped.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(invalid, 0u);
 }
 
 TEST(PersistEngine, WarmRestartServesColdAnswersWithBitwisePartitions) {

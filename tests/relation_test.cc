@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "random/rng.h"
@@ -287,6 +291,148 @@ TEST(Relation, ToStringTruncates) {
   Relation r = Relation::FromRows(s, rows).value();
   std::string text = r.ToString(3);
   EXPECT_NE(text.find("(7 more)"), std::string::npos);
+}
+
+// --- The distinct-prefix watermark -----------------------------------------
+
+Relation BuildCodes(const std::vector<std::vector<uint32_t>>& rows,
+                    bool dedupe) {
+  RelationBuilder b(Schema::Make({{"A", 0}, {"B", 0}}).value());
+  for (const auto& row : rows) b.AddRow(row);
+  return std::move(b).Build(dedupe);
+}
+
+TEST(Relation, DistinctPrefixRowsAfterBuild) {
+  const Relation set = BuildCodes({{0, 1}, {0, 1}, {1, 1}, {2, 0}}, true);
+  EXPECT_EQ(set.NumRows(), 3u);
+  EXPECT_EQ(set.DistinctPrefixRows(), 3u);
+  EXPECT_FALSE(set.HasDuplicateRows());
+  EXPECT_EQ(set.NumDistinctRows(), 3u);
+
+  const Relation multiset = BuildCodes({{0, 1}, {1, 1}, {0, 1}}, false);
+  EXPECT_EQ(multiset.DistinctPrefixRows(), 0u);
+  EXPECT_TRUE(multiset.HasDuplicateRows());
+  EXPECT_EQ(multiset.NumDistinctRows(), 2u);
+
+  // Build(false) proves nothing even over distinct rows; the counting
+  // path still answers.
+  const Relation unproven = BuildCodes({{0, 1}, {1, 1}}, false);
+  EXPECT_EQ(unproven.DistinctPrefixRows(), 0u);
+  EXPECT_FALSE(unproven.HasDuplicateRows());
+  EXPECT_EQ(unproven.NumDistinctRows(), 2u);
+
+  EXPECT_EQ(BuildCodes({}, true).DistinctPrefixRows(), 0u);
+}
+
+TEST(Relation, DedupedAppendRaisesTheDistinctPrefix) {
+  Relation r = BuildCodes({{0, 1}, {1, 1}}, false);
+  ASSERT_EQ(r.DistinctPrefixRows(), 0u);
+  // The first deduped append builds the row index over every row.
+  ASSERT_TRUE(r.AppendBatch({{2, 2}, {0, 1}}, /*dedupe=*/true).ok());
+  EXPECT_EQ(r.NumRows(), 3u);
+  EXPECT_EQ(r.DistinctPrefixRows(), 3u);
+  // A deduped batch that lands no row still leaves it at N.
+  Relation all_dropped = BuildCodes({{0, 1}, {1, 1}}, false);
+  ASSERT_TRUE(all_dropped.AppendBatch({{0, 1}}, /*dedupe=*/true).ok());
+  EXPECT_EQ(all_dropped.epoch(), 0u);
+  EXPECT_EQ(all_dropped.DistinctPrefixRows(), 2u);
+  // Over repeated rows the index proves nothing.
+  Relation repeated = BuildCodes({{0, 1}, {0, 1}}, false);
+  ASSERT_TRUE(repeated.AppendBatch({{5, 5}}, /*dedupe=*/true).ok());
+  EXPECT_EQ(repeated.DistinctPrefixRows(), 0u);
+  // A string append into an empty relation (the CSV path) builds it too.
+  Relation empty = BuildCodes({}, false);
+  ASSERT_TRUE(empty
+                  .AppendStringBatch({{"a", "b"}, {"a", "c"}, {"a", "b"}},
+                                     /*dedupe=*/true)
+                  .ok());
+  EXPECT_EQ(empty.NumRows(), 2u);
+  EXPECT_EQ(empty.DistinctPrefixRows(), 2u);
+}
+
+TEST(Relation, MultisetAppendKeepsTheDistinctPrefixExact) {
+  Relation r = BuildCodes({{0, 1}, {1, 1}}, true);
+  ASSERT_TRUE(r.AppendBatch({{2, 2}}, /*dedupe=*/true).ok());
+  ASSERT_EQ(r.DistinctPrefixRows(), 3u);
+  // The index now exists, so a multiset append stays counted in it.
+  ASSERT_TRUE(r.AppendBatch({{3, 3}}, /*dedupe=*/false).ok());
+  EXPECT_EQ(r.DistinctPrefixRows(), 4u);
+  ASSERT_TRUE(r.AppendBatch({{0, 1}}, /*dedupe=*/false).ok());
+  EXPECT_EQ(r.NumRows(), 5u);
+  EXPECT_EQ(r.DistinctPrefixRows(), 4u);
+  EXPECT_TRUE(r.HasDuplicateRows());
+  EXPECT_EQ(r.NumDistinctRows(), 4u);
+  // It never falls, and later distinct rows cannot raise it past the
+  // repeat.
+  ASSERT_TRUE(r.AppendBatch({{7, 7}}, /*dedupe=*/true).ok());
+  EXPECT_EQ(r.NumRows(), 6u);
+  EXPECT_EQ(r.DistinctPrefixRows(), 4u);
+}
+
+TEST(Relation, DistinctPrefixRowsFollowsCopiesAndMoves) {
+  Relation r = BuildCodes({{0, 1}, {1, 1}, {2, 1}}, true);
+  const Relation copy(r);
+  EXPECT_EQ(copy.DistinctPrefixRows(), 3u);
+  Relation assigned = BuildCodes({{0, 0}, {0, 0}}, false);
+  assigned = r;
+  EXPECT_EQ(assigned.DistinctPrefixRows(), 3u);
+  Relation moved(std::move(r));
+  EXPECT_EQ(moved.DistinctPrefixRows(), 3u);
+  EXPECT_EQ(r.DistinctPrefixRows(), 0u);  // NOLINT(bugprone-use-after-move)
+  Relation move_assigned = BuildCodes({}, false);
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.DistinctPrefixRows(), 3u);
+  EXPECT_EQ(moved.DistinctPrefixRows(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(Relation, DistinctPrefixRisesWhileReadersCheckIt) {
+  // One appender lands deduped batches while readers pin snapshots: the
+  // first min(snapshot rows, watermark) rows must always be distinct, and
+  // the watermark a reader sees never falls.
+  Rng rng(120);
+  std::vector<std::vector<std::vector<uint32_t>>> batches(60);
+  for (auto& batch : batches) {
+    batch.assign(30, std::vector<uint32_t>(2));
+    for (auto& row : batch) {
+      for (uint32_t& v : row) v = static_cast<uint32_t>(rng.UniformU64(60));
+    }
+  }
+  Relation r = BuildCodes({}, false);
+  constexpr int kReaders = 3;
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::vector<int> violations(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t last = 0;
+      bool first = true;
+      while (!done.load(std::memory_order_acquire)) {
+        const RowsSnapshot snap = r.Snapshot();
+        const uint64_t watermark = r.DistinctPrefixRows();
+        if (watermark < last) ++violations[t];
+        last = watermark;
+        const uint64_t n = std::min(snap.num_rows, watermark);
+        TupleCounter counter(snap.width, n);
+        for (uint64_t i = 0; i < n; ++i) counter.Add(snap.Row(i));
+        if (counter.NumDistinct() != n) ++violations[t];
+        if (first) {
+          first = false;
+          started.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  // EXPECT, not ASSERT: returning early would leave the readers unjoined.
+  for (const auto& batch : batches) {
+    EXPECT_TRUE(r.AppendBatch(batch, /*dedupe=*/true).ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  for (int t = 0; t < kReaders; ++t) EXPECT_EQ(violations[t], 0) << t;
+  EXPECT_EQ(r.DistinctPrefixRows(), r.NumRows());
+  EXPECT_FALSE(r.HasDuplicateRows());
 }
 
 TEST(TupleCounter, CountsAndDenseIndexes) {

@@ -84,6 +84,48 @@ TEST(Streaming, TrajectoryMatchesColdAnalysisAtEveryEpoch) {
   EXPECT_EQ(monitor.session().TotalStats().epoch_catchups, batches.size());
 }
 
+TEST(Streaming, DedupedStreamCachesNothingWiderThanTheLargestBag) {
+  // Over a deduped stream H(chi(T)) is ln N, answered from the relation's
+  // distinct-prefix watermark: catch-up must not carry chi(T)'s refinement
+  // chain, so no cached partition is wider than the tree's largest bag.
+  // J stays bitwise equal to the cold chain over a multiset copy of the
+  // same rows (which has no watermark and refines through every column).
+  Rng rng(8810);
+  const uint32_t num_attrs = 6;
+  Relation r = EmptyRelation(num_attrs, 4);
+  ASSERT_TRUE(
+      r.AppendBatch(RandomRows(&rng, num_attrs, 4, 60), /*dedupe=*/true).ok());
+  const JoinTree tree =
+      JoinTree::Path({AttrSet{0, 1, 2}, AttrSet{2, 3, 4}, AttrSet{4, 5}})
+          .value();
+  ASSERT_EQ(tree.AllAttrs(), r.schema().AllAttrs());
+  StreamingOptions opts;
+  opts.drift_threshold = 0.0;  // fixed tree: pure monitoring
+  StreamingLossMonitor monitor(&r, tree, opts);
+  for (int k = 0; k < 6; ++k) {
+    Result<StreamingPoint> point = monitor.IngestBatch(
+        RandomRows(&rng, num_attrs, 4, 25), /*dedupe=*/true);
+    ASSERT_TRUE(point.ok());
+    ASSERT_EQ(r.DistinctPrefixRows(), r.NumRows());
+    RelationBuilder copy(r.schema());
+    for (uint64_t i = 0; i < r.NumRows(); ++i) copy.AddRowPtr(r.Row(i));
+    const Relation cold = std::move(copy).Build(/*dedupe=*/false);
+    // The monitor sums J's terms the way JMeasureDetailed does.
+    EXPECT_EQ(point.value().j, JMeasureDetailed(cold, tree).j)
+        << "batch " << k;
+    const EntropyEngine& engine = monitor.session().EngineFor(r);
+    for (uint64_t mask = 1; mask < (uint64_t{1} << num_attrs); ++mask) {
+      const AttrSet s = AttrSet::FromMask(mask);
+      if (s.Count() > 3) {
+        EXPECT_FALSE(engine.CachedPartitionInfo(s, nullptr, nullptr))
+            << s.ToString() << " batch " << k;
+      }
+    }
+  }
+  // The engine exists from construction: one catch-up per batch.
+  EXPECT_EQ(monitor.session().TotalStats().epoch_catchups, 6u);
+}
+
 TEST(Streaming, DriftTriggersRemineAndResetsBaseline) {
   // Start on data satisfying the mined tree exactly (an FD-structured
   // relation: X0 determines everything), then append uniform noise: J of
