@@ -63,7 +63,7 @@ bool AnalysisSession::Release(const Relation& r) {
 
 Status AnalysisSession::PersistAll() {
   // Snapshot the engine pointers under mu_, persist outside it: PersistCache
-  // runs a catch-up plus blob writes per engine, and holding the session
+  // runs a catch-up plus a journal write per engine, and holding the session
   // mutex across that would block EngineFor on every other thread. The
   // unique_ptrs stay valid because only Release/~AnalysisSession drop them
   // and callers of PersistAll own the shutdown sequence.
@@ -109,8 +109,6 @@ EngineStats AnalysisSession::TotalStats() const {
     total.catchup_aborts += s.catchup_aborts;
     total.persist_hits += s.persist_hits;
     total.persist_reloads += s.persist_reloads;
-    total.persist_extended += s.persist_extended;
-    total.persist_spills += s.persist_spills;
     total.persist_fallbacks += s.persist_fallbacks;
   }
   return total;

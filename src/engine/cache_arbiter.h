@@ -17,10 +17,9 @@
 // Locking contract (the reason cross-engine eviction cannot deadlock):
 //   - Engines call the arbiter ONLY while holding no engine mutex.
 //   - The arbiter invokes an engine's evict callback while holding its own
-//     mutex; the callback takes that engine's mutex (and, when the engine
-//     spills the victim to its disk tier, the store's leaf mutex).
-// So the only lock order that ever occurs is arbiter -> engine -> store,
-// never the reverse. The accounted total therefore never exceeds the budget
+//     mutex; the callback takes that engine's mutex.
+// So the only lock order that ever occurs is arbiter -> engine, never the
+// reverse. The accounted total therefore never exceeds the budget
 // after any Charge() returns, no matter how many engines charge
 // concurrently.
 //

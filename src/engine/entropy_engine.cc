@@ -11,7 +11,6 @@
 #include "engine/worker_pool.h"
 #include "persist/persistent_store.h"
 #include "relation/fingerprint.h"
-#include "relation/row_hash.h"
 #include "util/failpoint.h"
 
 namespace ajd {
@@ -69,20 +68,6 @@ void RunByLevel(WorkerPool* pool, uint32_t threads, size_t n,
               [&](size_t i) { task(begin + i); });
     begin = end;
   }
-}
-
-// A persisted recipe is usable only as a permutation of exactly its
-// entry's attribute set; anything else is a stale or foreign producer's
-// record, and a partition admitted under the wrong recipe would extend
-// incorrectly at the next catch-up.
-bool ChainCovers(const std::vector<uint32_t>& chain, AttrSet attrs) {
-  if (chain.empty() || chain.size() != attrs.Count()) return false;
-  AttrSet seen;
-  for (uint32_t a : chain) {
-    if (a >= kMaxAttrs || seen.Contains(a)) return false;
-    seen.Add(a);
-  }
-  return seen == attrs;
 }
 
 // The arbiter the engine charges: the shared one when attached, else a
@@ -229,9 +214,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       }
     }
     for (AttrSet key : idle) {
-      // Idle entries still carry the current generation's row tag; demote
-      // them to the disk tier rather than discarding the work outright.
-      EvictPartitionLocked(partitions_.find(key), /*allow_spill=*/true);
+      EvictPartitionLocked(partitions_.find(key));
       discharged.push_back(key);
     }
     claimed.reserve(keep_keys.size());
@@ -505,9 +488,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       if (entry.second.rows != target_rows) stale.push_back(entry.first);
     }
     for (AttrSet key : stale) {
-      // Never spill a stale-generation entry: its row tag is superseded
-      // and the extended form is being published right now.
-      EvictPartitionLocked(partitions_.find(key), /*allow_spill=*/false);
+      EvictPartitionLocked(partitions_.find(key));
       swept.push_back(key);
     }
     for (auto it = entropies_.begin(); it != entropies_.end();) {
@@ -638,17 +619,13 @@ double EntropyEngine::ComputeEntropy(
     return h;
   }
 
-  // Disk tier first (persist/persistent_store.h): an exact-key persisted
-  // entry — same content fingerprint, same set, same row count — serves the
-  // miss for the cost of a reload instead of a refinement chain. Any
-  // lookup, load, or validation failure falls through to the cold path
-  // below; a bad disk entry can cost time, never change an answer.
-  if (persist_ != nullptr) {
+  // Disk tier first (persist/persistent_store.h): a value persisted under
+  // the exact key — same content fingerprint, same set, same row count —
+  // serves a plain miss for the cost of a hash lookup. A caller that needs
+  // the partition computes it below.
+  if (persist_ != nullptr && !materialize_final) {
     double h_disk;
-    if (TryServeFromDisk(attrs, pin, materialize_final, &h_disk,
-                         partition_out)) {
-      return h_disk;
-    }
+    if (TryServeFromDisk(attrs, pin, &h_disk)) return h_disk;
   }
 
   // Best cached base under the refinement cost model: each remaining step
@@ -918,55 +895,16 @@ void EntropyEngine::RemovePartitionLocked(
 }
 
 void EntropyEngine::EvictPartitionLocked(
-    std::unordered_map<AttrSet, CachedPartition, AttrSetHash>::iterator it,
-    bool allow_spill) {
-  if (allow_spill && persist_ != nullptr && options_.persist_spill_on_evict &&
-      it->second.partition != nullptr) {
-    try {
-      SpillPartitionLocked(it->first, it->second);
-    } catch (const std::exception&) {
-      // A spill that cannot even be attempted (allocation) degrades to a
-      // plain eviction; the entry recomputes cold like any evicted one.
-      ++stats_.persist_fallbacks;
-    }
-  }
+    std::unordered_map<AttrSet, CachedPartition, AttrSetHash>::iterator it) {
   RemovePartitionLocked(it);
   ++stats_.evictions;
-}
-
-void EntropyEngine::SpillPartitionLocked(AttrSet attrs,
-                                         const CachedPartition& cp) {
-  // Only current-generation entries go down: a superseded row tag would
-  // persist an entry no restart could use past the next catch-up anyway.
-  if (cp.rows !=
-      std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)->rows) {
-    return;
-  }
-  PersistedEntryMeta meta;
-  meta.fingerprint = FingerprintFor(cp.rows);  // fp_mu_ is a leaf under mu_
-  meta.attrs = attrs;
-  meta.rows = cp.rows;
-  meta.chain = cp.chain;
-  meta.last_col_card = cp.last_col_card;
-  auto eit = entropies_.find(attrs);
-  if (eit != entropies_.end() && eit->second.rows == cp.rows) {
-    meta.has_entropy = true;
-    meta.entropy = eit->second.h;
-  }
-  PartitionPayload payload;
-  cp.partition->FlattenStripped(&payload.rows, &payload.offsets);
-  if (persist_->Put(meta, &payload).ok()) {
-    ++stats_.persist_spills;
-    disk_keys_.insert({meta.fingerprint, attrs, meta.rows});
-  }
 }
 
 void EntropyEngine::DropPartitionForArbiter(AttrSet attrs) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = partitions_.find(attrs);
   if (it == partitions_.end()) return;
-  // An arbiter victim is a cold-ish but current entry: demote it to disk.
-  EvictPartitionLocked(it, /*allow_spill=*/true);
+  EvictPartitionLocked(it);
 }
 
 bool EntropyEngine::ParallelBatches() const {
@@ -1152,29 +1090,13 @@ double EntropyEngine::MutualInformation(AttrSet a, AttrSet b) {
   return ConditionalMutualInformation(a, b, AttrSet());
 }
 
-size_t EntropyEngine::DiskKeyHash::operator()(const DiskKey& k) const {
-  return static_cast<size_t>(
-      Mix64(k.fingerprint ^ Mix64(k.attrs.mask() ^ Mix64(k.rows))));
-}
-
 uint64_t EntropyEngine::FingerprintFor(uint64_t rows) {
   std::lock_guard<std::mutex> lock(fp_mu_);
   return fp_->At(rows);
 }
 
-bool EntropyEngine::TryServeFromDisk(
-    AttrSet attrs, const EpochPin& pin, bool materialize_final, double* h_out,
-    std::shared_ptr<const Partition>* partition_out) {
-  {
-    // The entropy VALUE can miss while the partition itself is resident at
-    // the pinned row count (a catch-up sweeps entropies_ but revalidates
-    // partitions_ in place). Recomputing from the in-memory partition is
-    // strictly cheaper than a disk round-trip, so only a true double miss
-    // probes the store.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = partitions_.find(attrs);
-    if (it != partitions_.end() && it->second.rows == pin.rows) return false;
-  }
+bool EntropyEngine::TryServeFromDisk(AttrSet attrs, const EpochPin& pin,
+                                     double* h_out) {
   {
     // A pin behind the tracker is a superseded generation mid-catch-up:
     // probing it would pay a full O(pin.rows) fingerprint recompute per
@@ -1183,69 +1105,16 @@ bool EntropyEngine::TryServeFromDisk(
     std::lock_guard<std::mutex> lock(fp_mu_);
     if (pin.rows < fp_->rows()) return false;
   }
-  const uint64_t fp = FingerprintFor(pin.rows);
-  PersistedEntryMeta meta;
-  if (!persist_->LookupExact(fp, attrs, pin.rows, &meta)) return false;
-
-  if (!meta.has_payload) {
-    // Value-only entry: the stored H (its journal record is CRC-verified,
-    // and the fingerprint key pins the exact relation content it was
-    // computed over). Useless when the caller needs the partition itself.
-    if (!meta.has_entropy || materialize_final) return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.persist_hits;
-    disk_keys_.insert({fp, attrs, pin.rows});
-    CacheEntropyLocked(attrs, meta.entropy, pin.rows);
-    *h_out = meta.entropy;
-    return true;
-  }
-
-  if (!ChainCovers(meta.chain, attrs)) {
-    (void)persist_->Erase(fp, attrs, pin.rows);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.persist_fallbacks;
-    return false;
-  }
-  Result<PartitionPayload> loaded = persist_->LoadPayload(meta);
-  if (!loaded.ok()) {
-    // Corrupt or vanished blob: the store quarantined it; compute cold.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.persist_fallbacks;
-    return false;
-  }
-  Result<Partition> rebuilt = Partition::FromStripped(
-      std::move(loaded.value().rows), std::move(loaded.value().offsets),
-      pin.rows);
-  if (!rebuilt.ok()) {
-    // Checksum-clean but structurally invalid (stale producer): the entry
-    // can never serve, so drop it rather than re-failing every miss.
-    (void)persist_->Erase(fp, attrs, pin.rows);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.persist_fallbacks;
-    return false;
-  }
-  auto p = std::make_shared<const Partition>(std::move(rebuilt).value());
-  // H derives from the VALIDATED partition, not the stored double: the
-  // partition is the entry's load-bearing content, and its H is the same
-  // histogram evaluation every other path runs.
-  const double h = p->EntropyNats(pin.rows);
-  size_t bytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.persist_hits;
-    ++stats_.persist_reloads;
-    disk_keys_.insert({fp, attrs, pin.rows});
-    CacheEntropyLocked(attrs, h, pin.rows);
-    bytes = InsertPartitionLocked(attrs, p, std::move(meta.chain),
-                                  meta.last_col_card, pin.rows,
-                                  PartitionDelta{});
-  }
-  if (bytes > 0) {
-    std::vector<std::pair<AttrSet, size_t>> charged{{attrs, bytes}};
-    arbiter_->Charge(this, charged);
-  }
+  // The stored H is CRC-verified by the journal, and the fingerprint key
+  // pins the exact relation content it was computed over.
+  const PersistKey key{FingerprintFor(pin.rows), attrs, pin.rows};
+  double h;
+  if (!persist_->LookupExact(key, &h)) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.persist_hits;
+  disk_keys_.insert(key);
+  CacheEntropyLocked(attrs, h, pin.rows);
   *h_out = h;
-  if (partition_out != nullptr) *partition_out = std::move(p);
   return true;
 }
 
@@ -1264,182 +1133,23 @@ void EntropyEngine::WarmStartFromPersist() {
                    row_counts.end());
   std::unordered_map<uint64_t, uint64_t> fp_at;
   for (uint64_t m : row_counts) fp_at.emplace(m, FingerprintFor(m));
-  // Leave the tracker at the current row count: the miss-path probe and
-  // spills read it from here on.
+  // Leave the tracker at the current row count: the miss-path lookup
+  // reads it from here on.
   (void)FingerprintFor(now);
 
-  // Per attribute set, the deepest usable prefix entry: content-verified
-  // (its fingerprint matches OUR relation at its recorded row count —
-  // entries of other relations sharing the store simply never match) and
-  // longest, payload-carrying entries preferred on ties. Every matched
-  // entry is recorded: picked or not, it is a generation of this relation
-  // that the next PersistCache supersedes.
-  std::unordered_map<AttrSet, const PersistedEntryMeta*, AttrSetHash> best;
-  std::vector<DiskKey> matched;
+  // An entry is this relation's when its fingerprint matches OUR relation
+  // at its recorded row count (entries of other relations sharing the
+  // store simply never match). Every match is a generation the next
+  // PersistCache supersedes; only those at `now` are current values.
+  std::lock_guard<std::mutex> lock(mu_);
   for (const PersistedEntryMeta& e : all) {
-    if (e.rows == 0 || e.rows > now) continue;
     auto fit = fp_at.find(e.rows);
     if (fit == fp_at.end() || fit->second != e.fingerprint) continue;
-    matched.push_back({e.fingerprint, e.attrs, e.rows});
-    auto [bit, inserted] = best.emplace(e.attrs, &e);
-    if (!inserted && (e.rows > bit->second->rows ||
-                      (e.rows == bit->second->rows && e.has_payload &&
-                       !bit->second->has_payload))) {
-      bit->second = &e;
-    }
+    disk_keys_.insert(e);
+    if (e.rows != now) continue;
+    entropies_[e.attrs] = CachedEntropy{e.entropy, now};
+    ++stats_.persist_hits;
   }
-  if (best.empty()) return;
-
-  struct Reloaded {
-    const PersistedEntryMeta* meta = nullptr;
-    std::shared_ptr<const Partition> original;  // at meta->rows
-    std::shared_ptr<const Partition> final;     // extended to `now`
-    PartitionDelta delta;  // emitted by the extension, when one ran
-    bool extended = false;
-  };
-  std::vector<Reloaded> slots;
-  std::vector<const PersistedEntryMeta*> values;  // value-only entries
-  for (const auto& kv : best) {
-    if (kv.second->has_payload) {
-      slots.emplace_back();
-      slots.back().meta = kv.second;
-    } else {
-      values.push_back(kv.second);
-    }
-  }
-  // Chain length ascending (chains cover their sets, so set size), so
-  // every entry's direct parent — a strict chain prefix, hence a smaller
-  // set — sits in a lower level than the entry: the order catch-up
-  // extends in.
-  std::sort(slots.begin(), slots.end(),
-            [](const Reloaded& a, const Reloaded& b) {
-              if (a.meta->attrs.Count() != b.meta->attrs.Count()) {
-                return a.meta->attrs.Count() < b.meta->attrs.Count();
-              }
-              return a.meta->attrs < b.meta->attrs;
-            });
-  const uint32_t threads = BatchThreads(options_);
-
-  // Load, CRC-verify and validate every blob on the pool. A load is priced
-  // at its entry's row count, the bound on its stripped rows (the blob's
-  // size is not known before it is read).
-  uint64_t load_work = 0;
-  for (const Reloaded& r : slots) load_work += r.meta->rows;
-  pool_->Run(slots.size(), FanOutWorkers(threads, load_work, slots.size()),
-             [&](size_t i) {
-               const PersistedEntryMeta& e = *slots[i].meta;
-               if (!ChainCovers(e.chain, e.attrs)) return;
-               Result<PartitionPayload> loaded = persist_->LoadPayload(e);
-               if (!loaded.ok()) return;
-               Result<Partition> rebuilt = Partition::FromStripped(
-                   std::move(loaded.value().rows),
-                   std::move(loaded.value().offsets), e.rows);
-               if (!rebuilt.ok()) {
-                 (void)persist_->Erase(e.fingerprint, e.attrs, e.rows);
-                 return;
-               }
-               slots[i].original = std::make_shared<const Partition>(
-                   std::move(rebuilt).value());
-             });
-
-  // Extend the reloaded entries to `now`, level by level. Entries that
-  // can't extend cheaply are SKIPPED, not replayed: a warm restart that
-  // silently replays chains cold costs more than the cold start it
-  // replaces.
-  std::unordered_map<AttrSet, const Reloaded*, AttrSetHash> by_set;
-  for (const Reloaded& r : slots) {
-    if (r.original != nullptr) by_set.emplace(r.meta->attrs, &r);
-  }
-  RunByLevel(
-      pool_.get(), threads, slots.size(),
-      [&](size_t i) { return slots[i].meta->attrs.Count(); },
-      [&](size_t i) -> uint64_t {
-        const Reloaded& r = slots[i];
-        return r.original != nullptr && r.meta->rows != now
-                   ? r.original->NumStrippedRows()
-                   : 0;
-      },
-      [&](size_t i) {
-        Reloaded& r = slots[i];
-        if (r.original == nullptr) return;
-        const PersistedEntryMeta& e = *r.meta;
-        const uint64_t m = e.rows;
-        if (m == now) {
-          r.final = r.original;
-          return;
-        }
-        const Column col = store_.ColumnAt(e.chain.back(), now);
-        if (e.chain.size() == 1) {
-          // Root of a chain: the single-column extension needs no parent.
-          r.final = std::make_shared<const Partition>(
-              r.original->ExtendedOfColumn(col, m));
-          r.extended = true;
-          return;
-        }
-        // Deeper entry: the delta path needs the direct parent both in its
-        // persisted form (at the same row count — the block correspondence
-        // seed) and already extended to `now` (a lower level).
-        AttrSet parent_set;
-        for (size_t j = 0; j + 1 < e.chain.size(); ++j) {
-          parent_set.Add(e.chain[j]);
-        }
-        auto pit = by_set.find(parent_set);
-        if (pit == by_set.end()) return;
-        const Reloaded& parent = *pit->second;
-        const bool parent_usable =
-            parent.final != nullptr && parent.meta->rows == m &&
-            parent.meta->chain.size() + 1 == e.chain.size() &&
-            std::equal(parent.meta->chain.begin(), parent.meta->chain.end(),
-                       e.chain.begin());
-        if (!parent_usable ||
-            ChooseRefineKernel(col.cardinality,
-                               parent.final->NumStrippedRows()) !=
-                ChooseRefineKernel(e.last_col_card,
-                                   parent.final->NumStrippedRows())) {
-          return;
-        }
-        r.final = std::make_shared<const Partition>(r.original->ExtendedBy(
-            parent.original.get(), *parent.final, col, m, nullptr,
-            &r.delta));
-        r.extended = true;
-      });
-
-  uint64_t reloads = 0, extended = 0, fallbacks = 0, value_hits = 0;
-  std::vector<std::pair<AttrSet, size_t>> charged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    disk_keys_.insert(matched.begin(), matched.end());
-    for (Reloaded& r : slots) {
-      reloads += r.original != nullptr;
-      extended += r.extended;
-      if (r.final == nullptr) {
-        ++fallbacks;
-        continue;
-      }
-      const AttrSet set = r.meta->attrs;
-      const uint32_t last_col_card =
-          store_.ColumnAt(r.meta->chain.back(), now).cardinality;
-      const size_t bytes = InsertPartitionLocked(
-          set, r.final, r.meta->chain, last_col_card, now,
-          std::move(r.delta));
-      if (bytes > 0) charged.emplace_back(set, bytes);
-      // A stored H is only current when the entry needed no extension.
-      if (r.meta->rows == now && r.meta->has_entropy) {
-        entropies_[set] = CachedEntropy{r.meta->entropy, now};
-        ++value_hits;
-      }
-    }
-    for (const PersistedEntryMeta* e : values) {
-      if (!e->has_entropy || e->rows != now) continue;
-      entropies_[e->attrs] = CachedEntropy{e->entropy, now};
-      ++value_hits;
-    }
-    stats_.persist_reloads += reloads;
-    stats_.persist_extended += extended;
-    stats_.persist_fallbacks += fallbacks;
-    stats_.persist_hits += value_hits;
-  }
-  if (!charged.empty()) arbiter_->Charge(this, charged);
 }
 
 Status EntropyEngine::PersistCache() {
@@ -1448,109 +1158,41 @@ Status EntropyEngine::PersistCache() {
         "no persistent store attached (EngineOptions::persist_store)");
   }
   CatchUp();
-  struct Item {
-    AttrSet set;
-    std::shared_ptr<const Partition> partition;
-    std::vector<uint32_t> chain;
-    uint32_t last_col_card = 0;
-    bool has_entropy = false;
-    double h = 0.0;
-  };
-  std::vector<Item> items;
+  std::vector<PersistedEntryMeta> batch;
   uint64_t rows_now = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     rows_now =
         std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)->rows;
-    for (const auto& kv : partitions_) {
-      if (kv.second.rows != rows_now || kv.second.partition == nullptr) {
-        continue;
-      }
-      Item item;
-      item.set = kv.first;
-      item.partition = kv.second.partition;
-      item.chain = kv.second.chain;
-      item.last_col_card = kv.second.last_col_card;
-      auto eit = entropies_.find(kv.first);
-      if (eit != entropies_.end() && eit->second.rows == rows_now) {
-        item.has_entropy = true;
-        item.h = eit->second.h;
-      }
-      items.push_back(std::move(item));
-    }
-    // Entropy-only terms (the common case: final chain steps take the
-    // count-only pass and never materialize) persist as value-only
-    // records — 16 bytes of journal each, no blob.
     for (const auto& kv : entropies_) {
       if (kv.second.rows != rows_now) continue;
-      if (partitions_.find(kv.first) != partitions_.end()) continue;
-      Item item;
-      item.set = kv.first;
-      item.has_entropy = true;
-      item.h = kv.second.h;
-      items.push_back(std::move(item));
+      PersistedEntryMeta e;
+      e.attrs = kv.first;
+      e.rows = rows_now;
+      e.entropy = kv.second.h;
+      batch.push_back(e);
     }
   }
-  if (rows_now == 0 || items.empty()) return Status::OK();
+  if (rows_now == 0 || batch.empty()) return Status::OK();
   const uint64_t fp = FingerprintFor(rows_now);
-  // The puts go out on the pool, each priced at its stripped rows (what
-  // flattening, CRC and writing the blob cost); the store writes blobs
-  // outside its lock.
-  std::vector<Status> results(items.size());
-  uint64_t work = 0;
-  for (const Item& item : items) {
-    if (item.partition != nullptr) work += item.partition->NumStrippedRows();
-  }
-  pool_->Run(items.size(),
-             FanOutWorkers(BatchThreads(options_), work, items.size()),
-             [&](size_t i) {
-               const Item& item = items[i];
-               PersistedEntryMeta meta;
-               meta.fingerprint = fp;
-               meta.attrs = item.set;
-               meta.rows = rows_now;
-               meta.has_entropy = item.has_entropy;
-               meta.entropy = item.h;
-               meta.chain = item.chain;
-               meta.last_col_card = item.last_col_card;
-               if (item.partition == nullptr) {
-                 results[i] = persist_->Put(meta, nullptr);
-                 return;
-               }
-               PartitionPayload payload;
-               item.partition->FlattenStripped(&payload.rows,
-                                               &payload.offsets);
-               results[i] = persist_->Put(meta, &payload);
-             });
-  Status first = Status::OK();
-  uint64_t spilled = 0;
-  std::vector<DiskKey> superseded;
+  for (PersistedEntryMeta& e : batch) e.fingerprint = fp;
+  Status s = persist_->Put(batch);
+  if (!s.ok()) return s;
+  // The generations this one supersedes: every older key this engine
+  // matched or wrote, so the store keeps one generation per relation.
+  std::vector<PersistKey> superseded;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (results[i].ok()) {
-        ++spilled;
-        disk_keys_.insert({fp, items[i].set, rows_now});
-      } else if (first.ok()) {
-        first = results[i];  // the rest were still attempted
-      }
-    }
-    stats_.persist_spills += spilled;
-    // The generations this one supersedes: every older key this engine
-    // reloaded or spilled, so the store keeps one generation per relation.
-    for (auto it = disk_keys_.begin(); it != disk_keys_.end();) {
-      if (it->rows < rows_now) {
-        superseded.push_back(*it);
-        it = disk_keys_.erase(it);
-      } else {
-        ++it;
-      }
+    disk_keys_.insert(batch.begin(), batch.end());
+    for (const PersistKey& k : disk_keys_) {
+      if (k.rows < rows_now) superseded.push_back(k);
     }
   }
-  for (const DiskKey& k : superseded) {
-    (void)persist_->Erase(k.fingerprint, k.attrs, k.rows);
-  }
-  return first;
+  s = persist_->Erase(superseded);
+  if (!s.ok()) return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const PersistKey& k : superseded) disk_keys_.erase(k);
+  return Status::OK();
 }
 
 size_t EntropyEngine::CacheSize() const {

@@ -97,6 +97,7 @@
 
 #include "engine/column_store.h"
 #include "engine/partition.h"
+#include "persist/persistent_store.h"
 #include "relation/attr_set.h"
 #include "relation/relation.h"
 
@@ -104,9 +105,7 @@ namespace ajd {
 
 class CacheArbiter;          // engine/cache_arbiter.h
 class WorkerPool;            // engine/worker_pool.h
-class PersistentCacheStore;  // persist/persistent_store.h
 class FingerprintTracker;    // relation/fingerprint.h
-struct PersistedEntryMeta;   // persist/persistent_store.h
 
 /// A reader's pinned view of the relation: the synced row count and epoch
 /// the engine's caches covered when the pin was taken. Every value
@@ -127,10 +126,9 @@ struct EngineOptions {
   /// instead. AnalysisSession sizes its shared arbiter from this field.
   size_t cache_budget_bytes = size_t{256} << 20;
   /// Threads for the batch paths (BatchEntropy, WarmEntropies,
-  /// PrewarmSubsets), catch-up, and the disk tier's warm start and
-  /// PersistCache. 0 (the default) means every CPU the process may run on
-  /// (EffectiveCpuCount(), engine/worker_pool.h: affinity mask capped by
-  /// the cgroup quota), used only as far as the
+  /// PrewarmSubsets) and catch-up. 0 (the default) means every CPU the
+  /// process may run on (EffectiveCpuCount(), engine/worker_pool.h:
+  /// affinity mask capped by the cgroup quota), used only as far as the
   /// predicted work pays: a batch or catch-up level fans out one
   /// participant per ~2^18 stripped-row refinement steps the cost model
   /// prices it at, less the lattice scans its misses pay under the cache
@@ -159,22 +157,16 @@ struct EngineOptions {
   /// spends ONE budget where the reuse actually is, instead of slicing it
   /// evenly per relation.
   std::shared_ptr<CacheArbiter> cache_arbiter;
-  /// The crash-safe on-disk cache tier (persist/persistent_store.h), shared
-  /// across engines and PROCESS LIFETIMES. When set, the engine consults it
-  /// on a cache miss before computing cold (entries are keyed by relation
-  /// content fingerprint, so a foreign or stale file can cost a probe,
-  /// never change an answer), seeds its in-memory cache from it at
-  /// construction (warm restart: persisted prefix partitions are reloaded
-  /// and delta-extended to the current row count through the same
-  /// bit-identical extension machinery catch-up uses). It learns entries
-  /// at eviction (persist_spill_on_evict) and at PersistCache; catch-up
-  /// never writes to it. nullptr (default): no disk tier.
+  /// The crash-safe on-disk value journal (persist/persistent_store.h),
+  /// shared across engines and PROCESS LIFETIMES. It holds entropy values
+  /// only, keyed by relation content fingerprint, set and row count, so a
+  /// foreign or stale file can cost a probe, never change an answer. When
+  /// set, the engine seeds its entropy cache from it at construction
+  /// (warm restart: the values persisted at the current row count), and a
+  /// plain value miss looks its key up before computing cold; a caller
+  /// that needs the partition itself always computes it. Entries are
+  /// written only by PersistCache. nullptr (default): no disk tier.
   std::shared_ptr<PersistentCacheStore> persist_store;
-  /// With a disk tier attached: spill a partition to disk when it is
-  /// evicted from memory (budget pressure, generational idle drop), so the
-  /// eviction demotes the entry a tier instead of discarding the work.
-  /// Stale-generation sweeps never spill (their row tag is superseded).
-  bool persist_spill_on_evict = true;
   /// Threads for ONE refinement (intra-operation sharding,
   /// engine/refine_kernels.h): a single large query or catch-up extension
   /// is split into mass-balanced block shards fanned out on the pool. 0
@@ -215,17 +207,15 @@ struct EngineStats {
                                  ///< failure before publish; retried on the
                                  ///< next query.
   // Disk tier (EngineOptions::persist_store; all zero without one).
-  uint64_t persist_hits = 0;     ///< misses answered from the disk tier.
-  uint64_t persist_reloads = 0;  ///< partitions reloaded from disk (misses
-                                 ///< and warm restart).
-  uint64_t persist_extended = 0; ///< warm-restart reloads delta-extended
-                                 ///< from their persisted row count to the
-                                 ///< relation's current one.
-  uint64_t persist_spills = 0;   ///< entries written down to the disk tier
-                                 ///< (evictions and PersistCache).
-  uint64_t persist_fallbacks = 0; ///< disk entries that failed to load or
-                                  ///< validate; served cold instead (the
-                                  ///< degrade-never-corrupt path).
+  uint64_t persist_hits = 0;     ///< values served from the disk tier
+                                 ///< (warm restart and miss lookups).
+  uint64_t persist_reloads = 0;  ///< always 0: the disk tier holds no
+                                 ///< partitions. Kept because the
+                                 ///< end-to-end benchmark
+                                 ///< (e2ebench/src/workloads.cc) reports it.
+  uint64_t persist_fallbacks = 0; ///< warm restarts abandoned by a failure
+                                  ///< (allocation); the engine starts cold
+                                  ///< instead (degrade, never corrupt).
 
   double HitRate() const {
     return queries == 0 ? 0.0
@@ -368,18 +358,15 @@ class EntropyEngine {
   /// periodically to take the work off the query path entirely.
   void CatchUp();
 
-  /// Writes the current generation of the in-memory cache down to the disk
-  /// tier: every cached partition (with payload and, when cached, its
-  /// entropy value) and every value-only entropy term. The complement of
-  /// the constructor's warm restart — call it before a planned shutdown so
-  /// the next process starts where this one left off. Identical-content
-  /// entries already on disk are skipped (the store dedups). The entries
-  /// this generation supersedes — every key this engine reloaded or
-  /// spilled at an older row count — are then erased, so the store keeps
-  /// one generation per relation. The puts fan out on the batch pool as
-  /// far as their stripped rows pay (num_threads = 1: all inline). Returns
-  /// the first write failure (remaining entries are still attempted);
-  /// FailedPrecondition without a disk tier.
+  /// Writes every entropy value cached at the current row count to the
+  /// disk tier as one journal batch. The complement of the constructor's
+  /// warm restart — call it before a planned shutdown so the next process
+  /// starts where this one left off. Values already on disk are skipped
+  /// (the store dedups). The entries this generation supersedes — every
+  /// key this engine matched or wrote at an older row count — are then
+  /// erased, so the store keeps one generation per relation. Returns the
+  /// batch's write failure, if any; FailedPrecondition without a disk
+  /// tier.
   Status PersistCache();
 
   /// Test/introspection hook: the recorded build chain and current
@@ -497,39 +484,25 @@ class EntropyEngine {
 
   /// RemovePartitionLocked plus the eviction counter — the true-eviction
   /// form (budget pressure, generational drop, stale-generation sweep).
-  /// `allow_spill` additionally offers the entry to the disk tier first
-  /// (EngineOptions::persist_spill_on_evict): true for evictions of
-  /// current-generation entries (arbiter victims, idle drop), false for
-  /// stale-generation sweeps. Requires mu_ held (the store is a leaf in
-  /// the lock order, so the synchronous spill is legal).
+  /// Requires mu_ held.
   void EvictPartitionLocked(
-      std::unordered_map<AttrSet, CachedPartition, AttrSetHash>::iterator it,
-      bool allow_spill);
+      std::unordered_map<AttrSet, CachedPartition, AttrSetHash>::iterator
+          it);
 
   /// The relation's content fingerprint over its first `rows` rows, via the
   /// incremental tracker (fp_mu_, a leaf: callable with or without mu_).
   uint64_t FingerprintFor(uint64_t rows);
 
-  /// Miss-path probe of the disk tier: serves H(attrs) at `pin` from a
-  /// persisted entry when one matches exactly, reloading (and caching) its
-  /// partition (also handed to `partition_out` when non-null). False on
-  /// miss or any load/validation failure — the caller computes cold
-  /// (counted in persist_fallbacks). Called without mu_.
-  bool TryServeFromDisk(AttrSet attrs, const EpochPin& pin,
-                        bool materialize_final, double* h_out,
-                        std::shared_ptr<const Partition>* partition_out);
+  /// Miss-path value lookup in the disk tier: serves H(attrs) at `pin`
+  /// from a persisted value when one matches exactly (and caches it).
+  /// False on a miss; the caller computes cold. Called without mu_.
+  bool TryServeFromDisk(AttrSet attrs, const EpochPin& pin, double* h_out);
 
-  /// Offers one evicted current-generation entry to the disk tier (best
-  /// effort; failures degrade to a plain eviction). Requires mu_ held.
-  void SpillPartitionLocked(AttrSet attrs, const CachedPartition& cp);
-
-  /// Constructor-time warm restart: reloads this relation's persisted
-  /// entries (fingerprint-verified at their recorded row counts; loads,
-  /// CRC checks and validation fan out on the pool) and delta-extends them
-  /// to the current row count level by level through the engine's
-  /// bit-identical extension machinery. Entries that cannot be extended
-  /// cheaply (missing parent, kernel threshold crossed) are skipped, not
-  /// replayed — warm restart must never cost more than a cold start.
+  /// Constructor-time warm restart: fingerprints the relation at every
+  /// persisted row count, installs the values persisted at the current
+  /// one, and records every matched key for PersistCache to supersede.
+  /// Values at an older row count are never served: they describe a
+  /// prefix the relation has grown past.
   void WarmStartFromPersist();
 
   /// Resolved intra-operation shard thread count for ONE refinement over
@@ -555,25 +528,12 @@ class EntropyEngine {
   /// Arbiter calls are made only while mu_ is NOT held.
   std::shared_ptr<CacheArbiter> arbiter_;
   /// The disk tier, if any (options_.persist_store). A LEAF in the lock
-  /// order (arbiter -> engine -> store): safe to call under mu_.
+  /// order: safe to call under mu_.
   std::shared_ptr<PersistentCacheStore> persist_;
   /// Incremental content fingerprint of the relation prefix (leaf mutex;
   /// only used with a disk tier attached).
   mutable std::mutex fp_mu_;
   std::unique_ptr<FingerprintTracker> fp_;
-  /// One disk-tier key: (relation fingerprint, set, row count).
-  struct DiskKey {
-    uint64_t fingerprint;
-    AttrSet attrs;
-    uint64_t rows;
-    bool operator==(const DiskKey& o) const {
-      return fingerprint == o.fingerprint && attrs == o.attrs &&
-             rows == o.rows;
-    }
-  };
-  struct DiskKeyHash {
-    size_t operator()(const DiskKey& k) const;
-  };
 
   /// Serializes catch-up owners. Acquired BEFORE mu_ (lock order:
   /// catchup_mu_ -> mu_, catchup_mu_ -> column-store internals; never the
@@ -615,9 +575,9 @@ class EntropyEngine {
   /// tick_ at the end of the last catch-up: entries not touched since are
   /// dropped rather than extended at the next one (generational policy).
   uint64_t last_catchup_tick_ = 0;
-  /// The disk-tier keys this engine matched at warm start, reloaded or
-  /// spilled; PersistCache erases those its generation supersedes.
-  std::unordered_set<DiskKey, DiskKeyHash> disk_keys_;
+  /// The disk-tier keys this engine matched at warm start or wrote;
+  /// PersistCache erases those its generation supersedes.
+  std::unordered_set<PersistKey, PersistKeyHash> disk_keys_;
   EngineStats stats_;
 };
 

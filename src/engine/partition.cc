@@ -228,47 +228,6 @@ Partition Partition::Trivial(uint64_t num_rows) {
   return out;
 }
 
-Result<Partition> Partition::FromStripped(std::vector<uint32_t> rows,
-                                          std::vector<uint32_t> offsets,
-                                          uint64_t row_bound) {
-  if (rows.empty() && offsets.empty()) return Partition();
-  if (offsets.size() < 2 || offsets.front() != 0 ||
-      offsets.back() != rows.size() || rows.size() >= UINT32_MAX) {
-    return Status::InvalidArgument("stripped payload: bad offset frame");
-  }
-  for (size_t b = 0; b + 1 < offsets.size(); ++b) {
-    if (offsets[b + 1] < offsets[b] + 2) {
-      return Status::InvalidArgument(
-          "stripped payload: block of size < 2 (singletons are never stored)");
-    }
-    for (uint32_t i = offsets[b]; i + 1 < offsets[b + 1]; ++i) {
-      if (rows[i] >= rows[i + 1]) {
-        return Status::InvalidArgument(
-            "stripped payload: rows not ascending within a block");
-      }
-    }
-  }
-  // Row ids in range and in at most one block: a duplicated row would make
-  // the partition over-count its own mass (and every entropy derived from
-  // it wrong), so the O(row_bound) membership scratch is the price of
-  // admitting foreign bytes into the cache.
-  std::vector<bool> seen(row_bound, false);
-  for (uint32_t r : rows) {
-    if (r >= row_bound) {
-      return Status::InvalidArgument("stripped payload: row id out of range");
-    }
-    if (seen[r]) {
-      return Status::InvalidArgument(
-          "stripped payload: row id appears in two blocks");
-    }
-    seen[r] = true;
-  }
-  Partition out;
-  out.rows_ = std::move(rows);
-  out.starts_ = std::move(offsets);
-  return out;
-}
-
 Partition Partition::OfColumn(const Column& col) {
   const size_t n = col.codes.size();
   AJD_CHECK(n < UINT32_MAX);

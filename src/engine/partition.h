@@ -20,7 +20,6 @@
 
 #include "engine/column_store.h"
 #include "engine/refine_kernels.h"
-#include "util/status.h"
 
 namespace ajd {
 
@@ -42,8 +41,8 @@ namespace ajd {
 /// Two physical layouts back the same logical partition:
 ///
 ///   flat    — one rows array plus block-boundary offsets, exact-sized with
-///             zero slack. Every factory (Trivial/OfColumn/RefinedBy*/
-///             FromStripped) and every copy-form extension produces this:
+///             zero slack. Every factory (Trivial/OfColumn/RefinedBy*)
+///             and every copy-form extension produces this:
 ///             refinement stages into thread-local buffers and copies out
 ///             exact-sized, so cached partitions carry no dead capacity and
 ///             the arbiter's byte accounting charges only live rows.
@@ -266,35 +265,14 @@ class Partition {
   /// while both the partition and the scratch are unmodified.
   PartitionView View(PartitionViewScratch* scratch) const;
 
-  // --- Canonical flat representation (persistence tier) -----------------
-  //
-  // The persistent cache store (persist/persistent_store.h) serializes a
-  // partition as the two flat arrays FlattenStripped produces and rebuilds
-  // it through FromStripped. Flattening is the canonical form: a chunked
-  // partition serializes exactly like the flat partition a cold build
-  // would have produced, so persisted blobs round-trip the layout change
-  // unseen. The factory VALIDATES, because its input crossed a process
-  // boundary — a checksum catches torn bytes, not a stale file written by
-  // a buggy or hostile producer, and a malformed partition admitted to
-  // the cache could corrupt served answers rather than just wasting time.
-
   /// Writes the canonical flat form: concatenated block members in block
   /// order into *rows, block-boundary offsets into *offsets (block b spans
   /// [offsets[b], offsets[b+1]); both empty for the empty partition).
-  /// Identical output in both layouts.
+  /// Identical output in both layouts: a chunked partition flattens to
+  /// exactly the flat partition a cold build would have produced, which is
+  /// how compaction drops the chunked layout.
   void FlattenStripped(std::vector<uint32_t>* rows,
                        std::vector<uint32_t>* offsets) const;
-
-  /// Rebuilds a partition from a deserialized raw representation.
-  /// InvalidArgument unless the shape is one the factories could have
-  /// produced: offsets start at 0, strictly increase, and end at
-  /// rows.size(); every block has >= 2 members; rows are strictly
-  /// ascending within each block; every row id is < row_bound and appears
-  /// in at most one block. (Both arrays empty is the valid empty
-  /// partition.)
-  static Result<Partition> FromStripped(std::vector<uint32_t> rows,
-                                        std::vector<uint32_t> offsets,
-                                        uint64_t row_bound);
 
   /// Heap bytes held (for the engine's cache budget accounting). Chunked
   /// partitions report chunks, slack and block headers included — the

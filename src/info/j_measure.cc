@@ -10,16 +10,7 @@ double JMeasure(const Relation& r, const JoinTree& tree) {
 }
 
 double JMeasure(EntropyCalculator* calc, const JoinTree& tree) {
-  double j = 0.0;
-  for (uint32_t v = 0; v < tree.NumNodes(); ++v) {
-    j += calc->Entropy(tree.bag(v));
-  }
-  for (const auto& [u, v] : tree.Edges()) {
-    j -= calc->Entropy(tree.bag(u).Intersect(tree.bag(v)));
-  }
-  j -= calc->Entropy(tree.AllAttrs());
-  // J >= 0 always (Theorem 3.2: it is a KL divergence); clamp fp noise.
-  return j < 0.0 && j > -1e-9 ? 0.0 : j;
+  return JMeasureDetailed(calc, tree).j;
 }
 
 JMeasureBreakdown JMeasureDetailed(const Relation& r, const JoinTree& tree) {
@@ -39,6 +30,7 @@ JMeasureBreakdown JMeasureDetailed(EntropyCalculator* calc,
   }
   out.total_entropy = calc->Entropy(tree.AllAttrs());
   out.j = out.sum_bag_entropies - out.sum_sep_entropies - out.total_entropy;
+  // J >= 0 always (Theorem 3.2: it is a KL divergence); clamp fp noise.
   if (out.j < 0.0 && out.j > -1e-9) out.j = 0.0;
   return out;
 }

@@ -22,6 +22,7 @@ namespace ajd {
 double JMeasure(const Relation& r, const JoinTree& tree);
 
 /// J(T) evaluated through a shared entropy cache (for batch workloads).
+/// Equals JMeasureDetailed(calc, tree).j bit for bit.
 double JMeasure(EntropyCalculator* calc, const JoinTree& tree);
 
 /// The three components of Eq. (7).

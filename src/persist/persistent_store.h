@@ -1,65 +1,56 @@
 // PersistentCacheStore: the crash-safe on-disk tier under the engine's
-// in-memory entropy/partition cache (engine/entropy_engine.h).
+// in-memory entropy cache (engine/entropy_engine.h).
 //
-// The store memoizes pure computations — entropy values and stripped
-// partition payloads — keyed by (relation content fingerprint, AttrSet, row
-// count), the key that stays meaningful across process lifetimes
-// (relation/fingerprint.h). Because relations grow by appends only, a
-// persisted entry at row count M is a valid prefix FOREVER: a restarted
-// process reloads it and delta-extends through the engine's bit-identical
-// extension machinery instead of re-paying the cold build.
+// The store memoizes entropy VALUES keyed by (relation content
+// fingerprint, AttrSet, row count), the key that stays meaningful across
+// process lifetimes (relation/fingerprint.h). Theorem 3.2 makes J(T) a
+// sum of entropies, and each H(S) is a pure function of (relation prefix,
+// attribute set), so a value persisted at row count M serves every later
+// process whose relation has the same first M rows. Partitions are never
+// written: a process that has grown past M recomputes them cold, which
+// costs no more than reading and extending them from disk would.
 //
-// On-disk layout (one directory per store):
+// On-disk layout (one directory per store): a single file,
 //
-//   MANIFEST         append-only journal of entry metadata. 8-byte magic,
-//                    then records framed [u32 len][u32 crc32c][payload];
-//                    record kinds: put / erase / quarantine. The journal is
-//                    the source of truth — a blob without a manifest record
-//                    does not exist.
-//   blobs/b<id>.blob one immutable file per partition payload: magic,
-//                    version, payload length, CRC-32C, then the raw
-//                    stripped arrays. Written to b<id>.blob.tmp, fsynced,
-//                    then renamed into place.
+//   MANIFEST   append-only journal. 8-byte magic, then records framed
+//              [u32 len][u32 crc32c][payload]; record kinds: put
+//              (fingerprint, attribute mask, rows, H) and erase
+//              (fingerprint, attribute mask, rows). The journal is the
+//              whole store.
 //
 // Write discipline (what makes kill -9 at any byte recoverable):
-//   1. blob first, manifest record second — a crash between the two leaves
-//      an unreferenced blob, garbage-collected at the next open;
-//   2. manifest appends are single write()s; a torn append is detected by
-//      the record CRC at the next open and the tail truncated away (every
-//      record before it replays intact);
-//   3. compaction rewrites live records to MANIFEST.tmp, fsyncs, and
+//   1. a Put or Erase batch is one write() of back-to-back framed records
+//      (one fsync with fsync_writes); a torn batch is detected by the first
+//      record CRC that fails at the next open and the tail truncated away —
+//      every record before it, including whole records of the torn batch,
+//      replays intact;
+//   2. compaction rewrites live records to MANIFEST.tmp, fsyncs, and
 //      renames over the old journal — the classic atomic-replace; a crash
 //      before the rename leaves the old journal authoritative and the tmp
 //      is removed at open.
 //
-// Failure semantics: "degrade, never corrupt", across processes. Every blob
-// is CRC-verified on load; a corrupt, truncated, or unreadable blob is
-// QUARANTINED (file renamed to .quarantined, entry dropped, counter
-// bumped) and the caller falls back to cold compute — a bad cache entry can
-// cost time, never change an answer. All methods return Status/Result,
-// never throw (out-of-memory excepted); no failure aborts the process. An
-// in-process write failure tidies up (truncates the torn tail back, removes
-// the tmp) so the store object stays usable; if even the tidy-up fails the
-// store goes read-only until Compact() rebuilds the journal.
+// Failure semantics: "degrade, never corrupt", across processes. Damage
+// only ever DROPS records (a torn or foreign tail, a journal of another
+// format), and a dropped value is computed cold by the engine — a damaged
+// store can cost time, never change an answer. All methods return
+// Status/Result, never throw (out-of-memory excepted); no failure aborts
+// the process. An in-process write failure tidies up (truncates the torn
+// tail back) so the store object stays usable; if even the tidy-up fails
+// the store goes read-only until Compact() rebuilds the journal.
 //
-// Fault injection: persist/manifest_append, persist/blob_write,
-// persist/blob_read, persist/compact_rename (util/failpoint.h). The write
-// sites are torn-write capable — see persist_internal below — which is how
-// the crash-recovery soak simulates kill -9 at randomized byte offsets.
+// Format history: AJDCACH2 stores also held partition blobs under
+// blobs/. Open reads any other magic as a foreign journal, starts empty,
+// and removes a leftover blobs/ directory.
 //
-// Thread safety: every method may be called concurrently. One internal
-// mutex guards the in-memory index, blob-id reservation, journal appends,
-// compaction (journal rewrite and blob sweep) and quarantine renames.
-// Blob reads, blob writes and their CRCs run outside it, so puts and loads
-// of different entries proceed in parallel: Put reserves a blob id under
-// the lock, writes the blob without it, and appends the journal record and
-// updates the index under it again (the last commit of a key wins; the
-// blob it replaces is unlinked). LoadPayload reads and verifies without the
-// lock and quarantines only when the entry still maps to the blob it read.
-// Compact never collects a blob whose write is still in flight. The store
-// is a LEAF in the lock order — it never calls back into engine or arbiter
-// code — so the engine may use it while holding its own mutex (lock order:
-// arbiter -> engine -> store).
+// Fault injection: persist/manifest_append and persist/compact_rename
+// (util/failpoint.h). The append site is torn-write capable — see
+// persist_internal below — which is how the crash-recovery soak simulates
+// kill -9 at randomized byte offsets.
+//
+// Thread safety: every method may be called concurrently; one internal
+// mutex guards the in-memory index, journal appends and compaction. The
+// store is a LEAF in the lock order — it never calls back into engine or
+// arbiter code — so the engine may use it while holding its own mutex.
 #ifndef AJD_PERSIST_PERSISTENT_STORE_H_
 #define AJD_PERSIST_PERSISTENT_STORE_H_
 
@@ -69,7 +60,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "relation/attr_set.h"
@@ -79,63 +69,45 @@ namespace ajd {
 
 /// Tuning knobs for a PersistentCacheStore.
 struct PersistOptions {
-  /// fsync after manifest appends and blob writes. Turning it off trades
-  /// the durability of the most recent writes for speed; recovery safety
-  /// (no corruption, torn tails truncated) is unaffected.
+  /// fsync after each journal append. Turning it off trades the
+  /// durability of the most recent writes for speed; recovery safety (no
+  /// corruption, torn tails truncated) is unaffected.
   bool fsync_writes = true;
 };
 
-/// Metadata of one persisted entry — everything the manifest journal
-/// records about it. `has_payload` entries additionally own a blob file
-/// holding the partition's raw stripped arrays.
-struct PersistedEntryMeta {
+/// The key of a persisted value.
+struct PersistKey {
   uint64_t fingerprint = 0;  ///< relation content fingerprint at `rows`
   AttrSet attrs;             ///< the attribute set the entry covers
   uint64_t rows = 0;         ///< relation prefix length the entry covers
-  bool has_entropy = false;  ///< `entropy` holds a served value
-  double entropy = 0.0;      ///< H(attrs) over the first `rows` rows
-  /// The build recipe: dense columns applied from scratch, in order
-  /// (engine/entropy_engine.h CachedPartition::chain), so a reloaded
-  /// partition can be delta-extended exactly like a resident one.
-  std::vector<uint32_t> chain;
-  /// Cardinality of chain.back()'s column at `rows` (the engine's
-  /// kernel-stability check for delta extension).
-  uint32_t last_col_card = 0;
-  bool has_payload = false;  ///< a partition blob exists for this entry
-  uint64_t blob_id = 0;      ///< blob file id (meaningful iff has_payload)
+  bool operator==(const PersistKey& o) const {
+    return fingerprint == o.fingerprint && attrs == o.attrs && rows == o.rows;
+  }
 };
 
-/// A partition's serialized form: the canonical flat arrays from
-/// Partition::FlattenStripped (chunked partitions flatten on the way out,
-/// so blobs are layout-independent). Rebuilt (validated) through
-/// Partition::FromStripped.
-struct PartitionPayload {
-  std::vector<uint32_t> rows;
-  std::vector<uint32_t> offsets;
+struct PersistKeyHash {
+  size_t operator()(const PersistKey& k) const;
+};
+
+/// One persisted entry — everything a journal put record holds.
+struct PersistedEntryMeta : PersistKey {
+  double entropy = 0.0;  ///< H(attrs) over the first `rows` rows
 };
 
 /// Monotonic counters (lifetime of the store OBJECT; open-time recovery
 /// counters describe the Open() that produced it).
 struct PersistStats {
   uint64_t entries = 0;          ///< live entries right now
-  uint64_t puts = 0;             ///< entries written (journal + blob)
-  uint64_t dedup_puts = 0;       ///< puts skipped: identical entry resident
-  uint64_t put_failures = 0;     ///< puts that failed (injected or real I/O)
+  uint64_t puts = 0;             ///< entries written
+  uint64_t dedup_puts = 0;       ///< entries skipped: identical one resident
+  uint64_t put_failures = 0;     ///< entries of Put batches that failed
   uint64_t erases = 0;           ///< entries erased
   uint64_t lookups = 0;          ///< LookupExact calls
   uint64_t hits = 0;             ///< LookupExact calls that found an entry
-  uint64_t payload_loads = 0;    ///< blob loads attempted
-  uint64_t payload_load_failures = 0;  ///< blob loads that failed
-  uint64_t quarantined_blobs = 0;      ///< blobs quarantined by this object
   uint64_t compactions = 0;      ///< successful Compact() calls
-  // Open-time recovery accounting: with the quarantine counter above, these
-  // account for every entry/byte the store ever gave up on.
   uint64_t torn_tail_events = 0;   ///< manifest tails truncated at open
   uint64_t torn_tail_bytes = 0;    ///< bytes those truncations dropped
-  uint64_t orphan_blobs_removed = 0;  ///< unreferenced blobs GC'd at open
-  uint64_t tmp_files_removed = 0;  ///< crashed .tmp files removed at open
-  uint64_t missing_blob_entries_dropped = 0;  ///< entries whose blob file
-                                              ///< was gone at open
+  uint64_t tmp_files_removed = 0;  ///< crashed compaction tmps removed
 };
 
 /// The on-disk store. Create through Open(); share one instance per cache
@@ -143,12 +115,12 @@ struct PersistStats {
 class PersistentCacheStore {
  public:
   /// Opens (creating if absent) the store in `dir`, running recovery:
-  /// removes crashed tmp files, truncates a torn manifest tail, replays the
-  /// journal into the in-memory index, drops entries whose blob file is
-  /// missing, and garbage-collects unreferenced blobs. Never aborts on
-  /// damaged input — damage is dropped and counted (Stats()). IoError only
-  /// when the directory itself cannot be created or the journal cannot be
-  /// opened for appending.
+  /// removes a crashed compaction's tmp journal and a previous format's
+  /// blobs/ directory, truncates a torn manifest tail, and replays the
+  /// journal into the in-memory index. Never aborts on damaged input —
+  /// damage is dropped and counted (Stats()). IoError only when the
+  /// directory itself cannot be created or the journal cannot be opened
+  /// for appending.
   static Result<std::shared_ptr<PersistentCacheStore>> Open(
       const std::string& dir, const PersistOptions& options = {});
 
@@ -157,41 +129,30 @@ class PersistentCacheStore {
   PersistentCacheStore(const PersistentCacheStore&) = delete;
   PersistentCacheStore& operator=(const PersistentCacheStore&) = delete;
 
-  /// Persists one entry (meta.has_payload/blob_id are outputs of the store,
-  /// ignored on input; pass `payload` to attach a partition blob). An entry
-  /// under the same (fingerprint, attrs, rows) key is REPLACED — unless the
-  /// resident entry already carries everything this put would write, in
-  /// which case the put is a counted no-op (spill-on-evict re-spills hot
-  /// entries; rewriting identical bytes would churn the journal).
-  /// Blob-then-manifest write order; on any failure the index is unchanged
-  /// and the entry simply stays unpersisted.
-  Status Put(const PersistedEntryMeta& meta, const PartitionPayload* payload);
+  /// Persists a batch of entries as ONE journal append. An entry under
+  /// the same (fingerprint, attrs, rows) key is REPLACED, unless it holds
+  /// the same value bits, in which case it is skipped (dedup_puts). On
+  /// failure the index is unchanged and no entry of the batch counts as
+  /// persisted (a later open may still replay whole records a crash
+  /// landed).
+  Status Put(const std::vector<PersistedEntryMeta>& entries);
 
   /// Exact-key probe of the in-memory index (no I/O). True on hit, with
-  /// `*out` filled.
-  bool LookupExact(uint64_t fingerprint, AttrSet attrs, uint64_t rows,
-                   PersistedEntryMeta* out);
+  /// the stored value in `*entropy` when non-null.
+  bool LookupExact(const PersistKey& key, double* entropy);
 
   /// Every live entry (the warm-restart scan; the engine filters by
-  /// fingerprint chain).
+  /// fingerprint).
   std::vector<PersistedEntryMeta> AllEntries() const;
 
-  /// Loads and CRC-verifies the blob of an entry previously returned by
-  /// LookupExact/AllEntries. NotFound when the entry no longer exists or
-  /// has no payload, or a concurrent Put or Erase replaced it mid-read;
-  /// IoError when the blob fails verification — in which case the blob
-  /// has been QUARANTINED (renamed .quarantined, entry dropped, counter
-  /// bumped) and the caller must compute cold.
-  Result<PartitionPayload> LoadPayload(const PersistedEntryMeta& meta);
-
-  /// Removes an entry (journal record + blob file). OK when absent.
-  Status Erase(uint64_t fingerprint, AttrSet attrs, uint64_t rows);
+  /// Removes the entries under `keys` as ONE journal append; absent keys
+  /// are skipped. On failure the index is unchanged.
+  Status Erase(const std::vector<PersistKey>& keys);
 
   /// Rewrites the journal to exactly the live entries (temp-write + fsync +
-  /// atomic rename), removes blobs no live entry references, and clears the
-  /// read-only flag a failed tidy-up may have set. The journal only grows
-  /// between compactions; call this at maintenance points (tools/ajdcache
-  /// scrub does).
+  /// atomic rename) and clears the read-only flag a failed tidy-up may have
+  /// set. The journal only grows between compactions; call this at
+  /// maintenance points (tools/ajdcache scrub does).
   Status Compact();
 
   PersistStats Stats() const;
@@ -199,33 +160,15 @@ class PersistentCacheStore {
   const std::string& dir() const { return dir_; }
 
  private:
-  struct Key {
-    uint64_t fingerprint;
-    uint64_t mask;
-    uint64_t rows;
-    bool operator==(const Key& o) const {
-      return fingerprint == o.fingerprint && mask == o.mask && rows == o.rows;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
-  };
-
   PersistentCacheStore(std::string dir, PersistOptions options);
 
-  Status AppendRecordLocked(const std::string& payload);
-  /// Writes blob `blob_id` (tmp file, fsync, rename). Called without mu_.
-  Status WriteBlob(uint64_t blob_id, const PartitionPayload& payload) const;
-  /// Quarantines `key`'s blob — iff the entry still maps to `blob_id` (a
-  /// concurrent Put or Erase may have replaced it since the caller looked).
-  /// True when it did.
-  bool QuarantineBlobLocked(const Key& key, uint64_t blob_id);
-  std::string BlobPath(uint64_t blob_id) const;
+  /// Appends already-framed records in one write(), tidying a failed
+  /// append back to the last complete record.
+  Status AppendLocked(const std::string& frames);
   Status OpenManifestLocked();
 
   const std::string dir_;
   const std::string manifest_path_;
-  const std::string blobs_dir_;
   const PersistOptions options_;
 
   mutable std::mutex mu_;
@@ -237,12 +180,7 @@ class PersistentCacheStore {
   /// they are refused (FailedPrecondition) until Compact() rebuilds the
   /// journal — reads keep working throughout.
   bool read_only_ = false;
-  uint64_t next_blob_id_ = 1;
-  /// Blob ids reserved by a Put whose write has not committed yet; Compact
-  /// must not collect their files.
-  std::unordered_set<uint64_t> in_flight_;
-  uint64_t dead_records_ = 0;
-  std::unordered_map<Key, PersistedEntryMeta, KeyHash> index_;
+  std::unordered_map<PersistKey, PersistedEntryMeta, PersistKeyHash> index_;
   PersistStats stats_;
 };
 

@@ -71,16 +71,15 @@ Relation Project(const Relation& r, AttrSet attrs) {
   Result<Schema> schema = Schema::Make(std::move(out_attrs));
   AJD_CHECK(schema.ok());
 
-  TupleCounter counter(width, r.NumRows());
   std::vector<uint32_t> key(width);
   RelationBuilder b(std::move(schema).value());
   for (uint64_t i = 0; i < r.NumRows(); ++i) {
     GatherInto(r.Row(i), positions, key.data());
-    size_t before = counter.NumDistinct();
-    counter.Add(key.data());
-    if (counter.NumDistinct() > before) b.AddRowPtr(key.data());
+    b.AddRowPtr(key.data());
   }
-  Relation out = std::move(b).Build(/*dedupe=*/false);
+  // Build keeps each projected row's first occurrence, in order, and marks
+  // the result duplicate-free (its distinct-prefix watermark covers it).
+  Relation out = std::move(b).Build(/*dedupe=*/true);
   // Propagate dictionaries of the projected attributes.
   for (size_t i = 0; i < positions.size(); ++i) {
     const Dictionary* d = r.dict(positions[i]);

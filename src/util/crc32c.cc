@@ -33,10 +33,10 @@ const Tables& T() {
 
 }  // namespace
 
-uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
+uint32_t Crc32c(const void* data, size_t n) {
   const Tables& tab = T();
   const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t c = ~crc;
+  uint32_t c = ~uint32_t{0};
   while (n >= 4) {
     c ^= static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) |
@@ -50,10 +50,6 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
     c = tab.t[0][(c ^ *p++) & 0xFF] ^ (c >> 8);
   }
   return ~c;
-}
-
-uint32_t Crc32c(const void* data, size_t n) {
-  return Crc32cExtend(0, data, n);
 }
 
 }  // namespace ajd

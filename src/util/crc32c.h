@@ -1,6 +1,6 @@
 // CRC-32C (Castagnoli, polynomial 0x1EDC6F41): the checksum guarding the
 // persistent cache tier's on-disk bytes (persist/persistent_store.h) —
-// manifest journal records and partition blob payloads. CRC-32C is the
+// its manifest journal records. CRC-32C is the
 // variant hardware-accelerated everywhere (SSE4.2 crc32, ARMv8 CRC32C) and
 // the one used by RocksDB, LevelDB, and ext4 metadata; this implementation
 // is the portable slice-by-4 table walk, plenty for the store's write
@@ -14,13 +14,8 @@
 
 namespace ajd {
 
-/// CRC-32C of `n` bytes. Equal to Crc32cExtend(0, data, n).
+/// CRC-32C of `n` bytes (the empty string's CRC is 0).
 uint32_t Crc32c(const void* data, size_t n);
-
-/// Continues a CRC-32C: returns the checksum of the concatenation of the
-/// bytes `crc` summarizes and these `n` bytes. Crc32cExtend(0, ...) starts
-/// a fresh sum (the empty string's CRC is 0).
-uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n);
 
 }  // namespace ajd
 

@@ -126,8 +126,6 @@ const std::vector<std::string>& FailpointRegistry::Catalog() {
       failpoints::kEngineCatchupPublish,
       failpoints::kStreamingIngestBatch,
       failpoints::kPersistManifestAppend,
-      failpoints::kPersistBlobWrite,
-      failpoints::kPersistBlobRead,
       failpoints::kPersistCompactRename,
   };
   return catalog;

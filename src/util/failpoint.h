@@ -121,22 +121,17 @@ inline constexpr const char* kEngineBatchTask = "engine/batch_task";
 inline constexpr const char* kEngineCatchupExtend = "engine/catchup_extend";
 inline constexpr const char* kEngineCatchupPublish = "engine/catchup_publish";
 inline constexpr const char* kStreamingIngestBatch = "streaming/ingest_batch";
-// Persistence tier (persist/persistent_store.h). These four sites cover
-// every durable write/read the store performs; unlike the throwing sites
-// above they surface as Status (the store's API is exception-free), and the
-// write-path pair doubles as a CRASH SIMULATOR: when a write site fires,
-// only persist_internal::SetTornWriteBytes() bytes of the buffer actually
-// reach the file, and with persist_internal::SetCrashSimulation(true) the
-// store skips its in-process tidy-up (truncate-back / tmp removal) so the
-// file is left exactly as a kill -9 at that byte would leave it — the
+// Persistence tier (persist/persistent_store.h). These two sites cover
+// every durable write the store performs; unlike the throwing sites above
+// they surface as Status (the store's API is exception-free). The journal
+// append doubles as a CRASH SIMULATOR: when it fires, only
+// persist_internal::SetTornWriteBytes() bytes of the buffer actually reach
+// the file, and with persist_internal::SetCrashSimulation(true) the store
+// skips its in-process tidy-up (truncate-back / tmp removal) so the file is
+// left exactly as a kill -9 at that byte would leave it — the
 // crash-recovery soak then reopens the directory and asserts recovery.
 inline constexpr const char* kPersistManifestAppend =
-    "persist/manifest_append";  ///< journal record append (torn-write capable)
-inline constexpr const char* kPersistBlobWrite =
-    "persist/blob_write";  ///< blob temp-file write (torn-write capable)
-inline constexpr const char* kPersistBlobRead =
-    "persist/blob_read";  ///< blob load — fires as a checksum failure, so the
-                          ///< blob quarantines and the caller falls back cold
+    "persist/manifest_append";  ///< journal batch append (torn-write capable)
 inline constexpr const char* kPersistCompactRename =
     "persist/compact_rename";  ///< between manifest.tmp fsync and the atomic
                                ///< rename; crash-sim leaves the tmp behind

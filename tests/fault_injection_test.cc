@@ -163,7 +163,6 @@ TEST(FailpointRegistryTest, CatalogListsEveryCompiledSite) {
       failpoints::kEngineComputePartition, failpoints::kEngineBatchTask,
       failpoints::kEngineCatchupExtend,   failpoints::kEngineCatchupPublish,
       failpoints::kStreamingIngestBatch,  failpoints::kPersistManifestAppend,
-      failpoints::kPersistBlobWrite,      failpoints::kPersistBlobRead,
       failpoints::kPersistCompactRename};
   EXPECT_EQ(catalog, want);
 }
@@ -529,8 +528,8 @@ class FaultSoak {
         string_rel_(EmptyStringRelation({"a", "b", "c"})),
         csv_rel_(EmptyStringRelation({"a", "b"})) {
     // A live persistent store so the soak drives the persist/* failpoints
-    // too: puts (manifest_append + blob_write), loads (blob_read), and
-    // periodic compactions (compact_rename). Its API is exception-free —
+    // too: puts (manifest_append) and periodic compactions
+    // (compact_rename). Its API is exception-free —
     // under injected faults every op must still return a Status and leave
     // the store usable.
     store_dir_ = std::filesystem::temp_directory_path() /
@@ -611,30 +610,27 @@ class FaultSoak {
       // Streaming ingest (ingest_batch) with quarantine-on-exhaustion —
       // the stream must survive no matter what fires.
       (void)monitor_->IngestBatch(RandomRows(&rng_, 3, 3, 4));
-      // Persistent store ops (manifest_append, blob_write, blob_read,
-      // compact_rename). A failed put leaves the entry unpersisted; a
-      // failed load quarantines the blob and drops the entry — the next
-      // iteration's put rewrites it. Either way the store object must
-      // stay usable across the whole soak.
+      // Persistent store ops (manifest_append, compact_rename). A failed
+      // put leaves its batch unpersisted; a persisted value must read back
+      // exactly. Either way the store object must stay usable across the
+      // whole soak.
       {
         PersistedEntryMeta meta;
         meta.fingerprint = 0xFA0C + (it % 4);
         meta.attrs = RandomNonEmptySubset(&rng_, 4);
         // A fresh key per put: a repeated key dedupes without reaching
-        // the blob or manifest writes, so a soak that had already put
-        // every (fingerprint, attrs, rows) key would stop driving them.
+        // the journal append, so a soak that had already put every
+        // (fingerprint, attrs, rows) key would stop driving it.
         meta.rows = 40 + puts_++;
-        meta.has_entropy = true;
         meta.entropy = 1.5;
-        meta.chain = meta.attrs.ToIndices();
-        PartitionPayload payload;
-        for (uint32_t k = 0; k < 16; ++k) payload.rows.push_back(k);
-        payload.offsets = {0, 8, 16};
-        (void)store_->Put(meta, &payload);
-        PersistedEntryMeta got;
-        if (store_->LookupExact(meta.fingerprint, meta.attrs, meta.rows,
-                                &got)) {
-          (void)store_->LoadPayload(got);
+        PersistedEntryMeta second = meta;
+        second.rows = 40 + puts_++;
+        const bool put = store_->Put({meta, second}).ok();
+        double got = 0.0;
+        const bool found = store_->LookupExact(meta, &got);
+        EXPECT_EQ(found, put);
+        if (found) {
+          EXPECT_EQ(got, 1.5);
         }
         // Every other iteration so even a two-iteration Drive() reaches
         // the compact_rename site at least once.

@@ -26,6 +26,26 @@ TEST(Project, FullSetIsIdentityOnSets) {
   EXPECT_TRUE(SetEquals(r, p));
 }
 
+TEST(Project, OfMultisetKeepsFirstOccurrencesAndIsMarkedDistinct) {
+  Schema s = Schema::Make({{"A", 3}, {"B", 3}, {"C", 2}}).value();
+  const Relation r =
+      Relation::FromRows(
+          s, {{1, 0, 0}, {0, 2, 1}, {1, 0, 1}, {1, 0, 0}, {2, 1, 0}, {0, 2, 0}},
+          /*dedupe=*/false)
+          .value();
+  ASSERT_EQ(r.NumRows(), 6u);
+  const Relation p = Project(r, AttrSet{0, 1});
+  ASSERT_EQ(p.NumRows(), 3u);
+  // First occurrences, in input order.
+  const std::vector<std::vector<uint32_t>> want = {{1, 0}, {0, 2}, {2, 1}};
+  for (uint64_t i = 0; i < p.NumRows(); ++i) {
+    EXPECT_EQ(p.At(i, 0), want[i][0]) << "row " << i;
+    EXPECT_EQ(p.At(i, 1), want[i][1]) << "row " << i;
+  }
+  EXPECT_EQ(p.DistinctPrefixRows(), p.NumRows());
+  EXPECT_FALSE(p.HasDuplicateRows());
+}
+
 TEST(CountDistinct, MatchesProjectionSize) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {

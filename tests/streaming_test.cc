@@ -110,9 +110,7 @@ TEST(Streaming, DedupedStreamCachesNothingWiderThanTheLargestBag) {
     RelationBuilder copy(r.schema());
     for (uint64_t i = 0; i < r.NumRows(); ++i) copy.AddRowPtr(r.Row(i));
     const Relation cold = std::move(copy).Build(/*dedupe=*/false);
-    // The monitor sums J's terms the way JMeasureDetailed does.
-    EXPECT_EQ(point.value().j, JMeasureDetailed(cold, tree).j)
-        << "batch " << k;
+    EXPECT_EQ(point.value().j, JMeasure(cold, tree)) << "batch " << k;
     const EntropyEngine& engine = monitor.session().EngineFor(r);
     for (uint64_t mask = 1; mask < (uint64_t{1} << num_attrs); ++mask) {
       const AttrSet s = AttrSet::FromMask(mask);

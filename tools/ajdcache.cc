@@ -2,25 +2,17 @@
 // (persist/persistent_store.h).
 //
 //   ajdcache list   <dir>   one JSON line per entry, then a summary line
-//   ajdcache verify <dir>   load + CRC-verify every partition blob; corrupt
-//                           blobs are quarantined (renamed .quarantined and
-//                           dropped from the manifest), exactly as the
-//                           engine's load path would have done lazily
-//   ajdcache scrub  <dir>   delete quarantined blob files and compact the
-//                           manifest down to the live entries
+//   ajdcache scrub  <dir>   compact the manifest down to the live entries
 //
 // Every mode ends with ONE machine-readable JSON summary line on stdout.
-// Opening the store runs its normal crash recovery (crashed tmp files
-// removed, torn manifest tail truncated, orphan blobs collected) — the
-// summary's recovery counters report what it found, which makes `list` on a
-// freshly crashed directory double as the post-mortem.
+// Opening the store runs its normal crash recovery (CRC-checked replay,
+// torn manifest tail truncated, crashed compaction tmp removed) — the
+// summary's recovery counters report what it found, which makes `list` on
+// a freshly crashed directory double as the post-mortem.
 //
-// Exit codes: 0 clean; 1 usage or open failure; 2 verify found (and
-// quarantined) at least one bad blob.
+// Exit codes: 0 clean; 1 usage, open or compaction failure.
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -32,25 +24,19 @@ using ajd::PersistentCacheStore;
 using ajd::PersistStats;
 
 int Usage() {
-  std::fprintf(stderr, "usage: ajdcache {list|verify|scrub} <cache-dir>\n");
+  std::fprintf(stderr, "usage: ajdcache {list|scrub} <cache-dir>\n");
   return 1;
 }
 
 void PrintSummary(const char* mode, const std::string& dir,
-                  const PersistStats& s, uint64_t extra_verified,
-                  uint64_t extra_bad, uint64_t extra_scrubbed) {
+                  const PersistStats& s) {
   std::printf(
       "{\"tool\":\"ajdcache\",\"mode\":\"%s\",\"dir\":\"%s\","
-      "\"entries\":%" PRIu64 ",\"verified\":%" PRIu64 ",\"bad\":%" PRIu64
-      ",\"scrubbed_quarantined\":%" PRIu64 ",\"torn_tail_events\":%" PRIu64
-      ",\"torn_tail_bytes\":%" PRIu64 ",\"orphan_blobs_removed\":%" PRIu64
-      ",\"tmp_files_removed\":%" PRIu64
-      ",\"missing_blob_entries_dropped\":%" PRIu64
-      ",\"quarantined_blobs\":%" PRIu64 ",\"compactions\":%" PRIu64 "}\n",
-      mode, dir.c_str(), s.entries, extra_verified, extra_bad,
-      extra_scrubbed, s.torn_tail_events, s.torn_tail_bytes,
-      s.orphan_blobs_removed, s.tmp_files_removed,
-      s.missing_blob_entries_dropped, s.quarantined_blobs, s.compactions);
+      "\"entries\":%" PRIu64 ",\"torn_tail_events\":%" PRIu64
+      ",\"torn_tail_bytes\":%" PRIu64 ",\"tmp_files_removed\":%" PRIu64
+      ",\"compactions\":%" PRIu64 "}\n",
+      mode, dir.c_str(), s.entries, s.torn_tail_events, s.torn_tail_bytes,
+      s.tmp_files_removed, s.compactions);
 }
 
 }  // namespace
@@ -59,7 +45,7 @@ int main(int argc, char** argv) {
   if (argc != 3) return Usage();
   const std::string mode = argv[1];
   const std::string dir = argv[2];
-  if (mode != "list" && mode != "verify" && mode != "scrub") return Usage();
+  if (mode != "list" && mode != "scrub") return Usage();
 
   auto opened = PersistentCacheStore::Open(dir);
   if (!opened.ok()) {
@@ -69,40 +55,14 @@ int main(int argc, char** argv) {
   }
   std::shared_ptr<PersistentCacheStore> store = opened.value();
 
-  uint64_t verified = 0, bad = 0, scrubbed = 0;
   if (mode == "list") {
     for (const auto& e : store->AllEntries()) {
       std::printf("{\"fingerprint\":\"%016" PRIx64
                   "\",\"attrs_mask\":\"%" PRIx64 "\",\"rows\":%" PRIu64
-                  ",\"has_entropy\":%s,\"has_payload\":%s,\"blob_id\":%" PRIu64
-                  ",\"chain_len\":%zu}\n",
-                  e.fingerprint, e.attrs.mask(), e.rows,
-                  e.has_entropy ? "true" : "false",
-                  e.has_payload ? "true" : "false", e.blob_id,
-                  e.chain.size());
-    }
-  } else if (mode == "verify") {
-    for (const auto& e : store->AllEntries()) {
-      if (!e.has_payload) continue;
-      if (store->LoadPayload(e).ok()) {
-        ++verified;
-      } else {
-        ++bad;  // the store quarantined it as a side effect
-      }
+                  ",\"entropy\":%.17g}\n",
+                  e.fingerprint, e.attrs.mask(), e.rows, e.entropy);
     }
   } else {  // scrub
-    std::error_code ec;
-    const std::filesystem::path blobs = std::filesystem::path(dir) / "blobs";
-    for (const auto& ent : std::filesystem::directory_iterator(blobs, ec)) {
-      const std::string name = ent.path().filename().string();
-      const char* suffix = ".quarantined";
-      if (name.size() > std::strlen(suffix) &&
-          name.compare(name.size() - std::strlen(suffix),
-                       std::strlen(suffix), suffix) == 0) {
-        std::error_code rec;
-        if (std::filesystem::remove(ent.path(), rec)) ++scrubbed;
-      }
-    }
     const ajd::Status s = store->Compact();
     if (!s.ok()) {
       std::fprintf(stderr, "ajdcache: compact failed: %s\n",
@@ -111,6 +71,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintSummary(mode.c_str(), dir, store->Stats(), verified, bad, scrubbed);
-  return mode == "verify" && bad > 0 ? 2 : 0;
+  PrintSummary(mode.c_str(), dir, store->Stats());
+  return 0;
 }
