@@ -584,7 +584,7 @@ std::shared_ptr<const Partition> EntropyEngine::PartitionAt(
     arbiter_->Touch(this, attrs);
     return p;
   }
-  // The compute hands back the partition it built (or reloaded) itself: a
+  // The compute hands back the partition it built itself: a
   // cache lookup afterwards could find it already evicted by the arbiter.
   ComputeEntropy(attrs, pin, /*materialize_final=*/true, &p);
   AJD_CHECK(p != nullptr);

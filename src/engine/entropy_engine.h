@@ -40,8 +40,9 @@
 // Values: H(S) is a pure function of (relation prefix, S). Every path
 // evaluates it from the block-size histogram of S's grouping
 // (engine/block_histogram.h), so a value does not depend on which cached
-// base a miss refined from, on cache history, on catch-up vs cold, on a
-// disk reload, or on the thread count; it equals EntropyOf bit for bit.
+// base a miss refined from, on cache history, on catch-up vs cold, on
+// whether the disk tier served it, or on the thread count; it equals
+// EntropyOf bit for bit.
 //
 // Epochs: the engine follows its relation across batch appends
 // (relation/relation.h). Every query entry point calls CatchUp() first
@@ -255,9 +256,10 @@ class EntropyEngine {
   /// rows — the pinned counterpart of EntropyAt for callers that need the
   /// grouping itself (distinct counts, per-group join sizes, per-row
   /// block sizes), not just its entropy. A partition cached at the pin's
-  /// row count is returned as is; otherwise the miss takes the disk-tier
-  /// probe, then the ordinary refinement chain with the last step
-  /// materialized (the PrewarmSubsets path), caching every step. All
+  /// row count is returned as is; otherwise the miss computes it through
+  /// the ordinary refinement chain with the last step materialized (the
+  /// PrewarmSubsets path), caching every step; the disk tier holds values
+  /// only, so it never serves this call. All
   /// attributes over a duplicate-free prefix get a fresh empty partition
   /// that is not cached (see the header comment). The
   /// returned pointer is the caller's to hold: an eviction after the call

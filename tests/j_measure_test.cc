@@ -182,6 +182,19 @@ TEST(JMeasureDetailed, BreakdownSumsToJ) {
   EXPECT_NEAR(bd.j, JMeasure(r, t), 1e-9);
 }
 
+// JMeasure is JMeasureDetailed's J, not a second summation that could
+// round differently.
+TEST(JMeasure, EqualsDetailedJBitwise) {
+  Rng rng(67);
+  for (int trial = 0; trial < 20; ++trial) {
+    Relation r = testing_util::RandomTestRelation(&rng, 5, 3, 60);
+    JoinTree t = testing_util::RandomJoinTree(&rng, 5);
+    EntropyCalculator calc(&r);
+    EXPECT_EQ(JMeasure(&calc, t), JMeasureDetailed(&calc, t).j);
+    EXPECT_EQ(JMeasure(r, t), JMeasureDetailed(r, t).j);
+  }
+}
+
 TEST(JMeasure, NonNegativeAlways) {
   Rng rng(65);
   for (int trial = 0; trial < 40; ++trial) {

@@ -9,8 +9,9 @@
 //      build, no failpoints needed.
 //   2. Warm-restart equivalence — a fresh engine over a reopened store
 //      serves its persisted values bitwise without computing, serves no
-//      value of a prefix its relation has grown past, and supersedes that
-//      old generation at the next PersistCache.
+//      value of a prefix its relation has grown past, supersedes that old
+//      generation at the next PersistCache, and answers plain misses from
+//      the journal once appends reach a persisted prefix.
 //   3. The crash-recovery soak (needs -DAJD_ENABLE_FAILPOINTS=ON) —
 //      randomized kill-at-offset during persistence writes via the
 //      torn-write simulator (persist_internal), then a clean reopen: no
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "engine/entropy_engine.h"
+#include "engine/partition.h"
 #include "info/entropy.h"
 #include "persist/persistent_store.h"
 #include "random/rng.h"
@@ -194,6 +196,26 @@ TEST(PersistStore, TornManifestTailIsTruncatedAtOpen) {
   ASSERT_TRUE(store->Put({ValueEntry(9, 0x1, 10, 9.0)}).ok());
   store.reset();
   EXPECT_EQ(MustOpen(dir.str())->NumEntries(), 4u);
+}
+
+TEST(PersistStore, ExternallyTruncatedManifestDropsOnlyTheTail) {
+  TempDir dir;
+  {
+    auto store = MustOpen(dir.str());
+    for (uint64_t k = 0; k < 3; ++k) {
+      ASSERT_TRUE(store->Put({ValueEntry(k, 0x1, 10, 1.0 + k)}).ok());
+    }
+  }
+  // Chop a few bytes off the last record (kill -9 mid-write never got them
+  // to disk).
+  const fs::path manifest = fs::path(dir.str()) / "MANIFEST";
+  fs::resize_file(manifest, fs::file_size(manifest) - 3);
+  auto store = MustOpen(dir.str());
+  EXPECT_EQ(store->NumEntries(), 2u);
+  EXPECT_EQ(store->Stats().torn_tail_events, 1u);
+  EXPECT_TRUE(store->LookupExact({0, AttrSet::FromMask(0x1), 10}, nullptr));
+  EXPECT_TRUE(store->LookupExact({1, AttrSet::FromMask(0x1), 10}, nullptr));
+  EXPECT_FALSE(store->LookupExact({2, AttrSet::FromMask(0x1), 10}, nullptr));
 }
 
 // A batch goes out as one write(), but every record in it keeps its own
@@ -643,6 +665,64 @@ TEST(PersistEngine, PersistCacheSupersedesTheWarmStartedGeneration) {
   EXPECT_EQ(warm.persist_hits, sets.size());
   EXPECT_EQ(warm.refinements, 0u);
   EXPECT_EQ(warm.persist_fallbacks, 0u);
+}
+
+// A store that holds values at a row count the relation only reaches after
+// the engine attached (a process that persisted further along the same
+// stream): warm start installs none of them, and once appends bring the
+// relation to that prefix, plain misses are served by the miss-path value
+// lookup without computing. A caller that needs the partition itself is
+// never served from disk.
+TEST(PersistEngine, MissPathServesValuesPersistedAtTheCaughtUpPrefix) {
+  constexpr uint32_t kAttrs = 4;
+  Rng rng(20261019);
+  const auto all_rows = RandomCodeRows(&rng, kAttrs, 3, 100);
+  const std::vector<std::vector<uint32_t>> base_rows(all_rows.begin(),
+                                                     all_rows.end() - 20);
+  const std::vector<std::vector<uint32_t>> delta_rows(all_rows.end() - 20,
+                                                      all_rows.end());
+  const std::vector<AttrSet> sets = AllNonEmptySubsets(kAttrs);
+
+  TempDir dir;
+  {
+    Relation seed = RelationOver(all_rows, kAttrs);
+    EngineOptions opt;
+    opt.persist_store = MustOpen(dir.str());
+    EntropyEngine engine(&seed, opt);
+    (void)engine.BatchEntropy(sets);
+    ASSERT_TRUE(engine.PersistCache().ok());
+  }
+
+  Relation r = RelationOver(base_rows, kAttrs);
+  EngineOptions opt;
+  opt.num_threads = 1;
+  opt.persist_store = MustOpen(dir.str());
+  EntropyEngine engine(&r, opt);
+  EXPECT_EQ(engine.Stats().persist_hits, 0u);
+  EXPECT_EQ(engine.CacheSize(), 0u);
+  ASSERT_TRUE(r.AppendBatch(delta_rows).ok());
+
+  // The partition path computes even though the disk holds its value.
+  const AttrSet first = sets.front();
+  engine.CatchUp();
+  const std::shared_ptr<const Partition> p =
+      engine.PartitionAt(first, engine.Pin());
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->EntropyNats(r.NumRows()), EntropyOf(r, first));
+  EXPECT_EQ(engine.Stats().persist_hits, 0u);
+  const uint64_t refinements = engine.Stats().refinements;
+  const uint64_t builds = engine.Stats().partition_builds;
+  EXPECT_GT(refinements + builds, 0u);
+
+  // Every other set is a plain miss that the journal answers exactly.
+  for (AttrSet s : sets) {
+    ASSERT_EQ(engine.Entropy(s), EntropyOf(r, s)) << "attrs=" << s.ToString();
+  }
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.persist_hits, sets.size() - 1);
+  EXPECT_EQ(stats.refinements, refinements);
+  EXPECT_EQ(stats.partition_builds, builds);
+  EXPECT_EQ(stats.persist_fallbacks, 0u);
 }
 
 TEST(PersistEngine, ForeignStoreContentIsIgnoredNotTrusted) {
