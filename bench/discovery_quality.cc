@@ -3,6 +3,9 @@
 // tracks the planted structure, (b) respects the Lemma 4.1 prediction made
 // BEFORE materializing anything, and (c) beats a structure-oblivious
 // baseline (the full-independence star schema).
+//
+// Exits 1 unless the noise-0 schema is lossless and every mined schema's
+// exact rho is at most the baseline's, so a clean exit is the check.
 #include <cstdio>
 
 #include "core/analysis.h"
@@ -21,6 +24,7 @@ int main() {
   TablePrinter table({"noise", "N", "mined bags", "mined J",
                       "predicted rho >=", "actual rho", "baseline rho",
                       "lossless?"});
+  bool ok = true;
   for (uint64_t noise : {0ull, 4ull, 16ull, 64ull, 256ull}) {
     Instance planted =
         MakeLosslessMvdInstance(24, 24, 16, 5, 5, &rng).value();
@@ -32,7 +36,7 @@ int main() {
     options.max_bag_size = 2;
     options.cmi_threshold = 1e-9;
     // One session per relation: the analysis after mining answers its
-    // entropy terms from the cache the split search already filled.
+    // entropy terms from the cache the builder already filled.
     AnalysisSession session;
     MinerReport mined = MineJoinTree(&session, r, options).value();
     AjdAnalysis a = AnalyzeAjd(&session, r, mined.tree).value();
@@ -51,6 +55,16 @@ int main() {
                   FormatDouble(a.loss.rho, 5),
                   FormatDouble(base.loss.rho, 5),
                   a.lossless ? "yes" : "no"});
+    if (noise == 0 && !a.lossless) {
+      std::fprintf(stderr, "FAIL: the noise-0 schema is lossy\n");
+      ok = false;
+    }
+    if (a.loss.rho > base.loss.rho) {
+      std::fprintf(stderr, "FAIL: noise %llu: mined rho %g > baseline %g\n",
+                   static_cast<unsigned long long>(noise), a.loss.rho,
+                   base.loss.rho);
+      ok = false;
+    }
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf(
@@ -58,5 +72,5 @@ int main() {
       "as noise grows, mined J and actual rho grow together while the\n"
       "Lemma 4.1 prediction stays below the actual loss; the mined schema\n"
       "always beats the independence baseline by orders of magnitude.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

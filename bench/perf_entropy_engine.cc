@@ -1,7 +1,8 @@
 // Experiment PERF-ENGINE — A/B of the legacy per-call EntropyOf against the
-// shared columnar EntropyEngine on the miner's candidate-split workload.
+// shared columnar EntropyEngine on a candidate-split workload.
 //
-// The workload replays what BestSplit evaluates on a wide relation: for
+// The workload is the one the miner's former top-down split search
+// evaluated on a wide relation, kept as a fixed engine benchmark: for
 // every separator C up to size 2 and a sample of bipartitions A | B of the
 // remaining attributes, the terms H(A u C), H(B u C), H(bag), H(C). Three
 // contenders:

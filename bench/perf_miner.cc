@@ -1,14 +1,17 @@
 // Experiment PERF-MINER — end-to-end MineJoinTree, serial engine vs the
-// threaded engine, across configurations that exercise both split-search
-// paths: the exhaustive mask enumeration (<= 16 units) and the batched
-// hill climb (> 16 units, where each sweep's flip neighborhood fans out
-// through one deduped BatchEntropy call).
+// threaded engine, on three relation shapes: 12 attributes with bags of 3
+// and separators of 2 ("exhaustive"), and 18-20 attributes with wide bags
+// and single-attribute separators ("hill_climb", "hill_climb_wide"). The
+// names are those of the split-search paths the shapes once exercised,
+// kept so the recorded trajectory continues.
 //
 // For every configuration the two modes must render byte-identical
 // MinerReport::ToString output (scoring batches only warm the cache;
-// selection runs after each batch in deterministic mask order), so a clean
+// selection runs after each batch in a fixed candidate order), so a clean
 // exit is itself an equivalence check. One machine-readable JSON line per
-// configuration, alongside perf_entropy_engine's, for trajectory tracking.
+// configuration, alongside perf_entropy_engine's, for trajectory tracking:
+// the mined J and the serial run's engine queries and refinements sit
+// beside the timings.
 //
 // `--smoke` shrinks every configuration to CI-friendly sizes; the point of
 // that mode is keeping the JSON emitter and the equivalence guard alive,
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "discovery/miner.h"
+#include "engine/analysis_session.h"
 #include "random/random_relation.h"
 #include "random/rng.h"
 
@@ -43,14 +47,15 @@ struct MinerBenchConfig {
   uint64_t domain;
   uint32_t max_separator_size;
   uint32_t max_bag_size;
-  uint32_t hill_climb_restarts;
   uint64_t seed;
 };
 
 struct ModeResult {
   double ms = 0.0;
   std::string rendering;
-  uint32_t splits = 0;
+  uint32_t steps = 0;
+  double j = 0.0;
+  EngineStats stats;
 };
 
 ModeResult RunMode(const Relation& r, const MinerBenchConfig& config,
@@ -58,15 +63,18 @@ ModeResult RunMode(const Relation& r, const MinerBenchConfig& config,
   MinerOptions options;
   options.max_separator_size = config.max_separator_size;
   options.max_bag_size = config.max_bag_size;
-  options.hill_climb_restarts = config.hill_climb_restarts;
-  options.seed = config.seed;
-  options.num_threads = num_threads;
+  EngineOptions engine;
+  engine.num_threads = num_threads;
   ModeResult out;
   const double t0 = NowMs();
-  MinerReport report = MineJoinTree(r, options).value();
+  // The session is part of the timed work, as in the convenience overload.
+  AnalysisSession session(engine);
+  MinerReport report = MineJoinTree(&session, r, options).value();
   out.ms = NowMs() - t0;
   out.rendering = report.ToString(r.schema());
-  out.splits = static_cast<uint32_t>(report.splits.size());
+  out.steps = static_cast<uint32_t>(report.steps.size());
+  out.j = report.j;
+  out.stats = session.TotalStats();
   return out;
 }
 
@@ -78,19 +86,14 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  // exhaustive: every bag's unit count stays <= 16, so BestSplit's
-  //   per-size batch covers the full mask enumeration.
-  // hill_climb: 18 loose attributes with size-1 separators put ~17 units
-  //   in every neighborhood, forcing the batched steepest-descent path on
-  //   8+ units throughout the first splitting rounds.
   std::vector<MinerBenchConfig> configs;
   if (smoke) {
-    configs.push_back({"exhaustive", 8, 400, 3, 2, 3, 4, 20260730});
-    configs.push_back({"hill_climb", 18, 100, 2, 1, 14, 1, 20260731});
+    configs.push_back({"exhaustive", 8, 400, 3, 2, 3, 20260730});
+    configs.push_back({"hill_climb", 18, 100, 2, 1, 14, 20260731});
   } else {
-    configs.push_back({"exhaustive", 12, 4000, 3, 2, 3, 4, 20260730});
-    configs.push_back({"hill_climb", 18, 1500, 4, 1, 8, 4, 20260731});
-    configs.push_back({"hill_climb_wide", 20, 800, 6, 1, 10, 4, 20260732});
+    configs.push_back({"exhaustive", 12, 4000, 3, 2, 3, 20260730});
+    configs.push_back({"hill_climb", 18, 1500, 4, 1, 8, 20260731});
+    configs.push_back({"hill_climb_wide", 20, 800, 6, 1, 10, 20260732});
   }
 
   const uint32_t hw = std::thread::hardware_concurrency();
@@ -113,13 +116,16 @@ int main(int argc, char** argv) {
     std::printf(
         "{\"bench\":\"perf_miner\",\"config\":\"%s\",\"smoke\":%s,"
         "\"attrs\":%u,\"rows\":%llu,\"domain\":%llu,"
-        "\"max_separator_size\":%u,\"max_bag_size\":%u,\"splits\":%u,"
+        "\"max_separator_size\":%u,\"max_bag_size\":%u,\"steps\":%u,"
+        "\"j\":%.6f,\"queries\":%llu,\"refinements\":%llu,"
         "\"hardware_threads\":%u,\"serial_ms\":%.1f,\"threaded_ms\":%.1f,"
         "\"speedup\":%.2f,\"identical_output\":%s}\n",
         config.name, smoke ? "true" : "false", config.attrs,
         static_cast<unsigned long long>(r.NumRows()),
         static_cast<unsigned long long>(config.domain),
-        config.max_separator_size, config.max_bag_size, serial.splits, hw,
+        config.max_separator_size, config.max_bag_size, serial.steps,
+        serial.j, static_cast<unsigned long long>(serial.stats.queries),
+        static_cast<unsigned long long>(serial.stats.refinements), hw,
         serial.ms, threaded.ms, serial.ms / threaded.ms,
         identical ? "true" : "false");
     if (!identical) {

@@ -96,7 +96,7 @@ Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
   }
 
   // The counting side — distinct counts, MVD join sizes, D(P || P^T) —
-  // reads the stripped partitions of these sets, most of which the miner
+  // reads the stripped partitions of these sets, some of which the miner
   // already cached. One prewarm builds the rest (fanning out on the
   // engine's pool), and everything below reads at one pin.
   const DfsDecomposition dfs = tree.Decompose();

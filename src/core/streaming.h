@@ -20,8 +20,9 @@
 // (DriftPolicy::kRelative, the scale-free choice when trees of very
 // different J magnitudes are monitored with one config) — the monitor
 // re-mines a tree on the data so far, through the same session, so the
-// miner's thousands of entropy terms reuse everything the monitoring
-// already cached, and continues with it.
+// miner's entropy terms (every singleton and pair, then each build step's
+// candidates) reuse everything the monitoring already cached, and
+// continues with it.
 //
 // Threading: the monitor's own state (trajectory, tree, baselines) is
 // single-writer — call Ingest*/Observe from one thread at a time. The

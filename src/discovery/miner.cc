@@ -1,8 +1,8 @@
 #include "discovery/miner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "core/bounds.h"
 #include "engine/analysis_session.h"
@@ -14,35 +14,157 @@ namespace ajd {
 
 namespace {
 
-// A candidate split of one bag.
-struct SplitCandidate {
-  AttrSet separator;
-  AttrSet side_a;  // A u C
-  AttrSet side_b;  // B u C
-  double cmi = std::numeric_limits<double>::infinity();
-  double sep_entropy = std::numeric_limits<double>::infinity();
+// Margin a candidate must win by before it replaces the incumbent in any
+// comparison. Entropies are exact functions of the attribute set (the same
+// bits at any thread count), but a mutual information is a difference of
+// three or four of them, so two candidates that are mathematically tied
+// can still differ by cancellation error. At or below this margin the
+// tie-breaks decide instead; 1e-9 matches the CMI clamp in the engine.
+constexpr double kSelectionEps = 1e-9;
+
+// The post-pass enumerates every bipartition of at most this many units
+// (2^15 masks); separators that leave more are skipped.
+constexpr size_t kMaxSplitUnits = 16;
+
+// Mutable tree under construction.
+struct WorkTree {
+  std::vector<AttrSet> bags;
+  std::vector<bool> alive;
+  // Edges as (u, v) pairs over work indexes; dead nodes have no edges.
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+
+  uint32_t AddBag(AttrSet bag) {
+    bags.push_back(bag);
+    alive.push_back(true);
+    return static_cast<uint32_t>(bags.size() - 1);
+  }
+
+  std::vector<uint32_t> NeighborsOf(uint32_t v) const {
+    std::vector<uint32_t> out;
+    for (auto [a, b] : edges) {
+      if (a == v) out.push_back(b);
+      if (b == v) out.push_back(a);
+    }
+    return out;
+  }
+};
+
+// A candidate step: attach attribute w on separator s inside bag v.
+struct Attach {
+  uint32_t w = 0;
+  uint32_t v = 0;
+  AttrSet s;
+  double mi = 0.0;     // I(w; s)
+  double sep_h = 0.0;  // H(s)
   bool valid = false;
 };
 
-// Margin a candidate must win by before it replaces the incumbent in any
-// scoring or candidate comparison. Entropies are exact functions of the
-// attribute set (the same bits at any thread count), but a CMI is a
-// difference of four of them, so two splits that are mathematically tied
-// can still differ by cancellation error. At or below this margin the
-// earliest candidate in the deterministic scan order wins instead; 1e-9
-// matches the CMI clamp in the engine.
-constexpr double kSelectionEps = 1e-9;
-
-// Ordering on candidates: primarily by CMI; ties (within tolerance) go to
-// the separator with smaller entropy. Without the tie-break, conditioning
-// on a key attribute always achieves CMI = 0 while duplicating the key into
-// every bag — a useless decomposition for storage.
-bool BetterThan(const SplitCandidate& a, const SplitCandidate& b) {
-  if (!a.valid) return false;
+// Largest I(w; S) wins; ties go to the smaller H(S) (a low-entropy
+// separator stores less: conditioning on a key always scores as well as
+// anything while duplicating the key into every bag), then to the lowest
+// (w, bag, S) in mask order. The hang candidates of a bag precede its grow
+// (S ⊊ b has the smaller mask), so a grow never wins a tie.
+bool Better(const Attach& a, const Attach& b) {
   if (!b.valid) return true;
-  if (a.cmi < b.cmi - kSelectionEps) return true;
-  if (a.cmi > b.cmi + kSelectionEps) return false;
-  return a.sep_entropy < b.sep_entropy - kSelectionEps;
+  if (a.mi > b.mi + kSelectionEps) return true;
+  if (a.mi < b.mi - kSelectionEps) return false;
+  if (a.sep_h < b.sep_h - kSelectionEps) return true;
+  if (a.sep_h > b.sep_h + kSelectionEps) return false;
+  return std::make_tuple(a.w, a.v, a.s.mask()) <
+         std::make_tuple(b.w, b.v, b.s.mask());
+}
+
+// Calls fn(S) for every separator an attribute may attach on inside bag b:
+// b itself (grow) while |b| < cap, and every proper subset of at most
+// max_sep attributes (hang).
+template <typename Fn>
+void ForEachAttachSeparator(AttrSet b, uint32_t cap, uint32_t max_sep,
+                            Fn&& fn) {
+  const uint32_t top = std::min(max_sep, b.Count() - 1);
+  for (uint32_t k = 0; k <= top; ++k) ForEachSubsetOfSize(b, k, fn);
+  if (b.Count() < cap) fn(b);
+}
+
+// Builds the tree greedily (see miner.h) into *work and records the steps.
+std::vector<AttachStep> BuildGreedy(EntropyCalculator* calc, AttrSet all,
+                                    const MinerOptions& options,
+                                    WorkTree* work) {
+  const uint32_t cap = std::max(options.max_bag_size, 1u);
+  const uint32_t max_sep = options.max_separator_size;
+  auto h = [calc](AttrSet s) { return calc->Entropy(s); };
+  std::vector<AttachStep> steps;
+
+  // Start: every singleton and pair in one batch, then the pair with the
+  // largest I(a; b) (the lowest such pair on ties).
+  const std::vector<uint32_t> attrs = all.ToIndices();
+  std::vector<AttrSet> terms;
+  for (uint32_t a : attrs) {
+    terms.push_back(AttrSet{a});
+    for (uint32_t b : attrs) {
+      if (a < b) terms.push_back(AttrSet{a, b});
+    }
+  }
+  calc->engine().WarmEntropies(terms);
+  uint32_t first = attrs[0];
+  uint32_t second = attrs[1];
+  double best = -std::numeric_limits<double>::infinity();
+  for (uint32_t a : attrs) {
+    for (uint32_t b : attrs) {
+      if (cap == 1 || b <= a) continue;
+      const double mi = h(AttrSet{a}) + h(AttrSet{b}) - h(AttrSet{a, b});
+      if (mi > best + kSelectionEps) {
+        best = mi;
+        first = a;
+        second = b;
+      }
+    }
+  }
+  steps.push_back({first, AttrSet(), AttrSet(), 0.0});
+  if (cap == 1) {
+    work->AddBag(AttrSet{first});
+  } else {
+    work->AddBag(AttrSet{first, second});
+    steps.push_back({second, AttrSet{first}, AttrSet{first},
+                     std::max(best, 0.0)});
+  }
+
+  AttrSet covered = work->bags[0];
+  while (covered != all) {
+    const AttrSet uncovered = all.Minus(covered);
+    auto for_each_candidate = [&](auto&& fn) {
+      uncovered.ForEach([&](uint32_t w) {
+        const AttrSet ws = AttrSet::Singleton(w);
+        for (uint32_t v = 0; v < work->bags.size(); ++v) {
+          ForEachAttachSeparator(work->bags[v], cap, max_sep,
+                                 [&](AttrSet s) { fn(w, ws, v, s); });
+        }
+      });
+    };
+    terms.clear();
+    for_each_candidate([&](uint32_t, AttrSet ws, uint32_t, AttrSet s) {
+      terms.push_back(s);
+      terms.push_back(s.Union(ws));
+    });
+    calc->engine().WarmEntropies(terms);
+    Attach best;
+    for_each_candidate([&](uint32_t w, AttrSet ws, uint32_t v, AttrSet s) {
+      const double sep_h = h(s);
+      const Attach c{w, v, s, h(ws) + sep_h - h(s.Union(ws)), sep_h, true};
+      if (Better(c, best)) best = c;
+    });
+
+    const AttrSet bag = work->bags[best.v];
+    const AttrSet ws = AttrSet::Singleton(best.w);
+    if (best.s == bag) {
+      work->bags[best.v] = bag.Union(ws);
+    } else {
+      const uint32_t fresh = work->AddBag(best.s.Union(ws));
+      work->edges.emplace_back(best.v, fresh);
+    }
+    steps.push_back({best.w, bag, best.s, std::max(best.mi, 0.0)});
+    covered = covered.Union(ws);
+  }
+  return steps;
 }
 
 // The units that must stay on one side of a split: the (separator-minus-C)
@@ -74,244 +196,135 @@ std::vector<AttrSet> BuildUnits(AttrSet bag, AttrSet c,
   return units;
 }
 
-// Expands an assignment (bitmask over units: 1 = side A) into its sides.
-void ExpandMask(const std::vector<AttrSet>& units, uint64_t mask, AttrSet* a,
-                AttrSet* b) {
-  for (size_t u = 0; u < units.size(); ++u) {
-    if ((mask >> u) & 1) {
-      *a = a->Union(units[u]);
-    } else {
-      *b = b->Union(units[u]);
-    }
-  }
-}
-
-// Scores an assignment and returns the CMI.
-double ScoreAssignment(EntropyCalculator* calc,
-                       const std::vector<AttrSet>& units, uint64_t mask,
-                       AttrSet c, AttrSet* side_a, AttrSet* side_b) {
-  AttrSet a, b;
-  ExpandMask(units, mask, &a, &b);
-  *side_a = a.Union(c);
-  *side_b = b.Union(c);
-  return calc->ConditionalMutualInformation(a, b, c);
-}
-
-// Exhaustive enumeration is feasible up to this many units (2^15 candidate
-// masks); beyond it BestBipartition hill-climbs.
-constexpr size_t kMaxExhaustiveUnits = 16;
-
-// Candidate terms BestSplit hands WarmEntropies per call.
-constexpr size_t kWarmBatchTerms = size_t{1} << 16;
-
-// Appends the side terms H(A u C), H(B u C) of every exhaustive candidate
-// mask for `units` under separator `c` to *terms (at most 2^16 of them;
-// the masks of one separator give distinct sides, and WarmEntropies folds
-// duplicates across separators). No-op when the space is too large to
-// enumerate (the hill-climb case batches per neighborhood instead).
-void CollectExhaustiveTerms(const std::vector<AttrSet>& units, AttrSet c,
-                            std::vector<AttrSet>* terms) {
-  const size_t k = units.size();
-  if (k < 2 || k > kMaxExhaustiveUnits) return;
-  const uint64_t total = uint64_t{1} << k;
-  // Skip empty/full masks; halve the space by fixing unit 0 on side A
-  // (mirrors the scoring loop below).
-  for (uint64_t mask = 1; mask < total; ++mask) {
-    if ((mask & 1) == 0) continue;      // unit 0 pinned to A
-    if (mask == total - 1) continue;    // side B empty
-    AttrSet a, b;
-    ExpandMask(units, mask, &a, &b);
-    terms->push_back(a.Union(c));
-    terms->push_back(b.Union(c));
-  }
-}
-
-// Exhaustive best bipartition: every candidate's terms were already batched
-// by BestSplit, so the mask-order scan below reads a warm cache; selection
-// is deterministic regardless of how many threads filled it.
-SplitCandidate BestBipartitionExhaustive(EntropyCalculator* calc,
-                                         const std::vector<AttrSet>& units,
-                                         AttrSet c) {
-  SplitCandidate best;
-  best.separator = c;
-  const size_t k = units.size();
-  const uint64_t total = uint64_t{1} << k;
-  for (uint64_t mask = 1; mask < total; ++mask) {
-    if ((mask & 1) == 0) continue;
-    if (mask == total - 1) continue;
-    AttrSet sa, sb;
-    double cmi = ScoreAssignment(calc, units, mask, c, &sa, &sb);
-    if (!best.valid || cmi < best.cmi - kSelectionEps) {
-      best.cmi = cmi;
-      best.side_a = sa;
-      best.side_b = sb;
-      best.valid = true;
-    }
-  }
-  return best;
-}
-
-// Hill climbing with restarts for spaces too large to enumerate. Each sweep
-// scores the whole neighborhood — the k single-unit flips of the current
-// mask, 4 entropy terms each of which H(A u B u C) and H(C) are shared —
-// as one deduped batch, then applies the steepest strictly-improving flip.
-// Selection happens after the batch completes, in ascending unit order, so
-// serial and threaded engines walk identical trajectories.
-SplitCandidate BestBipartitionHillClimb(EntropyCalculator* calc,
-                                        const std::vector<AttrSet>& units,
-                                        AttrSet c, const MinerOptions& options,
-                                        Rng* rng) {
-  SplitCandidate best;
-  best.separator = c;
-  const size_t k = units.size();
-  // k can reach 64 (a kMaxAttrs relation under the empty separator), where
-  // `1 << k` would be undefined.
-  const uint64_t full =
-      k >= 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
-  const bool batch = calc->engine().ParallelBatches();
-  std::vector<AttrSet> terms;
-  for (uint32_t restart = 0; restart < options.hill_climb_restarts;
-       ++restart) {
-    uint64_t mask = 0;
-    // Random non-trivial start.
-    for (size_t u = 0; u < k; ++u) {
-      if (rng->Bernoulli(0.5)) mask |= uint64_t{1} << u;
-    }
-    if (mask == 0) mask = 1;
-    if (mask == full) mask &= ~uint64_t{1};
-    AttrSet sa, sb;
-    double current = ScoreAssignment(calc, units, mask, c, &sa, &sb);
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      if (batch) {
-        terms.clear();
-        for (size_t u = 0; u < k; ++u) {
-          uint64_t flipped = mask ^ (uint64_t{1} << u);
-          if (flipped == 0 || flipped == full) continue;
-          AttrSet a, b;
-          ExpandMask(units, flipped, &a, &b);
-          terms.push_back(a.Union(c));
-          terms.push_back(b.Union(c));
-        }
-        calc->engine().WarmEntropies(terms);  // values re-read below
-      }
-      size_t best_u = k;
-      double best_cmi = current;
-      AttrSet ba, bb;
-      for (size_t u = 0; u < k; ++u) {
-        uint64_t flipped = mask ^ (uint64_t{1} << u);
-        if (flipped == 0 || flipped == full) continue;
-        AttrSet ta, tb;
-        double cmi = ScoreAssignment(calc, units, flipped, c, &ta, &tb);
-        if (cmi < best_cmi - kSelectionEps) {
-          best_cmi = cmi;
-          best_u = u;
-          ba = ta;
-          bb = tb;
-        }
-      }
-      if (best_u < k) {
-        mask ^= uint64_t{1} << best_u;
-        current = best_cmi;
-        sa = ba;
-        sb = bb;
-        improved = true;
+// Calls fn(A u C, B u C) for every bipartition of `units` with unit 0
+// pinned to side A and side B non-empty.
+template <typename Fn>
+void ForEachBipartition(const std::vector<AttrSet>& units, AttrSet c,
+                        Fn&& fn) {
+  const uint64_t total = uint64_t{1} << units.size();
+  for (uint64_t mask = 1; mask < total - 1; mask += 2) {
+    AttrSet a = c, b = c;
+    for (size_t u = 0; u < units.size(); ++u) {
+      if ((mask >> u) & 1) {
+        a = a.Union(units[u]);
+      } else {
+        b = b.Union(units[u]);
       }
     }
-    if (!best.valid || current < best.cmi - kSelectionEps) {
-      best.cmi = current;
-      best.side_a = sa;
-      best.side_b = sb;
-      best.valid = true;
-    }
+    fn(a, b);
   }
-  return best;
 }
 
-// One separator's share of a split search: the separator and the immovable
-// unit groups of the remainder.
-struct SeparatorWork {
-  AttrSet c;
-  std::vector<AttrSet> units;
+// A split of one bag: separator C and sides A u C, B u C.
+struct Split {
+  AttrSet c, side_a, side_b;
+  double cmi = 0.0;
+  double sep_h = 0.0;  // H(C)
+  bool valid = false;
 };
 
-// Finds the best split of `bag` over all separators up to the size cap.
-// All separators of one size build their candidate entropy-term lists up
-// front and fan out through one deduped batch, so a threaded engine
-// saturates its pool on the misses; the selection pass that follows runs
-// in subset-enumeration order either way, keeping the result independent
-// of thread count.
-SplitCandidate BestSplit(EntropyCalculator* calc, AttrSet bag,
-                const std::vector<AttrSet>& neighbor_seps,
-                const MinerOptions& options, Rng* rng) {
-  SplitCandidate best;
-  uint32_t max_sep = std::min(options.max_separator_size, bag.Count());
-  for (uint32_t size = 0; size <= max_sep; ++size) {
-    std::vector<SeparatorWork> work;
+// The lowest-CMI split of `bag` over every separator of at most max_sep
+// attributes that leaves 2..kMaxSplitUnits units; ties go to the separator
+// of smaller entropy (conditioning on a key always scores 0 while
+// duplicating the key into both bags), then to the earlier candidate.
+// Every term goes through one batch before the scoring scan.
+Split BestSplit(EntropyCalculator* calc, AttrSet bag,
+                const std::vector<AttrSet>& neighbor_seps, uint32_t max_sep) {
+  std::vector<std::pair<AttrSet, std::vector<AttrSet>>> work;
+  for (uint32_t size = 0; size <= std::min(max_sep, bag.Count()); ++size) {
     ForEachSubsetOfSize(bag, size, [&](AttrSet c) {
-      work.push_back({c, BuildUnits(bag, c, neighbor_seps)});
-    });
-
-    // Seed the separator ancestors: every candidate term is a superset of
-    // its separator, so a materialized C partition turns each A u C / B u C
-    // miss into a single refinement step. Worth it even on a serial engine.
-    std::vector<AttrSet> seps;
-    seps.reserve(work.size());
-    for (const SeparatorWork& w : work) seps.push_back(w.c);
-    calc->engine().PrewarmSubsets(seps);
-
-    if (calc->engine().ParallelBatches()) {
-      // Every exhaustive candidate this size emits goes to the pool in
-      // batches of about kWarmBatchTerms (every mask shares H(bag) and
-      // H(C), neighboring masks share side terms), which bounds the
-      // transient however many separators there are. WarmEntropies drops
-      // a batch whose predicted work cannot pay for the pool, and with a
-      // serial engine the scoring loop below fills the same cache at the
-      // same cost, so batching there would be pure overhead. Term order is
-      // irrelevant: the engine orders its misses itself.
-      std::vector<AttrSet> terms{bag};
-      for (const SeparatorWork& w : work) {
-        if (!w.c.Empty()) terms.push_back(w.c);
-        CollectExhaustiveTerms(w.units, w.c, &terms);
-        if (terms.size() >= kWarmBatchTerms) {
-          calc->engine().WarmEntropies(terms);
-          terms.clear();
-        }
+      std::vector<AttrSet> units = BuildUnits(bag, c, neighbor_seps);
+      if (units.size() >= 2 && units.size() <= kMaxSplitUnits) {
+        work.emplace_back(c, std::move(units));
       }
-      calc->engine().WarmEntropies(terms);
-    }
-
-    for (const SeparatorWork& w : work) {
-      if (w.units.size() < 2) continue;  // cannot split
-      SplitCandidate s =
-          w.units.size() <= kMaxExhaustiveUnits
-              ? BestBipartitionExhaustive(calc, w.units, w.c)
-              : BestBipartitionHillClimb(calc, w.units, w.c, options, rng);
-      if (!s.valid) continue;
-      s.sep_entropy = calc->Entropy(w.c);
-      if (BetterThan(s, best)) best = s;
-    }
+    });
+  }
+  std::vector<AttrSet> terms{bag};
+  for (const auto& [c, units] : work) {
+    terms.push_back(c);
+    ForEachBipartition(units, c, [&](AttrSet a, AttrSet b) {
+      terms.push_back(a);
+      terms.push_back(b);
+    });
+  }
+  calc->engine().WarmEntropies(terms);
+  const double h_bag = calc->Entropy(bag);
+  Split best;
+  for (const auto& [c, units] : work) {
+    const double h_c = calc->Entropy(c);
+    ForEachBipartition(units, c, [&](AttrSet a, AttrSet b) {
+      const double cmi = calc->Entropy(a) + calc->Entropy(b) - h_bag - h_c;
+      const bool tied = cmi <= best.cmi + kSelectionEps &&
+                        h_c < best.sep_h - kSelectionEps;
+      if (!best.valid || cmi < best.cmi - kSelectionEps || tied) {
+        best = {c, a, b, cmi, h_c, true};
+      }
+    });
   }
   return best;
 }
 
-// Mutable tree under construction.
-struct WorkTree {
-  std::vector<AttrSet> bags;
-  std::vector<bool> alive;
-  // Edges as (u, v) pairs over work indexes; dead nodes have no edges.
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
+// Splits bags while a split at most `threshold` exists (see miner.h).
+void SplitLosslessBags(EntropyCalculator* calc, double threshold,
+                       uint32_t max_sep, WorkTree* work) {
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (uint32_t v = 0; v < work->bags.size(); ++v) {
+      const AttrSet bag = work->bags[v];
+      if (!work->alive[v] || bag.Count() < 2) continue;
+      std::vector<AttrSet> neighbor_seps;
+      for (uint32_t u : work->NeighborsOf(v)) {
+        neighbor_seps.push_back(bag.Intersect(work->bags[u]));
+      }
+      const Split split = BestSplit(calc, bag, neighbor_seps, max_sep);
+      if (!split.valid || split.cmi > threshold) continue;
 
-  std::vector<uint32_t> NeighborsOf(uint32_t v) const {
-    std::vector<uint32_t> out;
-    for (auto [a, b] : edges) {
-      if (a == v) out.push_back(b);
-      if (b == v) out.push_back(a);
+      // Apply: v becomes side A; a fresh node becomes side B.
+      work->bags[v] = split.side_a;
+      const uint32_t vb = work->AddBag(split.side_b);
+      // Re-attach neighbors to the side containing their separator.
+      for (auto& [a, b] : work->edges) {
+        if (a != v && b != v) continue;
+        uint32_t* endpoint = a == v ? &a : &b;
+        const AttrSet sep = work->bags[a == v ? b : a].Intersect(bag);
+        if (!sep.IsSubsetOf(split.side_a)) {
+          AJD_CHECK(sep.IsSubsetOf(split.side_b));
+          *endpoint = vb;
+        }
+      }
+      work->edges.emplace_back(v, vb);
+      progress = true;
     }
-    return out;
   }
-};
+}
+
+// Contracts bags contained in a neighbor (keeps the schema reduced).
+void ContractContainedBags(WorkTree* work) {
+  bool contracted = true;
+  while (contracted) {
+    contracted = false;
+    for (uint32_t v = 0; v < work->bags.size() && !contracted; ++v) {
+      if (!work->alive[v]) continue;
+      for (uint32_t u : work->NeighborsOf(v)) {
+        if (work->bags[v].IsSubsetOf(work->bags[u])) {
+          // Move v's other edges to u, drop v.
+          std::vector<std::pair<uint32_t, uint32_t>> next_edges;
+          for (auto [a, b] : work->edges) {
+            if ((a == v && b == u) || (a == u && b == v)) continue;
+            if (a == v) a = u;
+            if (b == v) b = u;
+            next_edges.emplace_back(a, b);
+          }
+          work->edges = std::move(next_edges);
+          work->alive[v] = false;
+          contracted = true;
+          break;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -336,89 +349,12 @@ Result<MinerReport> MineJoinTree(AnalysisSession* session, const Relation& r,
     return Status::InvalidArgument("miner needs a non-empty relation");
   }
   EntropyCalculator calc(session, &r);
-  Rng rng(options.seed);
-
   WorkTree work;
-  work.bags.push_back(r.schema().AllAttrs());
-  work.alive.push_back(true);
-
-  std::vector<SplitRecord> splits;
-  double sum_cmi = 0.0;
-
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (uint32_t v = 0; v < work.bags.size(); ++v) {
-      if (!work.alive[v]) continue;
-      AttrSet bag = work.bags[v];
-      if (bag.Count() < 2) continue;
-      std::vector<uint32_t> neighbors = work.NeighborsOf(v);
-      std::vector<AttrSet> neighbor_seps;
-      neighbor_seps.reserve(neighbors.size());
-      for (uint32_t u : neighbors) {
-        neighbor_seps.push_back(bag.Intersect(work.bags[u]));
-      }
-      SplitCandidate split = BestSplit(&calc, bag, neighbor_seps, options, &rng);
-      if (!split.valid) continue;
-      const bool forced = bag.Count() > options.max_bag_size;
-      if (!forced && split.cmi > options.cmi_threshold) continue;
-
-      // Apply: v becomes side A; a fresh node becomes side B.
-      uint32_t vb = static_cast<uint32_t>(work.bags.size());
-      work.bags[v] = split.side_a;
-      work.bags.push_back(split.side_b);
-      work.alive.push_back(true);
-      // Re-attach neighbors to the side containing their separator.
-      for (auto& [a, b] : work.edges) {
-        uint32_t* endpoint = nullptr;
-        uint32_t other = 0;
-        if (a == v) {
-          endpoint = &a;
-          other = b;
-        } else if (b == v) {
-          endpoint = &b;
-          other = a;
-        } else {
-          continue;
-        }
-        AttrSet sep = work.bags[other].Intersect(bag);
-        if (!sep.IsSubsetOf(split.side_a)) {
-          AJD_CHECK(sep.IsSubsetOf(split.side_b));
-          *endpoint = vb;
-        }
-      }
-      work.edges.emplace_back(v, vb);
-      splits.push_back({split.separator, split.side_a, split.side_b,
-                        std::max(split.cmi, 0.0)});
-      sum_cmi += std::max(split.cmi, 0.0);
-      progress = true;
-    }
-  }
-
-  // Contract bags contained in a neighbor (keeps the schema reduced).
-  bool contracted = true;
-  while (contracted) {
-    contracted = false;
-    for (uint32_t v = 0; v < work.bags.size() && !contracted; ++v) {
-      if (!work.alive[v]) continue;
-      for (uint32_t u : work.NeighborsOf(v)) {
-        if (work.bags[v].IsSubsetOf(work.bags[u])) {
-          // Move v's other edges to u, drop v.
-          std::vector<std::pair<uint32_t, uint32_t>> next_edges;
-          for (auto [a, b] : work.edges) {
-            if ((a == v && b == u) || (a == u && b == v)) continue;
-            if (a == v) a = u;
-            if (b == v) b = u;
-            next_edges.emplace_back(a, b);
-          }
-          work.edges = std::move(next_edges);
-          work.alive[v] = false;
-          contracted = true;
-          break;
-        }
-      }
-    }
-  }
+  std::vector<AttachStep> steps =
+      BuildGreedy(&calc, r.schema().AllAttrs(), options, &work);
+  SplitLosslessBags(&calc, options.cmi_threshold, options.max_separator_size,
+                    &work);
+  ContractContainedBags(&work);
 
   // Compact to final ids and build the validated JoinTree.
   std::vector<uint32_t> remap(work.bags.size(), UINT32_MAX);
@@ -444,8 +380,7 @@ Result<MinerReport> MineJoinTree(AnalysisSession* session, const Relation& r,
   // field to MinerReport must not silently shift later initializers onto
   // the wrong members.
   MinerReport report{std::move(tree).value()};
-  report.splits = std::move(splits);
-  report.sum_split_cmi = sum_cmi;
+  report.steps = std::move(steps);
   report.j = JMeasure(&calc, report.tree);
   report.rho_lower_bound = RhoLowerBoundFromJ(report.j);
   return report;
@@ -467,14 +402,23 @@ std::string MinerReport::ToString(const Schema& schema) const {
   for (uint32_t v = 0; v < tree.NumNodes(); ++v) {
     s += "  bag " + std::to_string(v) + " = " + names(tree.bag(v)) + "\n";
   }
-  s += "splits:\n";
-  for (const SplitRecord& sp : splits) {
-    s += "  " + names(sp.separator) + " ->> " + names(sp.side_a) + " | " +
-         names(sp.side_b) + "  CMI = " + FormatDouble(sp.cmi) + "\n";
+  s += "attach steps:\n";
+  for (const AttachStep& st : steps) {
+    const AttrSet w = AttrSet::Singleton(st.attr);
+    s += "  " + schema.attr(st.attr).name;
+    if (st.bag.Empty()) {
+      s += " opens the tree\n";
+      continue;
+    }
+    if (st.separator == st.bag) {
+      s += " grows " + names(st.bag) + " into " + names(st.bag.Union(w));
+    } else {
+      s += " hangs " + names(st.separator.Union(w)) + " off " +
+           names(st.bag) + " on " + names(st.separator);
+    }
+    s += "  I = " + FormatDouble(st.mi) + "\n";
   }
-  s += "sum split CMI = " + FormatDouble(sum_split_cmi) +
-       " (>= J), J = " + FormatDouble(j) +
-       ", Lemma 4.1 loss lower bound rho >= " +
+  s += "J = " + FormatDouble(j) + ", Lemma 4.1 loss lower bound rho >= " +
        FormatDouble(rho_lower_bound) + "\n";
   return s;
 }

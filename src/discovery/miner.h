@@ -1,18 +1,31 @@
 // Approximate acyclic-schema miner, in the spirit of Kenig et al. (SIGMOD
 // 2020) — the motivating application of the paper (Section 1).
 //
-// Strategy: start from the trivial one-bag tree and repeatedly split bags.
-// A split of bag Omega_v picks a separator C and a bipartition A | B of the
-// remaining attributes minimizing the empirical conditional mutual
-// information I(A; B | C); the bag is replaced by two bags (A u C), (B u C)
-// joined by an edge, and existing neighbors re-attach to the side containing
-// their separator (preserving the running intersection property by
-// construction). Splitting continues while bags exceed `max_bag_size`, or
-// while a split below `cmi_threshold` exists.
+// Strategy: build the join tree bottom-up, one attribute at a time. By
+// Theorem 3.2 a tree's J-measure is the KL divergence it loses, and the
+// tree built by attaching attributes w_1, w_2, ... on separators S_1, S_2,
+// ... (each S_i inside a bag that already exists) has
 //
-// Because every split adds I(A;B|C) to the chain-rule decomposition of the
-// J-measure, the sum of accepted split scores upper-bounds J(T), which in
-// turn lower-bounds the loss via Lemma 4.1 — the miner reports both.
+//   J(T) = sum_i H(w_i | S_i) - H(Omega) = sum_w H(w) - sum_i I(w_i; S_i)
+//          - H(Omega),
+//
+// so every attribute pays H(w) once and the builder greedily collects the
+// largest I(w; S) available: it starts from the pair with the largest
+// mutual information, then repeatedly either GROWS a bag b by w (S = b,
+// while |b| < max_bag_size) or HANGS a new bag S u {w} off b (S a proper
+// subset of b, |S| <= max_separator_size, possibly empty). With
+// max_bag_size = 2 this is Prim's algorithm on pairwise mutual information
+// and returns the Chow–Liu tree, the J-optimal pair tree (Chow & Liu, IEEE
+// Trans. Inf. Theory 1968).
+//
+// A post-pass then keeps the schema as fine as it is lossless: a bag is
+// split while some separator C and bipartition A | B of the rest (existing
+// neighbors' separators kept on one side) has I(A; B | C) <=
+// cmi_threshold, and bags contained in a neighbor are contracted.
+//
+// Each step sends the entropy terms it has not seen yet through one batch,
+// and selection runs after the batch completes, so the tree and every score
+// are the same at any thread count.
 #ifndef AJD_DISCOVERY_MINER_H_
 #define AJD_DISCOVERY_MINER_H_
 
@@ -23,7 +36,6 @@
 #include <vector>
 
 #include "jointree/join_tree.h"
-#include "random/rng.h"
 #include "relation/relation.h"
 #include "util/status.h"
 
@@ -34,26 +46,21 @@ class WorkerPool;       // engine/worker_pool.h
 
 /// Tuning knobs for the miner.
 struct MinerOptions {
-  /// Maximum separator size |C| considered per split.
+  /// Largest separator |S| of a hang step, and of a post-pass split.
   uint32_t max_separator_size = 2;
-  /// Bags of at most this many attributes are never forced to split.
+  /// Hard cap on bag size: the builder never grows a bag past it (1 yields
+  /// singleton bags; 0 is treated as 1).
   uint32_t max_bag_size = 3;
-  /// Accept a split only when its CMI (nats) is at most this threshold —
-  /// unless the bag exceeds max_bag_size, in which case the best split is
-  /// forced regardless.
+  /// The post-pass splits a bag along a split whose CMI (nats) is at most
+  /// this threshold; a negative value disables splitting.
   double cmi_threshold = 1e-9;
-  /// Number of hill-climb restarts when the bipartition search space is too
-  /// large to enumerate.
-  uint32_t hill_climb_restarts = 4;
-  /// Seed for hill-climb randomization.
-  uint64_t seed = 1234;
   /// Engine threads for batched entropy scoring in the convenience
   /// overload: EngineOptions::num_threads semantics, so the default 0 uses
   /// every CPU the process may run on wherever a batch's predicted work
   /// pays for it, and 1 keeps the fully serial engine. The mined tree and
   /// every score are bit-identical at any setting — entropies are pure
   /// functions of the attribute set, and selection runs after each batch
-  /// completes, in deterministic mask order — so threads buy wall clock,
+  /// completes, in a fixed candidate order — so threads buy wall clock,
   /// not different answers. Like any engine setting above 1, a fan-out
   /// caps glibc malloc at one arena for the whole process the first time
   /// a pool worker spawns, unless the MALLOC_ARENA_MAX environment
@@ -67,12 +74,16 @@ struct MinerOptions {
   std::shared_ptr<WorkerPool> worker_pool;
 };
 
-/// One accepted split, for diagnostics.
-struct SplitRecord {
+/// One builder step, for diagnostics: attribute `attr` joined the tree on
+/// separator `separator` inside `bag` (the bag as it was before the step).
+/// `separator == bag` grows the bag; a proper subset hangs the new bag
+/// separator u {attr} off it. The first step has an empty bag: it opens
+/// the tree.
+struct AttachStep {
+  uint32_t attr = 0;
+  AttrSet bag;
   AttrSet separator;
-  AttrSet side_a;   ///< A u C
-  AttrSet side_b;   ///< B u C
-  double cmi = 0.0;
+  double mi = 0.0;  ///< I(attr; separator), nats.
 };
 
 /// Miner output: the discovered join tree and quality metrics. Every field
@@ -83,8 +94,10 @@ struct MinerReport {
   explicit MinerReport(JoinTree t) : tree(std::move(t)) {}
 
   JoinTree tree;
-  std::vector<SplitRecord> splits;
-  double sum_split_cmi = 0.0;   ///< Upper-bounds J(T) (chain rule).
+  /// The builder's steps, one per attribute. Before the post-pass,
+  /// J = sum H(attr | separator) - H(all attributes); each post-pass split
+  /// adds its CMI (at most cmi_threshold).
+  std::vector<AttachStep> steps;
   double j = 0.0;               ///< Exact J-measure of the result.
   double rho_lower_bound = 0.0; ///< Lemma 4.1: e^J - 1.
 
@@ -96,15 +109,16 @@ struct MinerReport {
 Result<MinerReport> MineJoinTree(const Relation& r,
                                  const MinerOptions& options = {});
 
-/// Session-sharing variant: the thousands of overlapping entropy terms the
-/// split search evaluates are cached in the session's engine for `r`, so a
-/// subsequent AnalyzeAjd(session, r, mined_tree) answers mostly from cache.
+/// Session-sharing variant: the entropy terms the builder evaluates (every
+/// singleton and pair, then each step's candidates) are cached in the
+/// session's engine for `r`, so a subsequent AnalyzeAjd(session, r,
+/// mined_tree) answers its bag and separator terms from cache.
 ///
 /// The reuse extends ACROSS EPOCHS: after Relation::AppendBatch grows `r`,
 /// re-mining through the same session first catches the engine up
 /// incrementally (cached partitions delta-extend over the appended rows,
 /// engine/entropy_engine.h), so the re-mine pays O(delta) maintenance plus
-/// the search — not a cold rebuild of every term. core/streaming.h's
+/// the build — not a cold rebuild of every term. core/streaming.h's
 /// re-mine-on-drift policy is built on exactly this path.
 Result<MinerReport> MineJoinTree(AnalysisSession* session, const Relation& r,
                                  const MinerOptions& options = {});

@@ -2,7 +2,7 @@
 // every entropy computation over that relation.
 //
 // The row-major Relation is ideal for projection and joins, but entropy
-// workloads (J-measure, Theorem 2.2 sandwiches, miner split scoring) touch
+// workloads (J-measure, Theorem 2.2 sandwiches, miner scoring) touch
 // one attribute at a time across ALL rows. The store transposes the data
 // and remaps each attribute's value codes to a dense range [0, cardinality)
 // so that partition refinement (engine/partition.h) can use counting-sort

@@ -27,8 +27,8 @@ uint32_t BatchThreads(const EngineOptions& options) {
 // that one pool participant must have before a fan-out pays for its
 // hand-off: ~1 ms of kernel time at a few ns per row-step, against pool
 // wakeups and cache-mutex traffic in the tens of microseconds. Sized so
-// perf_miner's hill-climb sweeps (a few dozen misses over <= 1500 rows)
-// stay inline while the e2e fit lattice fans out.
+// a batch of a few dozen misses over <= 1500 rows stays inline while the
+// e2e fit shape (145k rows) fans out.
 constexpr uint64_t kFanOutWorkPerWorker = uint64_t{1} << 18;
 
 // A miss's work outside the kernel — column ranking, chain and result
@@ -560,6 +560,10 @@ double EntropyEngine::EntropyAt(AttrSet attrs, const EpochPin& pin) {
     auto it = entropies_.find(attrs);
     if (it != entropies_.end() && it->second.rows == pin.rows) {
       ++stats_.hits;
+      if (it->second.from_disk) {
+        ++stats_.persist_hits;
+        it->second.from_disk = false;
+      }
       return it->second.h;
     }
   }
@@ -907,10 +911,6 @@ void EntropyEngine::DropPartitionForArbiter(AttrSet attrs) {
   EvictPartitionLocked(it);
 }
 
-bool EntropyEngine::ParallelBatches() const {
-  return BatchThreads(options_) > 1;
-}
-
 uint32_t EntropyEngine::RefineThreadsFor(uint64_t mass) const {
   // One refinement is `mass` row-steps of work, split into at most one
   // shard per kShardedRefineShardMass rows (PlanShardCount in the kernels
@@ -930,9 +930,8 @@ uint64_t EntropyEngine::FanOutWorkLocked(const AttrSet* sets, size_t n,
   // the lattice scan the miss pays to choose its base: one look at every
   // cached key at or below its level, under mu_. That part never runs in
   // parallel, and with W participants each scan also stalls the W - 1
-  // others queued on mu_, so it is weighted W times (perf_miner: the
-  // hill-climb configurations, whose caches hold 50-150k keys, then stay
-  // inline, while the exhaustive one still fans out).
+  // others queued on mu_, so it is weighted W times (a cache of 50-150k
+  // keys then keeps a batch of small misses inline).
   const uint64_t scan_weight = BatchThreads(options_);
   uint64_t price[kMaxAttrs + 1];
   uint64_t scan[kMaxAttrs + 1];
@@ -1147,8 +1146,9 @@ void EntropyEngine::WarmStartFromPersist() {
     if (fit == fp_at.end() || fit->second != e.fingerprint) continue;
     disk_keys_.insert(e);
     if (e.rows != now) continue;
-    entropies_[e.attrs] = CachedEntropy{e.entropy, now};
-    ++stats_.persist_hits;
+    // Counted in persist_hits when a query first reads it, not here: a
+    // value the next catch-up sweeps unread served nothing.
+    entropies_[e.attrs] = CachedEntropy{e.entropy, now, /*from_disk=*/true};
   }
 }
 

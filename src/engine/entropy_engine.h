@@ -1,7 +1,7 @@
 // EntropyEngine: the shared, lattice-aware marginal-entropy oracle.
 //
 // Every quantity the paper computes — J(T) (Eq. 7), the Theorem 2.2
-// sandwich, Lemma 4.1's loss bound, the miner's per-split CMIs — reduces to
+// sandwich, Lemma 4.1's loss bound, the miner's attach scores — reduces to
 // entropies H(attrs) over one relation's empirical distribution. The engine
 // answers those queries out of an AttrSet-keyed cache of entropies AND
 // stripped partitions (engine/partition.h): a miss for H(S) picks the
@@ -35,7 +35,7 @@
 // meanwhile. The caches are guarded by a mutex and the heavy refinement
 // work runs outside it. BatchEntropy evaluates independent terms on a
 // WorkerPool (engine/worker_pool.h) shared across engines — the shape of
-// the miner's candidate-split enumeration.
+// the miner's per-step candidate batches.
 //
 // Values: H(S) is a pure function of (relation prefix, S). Every path
 // evaluates it from the block-size histogram of S's grouping
@@ -120,11 +120,12 @@ struct EpochPin {
 /// Tuning knobs for an EntropyEngine.
 struct EngineOptions {
   /// Cap on the total heap bytes of cached partitions. Entropy values
-  /// themselves (16 bytes a term) are always cached; partitions are the
-  /// bulky part and are evicted least-recently-used past this budget. An
-  /// engine without `cache_arbiter` spends it through a single-engine
-  /// arbiter of its own; with one attached, the arbiter's budget governs
-  /// instead. AnalysisSession sizes its shared arbiter from this field.
+  /// themselves (one small map node a term) are always cached; partitions
+  /// are the bulky part and are evicted least-recently-used past this
+  /// budget. An engine without `cache_arbiter` spends it through a
+  /// single-engine arbiter of its own; with one attached, the arbiter's
+  /// budget governs instead. AnalysisSession sizes its shared arbiter from
+  /// this field.
   size_t cache_budget_bytes = size_t{256} << 20;
   /// Threads for the batch paths (BatchEntropy, WarmEntropies,
   /// PrewarmSubsets) and catch-up. 0 (the default) means every CPU the
@@ -208,8 +209,9 @@ struct EngineStats {
                                  ///< failure before publish; retried on the
                                  ///< next query.
   // Disk tier (EngineOptions::persist_store; all zero without one).
-  uint64_t persist_hits = 0;     ///< values served from the disk tier
-                                 ///< (warm restart and miss lookups).
+  uint64_t persist_hits = 0;     ///< disk-tier values a query read: a
+                                 ///< warm-start value on its first read,
+                                 ///< and every miss-path lookup hit.
   uint64_t persist_reloads = 0;  ///< always 0: the disk tier holds no
                                  ///< partitions. Kept because the
                                  ///< end-to-end benchmark
@@ -277,13 +279,6 @@ class EntropyEngine {
   /// order. Safe to call while other threads query the engine.
   void BatchEntropy(const AttrSet* sets, size_t n, double* out);
 
-  /// True when BatchEntropy can fan out at all (num_threads resolves to
-  /// more than one worker; whether a given batch does is up to its
-  /// predicted work). Callers that only batch to exploit parallelism —
-  /// e.g. the miner's split enumeration — can skip building the batch
-  /// otherwise.
-  bool ParallelBatches() const;
-
   /// Convenience vector form of BatchEntropy.
   std::vector<double> BatchEntropy(const std::vector<AttrSet>& sets);
 
@@ -301,9 +296,10 @@ class EntropyEngine {
   /// are cached, fanning the misses out on the batch pool. Plain Entropy()
   /// skips materializing the final partition of a refinement chain (the
   /// count-only pass is cheaper), so a caller about to issue a burst of
-  /// superset queries — the miner's A u C / B u C terms over each separator
-  /// C — seeds the shared ancestors here first and every burst member then
-  /// resolves in single-step refinements. Empty sets are ignored.
+  /// superset queries — AnalyzeAjd's counting side, the streaming monitor's
+  /// bag and separator terms — seeds the shared ancestors here first and
+  /// every burst member then resolves in single-step refinements. Empty
+  /// sets are ignored.
   void PrewarmSubsets(const std::vector<AttrSet>& sets);
 
   /// H(a | c) = H(a u c) - H(c).
@@ -550,10 +546,13 @@ class EntropyEngine {
   mutable std::mutex mu_;
   /// One cached entropy value and the row count it was computed over.
   /// Lookups match the tag against the reader's pin; catch-up sweeps
-  /// stale tags at publish.
+  /// stale tags at publish. `from_disk` marks a value the warm start
+  /// installed that no query has read yet: the first read counts it in
+  /// persist_hits and clears the mark.
   struct CachedEntropy {
     double h = 0.0;
     uint64_t rows = 0;
+    bool from_disk = false;
   };
   std::unordered_map<AttrSet, CachedEntropy, AttrSetHash> entropies_;
   std::unordered_map<AttrSet, CachedPartition, AttrSetHash> partitions_;

@@ -11,8 +11,8 @@
 // of engines.
 //
 // Workers are spawned lazily on first use and parked between batches (the
-// miner submits one small batch per hill-climb sweep, so per-batch thread
-// spawns would dominate the work).
+// miner submits one small batch per build step, so per-batch thread spawns
+// would dominate the work).
 //
 // A submitter that finds the pool busy does NOT wait: it processes its own
 // batch inline on the calling thread. Sharded sessions batch from several

@@ -304,8 +304,8 @@ TEST(AnalysisSession, GroupwiseEngineCmiMatchesMixture) {
 }
 
 TEST(AnalysisSession, ParallelMinerMatchesSerial) {
-  // A parallel-batch session takes the miner's pre-warm path in
-  // BestBipartition (dead on a serial engine); the mined tree and scores
+  // A parallel-batch session fans the miner's candidate batches out on the
+  // pool (a serial engine computes them inline); the mined tree and scores
   // must match the serial run bit for bit.
   Rng rng(909);
   Relation r = testing_util::RandomTestRelation(&rng, 6, 3, 150);
@@ -322,7 +322,6 @@ TEST(AnalysisSession, ParallelMinerMatchesSerial) {
     EXPECT_EQ(a.tree.bag(v), b.tree.bag(v));
   }
   EXPECT_EQ(a.j, b.j);
-  EXPECT_EQ(a.sum_split_cmi, b.sum_split_cmi);
 }
 
 TEST(EntropyEngine, PrewarmSubsetsSeedsPartitionsAndPreservesValues) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/analysis.h"
 #include "core/worstcase.h"
 #include "discovery/miner.h"
+#include "info/entropy.h"
 #include "info/j_measure.h"
 #include "random/rng.h"
 #include "test_util.h"
@@ -22,12 +26,14 @@ TEST(Miner, RecoversPlantedMvd) {
   MinerReport report = MineJoinTree(inst.relation, options).value();
   EXPECT_NEAR(report.j, 0.0, 1e-9);
   EXPECT_GE(report.tree.NumNodes(), 2u);
-  // The separator of some split must be exactly {C} (= position 2).
+  // Some edge of the tree must separate on exactly {C} (= position 2).
   bool found_c = false;
-  for (const SplitRecord& s : report.splits) {
-    if (s.separator == AttrSet{2}) found_c = true;
+  for (auto [u, v] : report.tree.Edges()) {
+    if (report.tree.bag(u).Intersect(report.tree.bag(v)) == AttrSet{2}) {
+      found_c = true;
+    }
   }
-  EXPECT_TRUE(found_c);
+  EXPECT_TRUE(found_c) << report.tree.ToString();
 }
 
 TEST(Miner, LosslessMinedSchemaHasZeroLoss) {
@@ -50,14 +56,40 @@ TEST(Miner, ForcedSplittingRespectsMaxBagSize) {
   }
 }
 
-TEST(Miner, SumOfSplitCmisUpperBoundsJ) {
+// The builder's tree satisfies J = sum over its steps of H(w | S) minus
+// H(all attributes): up to rounding when the post-pass is off, and within
+// the post-pass threshold per split when it is on. Every attribute joins exactly once, and each step's score is the
+// mutual information it claims.
+TEST(Miner, JEqualsTheChainOfAttachSteps) {
   Rng rng(153);
-  for (int trial = 0; trial < 10; ++trial) {
+  for (int trial = 0; trial < 12; ++trial) {
     Relation r = testing_util::RandomTestRelation(&rng, 5, 3, 50);
-    MinerOptions options;
-    options.max_bag_size = 2;
-    MinerReport report = MineJoinTree(r, options).value();
-    EXPECT_GE(report.sum_split_cmi + 1e-8, report.j);
+    const AttrSet all = r.schema().AllAttrs();
+    for (const double threshold : {-1.0, 1e-9}) {
+      MinerOptions options;
+      options.max_bag_size = 2 + trial % 3;
+      options.cmi_threshold = threshold;
+      MinerReport report = MineJoinTree(r, options).value();
+      ASSERT_EQ(report.steps.size(), r.NumAttrs());
+      AttrSet joined;
+      double chain = -EntropyOf(r, all);
+      for (const AttachStep& st : report.steps) {
+        const AttrSet w = AttrSet::Singleton(st.attr);
+        EXPECT_FALSE(joined.Contains(st.attr));
+        EXPECT_TRUE(st.separator.IsSubsetOf(st.bag));
+        EXPECT_TRUE(st.bag.IsSubsetOf(joined));
+        joined = joined.Union(w);
+        const double h_ws = EntropyOf(r, st.separator.Union(w));
+        const double h_s = EntropyOf(r, st.separator);
+        EXPECT_NEAR(st.mi, std::max(EntropyOf(r, w) + h_s - h_ws, 0.0),
+                    1e-12);
+        chain += h_ws - h_s;
+      }
+      EXPECT_EQ(joined, all);
+      EXPECT_NEAR(report.j, chain, threshold < 0 ? 1e-12 : 1e-8)
+          << "trial " << trial << "\n" << report.ToString(r.schema());
+      EXPECT_NEAR(report.j, JMeasure(r, report.tree), 1e-12);
+    }
   }
 }
 
@@ -129,7 +161,223 @@ TEST(Miner, ReportRendersWithNames) {
   MinerReport report = MineJoinTree(inst.relation, options).value();
   std::string text = report.ToString(inst.relation.schema());
   EXPECT_NE(text.find("bag"), std::string::npos);
-  EXPECT_NE(text.find("CMI"), std::string::npos);
+  EXPECT_NE(text.find("hangs"), std::string::npos);
+  EXPECT_NE(text.find("I = "), std::string::npos);
+}
+
+// Decodes a Prüfer sequence over n labels into the n - 1 edges of the
+// labelled tree it names.
+std::vector<std::pair<uint32_t, uint32_t>> PruferEdges(
+    const std::vector<uint32_t>& code, uint32_t n) {
+  std::vector<uint32_t> degree(n, 1);
+  for (uint32_t c : code) ++degree[c];
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  for (uint32_t c : code) {
+    for (uint32_t leaf = 0; leaf < n; ++leaf) {
+      if (degree[leaf] == 1) {
+        edges.emplace_back(leaf, c);
+        --degree[leaf];
+        --degree[c];
+        break;
+      }
+    }
+  }
+  uint32_t u = n, v = n;
+  for (uint32_t x = 0; x < n; ++x) {
+    if (degree[x] == 1) (u == n ? u : v) = x;
+  }
+  edges.emplace_back(u, v);
+  return edges;
+}
+
+// The join tree whose bags are the edges {a, b} of a spanning tree over the
+// attributes. For each attribute, the first bag containing it is joined to
+// every other bag containing it, so the running intersection property
+// holds.
+JoinTree PairTree(const std::vector<std::pair<uint32_t, uint32_t>>& edges,
+                  uint32_t n) {
+  std::vector<AttrSet> bags;
+  for (auto [a, b] : edges) bags.push_back(AttrSet{a, b});
+  std::vector<std::pair<uint32_t, uint32_t>> tree_edges;
+  for (uint32_t x = 0; x < n; ++x) {
+    uint32_t first = UINT32_MAX;
+    for (uint32_t i = 0; i < bags.size(); ++i) {
+      if (!bags[i].Contains(x)) continue;
+      if (first == UINT32_MAX) {
+        first = i;
+      } else {
+        tree_edges.emplace_back(first, i);
+      }
+    }
+  }
+  return JoinTree::Make(std::move(bags), std::move(tree_edges)).value();
+}
+
+// At max_bag_size = 2 the builder is Prim's algorithm on pairwise mutual
+// information, so it must return a Chow–Liu tree: no labelled spanning
+// pair tree (all n^(n-2) of them, by Prüfer code) has a lower J.
+TEST(Miner, PairTreesMatchTheChowLiuOptimum) {
+  Rng rng(160);
+  for (uint32_t n = 4; n <= 6; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Relation r = testing_util::RandomTestRelation(&rng, n, 3, 30 + 20 * n);
+      MinerOptions options;
+      options.max_bag_size = 2;
+      MinerReport report = MineJoinTree(r, options).value();
+      for (uint32_t v = 0; v < report.tree.NumNodes(); ++v) {
+        EXPECT_LE(report.tree.bag(v).Count(), 2u);
+      }
+      EntropyCalculator calc(&r);
+      double best = std::numeric_limits<double>::infinity();
+      std::vector<uint32_t> code(n - 2, 0);
+      while (true) {
+        best = std::min(best, JMeasure(&calc, PairTree(PruferEdges(code, n),
+                                                       n)));
+        size_t i = 0;
+        while (i < code.size() && ++code[i] == n) code[i++] = 0;
+        if (i == code.size()) break;
+      }
+      EXPECT_NEAR(report.j, best, 1e-12)
+          << "n=" << n << " trial=" << trial << "\n"
+          << report.ToString(r.schema());
+    }
+  }
+}
+
+// Samples a Markov source along the binary tree parent(i) = (i - 1) / 2:
+// attribute i copies a fixed permutation of its parent's value with
+// probability 1 - eps and is uniform otherwise.
+Relation PlantedMarkovTree(uint32_t n, uint32_t domain, double eps,
+                           uint32_t rows, Rng* rng) {
+  std::vector<std::vector<uint32_t>> perms(n);
+  for (uint32_t i = 1; i < n; ++i) {
+    perms[i].resize(domain);
+    for (uint32_t x = 0; x < domain; ++x) perms[i][x] = x;
+    for (uint32_t x = domain - 1; x > 0; --x) {
+      std::swap(perms[i][x], perms[i][rng->UniformU64(x + 1)]);
+    }
+  }
+  Schema schema =
+      Schema::MakeSynthetic(std::vector<uint64_t>(n, domain)).value();
+  RelationBuilder b(std::move(schema));
+  std::vector<uint32_t> row(n);
+  for (uint32_t k = 0; k < rows; ++k) {
+    row[0] = static_cast<uint32_t>(rng->UniformU64(domain));
+    for (uint32_t i = 1; i < n; ++i) {
+      row[i] = rng->Bernoulli(eps)
+                   ? static_cast<uint32_t>(rng->UniformU64(domain))
+                   : perms[i][row[(i - 1) / 2]];
+    }
+    b.AddRow(row);
+  }
+  return std::move(b).Build(/*dedupe=*/true);
+}
+
+// On a noisy planted Markov tree the mined schema loses no more than the
+// planted one: the planted pair tree is among the trees the Chow–Liu
+// builder beats at max_bag_size = 2, and larger bags only help.
+TEST(Miner, MinedJIsAtMostThePlantedTreesJ) {
+  Rng rng(161);
+  constexpr uint32_t kAttrs = 7;
+  Relation r = PlantedMarkovTree(kAttrs, 4, 0.3, 2000, &rng);
+  std::vector<std::pair<uint32_t, uint32_t>> planted_edges;
+  for (uint32_t i = 1; i < kAttrs; ++i) {
+    planted_edges.emplace_back((i - 1) / 2, i);
+  }
+  const double planted = JMeasure(r, PairTree(planted_edges, kAttrs));
+  ASSERT_GT(planted, 0.0);
+  for (uint32_t bag_size : {2u, 3u}) {
+    MinerOptions options;
+    options.max_bag_size = bag_size;
+    MinerReport report = MineJoinTree(r, options).value();
+    EXPECT_LE(report.j, planted + 1e-12)
+        << "max_bag_size=" << bag_size << "\n"
+        << report.ToString(r.schema());
+  }
+}
+
+// max_bag_size = 1 leaves nothing to grow and no attribute to separate on:
+// every attribute gets its own bag, hung on the empty separator, and J is
+// the total correlation sum_a H(a) - H(all attributes).
+TEST(Miner, MaxBagSizeOneYieldsSingletonBags) {
+  Rng rng(162);
+  Relation r = testing_util::RandomTestRelation(&rng, 5, 3, 60);
+  MinerOptions options;
+  options.max_bag_size = 1;
+  MinerReport report = MineJoinTree(r, options).value();
+  ASSERT_EQ(report.tree.NumNodes(), 5u);
+  double total = -EntropyOf(r, r.schema().AllAttrs());
+  for (uint32_t v = 0; v < 5; ++v) {
+    EXPECT_EQ(report.tree.bag(v).Count(), 1u);
+    total += EntropyOf(r, report.tree.bag(v));
+  }
+  for (const AttachStep& st : report.steps) {
+    EXPECT_TRUE(st.separator.Empty());
+    EXPECT_EQ(st.mi, 0.0);
+  }
+  EXPECT_NEAR(report.j, total, 1e-12);
+}
+
+// max_separator_size = 0 allows only the empty separator: bags still fill
+// up to max_bag_size by growing, and every edge of the result separates on
+// nothing.
+TEST(Miner, MaxSeparatorSizeZeroHangsOnTheEmptySet) {
+  Rng rng(163);
+  Relation r = testing_util::RandomTestRelation(&rng, 6, 3, 80);
+  MinerOptions options;
+  options.max_separator_size = 0;
+  MinerReport report = MineJoinTree(r, options).value();
+  EXPECT_EQ(report.tree.AllAttrs(), r.schema().AllAttrs());
+  for (uint32_t v = 0; v < report.tree.NumNodes(); ++v) {
+    EXPECT_LE(report.tree.bag(v).Count(), 3u);
+  }
+  for (auto [u, v] : report.tree.Edges()) {
+    EXPECT_TRUE(report.tree.bag(u).Intersect(report.tree.bag(v)).Empty());
+  }
+  for (const AttachStep& st : report.steps) {
+    EXPECT_TRUE(st.separator.Empty() || st.separator == st.bag);
+  }
+  EXPECT_NEAR(report.j, JMeasure(r, report.tree), 1e-12);
+}
+
+// At the default max_bag_size = 3 an exact MVD C ->> A | B ends as its
+// lossless pair bags {A,C}, {B,C}. With the MVD exact the builder already
+// hangs B on {C}: I(B; AC) = I(B; C), and ties go to the smaller
+// separator. One extra tuple makes the MVD inexact, so the builder grows
+// {A,B,C}; the post-pass must then split it along C once cmi_threshold
+// admits the small I(A; B | C) the tuple adds.
+TEST(Miner, PostPassSplitsAnMvdIntoItsPairBags) {
+  Rng rng(164);
+  Instance inst = MakeLosslessMvdInstance(10, 10, 6, 3, 3, &rng).value();
+  const std::vector<AttrSet> pair_bags = {AttrSet{0, 2}, AttrSet{1, 2}};
+  auto sorted_bags = [](const JoinTree& t) {
+    std::vector<AttrSet> bags = t.bags();
+    std::sort(bags.begin(), bags.end());
+    return bags;
+  };
+
+  MinerReport exact = MineJoinTree(inst.relation).value();
+  EXPECT_EQ(sorted_bags(exact.tree), pair_bags)
+      << exact.ToString(inst.relation.schema());
+  EXPECT_NEAR(exact.j, 0.0, 1e-9);
+
+  Relation noisy = AddNoiseTuples(inst.relation, 1, &rng).value();
+  const double cmi = EntropyOf(noisy, AttrSet{0, 2}) +
+                     EntropyOf(noisy, AttrSet{1, 2}) -
+                     EntropyOf(noisy, AttrSet{0, 1, 2}) -
+                     EntropyOf(noisy, AttrSet{2});
+  ASSERT_GT(cmi, 1e-6);
+  MinerOptions options;
+  options.cmi_threshold = -1.0;
+  MinerReport grown = MineJoinTree(noisy, options).value();
+  ASSERT_EQ(grown.tree.NumNodes(), 1u) << grown.ToString(noisy.schema());
+  EXPECT_EQ(grown.steps.back().separator, grown.steps.back().bag);
+
+  options.cmi_threshold = 2 * cmi;
+  MinerReport split = MineJoinTree(noisy, options).value();
+  EXPECT_EQ(sorted_bags(split.tree), pair_bags)
+      << split.ToString(noisy.schema());
+  EXPECT_NEAR(split.j, cmi, 1e-12);
 }
 
 }  // namespace

@@ -575,7 +575,6 @@ TEST(PersistEngine, WarmRestartServesStoredValuesOnlyAtTheirPrefix) {
     EngineOptions opt;
     opt.persist_store = MustOpen(dir.str());
     EntropyEngine engine(&r, opt);
-    EXPECT_EQ(engine.Stats().persist_hits, sets.size());
     for (size_t k = 0; k < sets.size(); ++k) {
       ASSERT_EQ(engine.Entropy(sets[k]), seeded[k])
           << "attrs=" << sets[k].ToString();
@@ -583,6 +582,8 @@ TEST(PersistEngine, WarmRestartServesStoredValuesOnlyAtTheirPrefix) {
           << "attrs=" << sets[k].ToString();
     }
     const EngineStats stats = engine.Stats();
+    // Each disk value counts once, on its first read.
+    EXPECT_EQ(stats.persist_hits, sets.size());
     EXPECT_EQ(stats.refinements, 0u);
     EXPECT_EQ(stats.partition_builds, 0u);
     EXPECT_EQ(stats.persist_reloads, 0u);
@@ -638,11 +639,13 @@ TEST(PersistEngine, PersistCacheSupersedesTheWarmStartedGeneration) {
     EngineOptions opt;
     opt.persist_store = MustOpen(dir.str());
     EntropyEngine engine(&r, opt);
-    ASSERT_EQ(engine.Stats().persist_hits, sets.size());
+    ASSERT_EQ(engine.CacheSize(), sets.size());
     ASSERT_TRUE(r.AppendBatch(delta_rows).ok());
     for (AttrSet s : sets) {
       ASSERT_EQ(engine.Entropy(s), EntropyOf(r, s)) << "attrs=" << s.ToString();
     }
+    // The catch-up over the delta swept the installed values unread.
+    EXPECT_EQ(engine.Stats().persist_hits, 0u);
     for (const PersistedEntryMeta& e : opt.persist_store->AllEntries()) {
       EXPECT_EQ(e.rows, n0);
     }

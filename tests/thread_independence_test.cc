@@ -38,9 +38,7 @@ RunResult MineAndAnalyze(const Relation& r, uint32_t threads) {
   options.num_threads = threads;
   options.worker_pool = std::make_shared<WorkerPool>();
   AnalysisSession session(options);
-  MinerOptions miner;
-  miner.seed = 17;
-  const MinerReport mined = MineJoinTree(&session, r, miner).value();
+  const MinerReport mined = MineJoinTree(&session, r).value();
   const AjdAnalysis analysis = AnalyzeAjd(&session, r, mined.tree).value();
   RunResult out;
   out.report = mined.ToString(r.schema());
@@ -60,7 +58,7 @@ RunResult MineAndAnalyze(const Relation& r, uint32_t threads) {
 
 TEST(ThreadIndependence, MineAndAnalyzeBitwise) {
   Rng rng(20261017);
-  const Relation r = testing_util::RandomTestRelation(&rng, 8, 4, 3000);
+  const Relation r = testing_util::RandomTestRelation(&rng, 8, 4, 20000);
   const RunResult serial = MineAndAnalyze(r, 1);
   ASSERT_EQ(serial.entropies.size(), 255u);
   for (size_t i = 0; i < serial.entropies.size(); ++i) {
