@@ -4,7 +4,6 @@
 
 #include "random/random_relation.h"
 #include "random/rng.h"
-#include "relation/acyclic_join.h"
 #include "relation/full_reducer.h"
 #include "relation/ops.h"
 
@@ -47,20 +46,6 @@ void BM_SemiJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SemiJoin)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
-
-void BM_ReduceThenCount(benchmark::State& state) {
-  // Reduction followed by counting equals counting directly (the counts
-  // agree); this measures the combined pipeline cost.
-  Relation r = MakeInput(state.range(0));
-  JoinTree t = PathTree();
-  for (auto _ : state) {
-    ReducedProjections reduced = FullReduce(r, t).value();
-    AcyclicJoinCount c = CountAcyclicJoin(r, t);
-    benchmark::DoNotOptimize(reduced.total_removed + c.approx);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ReduceThenCount)->Arg(1 << 10)->Arg(1 << 13);
 
 }  // namespace
 

@@ -11,11 +11,17 @@
 //   cold        — a fresh session per batch over the rows so far, J from
 //                 an empty cache. O(N) per batch: the pre-epoch behavior
 //                 of this library (any mutation meant full rebuild).
-// Both arms evaluate the same J terms; every per-batch value must agree to
-// 1e-9 or the bench exits 1 (the equivalence guard CI runs in --smoke).
-// The JSON line reports ns per APPENDED row for each arm — the maintenance
-// cost a streaming monitor actually pays — and their ratio; the
-// loss-trajectory points stream as one JSON line each before it.
+//   exact       — a second monitor like `incremental` with
+//                 compute_exact_loss on: every batch also counts the exact
+//                 rho from the tree's bag and separator partitions at the
+//                 batch's pin (ComputeLossAt).
+// Both J arms evaluate the same J terms; every per-batch value must agree
+// to 1e-9, and every exact-arm rho must equal a cold ComputeLoss of the
+// same prefix exactly, or the bench exits 1 (the equivalence guards CI
+// runs in --smoke). The JSON line reports ns per APPENDED row for each arm
+// — the maintenance cost a streaming monitor actually pays — the exact
+// arm's cost over the J-only arm's, and the cold ComputeLoss per batch;
+// the loss-trajectory points stream as one JSON line each before it.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -23,6 +29,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/loss.h"
 #include "core/streaming.h"
 #include "discovery/miner.h"
 #include "engine/analysis_session.h"
@@ -122,6 +129,11 @@ int main(int argc, char** argv) {
   }
   StreamingLossMonitor monitor = std::move(made).value();
   const JoinTree tree = monitor.tree();  // copy for the cold arm
+  // The exact arm monitors the same rows against the same fixed tree.
+  Relation exact_r = FromRows(num_attrs, all_rows);
+  StreamingOptions eopts = mopts;
+  eopts.compute_exact_loss = true;
+  StreamingLossMonitor exact_monitor(&exact_r, tree, eopts);
 
   // Untimed warm-up batch: the first catch-up after mining pays a one-time
   // generational sweep over the miner's whole working set (hundreds of
@@ -131,17 +143,21 @@ int main(int argc, char** argv) {
     std::vector<std::vector<uint32_t>> warm =
         DrawRows(&rng, num_attrs, domain, batch_rows, window_base);
     window_base += drift;
-    Result<StreamingPoint> point = monitor.IngestBatch(warm);
-    if (!point.ok()) {
-      std::fprintf(stderr, "warm-up ingest failed: %s\n",
-                   point.status().ToString().c_str());
-      return 1;
+    for (StreamingLossMonitor* m : {&monitor, &exact_monitor}) {
+      Result<StreamingPoint> point = m->IngestBatch(warm);
+      if (!point.ok()) {
+        std::fprintf(stderr, "warm-up ingest failed: %s\n",
+                     point.status().ToString().c_str());
+        return 1;
+      }
     }
     for (auto& row : warm) all_rows.push_back(std::move(row));
   }
 
   double inc_ns = 0.0;
   double cold_ns = 0.0;
+  double exact_ns = 0.0;
+  double cold_loss_ns = 0.0;
   uint64_t appended = 0;
   double max_diff = 0.0;
   for (uint32_t k = 0; k < batches; ++k) {
@@ -161,6 +177,16 @@ int main(int argc, char** argv) {
     appended += batch.size();
     std::printf("%s\n", point.value().ToJsonLine().c_str());
 
+    const double e0 = NowNs();
+    Result<StreamingPoint> exact_point = exact_monitor.IngestBatch(batch);
+    const double e1 = NowNs();
+    if (!exact_point.ok() || !exact_point.value().rho.has_value()) {
+      std::fprintf(stderr, "exact-arm ingest failed: %s\n",
+                   exact_point.status().ToString().c_str());
+      return 1;
+    }
+    exact_ns += e1 - e0;
+
     // Cold arm: rebuild everything from the rows so far — the only option
     // before relations had epochs.
     for (auto& row : batch) all_rows.push_back(std::move(row));
@@ -171,6 +197,24 @@ int main(int argc, char** argv) {
     const double cold_j = JMeasureDetailed(&cold_calc, tree).j;
     const double t3 = NowNs();
     cold_ns += t3 - t2;
+
+    // Cold exact loss: ComputeLoss through a fresh session per batch.
+    const double l0 = NowNs();
+    Result<LossReport> cold_loss = ComputeLoss(cold_r, tree);
+    const double l1 = NowNs();
+    if (!cold_loss.ok()) {
+      std::fprintf(stderr, "cold ComputeLoss failed: %s\n",
+                   cold_loss.status().ToString().c_str());
+      return 1;
+    }
+    cold_loss_ns += l1 - l0;
+    if (*exact_point.value().rho != cold_loss.value().rho) {
+      std::fprintf(stderr,
+                   "RHO MISMATCH at batch %u: exact arm %.17g vs cold "
+                   "ComputeLoss %.17g\n",
+                   k, *exact_point.value().rho, cold_loss.value().rho);
+      return 1;
+    }
 
     const double diff = std::fabs(cold_j - point.value().j);
     if (diff > max_diff) max_diff = diff;
@@ -185,17 +229,23 @@ int main(int argc, char** argv) {
 
   const double inc_ns_per_row = inc_ns / static_cast<double>(appended);
   const double cold_ns_per_row = cold_ns / static_cast<double>(appended);
+  const double exact_ns_per_row = exact_ns / static_cast<double>(appended);
+  const double cold_loss_ns_per_row =
+      cold_loss_ns / static_cast<double>(appended);
   const EngineStats stats = monitor.session().TotalStats();
   std::printf(
       "{\"bench\":\"perf_streaming\",\"smoke\":%s,\"rows_initial\":%u,"
       "\"batches\":%u,\"batch_rows\":%u,\"appended_rows\":%llu,"
       "\"incremental_ns_per_row\":%.1f,\"cold_ns_per_row\":%.1f,"
-      "\"speedup_vs_cold\":%.2f,\"epoch_catchups\":%llu,"
+      "\"speedup_vs_cold\":%.2f,\"exact_ns_per_row\":%.1f,"
+      "\"exact_over_j\":%.2f,\"cold_loss_ns_per_row\":%.1f,"
+      "\"epoch_catchups\":%llu,"
       "\"partitions_extended\":%llu,\"partitions_replayed\":%llu,"
       "\"max_j_diff\":%.3g}\n",
       smoke ? "true" : "false", initial_rows, batches, batch_rows,
       static_cast<unsigned long long>(appended), inc_ns_per_row,
-      cold_ns_per_row, cold_ns_per_row / inc_ns_per_row,
+      cold_ns_per_row, cold_ns_per_row / inc_ns_per_row, exact_ns_per_row,
+      exact_ns_per_row / inc_ns_per_row, cold_loss_ns_per_row,
       static_cast<unsigned long long>(stats.epoch_catchups),
       static_cast<unsigned long long>(stats.partitions_extended),
       static_cast<unsigned long long>(stats.partitions_replayed),

@@ -66,19 +66,23 @@ Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
   if (delta <= 0.0 || delta >= 1.0) {
     return Status::InvalidArgument("delta must be in (0, 1)");
   }
-  Result<LossReport> loss = ComputeLoss(r, tree);
-  if (!loss.ok()) return loss.status();
+  // Everything below reads at one pin: an append that lands mid-call
+  // changes nothing here, and the result is the cold analysis of the
+  // first pin.rows rows.
+  EntropyEngine& engine = session->EngineFor(r);
+  engine.CatchUp();
+  const EpochPin pin = engine.Pin();
+  Status valid = ValidateLossInputs(r, pin.rows, tree);
+  if (!valid.ok()) return valid;
 
   AjdAnalysis out;
-  out.n = r.NumRows();
-  out.loss = loss.value();
+  out.n = pin.rows;
   out.delta = delta;
 
-  // One calculator backed by the session's engine serves every entropy
+  // One pinned calculator over the session's engine serves every entropy
   // term below — J, the chain rule, the sandwich, and the support CMIs all
   // walk overlapping sublattices of the same attribute lattice.
-  EntropyCalculator calc(session, &r);
-  EntropyEngine& engine = calc.engine();
+  EntropyCalculator calc(&engine, pin);
   out.j = JMeasure(&calc, tree);
   // The paper's relations are sets: over repeated rows the join of the
   // projections can be smaller than |R|, and every loss goes negative.
@@ -89,16 +93,16 @@ Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
   if (calc.Entropy(tree.AllAttrs()) < std::log(n) - std::log(2.0) / n) {
     return Status::InvalidArgument(
         "relation has " + std::to_string(out.n) + " rows but only " +
-        std::to_string(
-            DistinctCountAt(&engine, engine.Pin(), tree.AllAttrs())) +
+        std::to_string(DistinctCountAt(&engine, pin, tree.AllAttrs())) +
         " distinct ones over the join tree's attributes; the analysis "
         "needs a set of rows (build the relation with dedupe = true)");
   }
 
-  // The counting side — distinct counts, MVD join sizes, D(P || P^T) —
-  // reads the stripped partitions of these sets, some of which the miner
-  // already cached. One prewarm builds the rest (fanning out on the
-  // engine's pool), and everything below reads at one pin.
+  // The counting side — the join size behind rho, distinct counts, MVD
+  // join sizes, D(P || P^T) — reads the stripped partitions of these
+  // sets, some of which the miner already cached. One prewarm builds the
+  // rest (fanning out on the engine's pool; if an append landed since
+  // the pin, the pinned reads below compute their own).
   const DfsDecomposition dfs = tree.Decompose();
   const std::vector<Mvd> support = tree.SupportMvds();
   std::vector<AttrSet> needed = tree.bags();
@@ -109,8 +113,10 @@ Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
                                  mvd.side_b.Minus(mvd.lhs)});
   }
   engine.PrewarmSubsets(needed);
-  const EpochPin pin = engine.Pin();
 
+  Result<LossReport> loss = ComputeLossAt(&engine, pin, tree);
+  if (!loss.ok()) return loss.status();
+  out.loss = loss.value();
   out.kl = KlFromPartitions(&engine, pin, tree, dfs);
   out.chain_rule_j = JMeasureViaChainRule(&calc, tree);
   SandwichBounds sandwich = DfsSandwich(&calc, tree);

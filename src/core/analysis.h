@@ -37,7 +37,9 @@ struct MvdStat {
 /// Everything the library can say about (R, S).
 struct AjdAnalysis {
   uint64_t n = 0;                 ///< |R|
-  LossReport loss;                ///< rho(R, S) via Yannakakis counting.
+  /// rho(R, S), counted from the engine's bag and separator partitions
+  /// (ComputeLossAt, core/loss.h); loss.num_tuples == n.
+  LossReport loss;
   double j = 0.0;                 ///< J-measure, Eq. (7).
   double kl = 0.0;                ///< D(P || P^T); == j by Theorem 3.2.
   double chain_rule_j = 0.0;      ///< sum_i I(prefix; bag | delta); == j.
@@ -73,13 +75,15 @@ struct AjdAnalysis {
 };
 
 /// Runs the full analysis. `delta` is the confidence parameter for the
-/// Section 5 bounds. Besides the Yannakakis count behind `loss`, every
-/// term comes from the session engine's stripped partitions: entropies
-/// from its cache, and distinct counts, per-MVD join sizes and the
-/// pointwise D(P || P^T) from O(N) scans over the partitions of the bags,
-/// separators and MVD sides (core/partition_counts.h). Nothing is
-/// materialized. Requires distinct rows over chi(T) (InvalidArgument
-/// otherwise).
+/// Section 5 bounds. Every term comes from the session engine's stripped
+/// partitions, all read at ONE pin taken on entry: entropies from its
+/// cache; the join size behind `loss` by count propagation over the bags'
+/// distinct tuples (core/loss.h); and distinct counts, per-MVD join sizes
+/// and the pointwise D(P || P^T) from O(N) scans over the partitions of
+/// the bags, separators and MVD sides (core/partition_counts.h). Nothing
+/// is materialized or hashed. Appends may land while it runs: the result
+/// is the cold analysis of the first `n` rows. Requires distinct rows over
+/// chi(T) (InvalidArgument otherwise).
 Result<AjdAnalysis> AnalyzeAjd(const Relation& r, const JoinTree& tree,
                                double delta = 0.05);
 

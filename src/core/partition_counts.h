@@ -14,8 +14,8 @@
 //
 // Every function reads at one EpochPin: the result is the exact count over
 // the first pin.rows rows, equal to the hash-based CountDistinct
-// (relation/ops.h) and ComputeMvdLoss(r, mvd) (core/loss.h) over that
-// prefix.
+// (relation/ops.h) and MVD join counter (tests/acyclic_join_oracle.h) over
+// that prefix.
 #ifndef AJD_CORE_PARTITION_COUNTS_H_
 #define AJD_CORE_PARTITION_COUNTS_H_
 

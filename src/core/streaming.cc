@@ -50,7 +50,7 @@ StreamingLossMonitor::StreamingLossMonitor(Relation* r, JoinTree tree,
   AJD_CHECK_MSG(
       tree_.AllAttrs().IsSubsetOf(r_->schema().AllAttrs()),
       "monitored tree mentions attributes outside the relation's schema");
-  j_at_mine_ = CurrentJ(tree_);
+  j_at_mine_ = CurrentJ(tree_, SyncedPin());
 }
 
 Result<StreamingLossMonitor> StreamingLossMonitor::Create(
@@ -85,19 +85,26 @@ Result<StreamingLossMonitor> StreamingLossMonitor::WithMinedTree(
       MineJoinTree(&monitor.session(), *r, monitor.options_.miner);
   if (!mined.ok()) return mined.status();
   monitor.tree_ = std::move(mined).value().tree;
-  monitor.j_at_mine_ = monitor.CurrentJ(monitor.tree_);
+  monitor.j_at_mine_ = monitor.CurrentJ(monitor.tree_, monitor.SyncedPin());
   return monitor;
 }
 
-double StreamingLossMonitor::CurrentJ(const JoinTree& tree) {
-  // The calculator shares the session's engine for r_, which catches up to
-  // the relation's epoch on the first call — the incremental hot path.
-  EntropyCalculator calc(session_.get(), r_);
+EpochPin StreamingLossMonitor::SyncedPin() {
+  EntropyEngine& engine = session_->EngineFor(*r_);
+  engine.CatchUp();
+  return engine.Pin();
+}
+
+double StreamingLossMonitor::CurrentJ(const JoinTree& tree,
+                                      const EpochPin& pin) {
+  EntropyEngine& engine = session_->EngineFor(*r_);
   // Materialize every term's partition (bags, separators, chi(T)). A
   // count-only final pass would re-tally O(mass) rows per term per batch;
   // a materialized partition instead delta-extends at catch-up and its H
   // is one XLogX sweep over the stored blocks. The prewarm is a no-op on
-  // every batch after the first (the partitions stay cached and hot).
+  // every batch after the first (the partitions stay cached and hot), and
+  // the bag and separator partitions are the ones the exact loss counts
+  // from.
   std::vector<AttrSet> terms;
   terms.reserve(2 * tree.NumNodes());
   for (AttrSet bag : tree.bags()) terms.push_back(bag);
@@ -105,7 +112,8 @@ double StreamingLossMonitor::CurrentJ(const JoinTree& tree) {
     terms.push_back(tree.bag(u).Intersect(tree.bag(v)));
   }
   terms.push_back(tree.AllAttrs());
-  calc.engine().PrewarmSubsets(terms);
+  engine.PrewarmSubsets(terms);
+  EntropyCalculator calc(&engine, pin);
   return JMeasureDetailed(&calc, tree).j;
 }
 
@@ -131,10 +139,19 @@ Result<StreamingPoint> StreamingLossMonitor::Observe() {
   // appended rows simply remain unobserved, and the next Observe folds
   // them into its batch instead of dropping a trajectory point.
   try {
-    point.j = CurrentJ(tree_);
+    // Every quantity of the point is read at one pin. Catch-up degrades
+    // instead of failing, so a pin short of the relation means it could
+    // not extend the caches this time: the rows stay unobserved.
+    const EpochPin pin = SyncedPin();
+    if (pin.rows != rows_now) {
+      return Status::CapacityExceeded(
+          "engine catch-up did not complete; rows remain unobserved");
+    }
+    point.j = CurrentJ(tree_, pin);
     point.rho_lower_bound = std::expm1(point.j);
     if (options_.compute_exact_loss) {
-      Result<LossReport> loss = ComputeLoss(*r_, tree_);
+      Result<LossReport> loss =
+          ComputeLossAt(&session_->EngineFor(*r_), pin, tree_);
       if (!loss.ok()) return loss.status();
       point.rho = loss.value().rho;
     }
@@ -156,7 +173,7 @@ Result<StreamingPoint> StreamingLossMonitor::Observe() {
       if (!mined.ok()) return mined.status();
       remined_tree = std::move(mined).value().tree;
       point.remined = true;
-      j_after_remine = CurrentJ(remined_tree);
+      j_after_remine = CurrentJ(remined_tree, pin);
     }
   } catch (const std::exception& e) {
     return Status::CapacityExceeded(

@@ -97,9 +97,13 @@ struct StreamingOptions {
   /// the very next drifted batch (immediate re-tracking of a sustained
   /// shift); raise it to amortize the miner against drift spikes.
   uint32_t min_batches_between_remines = 1;
-  /// Also compute the exact loss rho (Yannakakis counting) per batch.
-  /// O(N) per batch with no incremental reuse — the J-trajectory is the
-  /// cheap default; flip this on when the exact join-size blowup matters.
+  /// Also compute the exact loss rho per batch: count propagation over the
+  /// tree's bag and separator partitions (ComputeLossAt), which the J
+  /// path already keeps cached and delta-extended, at the batch's pin. No
+  /// hashing, but still O(N) a batch (one scratch sweep per separator and
+  /// per bag with stripped singletons) against J's O(delta): the
+  /// J-trajectory stays the cheap default (bench/perf_streaming's exact
+  /// arm prices the difference).
   bool compute_exact_loss = false;
   /// Poison-batch handling for IngestBatch/IngestStringBatch (and the CSV
   /// ingest built on them): one bad batch need not kill a stream.
@@ -180,9 +184,13 @@ class StreamingLossMonitor {
   /// Records a trajectory point for rows the CALLER already appended to
   /// the relation (e.g. io/csv.h's AppendCsvBatches feeding AppendBatch
   /// directly). A no-op point results if nothing was appended.
-  /// FailedPrecondition if the relation shrank (relations are append-only);
-  /// on any error no monitor state moves — the rows stay unobserved and
-  /// fold into the next successful Observe.
+  /// Every quantity of the point is read at one engine pin covering all
+  /// of the relation's rows. FailedPrecondition if the relation shrank
+  /// (relations are append-only); CapacityExceeded if the engine's
+  /// catch-up could not reach the new rows (it degrades instead of
+  /// failing, e.g. on allocation failure). On any error no monitor state
+  /// moves — the rows stay unobserved and fold into the next successful
+  /// Observe.
   Result<StreamingPoint> Observe();
 
   /// Batches dropped by a kSkip/kRetryThenSkip fault policy so far.
@@ -216,8 +224,12 @@ class StreamingLossMonitor {
   const Relation& relation() const { return *r_; }
 
  private:
-  /// J(`tree`) via the session's (epoch-caught-up) engine.
-  double CurrentJ(const JoinTree& tree);
+  /// Catches the session's engine up to the relation and returns its pin.
+  EpochPin SyncedPin();
+
+  /// J(`tree`) over the first pin.rows rows, read through the session's
+  /// engine at `pin`.
+  double CurrentJ(const JoinTree& tree, const EpochPin& pin);
 
   /// Shared Ingest* body: runs `append` under the batch fault policy
   /// (retry/quarantine), then Observes.

@@ -1076,10 +1076,17 @@ double EntropyEngine::ConditionalEntropy(AttrSet a, AttrSet c) {
 
 double EntropyEngine::ConditionalMutualInformation(AttrSet a, AttrSet b,
                                                    AttrSet c) {
-  double h_ac = Entropy(a.Union(c));
-  double h_bc = Entropy(b.Union(c));
-  double h_abc = Entropy(a.Union(b).Union(c));
-  double h_c = Entropy(c);
+  CatchUp();
+  return ConditionalMutualInformationAt(a, b, c, Pin());
+}
+
+double EntropyEngine::ConditionalMutualInformationAt(AttrSet a, AttrSet b,
+                                                     AttrSet c,
+                                                     const EpochPin& pin) {
+  double h_ac = EntropyAt(a.Union(c), pin);
+  double h_bc = EntropyAt(b.Union(c), pin);
+  double h_abc = EntropyAt(a.Union(b).Union(c), pin);
+  double h_c = EntropyAt(c, pin);
   double cmi = h_ac + h_bc - h_abc - h_c;
   // Clamp tiny negative values from floating-point cancellation.
   return cmi < 0.0 && cmi > -1e-9 ? 0.0 : cmi;

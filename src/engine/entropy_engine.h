@@ -307,8 +307,13 @@ class EntropyEngine {
 
   /// I(a ; b | c) = H(a u c) + H(b u c) - H(a u b u c) - H(c) (Eq. 4),
   /// with tiny negative fp noise clamped to 0 exactly as the legacy
-  /// EntropyCalculator did.
+  /// EntropyCalculator did. Catches up once and reads all four terms at
+  /// that pin.
   double ConditionalMutualInformation(AttrSet a, AttrSet b, AttrSet c);
+
+  /// I(a ; b | c) over exactly the first pin.rows rows (EntropyAt terms).
+  double ConditionalMutualInformationAt(AttrSet a, AttrSet b, AttrSet c,
+                                        const EpochPin& pin);
 
   /// I(a ; b) = I(a ; b | empty).
   double MutualInformation(AttrSet a, AttrSet b);

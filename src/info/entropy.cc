@@ -42,26 +42,35 @@ EntropyCalculator::EntropyCalculator(AnalysisSession* session,
                                      const Relation* r)
     : engine_(&session->EngineFor(*r)) {}
 
+EntropyCalculator::EntropyCalculator(EntropyEngine* engine,
+                                     const EpochPin& pin)
+    : engine_(engine), pin_(pin) {}
+
 double EntropyCalculator::Entropy(AttrSet attrs) {
-  return engine_->Entropy(attrs);
+  return pin_ ? engine_->EntropyAt(attrs, *pin_) : engine_->Entropy(attrs);
 }
 
 std::vector<double> EntropyCalculator::BatchEntropy(
     const std::vector<AttrSet>& sets) {
-  return engine_->BatchEntropy(sets);
+  if (!pin_) return engine_->BatchEntropy(sets);
+  std::vector<double> out;
+  out.reserve(sets.size());
+  for (AttrSet s : sets) out.push_back(engine_->EntropyAt(s, *pin_));
+  return out;
 }
 
 double EntropyCalculator::ConditionalEntropy(AttrSet a, AttrSet c) {
-  return engine_->ConditionalEntropy(a, c);
+  return Entropy(a.Union(c)) - Entropy(c);
 }
 
 double EntropyCalculator::ConditionalMutualInformation(AttrSet a, AttrSet b,
                                                        AttrSet c) {
-  return engine_->ConditionalMutualInformation(a, b, c);
+  return pin_ ? engine_->ConditionalMutualInformationAt(a, b, c, *pin_)
+              : engine_->ConditionalMutualInformation(a, b, c);
 }
 
 double EntropyCalculator::MutualInformation(AttrSet a, AttrSet b) {
-  return engine_->MutualInformation(a, b);
+  return ConditionalMutualInformation(a, b, AttrSet());
 }
 
 }  // namespace ajd

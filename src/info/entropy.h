@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "engine/entropy_engine.h"
@@ -49,6 +50,12 @@ class EntropyCalculator {
   /// other consumer of the session are visible here and vice versa.
   EntropyCalculator(AnalysisSession* session, const Relation* r);
 
+  /// Pinned calculator over `engine`: every term is read at `pin`
+  /// (EntropyEngine::EntropyAt), never catching up, so values computed
+  /// while appends land are the cold answers over the first pin.rows
+  /// rows. The engine must outlive the calculator.
+  EntropyCalculator(EntropyEngine* engine, const EpochPin& pin);
+
   /// H(attrs) in nats, memoized.
   double Entropy(AttrSet attrs);
 
@@ -79,6 +86,7 @@ class EntropyCalculator {
  private:
   std::unique_ptr<EntropyEngine> owned_;  // null when session-backed
   EntropyEngine* engine_;
+  std::optional<EpochPin> pin_;           // set for a pinned calculator
 };
 
 }  // namespace ajd

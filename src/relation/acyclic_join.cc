@@ -1,215 +1,9 @@
 #include "relation/acyclic_join.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "relation/full_reducer.h"
 #include "relation/ops.h"
-#include "relation/row_hash.h"
-#include "util/math.h"
 
 namespace ajd {
-
-namespace {
-
-// Distinct projection of r onto the (ascending) positions of `attrs`,
-// held as a TupleCounter (counts are 1 per distinct tuple here).
-TupleCounter DistinctProjection(const Relation& r, AttrSet attrs) {
-  std::vector<uint32_t> positions = attrs.ToIndices();
-  TupleCounter counter(positions.size(), r.NumRows());
-  std::vector<uint32_t> key(positions.size());
-  for (uint64_t i = 0; i < r.NumRows(); ++i) {
-    const uint32_t* row = r.Row(i);
-    for (size_t k = 0; k < positions.size(); ++k) key[k] = row[positions[k]];
-    // Count each distinct projected tuple once.
-    if (counter.Find(key.data()) == UINT32_MAX) counter.Add(key.data());
-  }
-  return counter;
-}
-
-// Positions (within the ascending index list of `bag`) of the attributes in
-// `subset` (a subset of bag), in ascending attribute order.
-std::vector<uint32_t> LocalPositions(AttrSet bag, AttrSet subset) {
-  AJD_CHECK(subset.IsSubsetOf(bag));
-  std::vector<uint32_t> bag_idx = bag.ToIndices();
-  std::vector<uint32_t> out;
-  out.reserve(subset.Count());
-  for (uint32_t i = 0; i < bag_idx.size(); ++i) {
-    if (subset.Contains(bag_idx[i])) out.push_back(i);
-  }
-  return out;
-}
-
-// A message from a child node to its parent: for each separator tuple, the
-// total weight (number of join results in the child's subtree consistent
-// with that separator value).
-struct Message {
-  // Separator width 0 means the message is a scalar (stored in
-  // scalar_approx / scalar_exact).
-  TupleCounter keys{1};
-  std::vector<double> approx;
-  std::vector<uint64_t> exact;
-  bool exact_valid = true;
-  double scalar_approx = 0.0;
-  std::optional<uint64_t> scalar_exact = 0;  // nullopt once overflowed
-  size_t sep_width = 0;
-};
-
-}  // namespace
-
-AcyclicJoinCount CountAcyclicJoin(const Relation& r, const JoinTree& tree) {
-  AJD_CHECK(tree.AllAttrs().IsSubsetOf(r.schema().AllAttrs()));
-  DfsDecomposition dec = tree.Decompose(0);
-  const uint32_t m = tree.NumNodes();
-
-  // Projections of r onto each bag.
-  std::vector<TupleCounter> proj;
-  proj.reserve(m);
-  for (uint32_t v = 0; v < m; ++v) {
-    proj.push_back(DistinctProjection(r, tree.bag(v)));
-  }
-
-  // Children of each node under the DFS rooting.
-  std::vector<std::vector<uint32_t>> children(m);
-  std::vector<AttrSet> sep(m);  // separator with parent, for non-roots
-  for (const DfsStep& s : dec.steps) {
-    children[s.parent].push_back(s.node);
-    sep[s.node] = s.delta;
-  }
-
-  // Process nodes in reverse DFS order (leaves first).
-  std::vector<Message> messages(m);
-  for (size_t oi = dec.order.size(); oi-- > 0;) {
-    uint32_t v = dec.order[oi];
-    AttrSet bag = tree.bag(v);
-    std::vector<uint32_t> bag_positions = bag.ToIndices();
-
-    // For each child, where its separator lives inside this bag's tuple.
-    struct ChildRef {
-      const Message* msg;
-      std::vector<uint32_t> local;  // positions within v's tuple
-    };
-    std::vector<ChildRef> child_refs;
-    child_refs.reserve(children[v].size());
-    for (uint32_t c : children[v]) {
-      child_refs.push_back({&messages[c], LocalPositions(bag, sep[c])});
-    }
-
-    const bool is_root = (v == dec.order[0]);
-    AttrSet up_sep = is_root ? AttrSet() : sep[v];
-    std::vector<uint32_t> up_local = LocalPositions(bag, up_sep);
-
-    Message msg;
-    msg.sep_width = up_local.size();
-    msg.keys = TupleCounter(std::max<size_t>(msg.sep_width, 1),
-                            proj[v].NumDistinct());
-    double total_approx = 0.0;
-    uint64_t total_exact = 0;
-    bool total_exact_valid = true;
-
-    std::vector<uint32_t> child_key;
-    std::vector<uint32_t> up_key(std::max<size_t>(msg.sep_width, 1));
-    for (uint32_t t = 0; t < proj[v].NumDistinct(); ++t) {
-      const uint32_t* tuple = proj[v].TupleAt(t);
-      double w_approx = 1.0;
-      uint64_t w_exact = 1;
-      bool w_exact_valid = true;
-      bool dangling = false;
-      for (const ChildRef& cr : child_refs) {
-        double child_approx;
-        std::optional<uint64_t> child_exact;
-        if (cr.msg->sep_width == 0) {
-          child_approx = cr.msg->scalar_approx;
-          child_exact = cr.msg->scalar_exact;
-        } else {
-          child_key.resize(cr.local.size());
-          for (size_t k = 0; k < cr.local.size(); ++k) {
-            child_key[k] = tuple[cr.local[k]];
-          }
-          uint32_t idx = cr.msg->keys.Find(child_key.data());
-          if (idx == UINT32_MAX) {
-            dangling = true;
-            break;
-          }
-          child_approx = cr.msg->approx[idx];
-          if (cr.msg->exact_valid) child_exact = cr.msg->exact[idx];
-        }
-        w_approx *= child_approx;
-        if (w_exact_valid && child_exact.has_value()) {
-          auto prod = CheckedMul(w_exact, *child_exact);
-          if (prod) {
-            w_exact = *prod;
-          } else {
-            w_exact_valid = false;
-          }
-        } else {
-          w_exact_valid = false;
-        }
-      }
-      if (dangling) continue;
-
-      if (is_root) {
-        total_approx += w_approx;
-        if (total_exact_valid && w_exact_valid) {
-          auto sum = CheckedAdd(total_exact, w_exact);
-          if (sum) {
-            total_exact = *sum;
-          } else {
-            total_exact_valid = false;
-          }
-        } else {
-          total_exact_valid = false;
-        }
-        continue;
-      }
-
-      if (msg.sep_width == 0) {
-        msg.scalar_approx += w_approx;
-        if (msg.scalar_exact.has_value() && w_exact_valid) {
-          auto sum = CheckedAdd(*msg.scalar_exact, w_exact);
-          msg.scalar_exact = sum;  // nullopt on overflow
-        } else {
-          msg.scalar_exact = std::nullopt;
-        }
-        continue;
-      }
-
-      for (size_t k = 0; k < up_local.size(); ++k) {
-        up_key[k] = tuple[up_local[k]];
-      }
-      uint32_t idx = msg.keys.Find(up_key.data());
-      if (idx == UINT32_MAX) {
-        idx = msg.keys.Add(up_key.data());
-        msg.approx.push_back(0.0);
-        msg.exact.push_back(0);
-      }
-      msg.approx[idx] += w_approx;
-      if (msg.exact_valid && w_exact_valid) {
-        auto sum = CheckedAdd(msg.exact[idx], w_exact);
-        if (sum) {
-          msg.exact[idx] = *sum;
-        } else {
-          msg.exact_valid = false;
-        }
-      } else {
-        msg.exact_valid = false;
-      }
-    }
-
-    if (is_root) {
-      AcyclicJoinCount out;
-      out.approx = total_approx;
-      if (total_exact_valid) out.exact = total_exact;
-      return out;
-    }
-    if (msg.sep_width == 0 && !msg.scalar_exact.has_value()) {
-      msg.exact_valid = false;
-    }
-    messages[v] = std::move(msg);
-  }
-  AJD_CHECK_MSG(false, "unreachable: root not processed");
-  return {};
-}
 
 Result<Relation> MaterializeAcyclicJoin(const Relation& r,
                                         const JoinTree& tree) {

@@ -1,18 +1,13 @@
 // The acyclic join of a relation's bag projections, R' = join_i R[Omega_i],
-// which defines the loss rho(R, S) = (|R'| - |R|) / |R| (Eq. 1).
-//
-// Two evaluation modes:
-//  * CountAcyclicJoin: |R'| WITHOUT materializing, via Yannakakis-style
-//    count propagation over the join tree (messages from leaves to root).
-//    Linear in the sizes of the projections; never enumerates R'.
-//  * MaterializeAcyclicJoin: R' itself, by folding hash joins in DFS order.
-//    Exponential output in the worst case; intended for tests, spurious-
-//    tuple extraction, and small instances.
+// which defines the loss rho(R, S) = (|R'| - |R|) / |R| (Eq. 1),
+// MATERIALIZED: R' itself by folding hash joins in DFS order after a full
+// reduction. Exponential output in the worst case; intended for tests,
+// spurious-tuple extraction, and small instances. Its size |R'| alone is
+// counted without materializing by ComputeLoss (core/loss.h), from the
+// engine's bag and separator partitions.
 #ifndef AJD_RELATION_ACYCLIC_JOIN_H_
 #define AJD_RELATION_ACYCLIC_JOIN_H_
 
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,21 +16,6 @@
 #include "util/status.h"
 
 namespace ajd {
-
-/// Size of an acyclic join, tracked both in floating point (always valid;
-/// exact below 2^53) and as uint64 when it does not overflow.
-struct AcyclicJoinCount {
-  /// |R'| as a double. Exact when |R'| < 2^53.
-  double approx = 0.0;
-  /// |R'| as an exact integer, when representable in uint64.
-  std::optional<uint64_t> exact;
-};
-
-/// Computes |join_i R[Omega_i]| for the bags of `tree` by count propagation.
-/// Requires tree's attributes to be a subset of r's attributes. The bags of
-/// the tree need not cover all of r's attributes: the join (and hence the
-/// count) is over chi(T) only.
-AcyclicJoinCount CountAcyclicJoin(const Relation& r, const JoinTree& tree);
 
 /// Materializes R' = join_i R[Omega_i], with columns reordered to r's
 /// attribute order restricted to chi(T). Intended for small instances.

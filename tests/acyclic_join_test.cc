@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "acyclic_join_oracle.h"
 #include "core/worstcase.h"
 #include "random/rng.h"
 #include "relation/acyclic_join.h"
@@ -8,6 +9,9 @@
 
 namespace ajd {
 namespace {
+
+using join_oracle::AcyclicJoinCount;
+using join_oracle::CountAcyclicJoin;
 
 TEST(CountAcyclicJoin, LosslessInstanceYieldsN) {
   // A relation that satisfies C ->> A | B exactly.

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <map>
+#include <set>
+#include <thread>
+#include <vector>
 
+#include "acyclic_join_oracle.h"
 #include "core/analysis.h"
 #include "core/loss.h"
 #include "core/worstcase.h"
@@ -16,7 +24,7 @@ namespace {
 
 // AnalyzeAjd reads its distinct counts, MVD join sizes and KL off the
 // session engine's partitions. Every integer must equal the hash passes
-// exactly, and the pointwise KL must match the FactorizedDistribution
+// (CountDistinct, tests/acyclic_join_oracle.h) exactly, and the pointwise KL must match the FactorizedDistribution
 // oracle.
 void ExpectMatchesHashPasses(AnalysisSession* session, const Relation& r,
                              const JoinTree& t) {
@@ -31,13 +39,14 @@ void ExpectMatchesHashPasses(AnalysisSession* session, const Relation& r,
     ASSERT_EQ(m.d_a, a_branch.Empty() ? 1 : CountDistinct(r, a_branch));
     ASSERT_EQ(m.d_b, b_branch.Empty() ? 1 : CountDistinct(r, b_branch));
     ASSERT_EQ(m.d_c, m.mvd.lhs.Empty() ? 1 : CountDistinct(r, m.mvd.lhs));
-    const LossReport want = ComputeMvdLoss(r, m.mvd).value();
+    const uint64_t want = join_oracle::MvdJoinSize(r, m.mvd);
     const LossReport got = ComputeMvdLoss(session, r, m.mvd).value();
-    ASSERT_TRUE(got.join_size_exact.has_value());
-    ASSERT_EQ(got.join_size_exact, want.join_size_exact);
-    ASSERT_EQ(got.num_tuples, want.num_tuples);
-    ASSERT_EQ(m.rho, want.rho);
-    ASSERT_EQ(m.log1p_rho, want.log1p_rho);
+    ASSERT_EQ(got.join_size_exact, want);
+    ASSERT_EQ(got.num_tuples, r.NumRows());
+    const double n = static_cast<double>(r.NumRows());
+    const double want_rho = (static_cast<double>(want) - n) / n;
+    ASSERT_EQ(m.rho, want_rho < 0.0 && want_rho > -1e-9 ? 0.0 : want_rho);
+    ASSERT_EQ(m.log1p_rho, std::log1p(m.rho));
   }
   FactorizedDistribution pt(r, t);
   EXPECT_NEAR(a.kl, pt.KlFromEmpirical(), 1e-12);
@@ -172,7 +181,7 @@ TEST(AnalyzeAjd, PartitionCountsMatchHashPassesOnRandomTrees) {
       if (mvd.side_a.Empty() || mvd.side_b.Empty()) continue;
       SCOPED_TRACE(mvd.ToString());
       ASSERT_EQ(ComputeMvdLoss(&session, r, mvd).value().join_size_exact,
-                ComputeMvdLoss(r, mvd).value().join_size_exact);
+                join_oracle::MvdJoinSize(r, mvd));
     }
   }
 }
@@ -228,6 +237,104 @@ TEST(AnalyzeAjd, PartitionCountsFollowAppendedRows) {
     ASSERT_TRUE(r.AppendBatch(batch, /*dedupe=*/true).ok());
     ExpectMatchesHashPasses(&session, r, t);
     EXPECT_GT(session.TotalStats().epoch_catchups, 0u);
+  }
+}
+
+void ExpectSameAnalysis(const AjdAnalysis& got, const AjdAnalysis& want) {
+  EXPECT_EQ(got.n, want.n);
+  EXPECT_EQ(got.loss.num_tuples, want.loss.num_tuples);
+  EXPECT_EQ(got.loss.join_size, want.loss.join_size);
+  EXPECT_EQ(got.loss.join_size_exact, want.loss.join_size_exact);
+  EXPECT_EQ(got.loss.rho, want.loss.rho);
+  EXPECT_EQ(got.loss.log1p_rho, want.loss.log1p_rho);
+  EXPECT_EQ(got.j, want.j);
+  EXPECT_EQ(got.kl, want.kl);
+  EXPECT_EQ(got.chain_rule_j, want.chain_rule_j);
+  EXPECT_EQ(got.max_support_cmi, want.max_support_cmi);
+  EXPECT_EQ(got.max_dfs_cmi, want.max_dfs_cmi);
+  EXPECT_EQ(got.sum_dfs_cmi, want.sum_dfs_cmi);
+  EXPECT_EQ(got.rho_lower_bound, want.rho_lower_bound);
+  EXPECT_EQ(got.prop51_bound, want.prop51_bound);
+  EXPECT_EQ(got.prop53_upper, want.prop53_upper);
+  EXPECT_EQ(got.prop53_valid, want.prop53_valid);
+  EXPECT_EQ(got.lossless, want.lossless);
+  ASSERT_EQ(got.support.size(), want.support.size());
+  for (size_t i = 0; i < got.support.size(); ++i) {
+    const MvdStat& g = got.support[i];
+    const MvdStat& w = want.support[i];
+    EXPECT_EQ(g.cmi, w.cmi) << i;
+    EXPECT_EQ(g.rho, w.rho) << i;
+    EXPECT_EQ(g.log1p_rho, w.log1p_rho) << i;
+    EXPECT_EQ(g.d_a, w.d_a) << i;
+    EXPECT_EQ(g.d_b, w.d_b) << i;
+    EXPECT_EQ(g.d_c, w.d_c) << i;
+    EXPECT_EQ(g.epsilon_star, w.epsilon_star) << i;
+    EXPECT_EQ(g.thm51_applies, w.thm51_applies) << i;
+  }
+}
+
+TEST(AnalyzeAjd, ReadsEveryTermAtOnePinWhileBatchesLand) {
+  // An appender lands batches while analyses of the growing relation run:
+  // each result is the cold analysis of exactly the prefix it pinned, and
+  // its n is the row count its loss was counted over. The TSan leg runs
+  // this.
+  Rng rng(148);
+  const uint32_t num_attrs = 5;
+  const uint32_t domain = 8;
+  std::vector<std::vector<uint32_t>> all;
+  std::set<std::vector<uint32_t>> seen;
+  while (all.size() < 3000) {
+    std::vector<uint32_t> row(num_attrs);
+    for (uint32_t& v : row) v = static_cast<uint32_t>(rng.UniformU64(domain));
+    if (seen.insert(row).second) all.push_back(std::move(row));
+  }
+  auto prefix_relation = [&](size_t rows) {
+    std::vector<uint64_t> dims(num_attrs, domain);
+    RelationBuilder b(Schema::MakeSynthetic(dims).value());
+    for (size_t i = 0; i < rows; ++i) b.AddRow(all[i]);
+    return std::move(b).Build(/*dedupe=*/true);
+  };
+  const size_t initial = 1500;
+  const size_t batch_rows = 50;
+  Relation r = prefix_relation(initial);
+  const JoinTree tree =
+      JoinTree::Path({AttrSet{0, 1, 2}, AttrSet{2, 3}, AttrSet{3, 4}})
+          .value();
+  AnalysisSession session;
+
+  std::atomic<bool> go{false};
+  std::atomic<bool> done{false};
+  std::thread appender([&] {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (size_t at = initial; at < all.size(); at += batch_rows) {
+      const std::vector<std::vector<uint32_t>> batch(
+          all.begin() + static_cast<std::ptrdiff_t>(at),
+          all.begin() + static_cast<std::ptrdiff_t>(at + batch_rows));
+      ASSERT_TRUE(r.AppendBatch(batch, /*dedupe=*/true).ok());
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::vector<AjdAnalysis> results;
+  go.store(true, std::memory_order_release);
+  do {
+    results.push_back(AnalyzeAjd(&session, r, tree).value());
+  } while (!done.load(std::memory_order_acquire));
+  appender.join();
+  results.push_back(AnalyzeAjd(&session, r, tree).value());
+  EXPECT_EQ(results.back().n, all.size());
+
+  std::map<uint64_t, AjdAnalysis> cold;
+  for (const AjdAnalysis& got : results) {
+    SCOPED_TRACE(got.n);
+    EXPECT_EQ(got.n, got.loss.num_tuples);
+    auto it = cold.find(got.n);
+    if (it == cold.end()) {
+      it = cold.emplace(got.n, AnalyzeAjd(prefix_relation(got.n), tree)
+                                   .value())
+               .first;
+    }
+    ExpectSameAnalysis(got, it->second);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "acyclic_join_oracle.h"
 #include "core/analysis.h"
 #include "core/loss.h"
 #include "info/entropy.h"
@@ -16,6 +17,9 @@
 
 namespace ajd {
 namespace {
+
+using join_oracle::AcyclicJoinCount;
+using join_oracle::CountAcyclicJoin;
 
 TEST(EdgeCases, SixtyFourAttributeRelation) {
   // The AttrSet capacity limit, end to end.

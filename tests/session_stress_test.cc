@@ -424,13 +424,18 @@ TEST(SessionStress, MultiReaderSingleAppenderSoakHoldsValueAndBudget) {
   constexpr int kReaders = 4;
   std::vector<std::vector<Obs>> observed(kReaders);
   std::atomic<bool> done{false};
+  // Start barrier: the appender waits until every reader has recorded one
+  // observation, so the soak never depends on the scheduler running the
+  // readers before the last batch lands.
+  std::atomic<int> started{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&engine, &observed, &done, t] {
+    readers.emplace_back([&engine, &observed, &done, &started, t] {
       Rng trng(9800 + static_cast<uint64_t>(t));
       auto& out = observed[static_cast<size_t>(t)];
-      while (!done.load(std::memory_order_acquire)) {
+      bool first = true;
+      do {
         // No maintenance thread here: catch-up is purely cooperative, so
         // readers poll for new epochs themselves.
         if (trng.Bernoulli(0.5)) engine.CatchUp();
@@ -441,8 +446,15 @@ TEST(SessionStress, MultiReaderSingleAppenderSoakHoldsValueAndBudget) {
           out.push_back({pin.rows, mask,
                          engine.EntropyAt(AttrSet::FromMask(mask), pin)});
         }
-      }
+        if (first) {
+          started.fetch_add(1, std::memory_order_release);
+          first = false;
+        }
+      } while (!done.load(std::memory_order_acquire));
     });
+  }
+  while (started.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
   }
   for (const auto& batch : batches) {
     ASSERT_TRUE(r.AppendBatch(batch).ok());
