@@ -66,12 +66,11 @@ Result<AjdAnalysis> AnalyzeAjd(AnalysisSession* session, const Relation& r,
   if (delta <= 0.0 || delta >= 1.0) {
     return Status::InvalidArgument("delta must be in (0, 1)");
   }
-  // Everything below reads at one pin: an append that lands mid-call
-  // changes nothing here, and the result is the cold analysis of the
-  // first pin.rows rows.
+  // Everything below reads at one pin covering every row appended before
+  // the call: an append that lands mid-call changes nothing here, and the
+  // result is the cold analysis of the first pin.rows rows.
   EntropyEngine& engine = session->EngineFor(r);
-  engine.CatchUp();
-  const EpochPin pin = engine.Pin();
+  const EpochPin pin = engine.SyncedPin();
   Status valid = ValidateLossInputs(r, pin.rows, tree);
   if (!valid.ok()) return valid;
 

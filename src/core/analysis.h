@@ -76,7 +76,9 @@ struct AjdAnalysis {
 
 /// Runs the full analysis. `delta` is the confidence parameter for the
 /// Section 5 bounds. Every term comes from the session engine's stripped
-/// partitions, all read at ONE pin taken on entry: entropies from its
+/// partitions, all read at ONE pin taken on entry
+/// (EntropyEngine::SyncedPin, so it covers every row appended before the
+/// call even while another thread runs a catch-up): entropies from its
 /// cache; the join size behind `loss` by count propagation over the bags'
 /// distinct tuples (core/loss.h); and distinct counts, per-MVD join sizes
 /// and the pointwise D(P || P^T) from O(N) scans over the partitions of

@@ -197,15 +197,16 @@ Result<LossReport> ComputeLossAt(EntropyEngine* engine, const EpochPin& pin,
 
 Result<LossReport> ComputeLoss(AnalysisSession* session, const Relation& r,
                                const JoinTree& tree) {
-  Status valid = ValidateLossInputs(r, r.NumRows(), tree);
-  if (!valid.ok()) return valid;
   EntropyEngine& engine = session->EngineFor(r);
+  const EpochPin pin = engine.SyncedPin();
+  Status valid = ValidateLossInputs(r, pin.rows, tree);
+  if (!valid.ok()) return valid;
   // The count reads the bag and separator partitions; one prewarm builds
   // the missing ones on the engine's pool.
   std::vector<AttrSet> terms = tree.bags();
   for (const DfsStep& s : tree.Decompose(0).steps) terms.push_back(s.delta);
   engine.PrewarmSubsets(terms);
-  return ComputeLossAt(&engine, engine.Pin(), tree);
+  return ComputeLossAt(&engine, pin, tree);
 }
 
 Result<LossReport> ComputeLoss(const Relation& r, const JoinTree& tree) {
@@ -221,8 +222,7 @@ Result<LossReport> ComputeMvdLoss(const Relation& r, const Mvd& mvd) {
 Result<LossReport> ComputeMvdLoss(AnalysisSession* session, const Relation& r,
                                   const Mvd& mvd) {
   EntropyEngine& engine = session->EngineFor(r);
-  engine.CatchUp();
-  return ComputeMvdLossAt(&engine, engine.Pin(), mvd);
+  return ComputeMvdLossAt(&engine, engine.SyncedPin(), mvd);
 }
 
 Result<LossReport> ComputeMvdLossAt(EntropyEngine* engine, const EpochPin& pin,

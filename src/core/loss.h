@@ -53,7 +53,8 @@ Result<LossReport> ComputeLoss(const Relation& r, const JoinTree& tree);
 
 /// Session-sharing variant: prewarms the bag and separator partitions in
 /// the session's engine for `r` (after mining, mostly cache hits) and
-/// counts over the engine's current pinned prefix.
+/// counts at EntropyEngine::SyncedPin: over every row appended before the
+/// call.
 Result<LossReport> ComputeLoss(AnalysisSession* session, const Relation& r,
                                const JoinTree& tree);
 
@@ -75,8 +76,8 @@ Result<LossReport> ComputeLossAt(EntropyEngine* engine, const EpochPin& pin,
 Result<LossReport> ComputeMvdLoss(const Relation& r, const Mvd& mvd);
 
 /// Session-sharing variant: the partitions come from the session's engine
-/// for `r` (after mining, usually cache hits), over the engine's current
-/// pinned prefix.
+/// for `r` (after mining, usually cache hits), read at
+/// EntropyEngine::SyncedPin.
 Result<LossReport> ComputeMvdLoss(AnalysisSession* session, const Relation& r,
                                   const Mvd& mvd);
 

@@ -50,7 +50,7 @@ StreamingLossMonitor::StreamingLossMonitor(Relation* r, JoinTree tree,
   AJD_CHECK_MSG(
       tree_.AllAttrs().IsSubsetOf(r_->schema().AllAttrs()),
       "monitored tree mentions attributes outside the relation's schema");
-  j_at_mine_ = CurrentJ(tree_, SyncedPin());
+  j_at_mine_ = CurrentJ(tree_, session_->EngineFor(*r_).SyncedPin());
 }
 
 Result<StreamingLossMonitor> StreamingLossMonitor::Create(
@@ -85,14 +85,9 @@ Result<StreamingLossMonitor> StreamingLossMonitor::WithMinedTree(
       MineJoinTree(&monitor.session(), *r, monitor.options_.miner);
   if (!mined.ok()) return mined.status();
   monitor.tree_ = std::move(mined).value().tree;
-  monitor.j_at_mine_ = monitor.CurrentJ(monitor.tree_, monitor.SyncedPin());
+  monitor.j_at_mine_ = monitor.CurrentJ(
+      monitor.tree_, monitor.session_->EngineFor(*r).SyncedPin());
   return monitor;
-}
-
-EpochPin StreamingLossMonitor::SyncedPin() {
-  EntropyEngine& engine = session_->EngineFor(*r_);
-  engine.CatchUp();
-  return engine.Pin();
 }
 
 double StreamingLossMonitor::CurrentJ(const JoinTree& tree,
@@ -127,9 +122,6 @@ Result<StreamingPoint> StreamingLossMonitor::Observe() {
         "monitored relation shrank; relations are append-only");
   }
   StreamingPoint point;
-  point.epoch = r_->epoch();
-  point.rows = rows_now;
-  point.batch_rows = rows_now - observed_rows_;
   const uint32_t batches_since = batches_since_remine_ + 1;
   JoinTree remined_tree = tree_;
   std::optional<double> j_after_remine;
@@ -139,14 +131,19 @@ Result<StreamingPoint> StreamingLossMonitor::Observe() {
   // appended rows simply remain unobserved, and the next Observe folds
   // them into its batch instead of dropping a trajectory point.
   try {
-    // Every quantity of the point is read at one pin. Catch-up degrades
-    // instead of failing, so a pin short of the relation means it could
-    // not extend the caches this time: the rows stay unobserved.
-    const EpochPin pin = SyncedPin();
-    if (pin.rows != rows_now) {
+    // Every quantity of the point is read at one pin. SyncedPin waits
+    // out a catch-up another thread has in flight, so a pin short of the
+    // relation means a catch-up aborted (it degrades instead of failing):
+    // the rows stay unobserved. A pin past rows_now covers rows another
+    // appender landed meanwhile; the point takes them too.
+    const EpochPin pin = session_->EngineFor(*r_).SyncedPin();
+    if (pin.rows < rows_now) {
       return Status::CapacityExceeded(
-          "engine catch-up did not complete; rows remain unobserved");
+          "engine catch-up aborted; rows remain unobserved");
     }
+    point.epoch = pin.epoch;
+    point.rows = pin.rows;
+    point.batch_rows = pin.rows - observed_rows_;
     point.j = CurrentJ(tree_, pin);
     point.rho_lower_bound = std::expm1(point.j);
     if (options_.compute_exact_loss) {
@@ -167,7 +164,7 @@ Result<StreamingPoint> StreamingLossMonitor::Observe() {
     const bool drifted = options_.drift_threshold > 0.0 &&
                          point.j - j_at_mine_ > margin;
     if (drifted && batches_since >= options_.min_batches_between_remines &&
-        r_->NumAttrs() >= 2 && rows_now >= 1) {
+        r_->NumAttrs() >= 2 && pin.rows >= 1) {
       Result<MinerReport> mined =
           MineJoinTree(session_.get(), *r_, options_.miner);
       if (!mined.ok()) return mined.status();
@@ -181,7 +178,7 @@ Result<StreamingPoint> StreamingLossMonitor::Observe() {
   }
 
   // Commit: everything fallible succeeded.
-  observed_rows_ = rows_now;
+  observed_rows_ = point.rows;
   batches_since_remine_ = point.remined ? 0 : batches_since;
   if (point.remined) {
     tree_ = std::move(remined_tree);

@@ -185,12 +185,13 @@ class StreamingLossMonitor {
   /// the relation (e.g. io/csv.h's AppendCsvBatches feeding AppendBatch
   /// directly). A no-op point results if nothing was appended.
   /// Every quantity of the point is read at one engine pin covering all
-  /// of the relation's rows. FailedPrecondition if the relation shrank
-  /// (relations are append-only); CapacityExceeded if the engine's
-  /// catch-up could not reach the new rows (it degrades instead of
-  /// failing, e.g. on allocation failure). On any error no monitor state
-  /// moves — the rows stay unobserved and fold into the next successful
-  /// Observe.
+  /// of the relation's rows (EntropyEngine::SyncedPin: a catch-up another
+  /// reader or an EpochMaintenance thread has in flight is waited for).
+  /// FailedPrecondition if the relation shrank (relations are
+  /// append-only); CapacityExceeded if the engine's catch-up aborted
+  /// (it degrades instead of failing, e.g. on allocation failure). On any
+  /// error no monitor state moves — the rows stay unobserved and fold
+  /// into the next successful Observe.
   Result<StreamingPoint> Observe();
 
   /// Batches dropped by a kSkip/kRetryThenSkip fault policy so far.
@@ -224,9 +225,6 @@ class StreamingLossMonitor {
   const Relation& relation() const { return *r_; }
 
  private:
-  /// Catches the session's engine up to the relation and returns its pin.
-  EpochPin SyncedPin();
-
   /// J(`tree`) over the first pin.rows rows, read through the session's
   /// engine at `pin`.
   double CurrentJ(const JoinTree& tree, const EpochPin& pin);

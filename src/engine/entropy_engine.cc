@@ -128,6 +128,20 @@ void EntropyEngine::CatchUp() {
   // not block behind a catch-up it does not need.
   std::unique_lock<std::mutex> own(catchup_mu_, std::try_to_lock);
   if (!own.owns_lock()) return;
+  CatchUpOwned();
+}
+
+EpochPin EntropyEngine::SyncedPin() {
+  if (relation().epoch() != synced_epoch_.load(std::memory_order_acquire)) {
+    // Blocks behind a catch-up in flight, which may have targeted an
+    // epoch before the caller's append: CatchUpOwned rechecks.
+    std::lock_guard<std::mutex> own(catchup_mu_);
+    CatchUpOwned();
+  }
+  return Pin();
+}
+
+void EntropyEngine::CatchUpOwned() {
   const uint64_t target_epoch = relation().epoch();
   if (target_epoch == synced_epoch_.load(std::memory_order_acquire)) {
     return;  // the previous owner finished this epoch already
@@ -1076,17 +1090,10 @@ double EntropyEngine::ConditionalEntropy(AttrSet a, AttrSet c) {
 
 double EntropyEngine::ConditionalMutualInformation(AttrSet a, AttrSet b,
                                                    AttrSet c) {
-  CatchUp();
-  return ConditionalMutualInformationAt(a, b, c, Pin());
-}
-
-double EntropyEngine::ConditionalMutualInformationAt(AttrSet a, AttrSet b,
-                                                     AttrSet c,
-                                                     const EpochPin& pin) {
-  double h_ac = EntropyAt(a.Union(c), pin);
-  double h_bc = EntropyAt(b.Union(c), pin);
-  double h_abc = EntropyAt(a.Union(b).Union(c), pin);
-  double h_c = EntropyAt(c, pin);
+  double h_ac = Entropy(a.Union(c));
+  double h_bc = Entropy(b.Union(c));
+  double h_abc = Entropy(a.Union(b).Union(c));
+  double h_c = Entropy(c);
   double cmi = h_ac + h_bc - h_abc - h_c;
   // Clamp tiny negative values from floating-point cancellation.
   return cmi < 0.0 && cmi > -1e-9 ? 0.0 : cmi;

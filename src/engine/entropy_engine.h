@@ -247,6 +247,15 @@ class EntropyEngine {
   /// concurrently with appends and catch-ups.
   EpochPin Pin() const;
 
+  /// Catches up and returns the pin, like CatchUp() + Pin(), except that
+  /// a catch-up another thread has in flight is waited for instead of
+  /// returned past, then rechecked: the pin covers every row appended
+  /// before the call unless a catch-up attempt aborted
+  /// (EngineStats::catchup_aborts). For callers that must read the
+  /// relation they just appended to (StreamingLossMonitor::Observe,
+  /// AnalyzeAjd, ComputeLoss); plain readers keep the try-lock path.
+  EpochPin SyncedPin();
+
   /// H(attrs) over exactly the first pin.rows rows — the pinned-reader
   /// entry point. Does NOT catch up: a reader holding a pin taken before
   /// an append keeps getting the cold answer at its pinned epoch while
@@ -307,13 +316,8 @@ class EntropyEngine {
 
   /// I(a ; b | c) = H(a u c) + H(b u c) - H(a u b u c) - H(c) (Eq. 4),
   /// with tiny negative fp noise clamped to 0 exactly as the legacy
-  /// EntropyCalculator did. Catches up once and reads all four terms at
-  /// that pin.
+  /// EntropyCalculator did.
   double ConditionalMutualInformation(AttrSet a, AttrSet b, AttrSet c);
-
-  /// I(a ; b | c) over exactly the first pin.rows rows (EntropyAt terms).
-  double ConditionalMutualInformationAt(AttrSet a, AttrSet b, AttrSet c,
-                                        const EpochPin& pin);
 
   /// I(a ; b) = I(a ; b | empty).
   double MutualInformation(AttrSet a, AttrSet b);
@@ -462,6 +466,10 @@ class EntropyEngine {
                                uint32_t last_col_card, uint64_t rows,
                                PartitionDelta delta);
 
+  /// CatchUp's body once the caller holds catchup_mu_: syncs to the
+  /// relation's epoch unless a previous owner already did. Never throws.
+  void CatchUpOwned();
+
   /// The catch-up owner's body; runs with catchup_mu_ held and mu_ NOT
   /// held. Three phases: CLAIM (under mu_: remove the recently-used cached
   /// partitions from the visible cache, drop the generationally idle ones),
@@ -542,7 +550,7 @@ class EntropyEngine {
   /// catchup_mu_ -> mu_, catchup_mu_ -> column-store internals; never the
   /// reverse) and held across the whole claim/extend/publish sequence;
   /// CatchUp() only try-locks it, so readers never block on a running
-  /// catch-up.
+  /// catch-up; SyncedPin() alone waits on it.
   std::mutex catchup_mu_;
   /// The published stamp readers pin (atomic shared_ptr access). Written
   /// only by the catch-up owner, last step of publish.

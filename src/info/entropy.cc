@@ -50,23 +50,19 @@ double EntropyCalculator::Entropy(AttrSet attrs) {
   return pin_ ? engine_->EntropyAt(attrs, *pin_) : engine_->Entropy(attrs);
 }
 
-std::vector<double> EntropyCalculator::BatchEntropy(
-    const std::vector<AttrSet>& sets) {
-  if (!pin_) return engine_->BatchEntropy(sets);
-  std::vector<double> out;
-  out.reserve(sets.size());
-  for (AttrSet s : sets) out.push_back(engine_->EntropyAt(s, *pin_));
-  return out;
-}
-
 double EntropyCalculator::ConditionalEntropy(AttrSet a, AttrSet c) {
   return Entropy(a.Union(c)) - Entropy(c);
 }
 
 double EntropyCalculator::ConditionalMutualInformation(AttrSet a, AttrSet b,
                                                        AttrSet c) {
-  return pin_ ? engine_->ConditionalMutualInformationAt(a, b, c, *pin_)
-              : engine_->ConditionalMutualInformation(a, b, c);
+  double h_ac = Entropy(a.Union(c));
+  double h_bc = Entropy(b.Union(c));
+  double h_abc = Entropy(a.Union(b).Union(c));
+  double h_c = Entropy(c);
+  double cmi = h_ac + h_bc - h_abc - h_c;
+  // Clamp tiny negative values from floating-point cancellation.
+  return cmi < 0.0 && cmi > -1e-9 ? 0.0 : cmi;
 }
 
 double EntropyCalculator::MutualInformation(AttrSet a, AttrSet b) {

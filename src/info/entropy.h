@@ -59,10 +59,6 @@ class EntropyCalculator {
   /// H(attrs) in nats, memoized.
   double Entropy(AttrSet attrs);
 
-  /// Batch form: out[i] = H(sets[i]), evaluated on the engine's thread
-  /// pool when the batch is large enough to pay for it.
-  std::vector<double> BatchEntropy(const std::vector<AttrSet>& sets);
-
   /// H(a | c) = H(a u c) - H(c).
   double ConditionalEntropy(AttrSet a, AttrSet c);
 

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "acyclic_join_oracle.h"
 #include "core/analysis.h"
 #include "core/loss.h"
 #include "info/entropy.h"
@@ -17,9 +16,6 @@
 
 namespace ajd {
 namespace {
-
-using join_oracle::AcyclicJoinCount;
-using join_oracle::CountAcyclicJoin;
 
 TEST(EdgeCases, SixtyFourAttributeRelation) {
   // The AttrSet capacity limit, end to end.
@@ -99,9 +95,9 @@ TEST(EdgeCases, StarTreeWithManyLeaves) {
   Rng rng(352);
   Relation r = testing_util::RandomTestRelation(&rng, 8, 2, 40);
   // Count propagation and materialization agree even with 7 children.
-  AcyclicJoinCount count = CountAcyclicJoin(r, t);
+  LossReport count = ComputeLoss(r, t).value();
   Relation joined = MaterializeAcyclicJoin(r, t).value();
-  EXPECT_EQ(count.exact.value(), joined.NumRows());
+  EXPECT_EQ(count.join_size_exact.value(), joined.NumRows());
 }
 
 TEST(EdgeCases, DeepPathTree) {
@@ -111,9 +107,9 @@ TEST(EdgeCases, DeepPathTree) {
   JoinTree t = JoinTree::Path(bags).value();
   Rng rng(353);
   Relation r = testing_util::RandomTestRelation(&rng, 11, 2, 60);
-  AcyclicJoinCount count = CountAcyclicJoin(r, t);
+  LossReport count = ComputeLoss(r, t).value();
   Relation joined = MaterializeAcyclicJoin(r, t).value();
-  EXPECT_EQ(count.exact.value(), joined.NumRows());
+  EXPECT_EQ(count.join_size_exact.value(), joined.NumRows());
   // Lemma 4.1 at depth.
   EXPECT_LE(JMeasure(r, t), ComputeLoss(r, t).value().log1p_rho + 1e-8);
 }
@@ -138,9 +134,9 @@ TEST(EdgeCases, JoinSizeOverflowFallsBackToApprox) {
     if (i > 0) edges.emplace_back(i - 1, i);
   }
   JoinTree t = JoinTree::Make(bags, edges).value();
-  AcyclicJoinCount count = CountAcyclicJoin(r, t);
-  EXPECT_NEAR(count.approx, std::pow(4.0, 64.0), 1e22);
-  EXPECT_FALSE(count.exact.has_value());  // uint64 overflow detected
+  LossReport count = ComputeLoss(r, t).value();
+  EXPECT_NEAR(count.join_size, std::pow(4.0, 64.0), 1e22);
+  EXPECT_FALSE(count.join_size_exact.has_value());  // uint64 overflow detected
 }
 
 TEST(EdgeCases, MultisetRelationEntropyAndJ) {

@@ -14,8 +14,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/loss.h"
 #include "core/streaming.h"
 #include "engine/entropy_engine.h"
+#include "engine/maintenance.h"
 #include "info/entropy.h"
 #include "info/j_measure.h"
 #include "io/csv.h"
@@ -314,6 +316,72 @@ TEST(StreamingConcurrency, PinnedQueriesDuringIngestStayExact) {
   }
   EXPECT_GT(checked, 0u);
   EXPECT_NEAR(monitor.trajectory().back().j, JMeasure(r, tree), 1e-9);
+}
+
+TEST(StreamingConcurrency, CatchUpRacesNeverFailAnIngest) {
+  // Other threads catch the monitor's engine up while batches land: a
+  // reader through Entropy (which runs a catch-up when it wins the
+  // engine's try-lock) and an EpochMaintenance thread. Losing that race
+  // is not a failure: every ingest must still succeed and report the
+  // whole relation, with J and the exact rho of exactly that prefix.
+  Rng rng(8950);
+  const uint32_t num_attrs = 4;
+  const uint32_t domain = 40;
+  Relation r = EmptyRelation(num_attrs, domain);
+  ASSERT_TRUE(r.AppendBatch(RandomRows(&rng, num_attrs, domain, 20000)).ok());
+  JoinTree tree =
+      JoinTree::Path({AttrSet{0, 1}, AttrSet{1, 2}, AttrSet{2, 3}}).value();
+  StreamingOptions opts;
+  opts.drift_threshold = 0.0;  // fixed tree
+  opts.compute_exact_loss = true;
+  StreamingLossMonitor monitor(&r, tree, opts);
+  EntropyEngine& engine = monitor.session().EngineFor(r);
+
+  std::atomic<bool> done{false};
+  std::thread reader([&engine, &done] {
+    Rng trng(9950);
+    while (!done.load(std::memory_order_acquire)) {
+      engine.Entropy(
+          AttrSet::FromMask(1 + static_cast<uint32_t>(trng.UniformU64(15))));
+    }
+  });
+  {
+    EpochMaintenance maintenance(&engine, std::chrono::microseconds(20));
+    for (int k = 0; k < 60; ++k) {
+      // Odd batches observe as soon as another thread has started the
+      // new epoch's catch-up, so it is usually still in flight.
+      Result<StreamingPoint> point = Status::Internal("unset");
+      if (k % 2 == 0) {
+        point = monitor.IngestBatch(RandomRows(&rng, num_attrs, domain, 500));
+      } else {
+        const uint64_t catchups = engine.Stats().epoch_catchups;
+        EXPECT_TRUE(
+            r.AppendBatch(RandomRows(&rng, num_attrs, domain, 500)).ok());
+        maintenance.Poke();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        while (engine.Stats().epoch_catchups == catchups &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        point = monitor.Observe();
+      }
+      // No ASSERT while the reader runs: a failure must still join it.
+      if (!point.ok()) {
+        ADD_FAILURE() << "batch " << k << ": " << point.status().ToString();
+        break;
+      }
+      EXPECT_EQ(point.value().rows, r.NumRows());
+      EXPECT_EQ(point.value().batch_rows, 500u);
+      if (k % 10 == 9) {
+        EXPECT_NEAR(point.value().j, JMeasure(r, tree), 1e-9);
+        EXPECT_EQ(point.value().rho.value_or(std::nan("")),
+                  ComputeLoss(r, tree).value().rho);
+      }
+    }
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
 }
 
 TEST(Streaming, CreateValidatesUserInputInsteadOfAborting) {
