@@ -34,7 +34,6 @@ int main() {
 
     MinerOptions options;
     options.max_bag_size = 2;
-    options.cmi_threshold = 1e-9;
     // One session per relation: the analysis after mining answers its
     // entropy terms from the cache the builder already filled.
     AnalysisSession session;

@@ -15,13 +15,18 @@
 //                 compute_exact_loss on: every batch also counts the exact
 //                 rho from the tree's bag and separator partitions at the
 //                 batch's pin (ComputeLossAt).
-// Both J arms evaluate the same J terms; every per-batch value must agree
-// to 1e-9, and every exact-arm rho must equal a cold ComputeLoss of the
-// same prefix exactly, or the bench exits 1 (the equivalence guards CI
-// runs in --smoke). The JSON line reports ns per APPENDED row for each arm
-// — the maintenance cost a streaming monitor actually pays — the exact
-// arm's cost over the J-only arm's, and the cold ComputeLoss per batch;
-// the loss-trajectory points stream as one JSON line each before it.
+//   cold loss   — ComputeLoss through a fresh session per batch.
+// The arms run in two passes over the same pre-drawn batches: first the J
+// arms (incremental, cold), then the exact-rho arms (exact, cold loss),
+// each pair interleaved per batch, so no arm is timed between batches of
+// an arm from the other pass. Both J arms evaluate the same J terms; every
+// per-batch value must agree to 1e-9, and every exact-arm rho must equal
+// a cold ComputeLoss of the same prefix exactly, or the bench exits 1
+// (the equivalence guards CI runs in --smoke). The JSON line reports ns
+// per APPENDED row for each arm — the maintenance cost a streaming monitor
+// actually pays — the exact arm's cost over the J-only arm's, and the cold
+// ComputeLoss per batch; the loss-trajectory points stream as one JSON
+// line each before it.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -102,7 +107,7 @@ int main(int argc, char** argv) {
   Rng rng(20260730);
   // The initial prefix is the same stream, already drifted through its
   // history — chunked so its value-recency structure matches the appends.
-  std::vector<std::vector<uint32_t>> all_rows;
+  std::vector<std::vector<uint32_t>> prefix;
   uint32_t window_base = 0;
   {
     const uint32_t chunk = batch_rows == 0 ? initial_rows : batch_rows;
@@ -110,14 +115,39 @@ int main(int argc, char** argv) {
       auto part = DrawRows(&rng, num_attrs, domain,
                            std::min(chunk, initial_rows - done),
                            window_base);
-      for (auto& row : part) all_rows.push_back(std::move(row));
+      for (auto& row : part) prefix.push_back(std::move(row));
       window_base += drift;
     }
   }
 
-  // The monitored tree: mined once on the initial prefix, then fixed, so
-  // both arms evaluate an identical term set every batch.
-  Relation inc = FromRows(num_attrs, all_rows);
+  // Every batch is drawn up front, so both passes append the same rows.
+  std::vector<std::vector<std::vector<uint32_t>>> stream;
+  for (uint32_t k = 0; k <= batches; ++k) {  // batch 0 is the warm-up
+    stream.push_back(
+        DrawRows(&rng, num_attrs, domain, batch_rows, window_base));
+    window_base += drift;
+  }
+  const auto& warm = stream[0];
+
+  // Ingests the untimed warm-up batch. The first catch-up after mining
+  // (or prewarming) pays a one-time generational sweep over the whole
+  // working set (hundreds of partitions most of which it drops); the A/B
+  // measures the steady-state maintenance cost a long-running monitor
+  // actually lives at.
+  auto warm_up = [&](StreamingLossMonitor* m) {
+    Result<StreamingPoint> point = m->IngestBatch(warm);
+    if (!point.ok()) {
+      std::fprintf(stderr, "warm-up ingest failed: %s\n",
+                   point.status().ToString().c_str());
+      return false;
+    }
+    return true;
+  };
+
+  // Pass 1, the J arms. The monitored tree is mined once on the initial
+  // prefix, then fixed, so both arms evaluate an identical term set every
+  // batch.
+  Relation inc = FromRows(num_attrs, prefix);
   StreamingOptions mopts;
   mopts.drift_threshold = 0.0;  // fixed tree: the A/B must not re-mine
   Result<StreamingLossMonitor> made =
@@ -128,43 +158,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   StreamingLossMonitor monitor = std::move(made).value();
-  const JoinTree tree = monitor.tree();  // copy for the cold arm
-  // The exact arm monitors the same rows against the same fixed tree.
-  Relation exact_r = FromRows(num_attrs, all_rows);
-  StreamingOptions eopts = mopts;
-  eopts.compute_exact_loss = true;
-  StreamingLossMonitor exact_monitor(&exact_r, tree, eopts);
-
-  // Untimed warm-up batch: the first catch-up after mining pays a one-time
-  // generational sweep over the miner's whole working set (hundreds of
-  // partitions most of which it drops); the A/B measures the steady-state
-  // maintenance cost a long-running monitor actually lives at.
-  {
-    std::vector<std::vector<uint32_t>> warm =
-        DrawRows(&rng, num_attrs, domain, batch_rows, window_base);
-    window_base += drift;
-    for (StreamingLossMonitor* m : {&monitor, &exact_monitor}) {
-      Result<StreamingPoint> point = m->IngestBatch(warm);
-      if (!point.ok()) {
-        std::fprintf(stderr, "warm-up ingest failed: %s\n",
-                     point.status().ToString().c_str());
-        return 1;
-      }
-    }
-    for (auto& row : warm) all_rows.push_back(std::move(row));
-  }
+  const JoinTree tree = monitor.tree();  // copy for the other arms
+  if (!warm_up(&monitor)) return 1;
+  // The rows so far, for the cold arms.
+  std::vector<std::vector<uint32_t>> all_rows = prefix;
+  all_rows.insert(all_rows.end(), warm.begin(), warm.end());
 
   double inc_ns = 0.0;
   double cold_ns = 0.0;
-  double exact_ns = 0.0;
-  double cold_loss_ns = 0.0;
   uint64_t appended = 0;
   double max_diff = 0.0;
   for (uint32_t k = 0; k < batches; ++k) {
-    std::vector<std::vector<uint32_t>> batch =
-        DrawRows(&rng, num_attrs, domain, batch_rows, window_base);
-    window_base += drift;
-
+    const auto& batch = stream[k + 1];
     const double t0 = NowNs();
     Result<StreamingPoint> point = monitor.IngestBatch(batch);
     const double t1 = NowNs();
@@ -177,6 +182,43 @@ int main(int argc, char** argv) {
     appended += batch.size();
     std::printf("%s\n", point.value().ToJsonLine().c_str());
 
+    // Cold arm: rebuild everything from the rows so far — the only option
+    // before relations had epochs.
+    all_rows.insert(all_rows.end(), batch.begin(), batch.end());
+    const double t2 = NowNs();
+    Relation cold_r = FromRows(num_attrs, all_rows);
+    AnalysisSession cold_session;
+    EntropyCalculator cold_calc(&cold_session, &cold_r);
+    const double cold_j = JMeasureDetailed(&cold_calc, tree).j;
+    const double t3 = NowNs();
+    cold_ns += t3 - t2;
+
+    const double diff = std::fabs(cold_j - point.value().j);
+    if (diff > max_diff) max_diff = diff;
+    if (diff > 1e-9) {
+      std::fprintf(stderr,
+                   "VALUE MISMATCH at batch %u: incremental %.17g vs cold "
+                   "%.17g\n",
+                   k, point.value().j, cold_j);
+      return 1;
+    }
+  }
+  const EngineStats stats = monitor.session().TotalStats();
+
+  // Pass 2, the exact-rho arms: a fresh monitor over the same prefix and
+  // the same fixed tree, fed the same batches.
+  Relation exact_r = FromRows(num_attrs, prefix);
+  StreamingOptions eopts = mopts;
+  eopts.compute_exact_loss = true;
+  StreamingLossMonitor exact_monitor(&exact_r, tree, eopts);
+  if (!warm_up(&exact_monitor)) return 1;
+  all_rows = prefix;
+  all_rows.insert(all_rows.end(), warm.begin(), warm.end());
+
+  double exact_ns = 0.0;
+  double cold_loss_ns = 0.0;
+  for (uint32_t k = 0; k < batches; ++k) {
+    const auto& batch = stream[k + 1];
     const double e0 = NowNs();
     Result<StreamingPoint> exact_point = exact_monitor.IngestBatch(batch);
     const double e1 = NowNs();
@@ -187,18 +229,8 @@ int main(int argc, char** argv) {
     }
     exact_ns += e1 - e0;
 
-    // Cold arm: rebuild everything from the rows so far — the only option
-    // before relations had epochs.
-    for (auto& row : batch) all_rows.push_back(std::move(row));
-    const double t2 = NowNs();
+    all_rows.insert(all_rows.end(), batch.begin(), batch.end());
     Relation cold_r = FromRows(num_attrs, all_rows);
-    AnalysisSession cold_session;
-    EntropyCalculator cold_calc(&cold_session, &cold_r);
-    const double cold_j = JMeasureDetailed(&cold_calc, tree).j;
-    const double t3 = NowNs();
-    cold_ns += t3 - t2;
-
-    // Cold exact loss: ComputeLoss through a fresh session per batch.
     const double l0 = NowNs();
     Result<LossReport> cold_loss = ComputeLoss(cold_r, tree);
     const double l1 = NowNs();
@@ -215,16 +247,6 @@ int main(int argc, char** argv) {
                    k, *exact_point.value().rho, cold_loss.value().rho);
       return 1;
     }
-
-    const double diff = std::fabs(cold_j - point.value().j);
-    if (diff > max_diff) max_diff = diff;
-    if (diff > 1e-9) {
-      std::fprintf(stderr,
-                   "VALUE MISMATCH at batch %u: incremental %.17g vs cold "
-                   "%.17g\n",
-                   k, point.value().j, cold_j);
-      return 1;
-    }
   }
 
   const double inc_ns_per_row = inc_ns / static_cast<double>(appended);
@@ -232,7 +254,6 @@ int main(int argc, char** argv) {
   const double exact_ns_per_row = exact_ns / static_cast<double>(appended);
   const double cold_loss_ns_per_row =
       cold_loss_ns / static_cast<double>(appended);
-  const EngineStats stats = monitor.session().TotalStats();
   std::printf(
       "{\"bench\":\"perf_streaming\",\"smoke\":%s,\"rows_initial\":%u,"
       "\"batches\":%u,\"batch_rows\":%u,\"appended_rows\":%llu,"

@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
   options.max_bag_size =
       argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 2;
   options.max_separator_size = 2;
-  options.cmi_threshold = 1e-6;
 
   Result<MinerReport> mined = MineJoinTree(r, options);
   if (!mined.ok()) {

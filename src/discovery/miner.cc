@@ -22,30 +22,15 @@ namespace {
 // tie-breaks decide instead; 1e-9 matches the CMI clamp in the engine.
 constexpr double kSelectionEps = 1e-9;
 
-// The post-pass enumerates every bipartition of at most this many units
-// (2^15 masks); separators that leave more are skipped.
-constexpr size_t kMaxSplitUnits = 16;
-
 // Mutable tree under construction.
 struct WorkTree {
   std::vector<AttrSet> bags;
-  std::vector<bool> alive;
-  // Edges as (u, v) pairs over work indexes; dead nodes have no edges.
+  // Edges as (u, v) pairs over bag indexes.
   std::vector<std::pair<uint32_t, uint32_t>> edges;
 
   uint32_t AddBag(AttrSet bag) {
     bags.push_back(bag);
-    alive.push_back(true);
     return static_cast<uint32_t>(bags.size() - 1);
-  }
-
-  std::vector<uint32_t> NeighborsOf(uint32_t v) const {
-    std::vector<uint32_t> out;
-    for (auto [a, b] : edges) {
-      if (a == v) out.push_back(b);
-      if (b == v) out.push_back(a);
-    }
-    return out;
   }
 };
 
@@ -95,7 +80,9 @@ std::vector<AttachStep> BuildGreedy(EntropyCalculator* calc, AttrSet all,
   std::vector<AttachStep> steps;
 
   // Start: every singleton and pair in one batch, then the pair with the
-  // largest I(a; b) (the lowest such pair on ties).
+  // largest I(a; b) (the lowest such pair on ties). If no pair shares
+  // information the tree opens with `first` alone, and the steps hang every
+  // other attribute on the empty separator (a tie goes to H(S) = 0).
   const std::vector<uint32_t> attrs = all.ToIndices();
   std::vector<AttrSet> terms;
   for (uint32_t a : attrs) {
@@ -120,7 +107,7 @@ std::vector<AttachStep> BuildGreedy(EntropyCalculator* calc, AttrSet all,
     }
   }
   steps.push_back({first, AttrSet(), AttrSet(), 0.0});
-  if (cap == 1) {
+  if (best <= kSelectionEps) {  // also cap == 1: best stays at -inf
     work->AddBag(AttrSet{first});
   } else {
     work->AddBag(AttrSet{first, second});
@@ -167,165 +154,6 @@ std::vector<AttachStep> BuildGreedy(EntropyCalculator* calc, AttrSet all,
   return steps;
 }
 
-// The units that must stay on one side of a split: the (separator-minus-C)
-// groups of existing neighbor edges, plus singletons for loose attributes.
-std::vector<AttrSet> BuildUnits(AttrSet bag, AttrSet c,
-                                const std::vector<AttrSet>& neighbor_seps) {
-  std::vector<AttrSet> units;
-  AttrSet grouped;
-  for (AttrSet sep : neighbor_seps) {
-    AttrSet residual = sep.Minus(c);
-    if (residual.Empty()) continue;
-    // Merge overlapping residuals into one unit (both constraints then pin
-    // the union to a single side).
-    AttrSet merged = residual;
-    std::vector<AttrSet> next_units;
-    for (AttrSet u : units) {
-      if (!u.DisjointFrom(merged)) {
-        merged = merged.Union(u);
-      } else {
-        next_units.push_back(u);
-      }
-    }
-    next_units.push_back(merged);
-    units = std::move(next_units);
-    grouped = grouped.Union(residual);
-  }
-  AttrSet loose = bag.Minus(c).Minus(grouped);
-  loose.ForEach([&](uint32_t a) { units.push_back(AttrSet::Singleton(a)); });
-  return units;
-}
-
-// Calls fn(A u C, B u C) for every bipartition of `units` with unit 0
-// pinned to side A and side B non-empty.
-template <typename Fn>
-void ForEachBipartition(const std::vector<AttrSet>& units, AttrSet c,
-                        Fn&& fn) {
-  const uint64_t total = uint64_t{1} << units.size();
-  for (uint64_t mask = 1; mask < total - 1; mask += 2) {
-    AttrSet a = c, b = c;
-    for (size_t u = 0; u < units.size(); ++u) {
-      if ((mask >> u) & 1) {
-        a = a.Union(units[u]);
-      } else {
-        b = b.Union(units[u]);
-      }
-    }
-    fn(a, b);
-  }
-}
-
-// A split of one bag: separator C and sides A u C, B u C.
-struct Split {
-  AttrSet c, side_a, side_b;
-  double cmi = 0.0;
-  double sep_h = 0.0;  // H(C)
-  bool valid = false;
-};
-
-// The lowest-CMI split of `bag` over every separator of at most max_sep
-// attributes that leaves 2..kMaxSplitUnits units; ties go to the separator
-// of smaller entropy (conditioning on a key always scores 0 while
-// duplicating the key into both bags), then to the earlier candidate.
-// Every term goes through one batch before the scoring scan.
-Split BestSplit(EntropyCalculator* calc, AttrSet bag,
-                const std::vector<AttrSet>& neighbor_seps, uint32_t max_sep) {
-  std::vector<std::pair<AttrSet, std::vector<AttrSet>>> work;
-  for (uint32_t size = 0; size <= std::min(max_sep, bag.Count()); ++size) {
-    ForEachSubsetOfSize(bag, size, [&](AttrSet c) {
-      std::vector<AttrSet> units = BuildUnits(bag, c, neighbor_seps);
-      if (units.size() >= 2 && units.size() <= kMaxSplitUnits) {
-        work.emplace_back(c, std::move(units));
-      }
-    });
-  }
-  std::vector<AttrSet> terms{bag};
-  for (const auto& [c, units] : work) {
-    terms.push_back(c);
-    ForEachBipartition(units, c, [&](AttrSet a, AttrSet b) {
-      terms.push_back(a);
-      terms.push_back(b);
-    });
-  }
-  calc->engine().WarmEntropies(terms);
-  const double h_bag = calc->Entropy(bag);
-  Split best;
-  for (const auto& [c, units] : work) {
-    const double h_c = calc->Entropy(c);
-    ForEachBipartition(units, c, [&](AttrSet a, AttrSet b) {
-      const double cmi = calc->Entropy(a) + calc->Entropy(b) - h_bag - h_c;
-      const bool tied = cmi <= best.cmi + kSelectionEps &&
-                        h_c < best.sep_h - kSelectionEps;
-      if (!best.valid || cmi < best.cmi - kSelectionEps || tied) {
-        best = {c, a, b, cmi, h_c, true};
-      }
-    });
-  }
-  return best;
-}
-
-// Splits bags while a split at most `threshold` exists (see miner.h).
-void SplitLosslessBags(EntropyCalculator* calc, double threshold,
-                       uint32_t max_sep, WorkTree* work) {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (uint32_t v = 0; v < work->bags.size(); ++v) {
-      const AttrSet bag = work->bags[v];
-      if (!work->alive[v] || bag.Count() < 2) continue;
-      std::vector<AttrSet> neighbor_seps;
-      for (uint32_t u : work->NeighborsOf(v)) {
-        neighbor_seps.push_back(bag.Intersect(work->bags[u]));
-      }
-      const Split split = BestSplit(calc, bag, neighbor_seps, max_sep);
-      if (!split.valid || split.cmi > threshold) continue;
-
-      // Apply: v becomes side A; a fresh node becomes side B.
-      work->bags[v] = split.side_a;
-      const uint32_t vb = work->AddBag(split.side_b);
-      // Re-attach neighbors to the side containing their separator.
-      for (auto& [a, b] : work->edges) {
-        if (a != v && b != v) continue;
-        uint32_t* endpoint = a == v ? &a : &b;
-        const AttrSet sep = work->bags[a == v ? b : a].Intersect(bag);
-        if (!sep.IsSubsetOf(split.side_a)) {
-          AJD_CHECK(sep.IsSubsetOf(split.side_b));
-          *endpoint = vb;
-        }
-      }
-      work->edges.emplace_back(v, vb);
-      progress = true;
-    }
-  }
-}
-
-// Contracts bags contained in a neighbor (keeps the schema reduced).
-void ContractContainedBags(WorkTree* work) {
-  bool contracted = true;
-  while (contracted) {
-    contracted = false;
-    for (uint32_t v = 0; v < work->bags.size() && !contracted; ++v) {
-      if (!work->alive[v]) continue;
-      for (uint32_t u : work->NeighborsOf(v)) {
-        if (work->bags[v].IsSubsetOf(work->bags[u])) {
-          // Move v's other edges to u, drop v.
-          std::vector<std::pair<uint32_t, uint32_t>> next_edges;
-          for (auto [a, b] : work->edges) {
-            if ((a == v && b == u) || (a == u && b == v)) continue;
-            if (a == v) a = u;
-            if (b == v) b = u;
-            next_edges.emplace_back(a, b);
-          }
-          work->edges = std::move(next_edges);
-          work->alive[v] = false;
-          contracted = true;
-          break;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 Result<MinerReport> MineJoinTree(const Relation& r,
@@ -352,25 +180,8 @@ Result<MinerReport> MineJoinTree(AnalysisSession* session, const Relation& r,
   WorkTree work;
   std::vector<AttachStep> steps =
       BuildGreedy(&calc, r.schema().AllAttrs(), options, &work);
-  SplitLosslessBags(&calc, options.cmi_threshold, options.max_separator_size,
-                    &work);
-  ContractContainedBags(&work);
-
-  // Compact to final ids and build the validated JoinTree.
-  std::vector<uint32_t> remap(work.bags.size(), UINT32_MAX);
-  std::vector<AttrSet> bags;
-  for (uint32_t v = 0; v < work.bags.size(); ++v) {
-    if (work.alive[v]) {
-      remap[v] = static_cast<uint32_t>(bags.size());
-      bags.push_back(work.bags[v]);
-    }
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  for (auto [a, b] : work.edges) {
-    AJD_CHECK(remap[a] != UINT32_MAX && remap[b] != UINT32_MAX);
-    edges.emplace_back(remap[a], remap[b]);
-  }
-  Result<JoinTree> tree = JoinTree::Make(std::move(bags), std::move(edges));
+  Result<JoinTree> tree =
+      JoinTree::Make(std::move(work.bags), std::move(work.edges));
   if (!tree.ok()) {
     return Status::Internal("miner produced an invalid tree: " +
                             tree.status().ToString());

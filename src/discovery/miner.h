@@ -18,10 +18,21 @@
 // and returns the Chow–Liu tree, the J-optimal pair tree (Chow & Liu, IEEE
 // Trans. Inf. Theory 1968).
 //
-// A post-pass then keeps the schema as fine as it is lossless: a bag is
-// split while some separator C and bipartition A | B of the rest (existing
-// neighbors' separators kept on one side) has I(A; B | C) <=
-// cmi_threshold, and bags contained in a neighbor are contracted.
+// The tree comes out as fine as it is lossless: I(w; S) is monotone in S
+// and ties go to the smaller separator, so wherever w is exactly
+// independent of the rest of a bag given some S inside it, the builder
+// hangs w on S instead of growing the bag. The result is also reduced: a
+// hung bag holds an attribute its parent never gets, and a grow only adds
+// uncovered attributes, so no bag is contained in another.
+//
+// Trade-off: the opening pair must share information (I > 1e-9). When
+// every pair is exactly independent, the tree opens with one attribute and
+// the rest hang on the empty separator, one singleton bag each. The
+// builder looks one attribute ahead, so a relation whose pairs are all
+// independent but whose triples are not (a2 = a0 XOR a1 on uniform bits)
+// mines to singleton bags with J = ln 2, although the bag {a0,a1,a2} is
+// lossless. Opening with a pair regardless would catch that only when the
+// pair happened to lie inside the triple.
 //
 // Each step sends the entropy terms it has not seen yet through one batch,
 // and selection runs after the batch completes, so the tree and every score
@@ -46,14 +57,11 @@ class WorkerPool;       // engine/worker_pool.h
 
 /// Tuning knobs for the miner.
 struct MinerOptions {
-  /// Largest separator |S| of a hang step, and of a post-pass split.
+  /// Largest separator |S| of a hang step.
   uint32_t max_separator_size = 2;
   /// Hard cap on bag size: the builder never grows a bag past it (1 yields
   /// singleton bags; 0 is treated as 1).
   uint32_t max_bag_size = 3;
-  /// The post-pass splits a bag along a split whose CMI (nats) is at most
-  /// this threshold; a negative value disables splitting.
-  double cmi_threshold = 1e-9;
   /// Engine threads for batched entropy scoring in the convenience
   /// overload: EngineOptions::num_threads semantics, so the default 0 uses
   /// every CPU the process may run on wherever a batch's predicted work
@@ -94,9 +102,8 @@ struct MinerReport {
   explicit MinerReport(JoinTree t) : tree(std::move(t)) {}
 
   JoinTree tree;
-  /// The builder's steps, one per attribute. Before the post-pass,
-  /// J = sum H(attr | separator) - H(all attributes); each post-pass split
-  /// adds its CMI (at most cmi_threshold).
+  /// The builder's steps, one per attribute, in order:
+  /// J = sum H(attr | separator) - H(all attributes) exactly.
   std::vector<AttachStep> steps;
   double j = 0.0;               ///< Exact J-measure of the result.
   double rho_lower_bound = 0.0; ///< Lemma 4.1: e^J - 1.

@@ -54,11 +54,11 @@ struct SessionOptions {
   /// as-is (several sessions can then share ONE budget — in which case
   /// `cache_budget_bytes` and `cache_floor_bytes` are ignored), otherwise
   /// the session builds one arbiter whose single budget, shared by every
-  /// relation, is `cache_budget_bytes`. `refine_threads` (intra-op
-  /// sharding of ONE large refinement, bit-identical to serial at any
-  /// thread count) rides through here too and fans out on the same shared
-  /// pool; nested submission from a batch task degrades to serial via the
-  /// pool's busy-inline fallback, so enabling both never deadlocks.
+  /// relation, is `cache_budget_bytes`. Intra-op sharding of ONE large
+  /// refinement (bit-identical to serial at any thread count) fans out on
+  /// the same shared pool; nested submission from a batch task degrades
+  /// to serial via the pool's busy-inline fallback, so the two never
+  /// deadlock.
   EngineOptions engine;
 
   /// Per-engine eviction floor under the shared budget: an engine at or

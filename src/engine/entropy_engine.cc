@@ -17,8 +17,9 @@ namespace ajd {
 
 namespace {
 
-// The batch thread policy: num_threads, with 0 meaning every CPU the
-// process may run on. refine_threads = 0 inherits it.
+// The thread policy of batches, catch-up extension and sharded
+// refinements: num_threads, with 0 meaning every CPU the process may run
+// on.
 uint32_t BatchThreads(const EngineOptions& options) {
   return options.num_threads != 0 ? options.num_threads : EffectiveCpuCount();
 }
@@ -473,10 +474,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   // The old stripped mass is an entry's predicted work (an upper proxy:
   // delta paths touch less, replays touch chain x mass).
   RunByLevel(
-      pool_.get(),
-      options_.refine_threads != 0 ? options_.refine_threads
-                                   : BatchThreads(options_),
-      claimed.size(), [&](size_t i) { return claimed[i].set.Count(); },
+      pool_.get(), BatchThreads(options_), claimed.size(), [&](size_t i) { return claimed[i].set.Count(); },
       [&](size_t i) -> uint64_t {
         const auto& p = claimed[i].cp.partition;
         return p != nullptr ? p->NumStrippedRows() : 0;
@@ -929,9 +927,8 @@ uint32_t EntropyEngine::RefineThreadsFor(uint64_t mass) const {
   // One refinement is `mass` row-steps of work, split into at most one
   // shard per kShardedRefineShardMass rows (PlanShardCount in the kernels
   // clamps identically).
-  return FanOutWorkers(options_.refine_threads != 0 ? options_.refine_threads
-                                                    : BatchThreads(options_),
-                       mass, mass / kShardedRefineShardMass);
+  return FanOutWorkers(BatchThreads(options_), mass,
+                       mass / kShardedRefineShardMass);
 }
 
 uint64_t EntropyEngine::FanOutWorkLocked(const AttrSet* sets, size_t n,

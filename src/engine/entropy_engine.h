@@ -128,21 +128,24 @@ struct EngineOptions {
   /// this field.
   size_t cache_budget_bytes = size_t{256} << 20;
   /// Threads for the batch paths (BatchEntropy, WarmEntropies,
-  /// PrewarmSubsets) and catch-up. 0 (the default) means every CPU the
-  /// process may run on (EffectiveCpuCount(), engine/worker_pool.h:
-  /// affinity mask capped by the cgroup quota), used only as far as the
-  /// predicted work pays: a batch or catch-up level fans out one
-  /// participant per ~2^18 stripped-row refinement steps the cost model
-  /// prices it at, less the lattice scans its misses pay under the cache
-  /// mutex, so small batches run inline. An explicit count only caps the
-  /// participants the same gate grants; 1 is fully serial.
+  /// PrewarmSubsets), catch-up, and the shards of ONE large refinement
+  /// (intra-operation sharding, engine/refine_kernels.h: mass-balanced
+  /// block shards, bit-identical to serial). 0 (the default) means every
+  /// CPU the process may run on (EffectiveCpuCount(),
+  /// engine/worker_pool.h: affinity mask capped by the cgroup quota), used
+  /// only as far as the predicted work pays: a batch or catch-up level
+  /// fans out one participant per ~2^18 stripped-row refinement steps the
+  /// cost model prices it at, less the lattice scans its misses pay under
+  /// the cache mutex, so small batches run inline; a refinement's work is
+  /// its stripped mass. An explicit count only caps the participants the
+  /// same gate grants; 1 is fully serial.
   /// Process-wide side effect: the first time a pool spawns a worker (any
   /// setting above 1, including the default on a multi-CPU host, and pools
   /// injected through `worker_pool`), glibc malloc is capped at ONE arena
   /// for the whole host process (mallopt(M_ARENA_MAX, 1); measurements in
   /// engine/worker_pool.cc). Setting the MALLOC_ARENA_MAX environment
   /// variable keeps the caller's own arena policy instead. An engine at
-  /// num_threads = 1 (refine_threads left at 0) never spawns a worker.
+  /// num_threads = 1 never spawns a worker.
   /// Values are identical at every setting (see the header comment).
   /// MinerOptions::num_threads and AnalysisSession plumb this knob through
   /// to the mining hot path.
@@ -169,17 +172,6 @@ struct EngineOptions {
   /// that needs the partition itself always computes it. Entries are
   /// written only by PersistCache. nullptr (default): no disk tier.
   std::shared_ptr<PersistentCacheStore> persist_store;
-  /// Threads for ONE refinement (intra-operation sharding,
-  /// engine/refine_kernels.h): a single large query or catch-up extension
-  /// is split into mass-balanced block shards fanned out on the pool. 0
-  /// (default) inherits the batch policy: num_threads, with num_threads'
-  /// own 0 meaning EffectiveCpuCount(). 1 pins every refinement
-  /// serial. Every setting shards through the same work gate as batches
-  /// (a refinement's work is its stripped mass), so small refinements
-  /// keep their nanosecond paths; an explicit count only caps the shards
-  /// that gate grants. Sharding is BIT-IDENTICAL to serial at any thread
-  /// count — same blocks, same rows, same entropies.
-  uint32_t refine_threads = 0;
 };
 
 /// Monotonically increasing counters describing engine behavior. Hit rate
@@ -517,10 +509,10 @@ class EntropyEngine {
   void WarmStartFromPersist();
 
   /// Resolved intra-operation shard thread count for ONE refinement over
-  /// `mass` stripped rows: options_.refine_threads (0 inherits
-  /// num_threads, whose own 0 means EffectiveCpuCount()) through the
-  /// work gate, never more than one thread per kShardedRefineShardMass
-  /// rows. Returning 1 selects the serial kernel unchanged.
+  /// `mass` stripped rows: options_.num_threads (0 means
+  /// EffectiveCpuCount()) through the work gate, never more than one
+  /// thread per kShardedRefineShardMass rows. Returning 1 selects the
+  /// serial kernel unchanged.
   uint32_t RefineThreadsFor(uint64_t mass) const;
 
   ColumnStore store_;

@@ -63,9 +63,9 @@ namespace ajd {
 /// affinity mask's count, capped by the cgroup v2 `cpu.max` quota when one
 /// is set (rounded up to whole CPUs), and never more than
 /// std::thread::hardware_concurrency() nor less than 1. Every "0 threads
-/// means all of them" knob (EngineOptions::num_threads, refine_threads)
-/// resolves through this, so a container granted two of a host's 64 cores
-/// runs two workers, not 64. Resolved once per process and cached.
+/// means all of them" knob (EngineOptions::num_threads) resolves through
+/// this, so a container granted two of a host's 64 cores runs two
+/// workers, not 64. Resolved once per process and cached.
 uint32_t EffectiveCpuCount();
 
 /// Shared batch pool. Thread-safe; concurrent Run() calls from different

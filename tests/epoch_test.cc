@@ -692,10 +692,10 @@ TEST(EpochEngine, ThreadedCatchUpSoakIsBitwiseEqualToSerial) {
   // level-by-level on the pool, as far as a level's stripped mass pays for
   // it) must publish a cache — and serve values — bitwise equal to the
   // serial catch-up. Two engines over identical relations run the same
-  // prewarm/append/query schedule; both answer queries serially, and only
-  // one extends on the pool (refine_threads = 4). Every served value must
-  // be EQ, and the threaded engine's final cache must equal the cold
-  // replay exactly. The relations are sized so that every cached subset's
+  // prewarm/append/query schedule; one is fully serial (num_threads = 1),
+  // the other may fan out on the pool (num_threads = 4). Every served
+  // value must be EQ, and the threaded engine's final cache must equal the
+  // cold replay exactly. The relations are sized so that every cached subset's
   // partition keeps ~60k stripped rows: the ten entries of level 2 and of
   // level 3 then pass the work gate, and the test checks that the pool
   // spawned. The TSan leg runs this file, so the fan-out's memory ordering
@@ -709,8 +709,7 @@ TEST(EpochEngine, ThreadedCatchUpSoakIsBitwiseEqualToSerial) {
     Relation r_par = RelationFromRows(kAttrs, first);
     Relation r_ser = RelationFromRows(kAttrs, first);
     EngineOptions par_opts;
-    par_opts.num_threads = 1;
-    par_opts.refine_threads = 4;
+    par_opts.num_threads = 4;
     par_opts.worker_pool = std::make_shared<WorkerPool>();
     EntropyEngine par(&r_par, par_opts);
     EngineOptions ser_opts;

@@ -57,63 +57,73 @@ TEST(Miner, ForcedSplittingRespectsMaxBagSize) {
 }
 
 // The builder's tree satisfies J = sum over its steps of H(w | S) minus
-// H(all attributes): up to rounding when the post-pass is off, and within
-// the post-pass threshold per split when it is on. Every attribute joins exactly once, and each step's score is the
-// mutual information it claims.
+// H(all attributes), up to rounding. Every attribute joins exactly once,
+// and each step's score is the mutual information it claims.
 TEST(Miner, JEqualsTheChainOfAttachSteps) {
   Rng rng(153);
   for (int trial = 0; trial < 12; ++trial) {
     Relation r = testing_util::RandomTestRelation(&rng, 5, 3, 50);
     const AttrSet all = r.schema().AllAttrs();
-    for (const double threshold : {-1.0, 1e-9}) {
-      MinerOptions options;
-      options.max_bag_size = 2 + trial % 3;
-      options.cmi_threshold = threshold;
-      MinerReport report = MineJoinTree(r, options).value();
-      ASSERT_EQ(report.steps.size(), r.NumAttrs());
-      AttrSet joined;
-      double chain = -EntropyOf(r, all);
-      for (const AttachStep& st : report.steps) {
-        const AttrSet w = AttrSet::Singleton(st.attr);
-        EXPECT_FALSE(joined.Contains(st.attr));
-        EXPECT_TRUE(st.separator.IsSubsetOf(st.bag));
-        EXPECT_TRUE(st.bag.IsSubsetOf(joined));
-        joined = joined.Union(w);
-        const double h_ws = EntropyOf(r, st.separator.Union(w));
-        const double h_s = EntropyOf(r, st.separator);
-        EXPECT_NEAR(st.mi, std::max(EntropyOf(r, w) + h_s - h_ws, 0.0),
-                    1e-12);
-        chain += h_ws - h_s;
-      }
-      EXPECT_EQ(joined, all);
-      EXPECT_NEAR(report.j, chain, threshold < 0 ? 1e-12 : 1e-8)
-          << "trial " << trial << "\n" << report.ToString(r.schema());
-      EXPECT_NEAR(report.j, JMeasure(r, report.tree), 1e-12);
+    MinerOptions options;
+    options.max_bag_size = 2 + trial % 3;
+    MinerReport report = MineJoinTree(r, options).value();
+    ASSERT_EQ(report.steps.size(), r.NumAttrs());
+    AttrSet joined;
+    double chain = -EntropyOf(r, all);
+    for (const AttachStep& st : report.steps) {
+      const AttrSet w = AttrSet::Singleton(st.attr);
+      EXPECT_FALSE(joined.Contains(st.attr));
+      EXPECT_TRUE(st.separator.IsSubsetOf(st.bag));
+      EXPECT_TRUE(st.bag.IsSubsetOf(joined));
+      joined = joined.Union(w);
+      const double h_ws = EntropyOf(r, st.separator.Union(w));
+      const double h_s = EntropyOf(r, st.separator);
+      EXPECT_NEAR(st.mi, std::max(EntropyOf(r, w) + h_s - h_ws, 0.0),
+                  1e-12);
+      chain += h_ws - h_s;
     }
+    EXPECT_EQ(joined, all);
+    EXPECT_NEAR(report.j, chain, 1e-12)
+        << "trial " << trial << "\n" << report.ToString(r.schema());
+    EXPECT_NEAR(report.j, JMeasure(r, report.tree), 1e-12);
   }
 }
 
+// Every mined tree covers the schema and is reduced: no bag is contained
+// in another, at every separator cap.
 TEST(Miner, ProducesValidTreeOnRandomData) {
   Rng rng(154);
   for (int trial = 0; trial < 15; ++trial) {
     Relation r = testing_util::RandomTestRelation(&rng, 5, 4, 80);
-    MinerOptions options;
-    options.max_bag_size = 1 + trial % 4;
-    MinerReport report = MineJoinTree(r, options).value();
-    // Tree covers all attributes (JoinTree::Make already validated RIP).
-    EXPECT_EQ(report.tree.AllAttrs(), r.schema().AllAttrs());
-    // Lemma 4.1 prediction is consistent with the actual loss.
-    AjdAnalysis a = AnalyzeAjd(r, report.tree).value();
-    EXPECT_LE(report.rho_lower_bound, a.loss.rho + 1e-6);
+    for (uint32_t max_sep = 0; max_sep <= 2; ++max_sep) {
+      MinerOptions options;
+      options.max_bag_size = 1 + trial % 4;
+      options.max_separator_size = max_sep;
+      MinerReport report = MineJoinTree(r, options).value();
+      const JoinTree& t = report.tree;
+      // Tree covers all attributes (JoinTree::Make already validated RIP).
+      EXPECT_EQ(t.AllAttrs(), r.schema().AllAttrs());
+      for (uint32_t u = 0; u < t.NumNodes(); ++u) {
+        for (uint32_t v = 0; v < t.NumNodes(); ++v) {
+          EXPECT_TRUE(u == v || !t.bag(u).IsSubsetOf(t.bag(v)))
+              << "trial " << trial << " max_sep " << max_sep << "\n"
+              << report.ToString(r.schema());
+        }
+      }
+      // Lemma 4.1 prediction is consistent with the actual loss.
+      AjdAnalysis a = AnalyzeAjd(r, t).value();
+      EXPECT_LE(report.rho_lower_bound, a.loss.rho + 1e-6);
+    }
   }
 }
 
-TEST(Miner, HighThresholdKeepsSingleBag) {
+// With bags uncapped the builder grows every attribute into one bag:
+// random data leaves no exact independence to hang on.
+TEST(Miner, UncappedBagsGrowIntoOneBag) {
   Rng rng(155);
   Relation r = testing_util::RandomTestRelation(&rng, 4, 3, 40);
   MinerOptions options;
-  options.max_bag_size = 64;    // never force
-  options.cmi_threshold = -1.0; // never accept
+  options.max_bag_size = 64;
   MinerReport report = MineJoinTree(r, options).value();
   EXPECT_EQ(report.tree.NumNodes(), 1u);
   EXPECT_NEAR(report.j, 0.0, 1e-12);
@@ -341,12 +351,10 @@ TEST(Miner, MaxSeparatorSizeZeroHangsOnTheEmptySet) {
 }
 
 // At the default max_bag_size = 3 an exact MVD C ->> A | B ends as its
-// lossless pair bags {A,C}, {B,C}. With the MVD exact the builder already
-// hangs B on {C}: I(B; AC) = I(B; C), and ties go to the smaller
-// separator. One extra tuple makes the MVD inexact, so the builder grows
-// {A,B,C}; the post-pass must then split it along C once cmi_threshold
-// admits the small I(A; B | C) the tuple adds.
-TEST(Miner, PostPassSplitsAnMvdIntoItsPairBags) {
+// lossless pair bags {A,C}, {B,C}: the builder hangs B on {C}, because
+// I(B; AC) = I(B; C) and ties go to the smaller separator. One extra tuple
+// makes the MVD inexact, and the builder grows {A,B,C} instead.
+TEST(Miner, ExactMvdHangsIntoPairBagsNoisyMvdGrowsOneBag) {
   Rng rng(164);
   Instance inst = MakeLosslessMvdInstance(10, 10, 6, 3, 3, &rng).value();
   const std::vector<AttrSet> pair_bags = {AttrSet{0, 2}, AttrSet{1, 2}};
@@ -367,17 +375,39 @@ TEST(Miner, PostPassSplitsAnMvdIntoItsPairBags) {
                      EntropyOf(noisy, AttrSet{0, 1, 2}) -
                      EntropyOf(noisy, AttrSet{2});
   ASSERT_GT(cmi, 1e-6);
-  MinerOptions options;
-  options.cmi_threshold = -1.0;
-  MinerReport grown = MineJoinTree(noisy, options).value();
+  MinerReport grown = MineJoinTree(noisy).value();
   ASSERT_EQ(grown.tree.NumNodes(), 1u) << grown.ToString(noisy.schema());
   EXPECT_EQ(grown.steps.back().separator, grown.steps.back().bag);
+}
 
-  options.cmi_threshold = 2 * cmi;
-  MinerReport split = MineJoinTree(noisy, options).value();
-  EXPECT_EQ(sorted_bags(split.tree), pair_bags)
-      << split.ToString(noisy.schema());
-  EXPECT_NEAR(split.j, cmi, 1e-12);
+// A deduped full product makes every attribute independent of the rest:
+// no pair shares information, so the tree opens with one attribute and
+// hangs every other on the empty separator, one singleton bag each, and
+// that schema is lossless.
+TEST(Miner, PairwiseIndependentAttributesMineToSingletonBags) {
+  for (const std::vector<uint64_t>& domains :
+       {std::vector<uint64_t>{3, 3}, std::vector<uint64_t>{2, 3, 2, 4}}) {
+    const uint32_t n = static_cast<uint32_t>(domains.size());
+    RelationBuilder b(Schema::MakeSynthetic(domains).value());
+    std::vector<uint32_t> row(n, 0);
+    while (true) {
+      b.AddRow(row);
+      uint32_t i = 0;
+      while (i < n && ++row[i] == domains[i]) row[i++] = 0;
+      if (i == n) break;
+    }
+    Relation r = std::move(b).Build(/*dedupe=*/true);
+    MinerReport report = MineJoinTree(r).value();
+    ASSERT_EQ(report.tree.NumNodes(), n) << report.ToString(r.schema());
+    for (uint32_t v = 0; v < n; ++v) {
+      EXPECT_EQ(report.tree.bag(v).Count(), 1u);
+    }
+    for (const AttachStep& st : report.steps) {
+      EXPECT_TRUE(st.separator.Empty());
+    }
+    EXPECT_NEAR(report.j, 0.0, 1e-12);
+    EXPECT_TRUE(AnalyzeAjd(r, report.tree).value().lossless);
+  }
 }
 
 }  // namespace
