@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/math.h"
+#include "util/check.h"
 
 namespace ajd {
 
@@ -214,167 +214,6 @@ Column ColumnStore::column(uint32_t pos) const {
 
 Column ColumnStore::ColumnAt(uint32_t pos, uint64_t rows) const {
   return *ViewAt(pos, rows);
-}
-
-// Builds the sampled distinct curve for one dense column: sample_size rows
-// spread evenly (and deterministically) across the relation, with distinct
-// counts recorded at power-of-two prefixes. One pass over at most
-// kMaxSamples rows, so sketching every column of a wide relation stays
-// cheap next to a single refinement.
-DistinctSketch BuildSketch(const Column& col) {
-  DistinctSketch sketch;
-  const uint64_t n = col.codes.size();
-  if (n == 0) return sketch;
-  const uint32_t s = static_cast<uint32_t>(
-      std::min<uint64_t>(n, DistinctSketch::kMaxSamples));
-  sketch.sample_size = s;
-  std::unordered_set<uint32_t> seen;
-  seen.reserve(s);
-  uint32_t next_record = 1;
-  for (uint32_t i = 0; i < s; ++i) {
-    // i-th sample at floor(i * n / s): even coverage without an RNG, so
-    // the sketch — and every ordering decision made from it — is
-    // reproducible across runs and thread counts.
-    seen.insert(col.codes[i * n / s]);
-    if (i + 1 == next_record || i + 1 == s) {
-      sketch.prefix_at.push_back(i + 1);
-      sketch.distinct_at.push_back(static_cast<uint32_t>(seen.size()));
-      while (next_record <= i + 1) next_record *= 2;
-    }
-  }
-  return sketch;
-}
-
-// Rebuilds or extends the published sketch to cover `target` rows,
-// bit-identical to BuildSketch over the full column either way. While
-// every row is sampled (target <= kMaxSamples) the sample positions
-// i*n/n == i form an identity prefix, so appended rows extend the retained
-// seen-set and curve — COPY-ON-WRITE: the previous sketch is copied, the
-// copy extended, and the result published with an atomic store, so readers
-// holding the old sketch never see a mutation. Past the cap the sample
-// positions stride differently at every size, so the sketch resamples: a
-// constant-cost (kMaxSamples-row) pass, never O(N).
-void ColumnStore::RefreshSketchLocked(ColumnState& st, const Column& col,
-                                      uint64_t target) const {
-  const std::shared_ptr<const SketchBox> cur =
-      std::atomic_load_explicit(&st.sketch, std::memory_order_relaxed);
-  const uint64_t covered = cur != nullptr ? cur->rows : 0;
-  const bool incremental =
-      st.sketch_built && covered > 0 &&
-      covered <= DistinctSketch::kMaxSamples &&
-      target <= DistinctSketch::kMaxSamples && cur != nullptr &&
-      cur->sketch.sample_size == covered && !st.sketch_seen.empty();
-  auto box = std::make_shared<SketchBox>();
-  box->rows = target;
-  if (!incremental) {
-    box->sketch = BuildSketch(col);
-    st.sketch_seen.clear();
-    if (target <= DistinctSketch::kMaxSamples) {
-      // Retain the sample set so later small-relation appends stay O(delta).
-      for (uint64_t i = 0; i < target; ++i) {
-        st.sketch_seen.insert(col.codes[i]);
-      }
-    }
-  } else {
-    box->sketch = cur->sketch;
-    DistinctSketch& sk = box->sketch;
-    // Drop the trailing "final prefix" record unless it falls on a power of
-    // two: the cold curve for the grown column records powers of two plus
-    // the NEW final size only.
-    auto is_pow2 = [](uint32_t v) { return v != 0 && (v & (v - 1)) == 0; };
-    if (!sk.prefix_at.empty() && !is_pow2(sk.prefix_at.back())) {
-      sk.prefix_at.pop_back();
-      sk.distinct_at.pop_back();
-    }
-    uint32_t next_record = 1;
-    while (next_record <= covered) next_record *= 2;
-    const uint32_t s = static_cast<uint32_t>(target);
-    for (uint32_t i = static_cast<uint32_t>(covered); i < s; ++i) {
-      st.sketch_seen.insert(col.codes[i]);
-      if (i + 1 == next_record || i + 1 == s) {
-        sk.prefix_at.push_back(i + 1);
-        sk.distinct_at.push_back(
-            static_cast<uint32_t>(st.sketch_seen.size()));
-        while (next_record <= i + 1) next_record *= 2;
-      }
-    }
-    sk.sample_size = s;
-  }
-  st.sketch_built = true;
-  std::atomic_store_explicit(
-      &st.sketch, std::shared_ptr<const SketchBox>(std::move(box)),
-      std::memory_order_release);
-}
-
-std::shared_ptr<const ColumnStore::SketchBox> ColumnStore::SketchBoxAt(
-    uint32_t pos, uint64_t rows) const {
-  AJD_CHECK(pos < r_->NumAttrs());
-  ColumnState& st = states_[pos];
-  std::shared_ptr<const SketchBox> sk =
-      std::atomic_load_explicit(&st.sketch, std::memory_order_acquire);
-  if (sk != nullptr && sk->rows == rows) return sk;
-  std::shared_ptr<const SketchBox> pinned = std::atomic_load_explicit(
-      &st.pinned_sketch, std::memory_order_acquire);
-  if (pinned != nullptr && pinned->rows == rows) return pinned;
-  const std::shared_ptr<const Column> view = ViewAt(pos, rows);
-  std::lock_guard<std::mutex> lock(st.mu);
-  sk = std::atomic_load_explicit(&st.sketch, std::memory_order_relaxed);
-  if (sk != nullptr && sk->rows == rows) return sk;
-  const uint64_t frontier = st.built_rows.load(std::memory_order_relaxed);
-  if (rows == frontier) {
-    // The store's current frontier: refresh the published sketch (the
-    // owner-side incremental path).
-    RefreshSketchLocked(st, *view, rows);
-    return std::atomic_load_explicit(&st.sketch, std::memory_order_relaxed);
-  }
-  // A pinned prefix behind the frontier: build cold off the pinned view
-  // (O(kMaxSamples)) without disturbing the owner-side sketch state.
-  auto box = std::make_shared<SketchBox>();
-  box->sketch = BuildSketch(*view);
-  box->rows = rows;
-  std::atomic_store_explicit(&st.pinned_sketch,
-                             std::shared_ptr<const SketchBox>(box),
-                             std::memory_order_release);
-  return box;
-}
-
-const DistinctSketch& ColumnStore::sketch(uint32_t pos) const {
-  return SketchBoxAt(pos, NumRows())->sketch;
-}
-
-std::shared_ptr<const DistinctSketch> ColumnStore::SketchAt(
-    uint32_t pos, uint64_t rows) const {
-  std::shared_ptr<const SketchBox> box = SketchBoxAt(pos, rows);
-  return std::shared_ptr<const DistinctSketch>(box, &box->sketch);
-}
-
-double DistinctSketch::EstimateDistinct(uint64_t m,
-                                        uint32_t cardinality) const {
-  if (m == 0 || sample_size == 0) return 0.0;
-  const double card = static_cast<double>(cardinality);
-  if (m >= sample_size) {
-    // Beyond the sample, extrapolate the average show-up rate; the true
-    // curve is concave, so this overestimates — but it is clamped by the
-    // cardinality, and relative order among saturated columns is what the
-    // caller needs.
-    const double extrapolated = static_cast<double>(distinct_at.back()) *
-                                static_cast<double>(m) /
-                                static_cast<double>(sample_size);
-    return std::min(extrapolated, card);
-  }
-  // Piecewise-linear interpolation between the recorded prefixes.
-  size_t hi = 0;
-  while (prefix_at[hi] < m) ++hi;
-  if (prefix_at[hi] == m || hi == 0) {
-    return std::min(static_cast<double>(distinct_at[hi]), card);
-  }
-  const double x0 = static_cast<double>(prefix_at[hi - 1]);
-  const double x1 = static_cast<double>(prefix_at[hi]);
-  const double y0 = static_cast<double>(distinct_at[hi - 1]);
-  const double y1 = static_cast<double>(distinct_at[hi]);
-  const double y =
-      y0 + (y1 - y0) * (static_cast<double>(m) - x0) / (x1 - x0);
-  return std::min(y, card);
 }
 
 }  // namespace ajd

@@ -18,16 +18,15 @@
 // bit-identical to a cold densification of the full relation — the
 // property every incremental result above this layer bottoms out in.
 //
-// CONCURRENCY: columns and sketches are served as immutable VIEWS published
-// RCU-style. Extension writes the new tail into growable owner-side
-// buffers (never mutating bytes a published view can see; regrows move to
-// a fresh buffer kept alive by the old views) and then publishes a new
-// frozen view with an atomic shared_ptr store. Readers pinned at an older
-// row count keep reading their prefix concurrently with extension —
-// ColumnAt()/SketchAt() derive a consistent prefix view for ANY pinned row
-// count from the same grown buffers, because first-occurrence ordering
-// makes every prefix of the grown codes exactly the cold densification of
-// that prefix.
+// CONCURRENCY: columns are served as immutable VIEWS published RCU-style.
+// Extension writes the new tail into growable owner-side buffers (never
+// mutating bytes a published view can see; regrows move to a fresh buffer
+// kept alive by the old views) and then publishes a new frozen view with
+// an atomic shared_ptr store. Readers pinned at an older row count keep
+// reading their prefix concurrently with extension — ColumnAt() derives a
+// consistent prefix view for ANY pinned row count from the same grown
+// buffers, because first-occurrence ordering makes every prefix of the
+// grown codes exactly the cold densification of that prefix.
 #ifndef AJD_ENGINE_COLUMN_STORE_H_
 #define AJD_ENGINE_COLUMN_STORE_H_
 
@@ -39,7 +38,6 @@
 #include <mutex>
 #include <ostream>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "relation/relation.h"
@@ -111,41 +109,17 @@ struct Column {
 Column MakeOwnedColumn(std::vector<uint32_t> codes, uint32_t cardinality,
                        std::vector<uint32_t> first_row = {});
 
-/// Sampled distinct-count curve of one column: how many distinct values
-/// appear among the first 1, 2, 4, ... sampled rows (rows sampled evenly
-/// across the relation, deterministically). Global cardinality says how
-/// many values EXIST; this curve says how fast they SHOW UP — on a skewed
-/// column the two diverge sharply, and it is the show-up rate that predicts
-/// how well refining by the column splits a partition of a given stripped
-/// mass.
-struct DistinctSketch {
-  /// Rows sampled per column (capped by the row count).
-  static constexpr uint32_t kMaxSamples = 1024;
-
-  /// distinct_at[i] = distinct values among the first prefix_at[i] sampled
-  /// rows. Prefix sizes are 1, 2, 4, ... and finally sample_size.
-  std::vector<uint32_t> prefix_at;
-  std::vector<uint32_t> distinct_at;
-  uint32_t sample_size = 0;
-
-  /// Estimated number of distinct values among `m` rows of the column
-  /// (the splitting power against a stripped block of m rows). Piecewise
-  /// linear over the curve below the sample size, linear extrapolation
-  /// clamped to `cardinality` above it. Monotone in m.
-  double EstimateDistinct(uint64_t m, uint32_t cardinality) const;
-};
-
 /// Column-major view of a Relation. The relation must outlive the store.
 ///
 /// Columns densify lazily on first touch (thread-safe), so constructing a
 /// store — and thus a throwaway EntropyCalculator — costs nothing for the
 /// attributes a workload never asks about.
 ///
-/// Epoch contract: column()/sketch() serve data as of SyncedRows(), even if
-/// the relation has grown since. ColumnAt()/SketchAt() serve a view pinned
-/// at ANY row count <= relation().NumRows(), concurrently with extension:
-/// readers of an old pin and the catch-up extending toward a new one never
-/// block each other or race on bytes. CatchUpTo() only advances the synced
+/// Epoch contract: column() serves data as of SyncedRows(), even if the
+/// relation has grown since. ColumnAt() serves a view pinned at ANY row
+/// count <= relation().NumRows(), concurrently with extension: readers of
+/// an old pin and the catch-up extending toward a new one never block each
+/// other or race on bytes. CatchUpTo() only advances the synced
 /// frontier (a single release store); the engine's catch-up owner calls it.
 /// The relation must never shrink.
 class ColumnStore {
@@ -169,7 +143,7 @@ class ColumnStore {
   uint32_t NumAttrs() const { return r_->NumAttrs(); }
 
   /// Advances the synced row count to the relation's current size. Built
-  /// columns and sketches extend lazily on their next access. Safe to call
+  /// columns extend lazily on their next access. Safe to call
   /// while readers hold pinned views (they keep their pins); only one
   /// catch-up owner should call it at a time (the engine's catch-up mutex
   /// provides that). Aborts if the relation shrank (destroying a relation
@@ -191,23 +165,6 @@ class ColumnStore {
   /// concurrently with extension toward any other row count.
   Column ColumnAt(uint32_t pos, uint64_t rows) const;
 
-  /// The sampled distinct sketch for attribute `pos` as of the synced row
-  /// count, built on first use (densifies the column if needed) and
-  /// refreshed after a CatchUp: extended copy-on-write while every row is
-  /// sampled (n <= kMaxSamples, where the sample is the identity prefix),
-  /// resampled at constant cost above that. Either way the result is
-  /// bit-identical to a cold BuildSketch of the full column. Thread-safe;
-  /// the reference stays valid until the store next refreshes this
-  /// attribute's sketch (quiesced and steady-state callers; concurrent
-  /// readers use SketchAt, which hands out a keepalive).
-  const DistinctSketch& sketch(uint32_t pos) const;
-
-  /// The sketch for attribute `pos` pinned at exactly `rows` rows,
-  /// bit-identical to BuildSketch over the first `rows` rows. The returned
-  /// pointer keeps the sketch alive independent of later refreshes.
-  std::shared_ptr<const DistinctSketch> SketchAt(uint32_t pos,
-                                                 uint64_t rows) const;
-
  private:
   /// Growable owner-side storage one column's views alias into. In-place
   /// growth only ever writes past the longest published prefix; when
@@ -218,16 +175,10 @@ class ColumnStore {
     std::vector<uint32_t> first_row;
   };
 
-  /// An immutable sketch together with the row count it covers.
-  struct SketchBox {
-    DistinctSketch sketch;
-    uint64_t rows = 0;
-  };
-
   /// Everything one column needs to grow across epochs: the growable
   /// buffers, the surviving raw->dense remap (direct table while the raw
   /// code range stays comparable to the row count, hash map past that),
-  /// the published frozen views, and the sketch state.
+  /// and the published frozen views.
   struct ColumnState {
     mutable std::mutex mu;
     /// Owner-side storage (guarded by mu for growth).
@@ -249,15 +200,6 @@ class ColumnStore {
     /// One-slot cache of the most recently derived pinned-prefix view
     /// (atomic access). Keeps steady single-pin readers allocation-free.
     mutable std::shared_ptr<const Column> pinned_view;
-
-    /// Published sketch (atomic access) + one-slot pinned-derivation cache.
-    std::shared_ptr<const SketchBox> sketch;
-    mutable std::shared_ptr<const SketchBox> pinned_sketch;
-    /// Distinct codes among sampled rows, retained only while the sample is
-    /// the identity prefix (n <= kMaxSamples) so the curve can extend
-    /// without re-reading old rows. Owner-side, guarded by mu.
-    std::unordered_set<uint32_t> sketch_seen;
-    bool sketch_built = false;
   };
 
   /// Densifies rows [st.built_rows, target) into st.buffers and publishes
@@ -265,20 +207,10 @@ class ColumnStore {
   void ExtendColumnLocked(ColumnState& st, uint32_t pos,
                           uint64_t target) const;
 
-  /// Builds or extends the published sketch (copy-on-write) to cover
-  /// `target` rows of `col` (a view over exactly `target` rows). Requires
-  /// st.mu.
-  void RefreshSketchLocked(ColumnState& st, const Column& col,
-                           uint64_t target) const;
-
   /// The frozen view for `pos` covering exactly `rows` rows, building or
   /// extending the column as needed and deriving a prefix view when the
   /// built frontier is past `rows`.
   std::shared_ptr<const Column> ViewAt(uint32_t pos, uint64_t rows) const;
-
-  /// The sketch box for `pos` covering exactly `rows` rows.
-  std::shared_ptr<const SketchBox> SketchBoxAt(uint32_t pos,
-                                               uint64_t rows) const;
 
   const Relation* r_;
   std::atomic<uint64_t> synced_rows_{0};

@@ -1,7 +1,6 @@
 #include "engine/entropy_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <string>
 #include <utility>
@@ -173,8 +172,8 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   const uint64_t old_rows =
       std::atomic_load_explicit(&stamp_, std::memory_order_relaxed)->rows;
 
-  // Columns and sketches first: extension publishes fresh RCU views over
-  // the grown buffers, never touching bytes an old-pin view can see.
+  // Columns first: extension publishes fresh RCU views over the grown
+  // buffers, never touching bytes an old-pin view can see.
   store_.CatchUpTo(target_rows);
 
   // --- CLAIM (under mu_) --------------------------------------------------
@@ -611,8 +610,8 @@ double EntropyEngine::ComputeEntropy(
     AttrSet attrs, const EpochPin& pin, bool materialize_final,
     std::shared_ptr<const Partition>* partition_out) {
   AJD_CHECK(materialize_final || partition_out == nullptr);
-  // The PINNED row count, not the live one: every column view, sketch, and
-  // cached base consumed below is frozen at pin.rows, so the value is the
+  // The PINNED row count, not the live one: every column view and cached
+  // base consumed below is frozen at pin.rows, so the value is the
   // cold answer over exactly that prefix no matter how many appends land
   // while this computation runs.
   const uint64_t n = pin.rows;
@@ -701,15 +700,14 @@ double EntropyEngine::ComputeEntropy(
     arbiter_->Touch(this, base_set);
   }
 
-  // Refine by the missing attributes in order of estimated block-splitting
-  // power: the sampled distinct sketch's show-up rate at the current
-  // stripped mass (NOT the global cardinality — on skewed data a wide but
-  // head-heavy column splits far worse than its cardinality suggests).
-  // Early on this is roughly descending cardinality (wide columns shatter
-  // blocks fastest); once the mass has collapsed, every saturated column
-  // splits equally well and the cheapest one — smallest counting-scratch
-  // footprint — goes first. The remaining columns are re-ranked after every
-  // step as the mass shrinks.
+  // Refine by the missing attributes in order of splitting power against
+  // the current stripped mass m: a column of cardinality c can split those
+  // m rows into at most min(c, m) groups. While the mass is large this is
+  // descending cardinality (wide columns shatter blocks fastest); once the
+  // mass has collapsed below the cardinalities, every column ties at m and
+  // the narrowest one — smallest counting-scratch footprint — goes first.
+  // The remaining columns are re-ranked after every step as the mass
+  // shrinks.
   std::vector<uint32_t> missing = attrs.Minus(base_set).ToIndices();
 
   uint64_t builds = 0;
@@ -732,11 +730,11 @@ double EntropyEngine::ComputeEntropy(
   size_t i = 0;
   while (i < missing.size()) {
     const uint64_t mass = cur == nullptr ? n : cur->NumStrippedRows();
-    // Order the remaining columns: max estimated splitting power, narrowest
-    // column then index as deterministic tie-breaks (the sketch is itself
-    // deterministic, so serial and threaded runs order identically).
+    // Order the remaining columns: max power, then narrowest column, then
+    // index — a pure function of the pinned columns and the mass, so serial
+    // and threaded runs order identically.
     struct ColRank {
-      double power;
+      uint64_t power;
       uint32_t cardinality;
       uint32_t attr;
     };
@@ -744,16 +742,8 @@ double EntropyEngine::ComputeEntropy(
     const size_t tail = missing.size() - i;
     for (size_t j = 0; j < tail; ++j) {
       const uint32_t a = missing[i + j];
-      const Column col = store_.ColumnAt(a, pin.rows);
-      // Quantized to whole distinct values: sampling noise below one value
-      // must not reorder columns on unskewed data, where every column ties
-      // and the cardinality/index tie-breaks keep the old deterministic
-      // order. Genuine skew shifts the estimate by many values and wins.
-      const double p = std::floor(std::min(
-          store_.SketchAt(a, pin.rows)
-              ->EstimateDistinct(mass, col.cardinality),
-          static_cast<double>(mass)));
-      ranks[j] = {p, col.cardinality, a};
+      const uint32_t card = store_.ColumnAt(a, pin.rows).cardinality;
+      ranks[j] = {std::min<uint64_t>(card, mass), card, a};
     }
     std::sort(ranks, ranks + tail, [](const ColRank& x, const ColRank& y) {
       if (x.power != y.power) return x.power > y.power;

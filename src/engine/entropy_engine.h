@@ -8,10 +8,9 @@
 // cached subset T of S minimizing the modeled refinement cost (stripped
 // rows of T times the number of missing columns) and refines T's partition
 // by the dense columns of S \ T, instead of re-hashing N * |S| words from
-// scratch. Missing columns are applied in order of estimated
-// block-splitting power — the sampled distinct sketch's show-up rate at
-// the current stripped mass (engine/column_store.h) — so the mass
-// collapses as early as possible. Every step is one single-column
+// scratch. Missing columns are applied in order of block-splitting power
+// — min(cardinality, current stripped mass), narrowest column first on a
+// tie — so the mass collapses as early as possible. Every step is one single-column
 // refinement (engine/refine_kernels.h), and every intermediate partition is
 // cached as a future base; the last step of a plain query only counts the
 // refined blocks instead of materializing them.
@@ -29,9 +28,9 @@
 // THE RELATION IS BEING APPENDED TO. There is no quiescence rule. Readers
 // pin the (synced row count, epoch) pair they started with (Pin()) and
 // never look past it: cached entropies and partitions are tagged with the
-// row count they cover, pinned column/sketch views come from the column
-// store's RCU publication, and a reader of epoch k computes exactly the
-// cold answer over the first rows-at-k rows no matter how many epochs land
+// row count they cover, pinned column views come from the column store's
+// RCU publication, and a reader of epoch k computes exactly the cold
+// answer over the first rows-at-k rows no matter how many epochs land
 // meanwhile. The caches are guarded by a mutex and the heavy refinement
 // work runs outside it. BatchEntropy evaluates independent terms on a
 // WorkerPool (engine/worker_pool.h) shared across engines — the shape of
@@ -346,8 +345,8 @@ class EntropyEngine {
   }
 
   /// Synchronizes the engine with the relation's current epoch: extends
-  /// columns/sketches over the appended rows, delta-extends the
-  /// recently-used cached partitions along their recorded chains, sweeps
+  /// columns over the appended rows, delta-extends the recently-used
+  /// cached partitions along their recorded chains, sweeps
   /// stale entropy values, and settles the bytes with the cache arbiter.
   /// Every query entry point calls this first (one atomic load when
   /// already synced). SAFE concurrently with queries and with appends:
@@ -407,8 +406,8 @@ class EntropyEngine {
   };
 
   /// Computes H(attrs) at `pin` on a cache miss; called without holding
-  /// mu_. Reads only pin-consistent state: ColumnAt/SketchAt views frozen
-  /// at pin.rows and cached entries whose row tag equals pin.rows. When
+  /// mu_. Reads only pin-consistent state: ColumnAt views frozen at
+  /// pin.rows and cached entries whose row tag equals pin.rows. When
   /// `materialize_final` is set, the last refinement step builds and caches
   /// the full partition of `attrs` instead of taking the count-only
   /// pass (the PrewarmSubsets path); `partition_out`, which requires

@@ -120,6 +120,9 @@ class TupleCounter {
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
   bool Equals(uint32_t idx, const uint32_t* tuple) const {
+    // Arity 0: every tuple is the empty tuple, and the arena holds no words
+    // (memcmp on its null data would be undefined even for zero bytes).
+    if (arity_ == 0) return true;
     const uint32_t* stored = arena_.data() + static_cast<size_t>(idx) * arity_;
     return std::memcmp(stored, tuple, arity_ * sizeof(uint32_t)) == 0;
   }

@@ -507,45 +507,6 @@ TEST(Partition, OfColumnNearKeySortPathMatchesCountingConstruction) {
   ExpectSamePartition(via_refine, via_of_column, "near-key OfColumn");
 }
 
-TEST(ColumnStore, DistinctSketchSeparatesSkewFromUniform) {
-  Rng rng(923);
-  const uint32_t kRows = 4000;
-  const uint32_t kCard = 256;
-  Column uniform = SyntheticColumn(&rng, kRows, kCard, 0.0);
-  Column skewed = SyntheticColumn(&rng, kRows, kCard, 4.0);
-  DistinctSketch u, s;
-  {
-    // Build sketches through a store so the lazy path is exercised.
-    std::vector<uint64_t> dims = {kCard, kCard};
-    Schema schema = Schema::MakeSynthetic(dims).value();
-    RelationBuilder b(schema);
-    for (uint32_t i = 0; i < kRows; ++i) {
-      b.AddRow({uniform.codes[i], skewed.codes[i]});
-    }
-    Relation r = std::move(b).Build(/*dedupe=*/false);
-    ColumnStore store(&r);
-    u = store.sketch(0);
-    s = store.sketch(1);
-  }
-  // Both estimates are bounded and monotone in the block mass.
-  double prev_u = 0.0, prev_s = 0.0;
-  for (uint64_t m : {4ull, 16ull, 64ull, 256ull, 1024ull, 4000ull}) {
-    const double eu = u.EstimateDistinct(m, kCard);
-    const double es = s.EstimateDistinct(m, kCard);
-    EXPECT_LE(eu, kCard);
-    EXPECT_LE(es, kCard);
-    EXPECT_GE(eu, prev_u);
-    EXPECT_GE(es, prev_s);
-    prev_u = eu;
-    prev_s = es;
-  }
-  // On a head-heavy column values show up far slower: at moderate masses
-  // the skewed estimate must sit clearly below the uniform one, which is
-  // exactly the ordering signal the engine uses.
-  EXPECT_LT(s.EstimateDistinct(256, kCard),
-            0.8 * u.EstimateDistinct(256, kCard));
-}
-
 TEST(EntropyEngine, TinyBudgetEvictionPreservesValues) {
   Rng rng(924);
   Relation r = RandomMultisetRelation(&rng, 6, 3, 300);
@@ -634,6 +595,66 @@ TEST(EntropyEngine, PartitionAtMatchesColdChainOnHitAndMiss) {
     }
     EXPECT_GT(hits, 0);
     EXPECT_GT(misses, 0);
+  }
+}
+
+// Attribute 0 is a key over the first `unique` rows (row i holds i); each
+// attribute a >= 1 holds i % cards[a - 1], so it has exactly that
+// cardinality. The last `dups` rows repeat rows 0..dups-1 in full, which
+// keeps the stripped mass of any partition containing attribute 0 at
+// 2 * dups no matter which other columns refine it.
+Relation RankTestRelation(uint32_t unique, uint32_t dups,
+                          const std::vector<uint32_t>& cards) {
+  std::vector<uint64_t> dims = {unique};
+  dims.insert(dims.end(), cards.begin(), cards.end());
+  Schema schema = Schema::MakeSynthetic(dims).value();
+  RelationBuilder b(schema);
+  for (uint32_t k = 0; k < unique + dups; ++k) {
+    const uint32_t i = k < unique ? k : k - unique;
+    std::vector<uint32_t> row = {i};
+    for (uint32_t c : cards) row.push_back(i % c);
+    b.AddRow(row);
+  }
+  return std::move(b).Build(/*dedupe=*/false);
+}
+
+TEST(EntropyEngine, MissAppliesColumnsByCardinalityThenNarrowestWhenSaturated) {
+  // The miss ranks each remaining column by min(cardinality, stripped
+  // mass), breaking ties by narrower cardinality; the recorded chain shows
+  // the order the columns were applied in.
+  auto chain_of = [](EntropyEngine& engine, AttrSet s) {
+    const EpochPin pin = engine.Pin();
+    engine.PartitionAt(s, pin);
+    std::vector<uint32_t> chain;
+    EXPECT_TRUE(engine.CachedPartitionInfo(s, &chain, nullptr));
+    return chain;
+  };
+  {
+    // Mass above every cardinality: 420 rows, and every i % 210 class
+    // keeps two rows at every step, so the mass stays 420. Widest first.
+    Relation r = RankTestRelation(420, 0, {3, 7, 2, 5});
+    EntropyEngine engine(&r);
+    EXPECT_EQ(chain_of(engine, AttrSet{1, 2, 3, 4}),
+              (std::vector<uint32_t>{2, 4, 1, 3}));
+  }
+  {
+    // Mass below every cardinality: the cached key partition has mass 4,
+    // so every column ties at 4 and the narrowest goes first.
+    Relation r = RankTestRelation(60, 2, {30, 10, 20});
+    EntropyEngine engine(&r);
+    engine.Entropy(AttrSet{0});
+    EXPECT_EQ(chain_of(engine, AttrSet{0, 1, 2, 3}),
+              (std::vector<uint32_t>{0, 2, 3, 1}));
+  }
+  {
+    // Mass 6 between the cardinalities: the columns wider than the mass
+    // tie at 6 and go first, narrowest of them first; the rest follow by
+    // descending cardinality.
+    Relation r = RankTestRelation(60, 3, {4, 30, 2, 10});
+    EntropyEngine engine(&r);
+    engine.Entropy(AttrSet{0});
+    EXPECT_EQ(chain_of(engine, AttrSet{0, 1, 2, 3, 4}),
+              (std::vector<uint32_t>{0, 4, 2, 1, 3}));
   }
 }
 

@@ -3,7 +3,7 @@
 //
 //  - Relation::AppendBatch: append-only growth, epoch bumps, dedupe,
 //    domain growth, Status on malformed input.
-//  - ColumnStore: post-catch-up dense codes / first_row / sketches are
+//  - ColumnStore: post-catch-up dense codes / first_row are
 //    bit-identical to a cold store over the full relation.
 //  - Partition::ExtendedOfColumn / ExtendedBy: bit-identical (block
 //    boundaries, block order, row order) to the cold factories.
@@ -195,7 +195,7 @@ TEST(EpochRelation, RestoredSnapshotAtServedAddressGetsFreshEngine) {
 
 // --- ColumnStore catch-up -------------------------------------------------
 
-TEST(EpochColumnStore, ExtendedColumnsAndSketchesMatchColdStore) {
+TEST(EpochColumnStore, ExtendedColumnsMatchColdStore) {
   Rng rng(7001);
   for (int trial = 0; trial < 20; ++trial) {
     const uint32_t num_attrs = 2 + static_cast<uint32_t>(rng.UniformU64(3));
@@ -203,12 +203,9 @@ TEST(EpochColumnStore, ExtendedColumnsAndSketchesMatchColdStore) {
     auto rows = RandomRows(&rng, num_attrs, domain, 40);
     Relation r = RelationFromRows(num_attrs, rows);
     ColumnStore inc(&r);
-    // Touch half the columns (and their sketches) before any append so
-    // both the extend-built and build-fresh paths are exercised.
-    for (uint32_t a = 0; a < num_attrs; a += 2) {
-      inc.column(a);
-      inc.sketch(a);
-    }
+    // Touch half the columns before any append so both the extend-built
+    // and build-fresh paths are exercised.
+    for (uint32_t a = 0; a < num_attrs; a += 2) inc.column(a);
     const uint32_t batches = 1 + static_cast<uint32_t>(rng.UniformU64(3));
     for (uint32_t k = 0; k < batches; ++k) {
       // Widening domain: appended batches introduce unseen codes.
@@ -227,36 +224,7 @@ TEST(EpochColumnStore, ExtendedColumnsAndSketchesMatchColdStore) {
       ASSERT_EQ(ic.cardinality, cc.cardinality) << "attr " << a;
       ASSERT_EQ(ic.codes, cc.codes) << "attr " << a;
       ASSERT_EQ(ic.first_row, cc.first_row) << "attr " << a;
-      const DistinctSketch& is = inc.sketch(a);
-      const DistinctSketch& cs = cold.sketch(a);
-      EXPECT_EQ(is.sample_size, cs.sample_size) << "attr " << a;
-      EXPECT_EQ(is.prefix_at, cs.prefix_at) << "attr " << a;
-      EXPECT_EQ(is.distinct_at, cs.distinct_at) << "attr " << a;
     }
-  }
-}
-
-TEST(EpochColumnStore, SketchExtensionPastSampleCapMatchesCold) {
-  // Crosses the kMaxSamples boundary: identity-prefix extension below,
-  // constant-cost resample above; both must equal the cold sketch.
-  Rng rng(7002);
-  auto rows = RandomRows(&rng, 2, 12, 900);
-  Relation r = RelationFromRows(2, rows);
-  ColumnStore inc(&r);
-  inc.sketch(0);
-  inc.sketch(1);
-  ASSERT_TRUE(r.AppendBatch(RandomRows(&rng, 2, 12, 80)).ok());  // 980
-  inc.CatchUp();
-  inc.sketch(0);
-  ASSERT_TRUE(r.AppendBatch(RandomRows(&rng, 2, 12, 300)).ok());  // 1280
-  inc.CatchUp();
-  ColumnStore cold(&r);
-  for (uint32_t a = 0; a < 2; ++a) {
-    const DistinctSketch& is = inc.sketch(a);
-    const DistinctSketch& cs = cold.sketch(a);
-    EXPECT_EQ(is.sample_size, cs.sample_size);
-    EXPECT_EQ(is.prefix_at, cs.prefix_at);
-    EXPECT_EQ(is.distinct_at, cs.distinct_at);
   }
 }
 
@@ -635,7 +603,7 @@ TEST(EpochEngine, IncrementalCatchUpEqualsColdReplayForAnySplit) {
 TEST(EpochEngine, QueriesOnlyAfterAppendsAreBitwiseEqualToColdEngine) {
   // With no queries before the appends, catch-up has nothing cached and
   // the engine must be bitwise indistinguishable from a cold engine on an
-  // identical relation — same chains, same sketches, same values.
+  // identical relation — same chains, same values.
   Rng rng(7400);
   for (int trial = 0; trial < 8; ++trial) {
     const uint32_t num_attrs = 3 + static_cast<uint32_t>(rng.UniformU64(3));

@@ -474,5 +474,19 @@ TEST(TupleCounter, WeightedAdds) {
   EXPECT_EQ(c.TotalCount(), 10u);
 }
 
+TEST(TupleCounter, ArityZeroCountsOneEmptyTuple) {
+  // A projection onto no attributes counts the empty tuple. The arena of
+  // an arity-0 counter holds no words, so comparing against a stored tuple
+  // must not touch its (null) storage; the sanitizer build checks that.
+  TupleCounter c(0);
+  const uint32_t unused = 0;
+  constexpr uint32_t kN = 50;
+  for (uint32_t i = 0; i < kN; ++i) EXPECT_EQ(c.Add(&unused), 0u);
+  EXPECT_EQ(c.NumDistinct(), 1u);
+  EXPECT_EQ(c.CountAt(0), kN);
+  EXPECT_EQ(c.TotalCount(), kN);
+  EXPECT_EQ(c.Find(&unused), 0u);
+}
+
 }  // namespace
 }  // namespace ajd

@@ -37,7 +37,7 @@ namespace ajd {
 namespace {
 
 // A random relation with random shape; skewed draws concentrate mass on
-// low codes so partitions (and the engine's sketch ordering) see genuinely
+// low codes so partitions (and the engine's column ordering) see genuinely
 // uneven data, and rows are kept as a multiset.
 Relation RandomStressRelation(Rng* rng) {
   const uint32_t num_attrs = 2 + static_cast<uint32_t>(rng->UniformU64(4));
