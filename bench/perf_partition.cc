@@ -2,12 +2,12 @@
 // refinement suite (engine/refine_kernels.h) over cardinality and skew
 // sweeps, the append-extension layouts, and the intra-op sharded forms.
 //
-// The adaptive thresholds (the sort cutover at cardinality >= mass/2, the
-// SIMD block gate) were picked from this sweep; rerun it when the hardware
-// changes. Every timed case first asserts that the kernel under test
-// produces output IDENTICAL to the kDense reference — block boundaries,
-// block order, row order, and bit-for-bit entropy — so the bench doubles
-// as an equivalence guard and exits 1 on mismatch.
+// The adaptive threshold (the sort cutover at cardinality >= mass/2) was
+// picked from this sweep; rerun it when the hardware changes. Every timed
+// case first asserts that the kernel under test produces output IDENTICAL
+// to the kDense reference — block boundaries, block order, row order, and
+// bit-for-bit entropy — so the bench doubles as an equivalence guard and
+// exits 1 on mismatch.
 //
 // One machine-readable JSON line per case. `--smoke` shrinks sizes to keep
 // the guard and the emitter alive in CI, where shared-runner timings mean
@@ -138,10 +138,9 @@ void EmitLine(bool smoke, const char* op, const char* kernel, uint32_t rows,
   std::printf(
       "{\"bench\":\"perf_partition\",\"smoke\":%s,\"op\":\"%s\","
       "\"kernel\":\"%s\",\"rows\":%u,\"mass\":%llu,\"cardinality\":%u,"
-      "\"skew\":%.1f,\"ns_per_row\":%.2f,\"simd\":%s}\n",
+      "\"skew\":%.1f,\"ns_per_row\":%.2f}\n",
       smoke ? "true" : "false", op, kernel, rows,
-      static_cast<unsigned long long>(mass), cardinality, skew, ns_per_row,
-      SimdTallyEnabled() ? "true" : "false");
+      static_cast<unsigned long long>(mass), cardinality, skew, ns_per_row);
 }
 
 // A line from the intra-op sharded sweep. threads == 0 is the serial
@@ -151,10 +150,9 @@ void EmitParLine(bool smoke, const char* op, uint32_t threads, uint32_t rows,
   std::printf(
       "{\"bench\":\"perf_partition\",\"smoke\":%s,\"op\":\"%s\","
       "\"threads\":%u,\"rows\":%u,\"mass\":%llu,\"cardinality\":%u,"
-      "\"ns_per_row\":%.2f,\"simd\":%s}\n",
+      "\"ns_per_row\":%.2f}\n",
       smoke ? "true" : "false", op, threads, rows,
-      static_cast<unsigned long long>(mass), cardinality, ns_per_row,
-      SimdTallyEnabled() ? "true" : "false");
+      static_cast<unsigned long long>(mass), cardinality, ns_per_row);
 }
 
 }  // namespace
@@ -192,12 +190,8 @@ int main(int argc, char** argv) {
   for (uint32_t card : cards) {
     for (double skew : skews) {
       Column col = MakeColumn(kRows, card, skew, &rng);
-      // Reference outputs from the forced kDense path. With SIMD compiled
-      // in, kDense's count-only pass takes the AVX2 tally on blocks of 256
-      // rows or more, so the entropy check below compares SIMD with SIMD
-      // there. Identity with the scalar tally is the scalar-fallback CI
-      // leg's job: it builds with -DAJD_DISABLE_SIMD=ON and runs the
-      // tier-1 suite on the scalar path.
+      // Reference outputs from the forced kDense path, whose count-only
+      // pass is the one tally every kernel's entropy must match bitwise.
       Partition ref = base.RefinedBy(col, RefineKernel::kDense);
       const double ref_h = base.RefinedEntropy(col, kRows,
                                                RefineKernel::kDense);

@@ -1,6 +1,5 @@
 #include "core/streaming.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -152,17 +151,8 @@ Result<StreamingPoint> StreamingLossMonitor::Observe() {
       if (!loss.ok()) return loss.status();
       point.rho = loss.value().rho;
     }
-    // The drift margin the trigger compares against: plain nats under
-    // kAbsolute; a baseline-scaled fraction with an absolute floor under
-    // kRelative (scale-free across trees of very different J magnitudes,
-    // with the floor absorbing noise around a near-zero baseline).
-    const double margin =
-        options_.drift_policy == DriftPolicy::kRelative
-            ? std::max(options_.drift_threshold * std::abs(j_at_mine_),
-                       options_.drift_floor_nats)
-            : options_.drift_threshold;
     const bool drifted = options_.drift_threshold > 0.0 &&
-                         point.j - j_at_mine_ > margin;
+                         point.j - j_at_mine_ > options_.drift_threshold;
     if (drifted && batches_since >= options_.min_batches_between_remines &&
         r_->NumAttrs() >= 2 && pin.rows >= 1) {
       Result<MinerReport> mined =

@@ -14,15 +14,11 @@
 // rebuilding, so the per-batch cost is O(delta), not O(N).
 //
 // Drift policy: the tree being monitored goes stale as the distribution
-// shifts. When J(T) rises sufficiently above its value at the last
-// (re)mine — by an absolute nat margin (DriftPolicy::kAbsolute, default)
-// or by a fraction of the baseline with an absolute floor
-// (DriftPolicy::kRelative, the scale-free choice when trees of very
-// different J magnitudes are monitored with one config) — the monitor
-// re-mines a tree on the data so far, through the same session, so the
-// miner's entropy terms (every singleton and pair, then each build step's
-// candidates) reuse everything the monitoring already cached, and
-// continues with it.
+// shifts. When J(T) rises more than drift_threshold nats above its value
+// at the last (re)mine, the monitor re-mines a tree on the data so far,
+// through the same session, so the miner's entropy terms (every singleton
+// and pair, then each build step's candidates) reuse everything the
+// monitoring already cached, and continues with it.
 //
 // Threading: the monitor's own state (trajectory, tree, baselines) is
 // single-writer — call Ingest*/Observe from one thread at a time. The
@@ -50,19 +46,6 @@
 
 namespace ajd {
 
-/// How `drift_threshold` is interpreted when deciding to re-mine.
-enum class DriftPolicy : uint8_t {
-  /// Trigger when J - baseline > drift_threshold nats. Simple and
-  /// predictable; the right default when the monitored J's magnitude is
-  /// roughly known.
-  kAbsolute = 0,
-  /// Trigger when J - baseline > max(drift_threshold * |baseline|,
-  /// drift_floor_nats). Scale-free: a 10% drift means the same thing for a
-  /// tree at J = 0.05 as for one at J = 5.0, while the floor keeps noise
-  /// from re-mining a near-perfect tree (|baseline| ~ 0) every batch.
-  kRelative = 1,
-};
-
 /// What an Ingest* call does with a batch whose append FAILS (allocation
 /// failure, injected fault — the relation itself rolls back either way,
 /// see Relation::AppendBatch's all-or-nothing contract).
@@ -82,17 +65,9 @@ enum class BatchFaultPolicy : uint8_t {
 
 /// Tuning for a StreamingLossMonitor.
 struct StreamingOptions {
-  /// Re-mine when J(T) exceeds its last-mined value by this margin —
-  /// absolute nats under DriftPolicy::kAbsolute, a fraction of the
-  /// baseline under kRelative; <= 0 disables re-mining (pure fixed-tree
-  /// monitoring).
+  /// Re-mine when J(T) exceeds its last-mined value by more than this
+  /// many nats; <= 0 disables re-mining (pure fixed-tree monitoring).
   double drift_threshold = 0.1;
-  /// How drift_threshold is interpreted (see DriftPolicy).
-  DriftPolicy drift_policy = DriftPolicy::kAbsolute;
-  /// Minimum absolute drift (nats) that can trigger a kRelative re-mine:
-  /// the floor under drift_threshold * |baseline| when the baseline is
-  /// near zero. Ignored under kAbsolute.
-  double drift_floor_nats = 0.01;
   /// Minimum batches between re-mines. The default 1 allows a re-mine on
   /// the very next drifted batch (immediate re-tracking of a sustained
   /// shift); raise it to amortize the miner against drift spikes.
@@ -186,7 +161,7 @@ class StreamingLossMonitor {
   /// directly). A no-op point results if nothing was appended.
   /// Every quantity of the point is read at one engine pin covering all
   /// of the relation's rows (EntropyEngine::SyncedPin: a catch-up another
-  /// reader or an EpochMaintenance thread has in flight is waited for).
+  /// thread has in flight is waited for).
   /// FailedPrecondition if the relation shrank (relations are
   /// append-only); CapacityExceeded if the engine's catch-up aborted
   /// (it degrades instead of failing, e.g. on allocation failure). On any

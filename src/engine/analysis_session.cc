@@ -20,7 +20,6 @@ AnalysisSession::AnalysisSession(SessionOptions options)
   if (engine_options_.cache_arbiter == nullptr) {
     ArbiterOptions arb;
     arb.budget_bytes = engine_options_.cache_budget_bytes;
-    arb.engine_floor_bytes = options.cache_floor_bytes;
     engine_options_.cache_arbiter = std::make_shared<CacheArbiter>(arb);
   }
 }

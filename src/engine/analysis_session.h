@@ -17,11 +17,11 @@
 // safe to share across threads, INCLUDING concurrently with appends to its
 // relations: there is no quiescence rule. A reader pins the (rows, epoch)
 // stamp it starts with and computes the cold answer over that prefix while
-// batches land; the first reader of a new epoch (or a dedicated
-// engine/maintenance.h thread) runs the engine's catch-up while everyone
-// else keeps serving the previous stamp. The only remaining single-writer
-// requirement is the append side itself: one appender per relation at a
-// time (relation/relation.h).
+// batches land; the first reader of a new epoch (or the appender, calling
+// EntropyEngine::CatchUp after its batch) runs the engine's catch-up while
+// everyone else keeps serving the previous stamp. The only remaining
+// single-writer requirement is the append side itself: one appender per
+// relation at a time (relation/relation.h).
 //
 // The session is SHARDED across relations: all of its engines share one
 // WorkerPool (batches serialize instead of oversubscribing cores) and one
@@ -46,25 +46,22 @@
 
 namespace ajd {
 
-/// Session-level tuning: per-engine knobs plus the global cache budget.
+/// Session-level tuning: the per-engine knobs, whose cache budget becomes
+/// the session's global one.
 struct SessionOptions {
   /// The options every engine of the session is created with. Its
   /// `worker_pool` and `cache_arbiter` are resolved once at session scope
   /// so all engines share one of each; an arbiter injected here is kept
   /// as-is (several sessions can then share ONE budget — in which case
-  /// `cache_budget_bytes` and `cache_floor_bytes` are ignored), otherwise
-  /// the session builds one arbiter whose single budget, shared by every
-  /// relation, is `cache_budget_bytes`. Intra-op sharding of ONE large
+  /// `cache_budget_bytes` is ignored), otherwise the session builds one
+  /// arbiter whose single budget, shared by every relation, is
+  /// `cache_budget_bytes`, with the default per-engine floor
+  /// (ArbiterOptions::engine_floor_bytes). Intra-op sharding of ONE large
   /// refinement (bit-identical to serial at any thread count) fans out on
   /// the same shared pool; nested submission from a batch task degrades
   /// to serial via the pool's busy-inline fallback, so the two never
   /// deadlock.
   EngineOptions engine;
-
-  /// Per-engine eviction floor under the shared budget: an engine at or
-  /// below this footprint is never an eviction victim, so one hot relation
-  /// cannot starve the others to zero. Self-clamps to budget / num_engines.
-  size_t cache_floor_bytes = size_t{1} << 20;
 };
 
 /// Owns one EntropyEngine per relation, created lazily on first use.

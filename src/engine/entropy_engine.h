@@ -46,8 +46,8 @@
 // Epochs: the engine follows its relation across batch appends
 // (relation/relation.h). Every query entry point calls CatchUp() first
 // (one atomic load when already synced). Catch-up is COOPERATIVE: the
-// first reader of a new epoch that wins a try-lock runs it — or a
-// dedicated maintenance thread does (engine/maintenance.h) — while every
+// caller that wins a try-lock runs it — the first reader of a new epoch,
+// or the appender calling CatchUp() right after its batch — while every
 // other reader keeps serving off the previous stamp concurrently. The
 // catch-up owner CLAIMS the recently-used cached partitions (removing them
 // from the visible cache under the mutex), extends each along its recorded
@@ -351,9 +351,9 @@ class EntropyEngine {
   /// Every query entry point calls this first (one atomic load when
   /// already synced). SAFE concurrently with queries and with appends:
   /// one caller wins the catch-up try-lock and becomes the owner; everyone
-  /// else returns immediately and keeps serving the previous stamp. A
-  /// dedicated maintenance thread (engine/maintenance.h) can call it
-  /// periodically to take the work off the query path entirely.
+  /// else returns immediately and keeps serving the previous stamp. An
+  /// appender that calls it after each batch takes the work off the query
+  /// path entirely.
   void CatchUp();
 
   /// Writes every entropy value cached at the current row count to the

@@ -7,14 +7,6 @@
 #include "engine/worker_pool.h"
 #include "util/check.h"
 
-#if defined(__x86_64__) && !defined(AJD_DISABLE_SIMD)
-#include <immintrin.h>
-#define AJD_SIMD_AVX2 1
-#elif defined(__ARM_NEON) && !defined(AJD_DISABLE_SIMD)
-#include <arm_neon.h>
-#define AJD_SIMD_NEON 1
-#endif
-
 namespace ajd {
 
 namespace {
@@ -106,10 +98,10 @@ class ScratchGuard {
 };
 
 // ---------------------------------------------------------------------------
-// Counting tallies. Each fills scratch->count for the block and records the
-// first occurrence of every code in scratch->touched[0..t), returning t.
-// All variants tally in block-scan order, so the touched order — and with
-// it every downstream output — is identical across them.
+// Counting tally. Fills scratch->count for the block and records the first
+// occurrence of every code in scratch->touched[0..t), returning t. It
+// tallies in block-scan order, so the touched order — and with it every
+// downstream output — is fixed by the block alone.
 // ---------------------------------------------------------------------------
 
 // The branchless counting tally. `hard_end` is the end of the WHOLE
@@ -148,101 +140,6 @@ size_t Tally(const uint32_t* begin, const uint32_t* end,
     ++count[c];
   }
   return t;
-}
-
-#if defined(AJD_SIMD_AVX2)
-// AVX2 tally: the codes[row] gather runs 8 lanes wide; the tally itself
-// stays scalar and in lane order, so touched order (and every bit of
-// downstream output) matches the scalar kernels exactly.
-__attribute__((target("avx2"))) size_t SimdTally(const uint32_t* begin,
-                                                 const uint32_t* end,
-                                                 const uint32_t* codes,
-                                                 RefineScratch* s) {
-  const size_t m = static_cast<size_t>(end - begin);
-  if (m > s->block_watermark) s->block_watermark = m;
-  if (s->touched.size() < m) s->touched.resize(m);
-  uint32_t* touched = s->touched.data();
-  uint32_t* count = s->count.data();
-  size_t t = 0;
-  size_t i = 0;
-  alignas(32) uint32_t buf[8];
-  for (; i + 8 <= m; i += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(begin + i));
-    const __m256i gathered = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(codes), idx, sizeof(uint32_t));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(buf), gathered);
-    for (int j = 0; j < 8; ++j) {
-      const uint32_t c = buf[j];
-      touched[t] = c;
-      t += (count[c] == 0);
-      ++count[c];
-    }
-  }
-  for (; i < m; ++i) {
-    const uint32_t c = codes[begin[i]];
-    touched[t] = c;
-    t += (count[c] == 0);
-    ++count[c];
-  }
-  return t;
-}
-
-bool CpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-#elif defined(AJD_SIMD_NEON)
-// AArch64 has no gather; the NEON variant loads row indexes vector-wide and
-// keeps four scalar gather+tally chains in flight per iteration.
-size_t SimdTally(const uint32_t* begin, const uint32_t* end,
-                 const uint32_t* codes, RefineScratch* s) {
-  const size_t m = static_cast<size_t>(end - begin);
-  if (m > s->block_watermark) s->block_watermark = m;
-  if (s->touched.size() < m) s->touched.resize(m);
-  uint32_t* touched = s->touched.data();
-  uint32_t* count = s->count.data();
-  size_t t = 0;
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    if (i + 16 < m) __builtin_prefetch(&codes[begin[i + 16]]);
-    const uint32x4_t idx = vld1q_u32(begin + i);
-    const uint32_t c0 = codes[vgetq_lane_u32(idx, 0)];
-    const uint32_t c1 = codes[vgetq_lane_u32(idx, 1)];
-    const uint32_t c2 = codes[vgetq_lane_u32(idx, 2)];
-    const uint32_t c3 = codes[vgetq_lane_u32(idx, 3)];
-    touched[t] = c0; t += (count[c0] == 0); ++count[c0];
-    touched[t] = c1; t += (count[c1] == 0); ++count[c1];
-    touched[t] = c2; t += (count[c2] == 0); ++count[c2];
-    touched[t] = c3; t += (count[c3] == 0); ++count[c3];
-  }
-  for (; i < m; ++i) {
-    const uint32_t c = codes[begin[i]];
-    touched[t] = c;
-    t += (count[c] == 0);
-    ++count[c];
-  }
-  return t;
-}
-#endif
-
-// The SIMD tally needs enough rows per block to amortize its vector setup
-// (and on gather-slow microarchitectures, to win at all); below this the
-// scalar kernels are faster. Measured on the perf_partition sweep.
-constexpr ptrdiff_t kSimdMinBlock = 256;
-
-// Picks the tally for a count-only (entropy) pass.
-size_t EntropyTally(const uint32_t* begin, const uint32_t* end,
-                    const uint32_t* hard_end, const uint32_t* codes,
-                    RefineScratch* s) {
-#if defined(AJD_SIMD_AVX2)
-  if (CpuHasAvx2() && end - begin >= kSimdMinBlock) {
-    return SimdTally(begin, end, codes, s);
-  }
-#elif defined(AJD_SIMD_NEON)
-  if (end - begin >= kSimdMinBlock) return SimdTally(begin, end, codes, s);
-#endif
-  return Tally<false>(begin, end, hard_end, codes, s);
 }
 
 // ---------------------------------------------------------------------------
@@ -431,16 +328,6 @@ RefineKernel ChooseRefineKernel(uint32_t cardinality,
     return RefineKernel::kSort;
   }
   return RefineKernel::kDense;
-}
-
-bool SimdTallyEnabled() {
-#if defined(AJD_SIMD_AVX2)
-  return CpuHasAvx2();
-#elif defined(AJD_SIMD_NEON)
-  return true;
-#else
-  return false;
-#endif
 }
 
 void RefineByColumn(const PartitionView& in, const Column& col,
@@ -640,7 +527,7 @@ void RefineEntropyScan(const PartitionView& in, const Column& col,
           TinyBlockSizes(begin, m, codes, sizes);
           continue;
         }
-        const size_t t = EntropyTally(begin, end, hard_end, codes, &scratch);
+        const size_t t = Tally<false>(begin, end, hard_end, codes, &scratch);
         if (t == 1) {
           // Unsplit block: one group of m rows.
           sizes->Add(m);

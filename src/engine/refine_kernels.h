@@ -21,14 +21,6 @@
 // engine reuses as a base), optionally ending in the count-only
 // RefineEntropy when only the last step's entropy is wanted.
 //
-// An optional SIMD tally (AVX2 on x86-64, NEON on arm; scalar fallback)
-// accelerates the count-only entropy passes. It is compile-time guarded —
-// -DAJD_DISABLE_SIMD removes it entirely — and on x86-64 additionally
-// runtime-dispatched on cpuid, so the binary stays portable. The SIMD path
-// only vectorizes the codes[row] gather; tallying stays scalar and in scan
-// order, so touched-code order (and therefore every output) is identical
-// to the scalar kernels.
-//
 // --- Sharded (intra-operation parallel) entry points ----------------------
 //
 // Every kernel above is block-local: no state crosses an input-block
@@ -78,9 +70,6 @@ enum class RefineKernel : uint8_t { kAuto = 0, kDense, kSort };
 inline constexpr uint32_t kSortMinCardinality = uint32_t{1} << 16;
 
 RefineKernel ChooseRefineKernel(uint32_t cardinality, uint64_t stripped_rows);
-
-/// Whether the SIMD tally is compiled in AND usable on this machine.
-bool SimdTallyEnabled();
 
 /// One maximal contiguous run of a stripped partition's storage: blocks
 /// whose rows sit back to back in memory with no slack between them. A

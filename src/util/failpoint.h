@@ -16,8 +16,8 @@
 // on and drives every catalogued point.
 //
 // Thread safety: Arm/Disarm/ShouldFail are fully synchronized — failpoints
-// are evaluated from pool worker threads and the maintenance thread while a
-// test arms/disarms from the main thread.
+// are evaluated from pool worker threads and from threads racing a
+// catch-up while a test arms/disarms from the main thread.
 #ifndef AJD_UTIL_FAILPOINT_H_
 #define AJD_UTIL_FAILPOINT_H_
 

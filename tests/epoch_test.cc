@@ -31,7 +31,6 @@
 #include "engine/analysis_session.h"
 #include "engine/column_store.h"
 #include "engine/entropy_engine.h"
-#include "engine/maintenance.h"
 #include "engine/partition.h"
 #include "engine/worker_pool.h"
 #include "info/entropy.h"
@@ -782,8 +781,8 @@ TEST(EpochConcurrency, PinnedReaderIsBitwiseColdWhileNextEpochLands) {
 
 TEST(EpochConcurrency, PinnedReadersStayExactWhileAppenderPublishes) {
   // The racy form the TSan leg runs: N reader threads pin and query while
-  // one appender lands batches, a maintenance thread runs catch-up off the
-  // query path, and readers race it cooperatively. Every observed value
+  // one appender lands batches and runs catch-up after each, and readers
+  // race that catch-up cooperatively. Every observed value
   // must match the cold reference at the rows the reader was pinned to —
   // no torn reads, no value from a half-published epoch.
   Rng rng(7800);
@@ -827,36 +826,33 @@ TEST(EpochConcurrency, PinnedReadersStayExactWhileAppenderPublishes) {
   constexpr int kReaders = 4;
   std::vector<std::vector<Obs>> observed(kReaders);
   std::atomic<bool> done{false};
-  {
-    EpochMaintenance maintenance(&engine, std::chrono::microseconds(50));
-    std::vector<std::thread> readers;
-    readers.reserve(kReaders);
-    for (int t = 0; t < kReaders; ++t) {
-      readers.emplace_back([&engine, &observed, &done, t] {
-        Rng trng(9000 + static_cast<uint64_t>(t));
-        auto& out = observed[static_cast<size_t>(t)];
-        while (!done.load(std::memory_order_acquire)) {
-          const EpochPin pin = engine.Pin();
-          for (int q = 0; q < 3; ++q) {
-            const uint32_t mask =
-                1 + static_cast<uint32_t>(trng.UniformU64(15));
-            out.push_back({pin.rows, mask,
-                           engine.EntropyAt(AttrSet::FromMask(mask), pin)});
-          }
-          // Cooperative racer: readers may run catch-up themselves; the
-          // try-lock makes the race with the maintenance thread benign.
-          if (trng.Bernoulli(0.25)) engine.CatchUp();
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&engine, &observed, &done, t] {
+      Rng trng(9000 + static_cast<uint64_t>(t));
+      auto& out = observed[static_cast<size_t>(t)];
+      while (!done.load(std::memory_order_acquire)) {
+        const EpochPin pin = engine.Pin();
+        for (int q = 0; q < 3; ++q) {
+          const uint32_t mask =
+              1 + static_cast<uint32_t>(trng.UniformU64(15));
+          out.push_back({pin.rows, mask,
+                         engine.EntropyAt(AttrSet::FromMask(mask), pin)});
         }
-      });
-    }
-    for (const auto& batch : batches) {
-      ASSERT_TRUE(r.AppendBatch(batch).ok());
-      maintenance.Poke();
-      std::this_thread::sleep_for(std::chrono::microseconds(400));
-    }
-    done.store(true, std::memory_order_release);
-    for (auto& reader : readers) reader.join();
+        // Cooperative racer: readers may run catch-up themselves; the
+        // try-lock makes the race with the appender's catch-up benign.
+        if (trng.Bernoulli(0.25)) engine.CatchUp();
+      }
+    });
   }
+  for (const auto& batch : batches) {
+    ASSERT_TRUE(r.AppendBatch(batch).ok());
+    engine.CatchUp();
+    std::this_thread::sleep_for(std::chrono::microseconds(400));
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
 
   // Validate on the main thread (gtest assertions stay single-threaded).
   size_t checked = 0;
@@ -909,33 +905,30 @@ TEST(EpochConcurrency, PinnedAllAttributeEntropyOfASetWhileNextEpochLands) {
   std::vector<std::vector<Obs>> observed(kReaders);
   std::atomic<bool> done{false};
   std::atomic<int> started{0};
-  {
-    EpochMaintenance maintenance(&engine, std::chrono::microseconds(50));
-    std::vector<std::thread> readers;
-    readers.reserve(kReaders);
-    for (int t = 0; t < kReaders; ++t) {
-      readers.emplace_back([&engine, &observed, &done, &started, all, t] {
-        auto& out = observed[static_cast<size_t>(t)];
-        while (!done.load(std::memory_order_acquire)) {
-          const EpochPin pin = engine.Pin();
-          out.push_back({pin.rows, engine.EntropyAt(all, pin),
-                         engine.PartitionAt(all, pin)->NumDistinct(pin.rows)});
-          if (out.size() == 1) started.fetch_add(1);
-          if (t == 0) engine.CatchUp();  // race the maintenance thread
-        }
-      });
-    }
-    // Every reader holds a pin before the first append lands.
-    while (started.load() < kReaders) std::this_thread::yield();
-    for (const auto& batch : batches) {
-      // EXPECT: an early return would leave the readers unjoined.
-      EXPECT_TRUE(r.AppendBatch(batch, /*dedupe=*/true).ok());
-      maintenance.Poke();
-      std::this_thread::sleep_for(std::chrono::microseconds(400));
-    }
-    done.store(true, std::memory_order_release);
-    for (auto& reader : readers) reader.join();
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&engine, &observed, &done, &started, all, t] {
+      auto& out = observed[static_cast<size_t>(t)];
+      while (!done.load(std::memory_order_acquire)) {
+        const EpochPin pin = engine.Pin();
+        out.push_back({pin.rows, engine.EntropyAt(all, pin),
+                       engine.PartitionAt(all, pin)->NumDistinct(pin.rows)});
+        if (out.size() == 1) started.fetch_add(1);
+        if (t == 0) engine.CatchUp();  // race the appender's catch-up
+      }
+    });
   }
+  // Every reader holds a pin before the first append lands.
+  while (started.load() < kReaders) std::this_thread::yield();
+  for (const auto& batch : batches) {
+    // EXPECT: an early return would leave the readers unjoined.
+    EXPECT_TRUE(r.AppendBatch(batch, /*dedupe=*/true).ok());
+    engine.CatchUp();
+    std::this_thread::sleep_for(std::chrono::microseconds(400));
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
   ASSERT_EQ(r.DistinctPrefixRows(), r.NumRows());
 
   // Rows never change, so the reference at any pinned row count is the

@@ -4,8 +4,8 @@
 // The contract under test: at ANY thread count — 1, 2, 4, hardware — the
 // sharded kernels produce BYTE-identical partitions (block boundaries,
 // block order, row order, delta) and BIT-identical entropies to the serial
-// kernels, across kernel crossovers (counting/kMid/radix/tiny/SIMD
-// selection) and both partition layouts (flat and chunked). The TSan CI
+// kernels, across kernel crossovers (counting/radix/tiny selection) and
+// both partition layouts (flat and chunked). The TSan CI
 // leg runs this file.
 #include <gtest/gtest.h>
 
@@ -150,10 +150,10 @@ TEST(RefineParallel, ShardSplitCoversViewExactly) {
 TEST(RefineParallel, RefinedByShardedBitIdenticalAcrossThreadCounts) {
   Rng rng(9501);
   WorkerPool pool;
-  // Cardinalities straddling every kernel crossover: dense (<= 4096), kMid
-  // (> 4096), and the radix-sort region (> 64Ki and >= mass/2). Skewed
-  // draws produce tiny blocks (<= 4 rows) in quantity, so the tiny-block
-  // and SIMD paths run inside the same sweeps.
+  // Cardinalities straddling the kernel crossover: counting (kDense) and
+  // the radix-sort region (> 64Ki and >= mass/2). Skewed draws produce
+  // tiny blocks (<= 4 rows) in quantity, so the tiny-block path runs
+  // inside the same sweeps.
   for (uint32_t card : {5u, 3000u, 40000u, kBigRows}) {
     for (double skew : {0.0, 2.0}) {
       Column col = DensifiedColumn(&rng, kBigRows, card, skew);

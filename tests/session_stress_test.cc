@@ -541,11 +541,13 @@ TEST(SessionConcurrency, FanOutUnderEvictionPressureStaysCorrect) {
   // against the legacy reference; the budget invariant must hold at the
   // end, and under TSan this is the hottest charge/evict/drop interleaving
   // the engine has.
+  ArbiterOptions arb;
+  arb.budget_bytes = 8 << 10;
+  arb.engine_floor_bytes = 1 << 10;
   SessionOptions opts;
   opts.engine.num_threads = 4;
   opts.engine.worker_pool = std::make_shared<WorkerPool>();
-  opts.engine.cache_budget_bytes = 8 << 10;
-  opts.cache_floor_bytes = 1 << 10;
+  opts.engine.cache_arbiter = std::make_shared<CacheArbiter>(arb);
   AnalysisSession session(opts);
   EntropyEngine& e1 = session.EngineFor(r1);
   EntropyEngine& e2 = session.EngineFor(r2);
@@ -558,7 +560,7 @@ TEST(SessionConcurrency, FanOutUnderEvictionPressureStaysCorrect) {
     EXPECT_EQ(got1[i], EntropyOf(r1, sets[i]));
     EXPECT_EQ(got2[i], EntropyOf(r2, sets[i]));
   }
-  EXPECT_LE(session.CacheBytes(), opts.engine.cache_budget_bytes);
+  EXPECT_LE(session.CacheBytes(), arb.budget_bytes);
   EXPECT_GT(session.cache_arbiter()->Stats().evictions, 0u);
   EXPECT_GT(opts.engine.worker_pool->NumThreads(), 0u);
 }

@@ -17,7 +17,6 @@
 #include "core/loss.h"
 #include "core/streaming.h"
 #include "engine/entropy_engine.h"
-#include "engine/maintenance.h"
 #include "info/entropy.h"
 #include "info/j_measure.h"
 #include "io/csv.h"
@@ -171,51 +170,6 @@ TEST(Streaming, DriftTriggersRemineAndResetsBaseline) {
   EXPECT_NEAR(JMeasure(r, monitor.tree()), monitor.BaselineJ(), 1e-9);
 }
 
-TEST(Streaming, RelativeDriftPolicyScalesMarginWithBaselineAndFloor) {
-  // Identical structured-then-noise streams under three drift configs:
-  //   absolute 0.05                    -> re-mines (the control, as above);
-  //   relative 0.5 with a 10-nat floor -> margin = max(0.5 * |0|, 10):
-  //                                       the floor absorbs the drift, no
-  //                                       re-mine;
-  //   relative 0.5 with a 0.01 floor   -> margin = 0.01 near the zero
-  //                                       baseline: re-mines like the
-  //                                       control.
-  Rng rng(8802);
-  const uint32_t num_attrs = 3;
-  std::vector<std::vector<uint32_t>> structured;
-  for (uint32_t i = 0; i < 40; ++i) {
-    const uint32_t x = i % 6;
-    structured.push_back({x, x, x});
-  }
-  std::vector<std::vector<std::vector<uint32_t>>> batches;
-  for (int k = 0; k < 6; ++k) {
-    batches.push_back(RandomRows(&rng, num_attrs, 6, 60));
-  }
-
-  auto remines_under = [&](DriftPolicy policy, double floor_nats) {
-    Relation r = EmptyRelation(num_attrs, 6);
-    EXPECT_TRUE(r.AppendBatch(structured).ok());
-    StreamingOptions opts;
-    opts.drift_threshold = policy == DriftPolicy::kAbsolute ? 0.05 : 0.5;
-    opts.drift_policy = policy;
-    opts.drift_floor_nats = floor_nats;
-    Result<StreamingLossMonitor> made =
-        StreamingLossMonitor::WithMinedTree(&r, opts);
-    EXPECT_TRUE(made.ok());
-    StreamingLossMonitor monitor = std::move(made).value();
-    EXPECT_NEAR(monitor.BaselineJ(), 0.0, 1e-9);
-    for (const auto& batch : batches) {
-      Result<StreamingPoint> point = monitor.IngestBatch(batch);
-      EXPECT_TRUE(point.ok());
-    }
-    return monitor.NumRemines();
-  };
-
-  EXPECT_GT(remines_under(DriftPolicy::kAbsolute, 0.01), 0u);
-  EXPECT_EQ(remines_under(DriftPolicy::kRelative, 10.0), 0u);
-  EXPECT_GT(remines_under(DriftPolicy::kRelative, 0.01), 0u);
-}
-
 TEST(StreamingConcurrency, PinnedQueriesDuringIngestStayExact) {
   // Readers query the monitor's session WHILE batches are ingested: each
   // reader pins the (rows, epoch) stamp it starts with and must get the
@@ -319,11 +273,11 @@ TEST(StreamingConcurrency, PinnedQueriesDuringIngestStayExact) {
 }
 
 TEST(StreamingConcurrency, CatchUpRacesNeverFailAnIngest) {
-  // Other threads catch the monitor's engine up while batches land: a
-  // reader through Entropy (which runs a catch-up when it wins the
-  // engine's try-lock) and an EpochMaintenance thread. Losing that race
-  // is not a failure: every ingest must still succeed and report the
-  // whole relation, with J and the exact rho of exactly that prefix.
+  // Another thread catches the monitor's engine up while batches land: a
+  // reader through Entropy, which runs a catch-up when it wins the
+  // engine's try-lock. Losing that race is not a failure: every ingest
+  // must still succeed and report the whole relation, with J and the
+  // exact rho of exactly that prefix.
   Rng rng(8950);
   const uint32_t num_attrs = 4;
   const uint32_t domain = 40;
@@ -345,39 +299,35 @@ TEST(StreamingConcurrency, CatchUpRacesNeverFailAnIngest) {
           AttrSet::FromMask(1 + static_cast<uint32_t>(trng.UniformU64(15))));
     }
   });
-  {
-    EpochMaintenance maintenance(&engine, std::chrono::microseconds(20));
-    for (int k = 0; k < 60; ++k) {
-      // Odd batches observe as soon as another thread has started the
-      // new epoch's catch-up, so it is usually still in flight.
-      Result<StreamingPoint> point = Status::Internal("unset");
-      if (k % 2 == 0) {
-        point = monitor.IngestBatch(RandomRows(&rng, num_attrs, domain, 500));
-      } else {
-        const uint64_t catchups = engine.Stats().epoch_catchups;
-        EXPECT_TRUE(
-            r.AppendBatch(RandomRows(&rng, num_attrs, domain, 500)).ok());
-        maintenance.Poke();
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(1);
-        while (engine.Stats().epoch_catchups == catchups &&
-               std::chrono::steady_clock::now() < deadline) {
-          std::this_thread::yield();
-        }
-        point = monitor.Observe();
+  for (int k = 0; k < 60; ++k) {
+    // Odd batches observe as soon as the reader has started the new
+    // epoch's catch-up, so it is usually still in flight.
+    Result<StreamingPoint> point = Status::Internal("unset");
+    if (k % 2 == 0) {
+      point = monitor.IngestBatch(RandomRows(&rng, num_attrs, domain, 500));
+    } else {
+      const uint64_t catchups = engine.Stats().epoch_catchups;
+      EXPECT_TRUE(
+          r.AppendBatch(RandomRows(&rng, num_attrs, domain, 500)).ok());
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(1);
+      while (engine.Stats().epoch_catchups == catchups &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
       }
-      // No ASSERT while the reader runs: a failure must still join it.
-      if (!point.ok()) {
-        ADD_FAILURE() << "batch " << k << ": " << point.status().ToString();
-        break;
-      }
-      EXPECT_EQ(point.value().rows, r.NumRows());
-      EXPECT_EQ(point.value().batch_rows, 500u);
-      if (k % 10 == 9) {
-        EXPECT_NEAR(point.value().j, JMeasure(r, tree), 1e-9);
-        EXPECT_EQ(point.value().rho.value_or(std::nan("")),
-                  ComputeLoss(r, tree).value().rho);
-      }
+      point = monitor.Observe();
+    }
+    // No ASSERT while the reader runs: a failure must still join it.
+    if (!point.ok()) {
+      ADD_FAILURE() << "batch " << k << ": " << point.status().ToString();
+      break;
+    }
+    EXPECT_EQ(point.value().rows, r.NumRows());
+    EXPECT_EQ(point.value().batch_rows, 500u);
+    if (k % 10 == 9) {
+      EXPECT_NEAR(point.value().j, JMeasure(r, tree), 1e-9);
+      EXPECT_EQ(point.value().rho.value_or(std::nan("")),
+                ComputeLoss(r, tree).value().rho);
     }
   }
   done.store(true, std::memory_order_release);
