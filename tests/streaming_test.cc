@@ -4,6 +4,7 @@
 // ingestion without materializing the whole relation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -168,6 +169,78 @@ TEST(Streaming, DriftTriggersRemineAndResetsBaseline) {
   // The re-mined tree is a valid tree over the schema and is what J is
   // now tracked against.
   EXPECT_NEAR(JMeasure(r, monitor.tree()), monitor.BaselineJ(), 1e-9);
+}
+
+TEST(Streaming, DriftMarginIsThresholdNats) {
+  // The re-mine margin is drift_threshold nats over the baseline, with no
+  // scaling. A control run with re-mining off records each batch's J on a
+  // structured-then-noise stream (the baseline is 0: the structured prefix
+  // is lossless, so J is the drift); then
+  //   a threshold above the largest drift never re-mines, and
+  //   a threshold at half the largest drift re-mines at the first batch
+  //   whose drift exceeds it, with the same J as the control until then.
+  Rng rng(8802);
+  const uint32_t num_attrs = 3;
+  std::vector<std::vector<uint32_t>> structured;
+  for (uint32_t i = 0; i < 40; ++i) {
+    const uint32_t x = i % 6;
+    structured.push_back({x, x, x});
+  }
+  std::vector<std::vector<std::vector<uint32_t>>> batches;
+  for (int k = 0; k < 6; ++k) {
+    batches.push_back(RandomRows(&rng, num_attrs, 6, 60));
+  }
+
+  // Runs the stream under `threshold`; returns each batch's point.
+  auto run = [&](double threshold) {
+    Relation r = EmptyRelation(num_attrs, 6);
+    EXPECT_TRUE(r.AppendBatch(structured).ok());
+    StreamingOptions opts;
+    opts.drift_threshold = threshold;
+    Result<StreamingLossMonitor> made =
+        StreamingLossMonitor::WithMinedTree(&r, opts);
+    EXPECT_TRUE(made.ok());
+    StreamingLossMonitor monitor = std::move(made).value();
+    EXPECT_NEAR(monitor.BaselineJ(), 0.0, 1e-9);
+    std::vector<StreamingPoint> points;
+    for (const auto& batch : batches) {
+      Result<StreamingPoint> point = monitor.IngestBatch(batch);
+      EXPECT_TRUE(point.ok());
+      if (!point.ok()) break;
+      points.push_back(point.value());
+    }
+    EXPECT_EQ(monitor.NumRemines(),
+              static_cast<uint32_t>(std::count_if(
+                  points.begin(), points.end(),
+                  [](const StreamingPoint& p) { return p.remined; })));
+    return points;
+  };
+
+  const std::vector<StreamingPoint> control = run(0.0);
+  ASSERT_EQ(control.size(), batches.size());
+  double max_drift = 0.0;
+  for (const StreamingPoint& p : control) {
+    EXPECT_FALSE(p.remined);
+    max_drift = std::max(max_drift, p.j);
+  }
+  ASSERT_GT(max_drift, 0.05);  // the noise does drift the mined tree
+
+  const std::vector<StreamingPoint> wide = run(max_drift + 1e-6);
+  ASSERT_EQ(wide.size(), control.size());
+  for (size_t k = 0; k < wide.size(); ++k) {
+    EXPECT_FALSE(wide[k].remined) << "batch " << k;
+    EXPECT_EQ(wide[k].j, control[k].j) << "batch " << k;
+  }
+
+  const double half = 0.5 * max_drift;
+  size_t first_over = 0;
+  while (control[first_over].j <= half) ++first_over;
+  const std::vector<StreamingPoint> tight = run(half);
+  ASSERT_EQ(tight.size(), control.size());
+  for (size_t k = 0; k <= first_over; ++k) {
+    EXPECT_EQ(tight[k].j, control[k].j) << "batch " << k;
+    EXPECT_EQ(tight[k].remined, k == first_over) << "batch " << k;
+  }
 }
 
 TEST(StreamingConcurrency, PinnedQueriesDuringIngestStayExact) {
