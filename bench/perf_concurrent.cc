@@ -18,6 +18,10 @@
 // serve the identical query mix. The JSON line reports per-op reader
 // latency percentiles (lock wait included — that is the quiesce arm's
 // cost) and aggregate reader throughput for each arm, plus their ratio.
+// The snapshot arm runs five times and reports its median run (latencies
+// and throughput) with the min and max throughput: one run is bimodal.
+// It is also the arm whose readers can hold a cached partition while
+// catch-up extends it, which makes catch-up extend a clone.
 //
 // Correctness guard (the part CI enforces, --smoke): sampled reader
 // results are re-derived on cold relations truncated to the reader's
@@ -257,17 +261,26 @@ int main(int argc, char** argv) {
                  "1e-9 correctness guard still runs.\n");
   }
 
-  ArmResult snapshot = RunSnapshotArm(cfg, base, batches);
+  // One snapshot run's throughput is bimodal (it swings with how the
+  // host schedules the appender against the readers), so the arm runs
+  // kSnapshotRuns times and reports the median run, with the min and max.
+  constexpr int kSnapshotRuns = 5;
+  auto ops_per_sec = [](const ArmResult& a) {
+    return static_cast<double>(a.ops) / (a.wall_ns * 1e-9);
+  };
+  std::vector<ArmResult> snapshot_runs;
+  for (int i = 0; i < kSnapshotRuns; ++i) {
+    snapshot_runs.push_back(RunSnapshotArm(cfg, base, batches));
+  }
   ArmResult quiesce = RunQuiesceArm(cfg, base, batches);
 
-  // Correctness guard: every sampled reader result re-derived cold at the
-  // row count the reader was pinned to (capped — the tests carry the
-  // exhaustive version of this oracle).
-  constexpr size_t kMaxChecks = 32;
-  std::vector<Sample> checks = snapshot.samples;
-  checks.insert(checks.end(), quiesce.samples.begin(),
-                quiesce.samples.end());
-  if (checks.size() > kMaxChecks) checks.resize(kMaxChecks);
+  // Correctness guard: every sampled reader result of every run re-derived
+  // cold at the row count the reader was pinned to (sampled — the tests
+  // carry the exhaustive version of this oracle).
+  std::vector<Sample> checks = quiesce.samples;
+  for (const ArmResult& run : snapshot_runs) {
+    checks.insert(checks.end(), run.samples.begin(), run.samples.end());
+  }
   std::vector<std::vector<uint32_t>> all_rows = base;
   for (const auto& batch : batches) {
     all_rows.insert(all_rows.end(), batch.begin(), batch.end());
@@ -304,17 +317,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::sort(snapshot_runs.begin(), snapshot_runs.end(),
+            [&](const ArmResult& a, const ArmResult& b) {
+              return ops_per_sec(a) < ops_per_sec(b);
+            });
+  ArmResult& snapshot = snapshot_runs[kSnapshotRuns / 2];
   std::sort(snapshot.latencies_ns.begin(), snapshot.latencies_ns.end());
   std::sort(quiesce.latencies_ns.begin(), quiesce.latencies_ns.end());
-  const double snap_ops_per_sec =
-      static_cast<double>(snapshot.ops) / (snapshot.wall_ns * 1e-9);
-  const double quiesce_ops_per_sec =
-      static_cast<double>(quiesce.ops) / (quiesce.wall_ns * 1e-9);
+  const double snap_ops_per_sec = ops_per_sec(snapshot);
+  const double quiesce_ops_per_sec = ops_per_sec(quiesce);
   std::printf(
       "{\"bench\":\"perf_concurrent\",\"smoke\":%s,\"readers\":%u,"
       "\"initial_rows\":%u,\"batches\":%u,\"batch_rows\":%u,"
       "\"hardware_concurrency\":%u,\"effective_cpus\":%u,"
+      "\"snapshot_runs\":%d,"
       "\"snapshot_reader_ops\":%llu,\"snapshot_ops_per_sec\":%.0f,"
+      "\"snapshot_ops_per_sec_min\":%.0f,\"snapshot_ops_per_sec_max\":%.0f,"
       "\"snapshot_p50_us\":%.1f,\"snapshot_p95_us\":%.1f,"
       "\"snapshot_p99_us\":%.1f,"
       "\"quiesce_reader_ops\":%llu,\"quiesce_ops_per_sec\":%.0f,"
@@ -322,8 +340,10 @@ int main(int argc, char** argv) {
       "\"quiesce_p99_us\":%.1f,"
       "\"throughput_vs_quiesce\":%.2f,\"checks\":%zu,\"max_err\":%.3g}\n",
       smoke ? "true" : "false", cfg.readers, initial_rows, num_batches,
-      batch_rows, hc, cpus, static_cast<unsigned long long>(snapshot.ops),
-      snap_ops_per_sec, Percentile(&snapshot.latencies_ns, 0.5) * 1e-3,
+      batch_rows, hc, cpus, kSnapshotRuns,
+      static_cast<unsigned long long>(snapshot.ops), snap_ops_per_sec,
+      ops_per_sec(snapshot_runs.front()), ops_per_sec(snapshot_runs.back()),
+      Percentile(&snapshot.latencies_ns, 0.5) * 1e-3,
       Percentile(&snapshot.latencies_ns, 0.95) * 1e-3,
       Percentile(&snapshot.latencies_ns, 0.99) * 1e-3,
       static_cast<unsigned long long>(quiesce.ops), quiesce_ops_per_sec,

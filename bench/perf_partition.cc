@@ -1,6 +1,6 @@
 // Experiment PERF-PARTITION — kernel-by-kernel ns/row of the partition
 // refinement suite (engine/refine_kernels.h) over cardinality and skew
-// sweeps, the append-extension layouts, and the intra-op sharded forms.
+// sweeps, the in-place append extensions, and the intra-op sharded forms.
 //
 // The adaptive threshold (the sort cutover at cardinality >= mass/2) was
 // picked from this sweep; rerun it when the hardware changes. Every timed
@@ -9,9 +9,11 @@
 // bit-for-bit entropy — so the bench doubles as an equivalence guard and
 // exits 1 on mismatch.
 //
-// One machine-readable JSON line per case. `--smoke` shrinks sizes to keep
-// the guard and the emitter alive in CI, where shared-runner timings mean
-// nothing.
+// One machine-readable JSON line per case, each recording the CPUs the
+// process could run on (EffectiveCpuCount: affinity mask and cgroup
+// quota), since the sharded arms' numbers mean nothing without it.
+// `--smoke` shrinks sizes to keep the guard and the emitter alive in CI,
+// where shared-runner timings mean nothing.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -138,9 +140,10 @@ void EmitLine(bool smoke, const char* op, const char* kernel, uint32_t rows,
   std::printf(
       "{\"bench\":\"perf_partition\",\"smoke\":%s,\"op\":\"%s\","
       "\"kernel\":\"%s\",\"rows\":%u,\"mass\":%llu,\"cardinality\":%u,"
-      "\"skew\":%.1f,\"ns_per_row\":%.2f}\n",
+      "\"skew\":%.1f,\"ns_per_row\":%.2f,\"effective_cpus\":%u}\n",
       smoke ? "true" : "false", op, kernel, rows,
-      static_cast<unsigned long long>(mass), cardinality, skew, ns_per_row);
+      static_cast<unsigned long long>(mass), cardinality, skew, ns_per_row,
+      EffectiveCpuCount());
 }
 
 // A line from the intra-op sharded sweep. threads == 0 is the serial
@@ -150,9 +153,10 @@ void EmitParLine(bool smoke, const char* op, uint32_t threads, uint32_t rows,
   std::printf(
       "{\"bench\":\"perf_partition\",\"smoke\":%s,\"op\":\"%s\","
       "\"threads\":%u,\"rows\":%u,\"mass\":%llu,\"cardinality\":%u,"
-      "\"ns_per_row\":%.2f}\n",
+      "\"ns_per_row\":%.2f,\"effective_cpus\":%u}\n",
       smoke ? "true" : "false", op, threads, rows,
-      static_cast<unsigned long long>(mass), cardinality, ns_per_row);
+      static_cast<unsigned long long>(mass), cardinality, ns_per_row,
+      EffectiveCpuCount());
 }
 
 }  // namespace
@@ -213,20 +217,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Uniform append-extension sweep: chunked in-place vs flat copy ----
+  // --- Uniform append-extension sweep ------------------------------------
   //
-  // A uniform (zero temporal locality) append stream is the flat layout's
-  // worst case: every batch touches essentially every block, so the copy
-  // paths rewrite the whole mass per batch while the chunked in-place
-  // paths append each batch into per-block tail slack. Timed per APPENDED
-  // row; both arms' final partitions are pinned bitwise against cold
-  // builds over the full stream (the exit-1 guard).
+  // A uniform (zero temporal locality) append stream touches essentially
+  // every block per batch; the in-place extensions append each batch into
+  // per-block tail slack of the chunked layout. Timed per APPENDED row;
+  // the final partitions are pinned bitwise against cold builds over the
+  // full stream (the exit-1 guard).
   //
   // The cardinality is sized so the value set SATURATES over the base
   // rows (every (parent, code) pair already owns a sub-block before the
   // first batch): what the sweep measures is the steady-state delta path,
-  // not the transient where brand-new codes force per-block re-refinement
-  // on copy and in-place arms alike.
+  // not the transient where brand-new codes force per-block re-refinement.
   {
     const uint32_t kBase = kRows;
     const uint32_t kBatches = 16;
@@ -261,25 +263,11 @@ int main(int argc, char** argv) {
     const Partition child0 = parent0.RefinedBy(ext0, RefineKernel::kAuto,
                                                &meta0);
 
-    // Per-rep state reset happens OUTSIDE the timer so both arms time
+    // Per-rep state reset happens OUTSIDE the timer so each arm times
     // exactly the extension calls.
-    Partition final_flat_root, final_chunked_root;
-    Partition final_flat_child, final_chunked_child;
-    double flat_root_ns = 0, chunked_root_ns = 0;
-    double flat_child_ns = 0, chunked_child_ns = 0;
+    Partition final_root, final_child;
+    double root_ns = 0, child_ns = 0;
     for (int r = 0; r < kReps; ++r) {
-      {
-        Partition p = root0;
-        const double t0 = NowNs();
-        uint64_t prev = kBase;
-        for (uint32_t i = 0; i < kBatches; ++i) {
-          p = p.ExtendedOfColumn(ext_cols[i], prev);
-          prev = cuts[i];
-        }
-        const double dt = NowNs() - t0;
-        if (r == 0 || dt < flat_root_ns) flat_root_ns = dt;
-        final_flat_root = std::move(p);
-      }
       {
         Partition p = root0;
         const double t0 = NowNs();
@@ -289,8 +277,8 @@ int main(int argc, char** argv) {
           prev = cuts[i];
         }
         const double dt = NowNs() - t0;
-        if (r == 0 || dt < chunked_root_ns) chunked_root_ns = dt;
-        final_chunked_root = std::move(p);
+        if (r == 0 || dt < root_ns) root_ns = dt;
+        final_root = std::move(p);
       }
       {
         Partition c = child0;
@@ -299,30 +287,13 @@ int main(int argc, char** argv) {
         uint64_t prev = kBase;
         for (uint32_t i = 0; i < kBatches; ++i) {
           PartitionDelta next;
-          c = c.ExtendedBy(nullptr, parents[i], ext_cols[i], prev, &meta,
-                           &next);
+          c.ExtendInPlaceBy(parents[i], ext_cols[i], prev, meta, &next);
           meta = std::move(next);
           prev = cuts[i];
         }
         const double dt = NowNs() - t0;
-        if (r == 0 || dt < flat_child_ns) flat_child_ns = dt;
-        final_flat_child = std::move(c);
-      }
-      {
-        Partition c = child0;
-        PartitionDelta meta = meta0;
-        const double t0 = NowNs();
-        uint64_t prev = kBase;
-        for (uint32_t i = 0; i < kBatches; ++i) {
-          PartitionDelta next;
-          c.ExtendInPlaceBy(nullptr, parents[i], ext_cols[i], prev, &meta,
-                            &next);
-          meta = std::move(next);
-          prev = cuts[i];
-        }
-        const double dt = NowNs() - t0;
-        if (r == 0 || dt < chunked_child_ns) chunked_child_ns = dt;
-        final_chunked_child = std::move(c);
+        if (r == 0 || dt < child_ns) child_ns = dt;
+        final_child = std::move(c);
       }
     }
 
@@ -330,29 +301,16 @@ int main(int argc, char** argv) {
         Partition::OfColumn(ColumnAtCut(ext_codes, ext_first, kTotal));
     const Partition cold_child =
         parents.back().RefinedBy(ext_cols.back());
-    Check(SamePartition(final_flat_root, cold_root),
-          "extend_root flat vs cold");
-    Check(SamePartition(final_chunked_root, cold_root),
+    Check(SamePartition(final_root, cold_root),
           "extend_root chunked vs cold");
-    Check(SamePartition(final_flat_child, cold_child),
-          "extend_child flat vs cold");
-    Check(SamePartition(final_chunked_child, cold_child),
+    Check(SamePartition(final_child, cold_child),
           "extend_child chunked vs cold");
 
     const double ap = static_cast<double>(appended);
-    EmitLine(smoke, "extend_root", "flat", kTotal, appended, kExtCard, 0.0,
-             flat_root_ns / ap);
     EmitLine(smoke, "extend_root", "chunked", kTotal, appended, kExtCard,
-             0.0, chunked_root_ns / ap);
-    EmitLine(smoke, "extend_child", "flat", kTotal, appended, kExtCard, 0.0,
-             flat_child_ns / ap);
+             0.0, root_ns / ap);
     EmitLine(smoke, "extend_child", "chunked", kTotal, appended, kExtCard,
-             0.0, chunked_child_ns / ap);
-    std::fprintf(stderr,
-                 "extend speedup (flat/chunked, uniform stream): root %.2fx"
-                 " child %.2fx\n",
-                 flat_root_ns / chunked_root_ns,
-                 flat_child_ns / chunked_child_ns);
+             0.0, child_ns / ap);
   }
 
   // --- Intra-op sharded refinement: serial vs block-sharded ------------

@@ -243,7 +243,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       c.cp.epoch = it->second.epoch;
       c.cp.rows = it->second.rows;
       c.cp.last_col_card = it->second.last_col_card;
-      c.cp.extended = it->second.extended;
       c.cp.chain = std::move(it->second.chain);
       c.cp.delta = std::move(it->second.delta);
       RemovePartitionLocked(it);
@@ -263,12 +262,8 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   // --- EXTEND (no locks) ---------------------------------------------------
   // Ascending set size: a chain's proper prefixes are strictly smaller
   // sets, so every ancestor is extended before its descendants need it
-  // (tie-break by set value for determinism). Old forms are kept aside for
-  // the parent-block correspondence the seeding path walks — but ONLY for
-  // entries some child will actually use as a direct parent: pinning every
-  // old partition until the end of catch-up would double peak memory and,
-  // worse, starve the allocator of the just-freed buffers the next
-  // extension would otherwise reuse (measurably slower on large caches).
+  // (tie-break by set value for determinism). No old form is kept aside:
+  // each entry's recorded delta is its whole parent-block correspondence.
   std::sort(claimed.begin(), claimed.end(),
             [](const Claimed& a, const Claimed& b) {
               const uint32_t ca = a.set.Count();
@@ -279,29 +274,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   std::unordered_map<AttrSet, Claimed*, AttrSetHash> by_set;
   by_set.reserve(claimed.size());
   for (Claimed& c : claimed) by_set.emplace(c.set, &c);
-  std::unordered_map<AttrSet, std::shared_ptr<const Partition>, AttrSetHash>
-      old_parts;
-  for (const Claimed& c : claimed) {
-    const std::vector<uint32_t>& chain = c.cp.chain;
-    if (chain.size() < 2) continue;
-    if (!c.cp.delta.run_lengths.empty() &&
-        c.cp.delta.run_lengths.size() ==
-            c.cp.delta.parent_first_rows.size()) {
-      // Scan-free child: its recorded correspondence replaces the old
-      // parent entirely, so the parent stays unpinned (and therefore
-      // eligible for in-place extension itself).
-      continue;
-    }
-    AttrSet parent;
-    for (size_t j = 0; j + 1 < chain.size(); ++j) parent.Add(chain[j]);
-    auto pit = by_set.find(parent);
-    if (pit != by_set.end() &&
-        pit->second->cp.chain.size() + 1 == chain.size() &&
-        std::equal(pit->second->cp.chain.begin(),
-                   pit->second->cp.chain.end(), chain.begin())) {
-      old_parts.emplace(parent, pit->second->cp.partition);
-    }
-  }
   std::atomic<uint64_t> extended_count{0};
   std::atomic<uint64_t> replayed_count{0};
   std::atomic<uint64_t> dropped_count{0};
@@ -315,7 +287,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
     // have been rebuilt through a different column order after an
     // eviction, and the block correspondence is chain-specific).
     std::shared_ptr<const Partition> parent_new;
-    std::shared_ptr<const Partition> parent_old;
     size_t ancestor_len = 0;
     AttrSet prefix_sets[kMaxAttrs];
     AttrSet acc;
@@ -339,79 +310,45 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
         continue;
       }
       parent_new = pit->second->cp.partition;  // extended already (smaller)
-      if (len + 1 == chain.size()) {
-        // Only a DIRECT parent's old form matters (the delta path walks
-        // its block correspondence); deeper ancestors feed the replay
-        // path, which reads just the extended form.
-        auto oit = old_parts.find(prefix_sets[len - 1]);
-        if (oit != old_parts.end()) parent_old = oit->second;
-      }
       ancestor_len = len;
       break;
     }
 
     std::shared_ptr<const Partition> np;
     const Column last_col = store_.ColumnAt(chain.back(), target_rows);
-    // Scan-free correspondence from the previous extension (or the build
-    // itself — the refinement kernels emit it at build time), if intact.
-    const bool meta_ok =
-        !cp.delta.run_lengths.empty() &&
-        cp.delta.run_lengths.size() == cp.delta.parent_first_rows.size();
+    // Extension mutates, so it runs on an object nothing else reads: a sole
+    // owner (use_count 1 — no reader holds the claimed pointer) extends in
+    // place; a reader-held entry extends a clone, leaving the old object
+    // untouched for its pinned readers.
+    auto own = [&]() -> std::shared_ptr<Partition> {
+      if (cp.partition.use_count() == 1) {
+        return std::const_pointer_cast<Partition>(cp.partition);
+      }
+      return std::make_shared<Partition>(*cp.partition);
+    };
     const bool kernel_stable =
         parent_new != nullptr &&
         ChooseRefineKernel(last_col.cardinality,
                            parent_new->NumStrippedRows()) ==
             ChooseRefineKernel(cp.last_col_card,
                                parent_new->NumStrippedRows());
-    if (ancestor_len + 1 == chain.size() && kernel_stable &&
-        (meta_ok || parent_old != nullptr)) {
+    if (ancestor_len + 1 == chain.size() && kernel_stable) {
       // Direct parent claimed with the same chain and the kernel choice
-      // did not move: the O(delta + touched blocks) path — scan-free
-      // when the build's or previous extension's metadata survived (steady
-      // state), seeding that metadata from the retained old parent
-      // otherwise. A sole-owner entry (nothing else aliases it — no
-      // concurrent reader holds a reference and it is nobody's retained
-      // old parent) extends IN PLACE: the bit-identical prefix before the
-      // first affected block is never copied, which is what makes catch-up
-      // track the changed region on locality-friendly streams instead of
-      // the partition's whole mass. Reader-held entries take the copying
-      // path, leaving the old object untouched for its pinned readers, and
-      // so does an entry's FIRST extension: in-place extension adopts the
-      // chunked layout with ~50% tail slack, which pays only for entries
-      // that keep growing, while a lattice built once and extended once
-      // (a restart's catch-up, the catch-up after a re-mine) would hold
-      // half its bytes again as slack. The copy is exact-sized.
-      const PartitionDelta* meta = meta_ok ? &cp.delta : nullptr;
-      const Partition* old_parent_ptr = meta_ok ? nullptr : parent_old.get();
+      // did not move: the O(delta + touched blocks) path, off the delta
+      // recorded at build time or by the previous extension (see
+      // CachedPartition::delta for why every chained entry has one).
+      std::shared_ptr<Partition> p = own();
       PartitionDelta next;
-      if (cp.extended && cp.partition.use_count() == 1) {
-        std::const_pointer_cast<Partition>(cp.partition)
-            ->ExtendInPlaceBy(old_parent_ptr, *parent_new, last_col,
-                              old_rows, meta, &next);
-        np = cp.partition;
-      } else {
-        np = std::make_shared<Partition>(
-            cp.partition->ExtendedBy(old_parent_ptr, *parent_new, last_col,
-                                     old_rows, meta, &next));
-      }
+      p->ExtendInPlaceBy(*parent_new, last_col, old_rows, cp.delta, &next);
+      np = std::move(p);
       cp.delta = std::move(next);
-      cp.extended = true;
       ++extended_count;
     } else if (chain.size() == 1) {
-      if (cp.extended && cp.partition.use_count() == 1) {
-        // Sole-owner root: blocks the appended rows touched grow through
-        // their chunk slack in place — no full ascending-code rebuild of
-        // the untouched blocks. Reader-held (or old-parent-retained) roots
-        // and first extensions take the copying merge, leaving the old
-        // object untouched.
-        std::const_pointer_cast<Partition>(cp.partition)
-            ->ExtendOfColumnInPlace(last_col, old_rows);
-        np = cp.partition;
-      } else {
-        np = std::make_shared<Partition>(
-            cp.partition->ExtendedOfColumn(last_col, old_rows));
-      }
-      cp.extended = true;
+      // Root: blocks the appended rows touched grow through their chunk
+      // slack — no full ascending-code rebuild of the untouched blocks.
+      std::shared_ptr<Partition> p = own();
+      p->ExtendOfColumnInPlace(last_col, old_rows);
+      np = std::move(p);
       ++extended_count;
     } else {
       // Evicted ancestor, divergent chain, or a column whose
@@ -419,7 +356,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       // remaining chain cold from the deepest extended ancestor (bit-
       // identical to the delta path by kernel reproducibility). The LAST
       // refinement step emits the parent->child correspondence at build
-      // time, so even a replayed entry's NEXT catch-up is scan-free.
+      // time, so a replayed entry's NEXT catch-up extends it.
       Partition cur;
       const Partition* base = parent_new.get();
       size_t j = ancestor_len;
@@ -464,9 +401,9 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
   // above): every ancestor an entry can look up lives in a strictly
   // earlier level (proper prefixes are strictly smaller sets), so the pool
   // barrier between levels guarantees each task reads only fully-extended
-  // parents, and entries within a level never read each other. by_set and
-  // old_parts are read-only during the fan-out; each task writes only its
-  // own entry. Extension is bit-identical to the serial loop by kernel
+  // parents, and entries within a level never read each other. by_set is
+  // read-only during the fan-out; each task writes only its own entry.
+  // Extension is bit-identical to the serial loop by kernel
   // reproducibility (and per-entry work is order-independent), so the
   // published cache — and every value served from it — is unchanged at any
   // thread count. Publish order below stays serial and sorted.
@@ -479,7 +416,6 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
         return p != nullptr ? p->NumStrippedRows() : 0;
       },
       [&](size_t i) { run_one(claimed[i]); });
-  old_parts.clear();
 
   AJD_INJECT_FAULT(failpoints::kEngineCatchupPublish);
 
@@ -717,9 +653,9 @@ double EntropyEngine::ComputeEntropy(
     std::shared_ptr<const Partition> partition;
     std::vector<uint32_t> chain;
     uint32_t last_col_card = 0;
-    /// Build-time parent->child correspondence (empty for roots and the
-    /// all-singleton shortcut): makes the entry's FIRST epoch catch-up
-    /// scan-free.
+    /// Build-time parent->child correspondence, what the entry's first
+    /// catch-up extends by (empty for roots; see CachedPartition::delta
+    /// for the all-singleton shortcut's).
     PartitionDelta delta;
   };
   std::vector<FreshEntry> fresh;
@@ -770,7 +706,7 @@ double EntropyEngine::ComputeEntropy(
       break;
     } else {
       // The three-argument form captures the parent->child correspondence
-      // at build time, making this entry's first catch-up scan-free.
+      // at build time, which this entry's first catch-up extends by.
       cur = std::make_shared<Partition>(cur->RefinedBySharded(
           col, RefineKernel::kAuto, RefineThreadsFor(cur->NumStrippedRows()),
           pool_.get(), &step_delta));

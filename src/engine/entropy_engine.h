@@ -51,10 +51,10 @@
 // other reader keeps serving off the previous stamp concurrently. The
 // catch-up owner CLAIMS the recently-used cached partitions (removing them
 // from the visible cache under the mutex), extends each along its recorded
-// chain OUTSIDE the mutex (Partition::ExtendedOfColumn / ExtendedBy
-// reproduce the cold replay of that chain bit-for-bit; readers that still
-// hold references force the copying path, sole-owner entries extend in
-// place), then PUBLISHES the extended generation and the new stamp
+// chain OUTSIDE the mutex (Partition::ExtendOfColumnInPlace /
+// ExtendInPlaceBy reproduce the cold replay of that chain bit-for-bit;
+// sole-owner entries extend in place, and an entry a reader still holds
+// extends a clone), then PUBLISHES the extended generation and the new stamp
 // atomically. Partitions idle through the whole previous epoch are dropped
 // instead (extension costs O(mass); paying it for a dead miner
 // intermediate every batch would turn catch-up back into the O(cache)
@@ -266,7 +266,7 @@ class EntropyEngine {
   /// that is not cached (see the header comment). The
   /// returned pointer is the caller's to hold: an eviction after the call
   /// (arbiter pressure, catch-up sweep) drops the cache's reference, never
-  /// the caller's, and catch-up extends a reader-held entry by copying, so
+  /// the caller's, and catch-up extends a clone of a reader-held entry, so
   /// the grouping never changes underneath. `attrs` must be non-empty.
   /// Does NOT catch up, exactly like EntropyAt.
   std::shared_ptr<const Partition> PartitionAt(AttrSet attrs,
@@ -394,14 +394,18 @@ class EntropyEngine {
     /// catch-up falls back from delta extension to a full recompute when
     /// the grown cardinality crosses a kernel-selection threshold.
     uint32_t last_col_card = 0;
-    /// True once catch-up has delta-extended the entry: only then does
-    /// the next extension run in place (engine/partition.h's chunked
-    /// layout); a first extension copies, exact-sized.
-    bool extended = false;
-    /// Parent-block correspondence emitted by the latest extension
-    /// (engine/partition.h): makes the NEXT extension scan-free and frees
-    /// catch-up from retaining the old parent partition. Empty until the
-    /// first (seeding) extension, and after any replay.
+    /// Parent-block correspondence against the direct parent (chain minus
+    /// its last column) at `rows` (engine/refine_kernels.h): what the next
+    /// catch-up's ExtendInPlaceBy walks, so no old parent is retained and
+    /// no row->block index is built. INVARIANT: every entry with a chain
+    /// of two or more columns holds its true delta. The refinement that
+    /// builds it emits one (RefinedBySharded(..., &step_delta) in
+    /// ComputeEntropy), every extension emits the next one, and a replay's
+    /// last step emits one. The only entry built by no refinement is the
+    /// all-singleton shortcut in ComputeEntropy, whose chain extends an
+    /// all-singleton prefix: its direct parent has no stripped blocks, and
+    /// the empty delta it carries is exactly that correspondence. Unused
+    /// (empty) for single-column roots.
     PartitionDelta delta;
   };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,25 +25,6 @@ uint32_t GrowCap(uint64_t size) {
   uint64_t cap = size + size / 2 + 2;
   if (cap > UINT32_MAX - 1) cap = UINT32_MAX - 1;
   return static_cast<uint32_t>(cap);
-}
-
-// Row -> old-parent-block index for the seeding (no-metadata) extension
-// paths. NEVER cleared: every read indexes a child row, child rows are a
-// subset of the old parent's stripped rows, and those are exactly the
-// entries each seeding pass writes — stale values from earlier extensions
-// are unreachable.
-thread_local std::vector<uint32_t> g_row_to_op;
-
-void SeedRowToBlock(const Partition& parent_old, uint64_t old_rows) {
-  if (g_row_to_op.size() < old_rows) {
-    g_row_to_op.resize(static_cast<size_t>(old_rows));
-  }
-  const uint32_t opn = parent_old.NumBlocks();
-  for (uint32_t j = 0; j < opn; ++j) {
-    const uint32_t* pb = parent_old.BlockBegin(j);
-    const uint32_t* pe = parent_old.BlockEnd(j);
-    for (const uint32_t* p = pb; p != pe; ++p) g_row_to_op[*p] = j;
-  }
 }
 
 }  // namespace
@@ -298,21 +278,19 @@ double Partition::RefinedEntropySharded(const Column& col, uint64_t num_rows,
                               threads, pool);
 }
 
-Partition Partition::ExtendedOfColumn(const Column& col,
-                                      uint64_t old_rows) const {
+void Partition::ExtendOfColumnInPlace(const Column& col, uint64_t old_rows) {
   const uint64_t n = col.codes.size();
   AJD_CHECK(n >= old_rows && n < UINT32_MAX);
-  if (n == old_rows) return *this;
+  if (n == old_rows) return;
   AJD_CHECK_MSG(col.first_row.size() == col.cardinality,
-                "ExtendedOfColumn needs a store-densified column "
+                "ExtendOfColumnInPlace needs a store-densified column "
                 "(first_row present)");
 
-  // Tally the appended rows per code, collecting the touched codes; the
-  // scatter below re-reads them grouped by code in ascending row order.
-  // The code-indexed arrays are thread-local and grow-only (a fresh
-  // O(cardinality) zero-fill per root partition per catch-up would bite
-  // on near-key columns); the touched-entry resets at the end keep them
-  // clean for the next call.
+  // Tally the appended rows per code, collecting the touched codes, then
+  // bucket them by code in ascending row order. The code-indexed arrays
+  // are thread-local and grow-only (a fresh O(cardinality) zero-fill per
+  // root partition per catch-up would bite on near-key columns); the
+  // touched-entry resets below keep them clean for the next call.
   static thread_local std::vector<uint32_t> count_new;
   static thread_local std::vector<uint32_t> cursor;
   if (count_new.size() < col.cardinality) {
@@ -347,100 +325,13 @@ Partition Partition::ExtendedOfColumn(const Column& col,
                        static_cast<uint32_t>(old_rows)) -
       col.first_row.begin());
 
-  // Merge the old blocks (ascending code — OfColumn's emission order) with
-  // the codes the appended rows touched, in ascending code order.
-  Partition out;
-  out.rows_.reserve(NumStrippedRows() + acc);
-  out.starts_.push_back(0);
-  uint32_t ob = 0;
-  size_t nc = 0;
-  const uint32_t num_old_blocks = NumBlocks();
-  while (ob < num_old_blocks || nc < new_codes.size()) {
-    const uint32_t old_code = ob < num_old_blocks
-                                  ? col.codes[BlockBegin(ob)[0]]
-                                  : UINT32_MAX;
-    const uint32_t new_code =
-        nc < new_codes.size() ? new_codes[nc] : UINT32_MAX;
-    if (old_code < new_code) {
-      // Untouched old block: copied verbatim.
-      out.rows_.insert(out.rows_.end(), BlockBegin(ob), BlockEnd(ob));
-      out.starts_.push_back(static_cast<uint32_t>(out.rows_.size()));
-      ++ob;
-    } else {
-      const uint32_t c = new_code;
-      const uint32_t added = bucket_start[nc + 1] - bucket_start[nc];
-      if (old_code == new_code) {
-        // Grown old block: old rows (ascending) then appended rows.
-        out.rows_.insert(out.rows_.end(), BlockBegin(ob), BlockEnd(ob));
-        ++ob;
-      } else if (c < old_card) {
-        // Promoted singleton: its lone pre-append row is the code's first
-        // occurrence.
-        out.rows_.push_back(col.first_row[c]);
-      } else if (added < 2) {
-        // Brand-new code appearing once: still a singleton, stripped.
-        ++nc;
-        continue;
-      }
-      out.rows_.insert(out.rows_.end(),
-                       delta_rows.begin() + bucket_start[nc],
-                       delta_rows.begin() + bucket_start[nc + 1]);
-      out.starts_.push_back(static_cast<uint32_t>(out.rows_.size()));
-      ++nc;
-    }
-  }
-  if (out.starts_.size() == 1) out.starts_.clear();
-  return out;
-}
-
-void Partition::ExtendOfColumnInPlace(const Column& col, uint64_t old_rows) {
-  const uint64_t n = col.codes.size();
-  AJD_CHECK(n >= old_rows && n < UINT32_MAX);
-  if (n == old_rows) return;
-  AJD_CHECK_MSG(col.first_row.size() == col.cardinality,
-                "ExtendOfColumnInPlace needs a store-densified column "
-                "(first_row present)");
-
-  // Identical appended-row tally to ExtendedOfColumn's (same scratch
-  // discipline; separate thread-locals so the two never alias).
-  static thread_local std::vector<uint32_t> count_new;
-  static thread_local std::vector<uint32_t> cursor;
-  if (count_new.size() < col.cardinality) {
-    count_new.resize(col.cardinality, 0);
-    cursor.resize(col.cardinality);
-  }
-  std::vector<uint32_t> new_codes;
-  for (uint64_t i = old_rows; i < n; ++i) {
-    const uint32_t c = col.codes[i];
-    if (count_new[c]++ == 0) new_codes.push_back(c);
-  }
-  std::sort(new_codes.begin(), new_codes.end());
-  uint32_t acc = 0;
-  std::vector<uint32_t> bucket_start(new_codes.size() + 1, 0);
-  for (size_t j = 0; j < new_codes.size(); ++j) {
-    bucket_start[j] = acc;
-    cursor[new_codes[j]] = acc;
-    acc += count_new[new_codes[j]];
-  }
-  bucket_start[new_codes.size()] = acc;
-  std::vector<uint32_t> delta_rows(acc);
-  for (uint64_t i = old_rows; i < n; ++i) {
-    delta_rows[cursor[col.codes[i]]++] = static_cast<uint32_t>(i);
-  }
-  for (uint32_t c : new_codes) count_new[c] = 0;  // scratch stays clean
-
-  const uint32_t old_card = static_cast<uint32_t>(
-      std::lower_bound(col.first_row.begin(), col.first_row.end(),
-                       static_cast<uint32_t>(old_rows)) -
-      col.first_row.begin());
-
   if (!chunked_) AdoptChunked();
   const uint32_t old_nb = NumBlocks();
-  // Merge in ascending code order, exactly ExtendedOfColumn's emission —
-  // but untouched old blocks are never copied: grown blocks append into
-  // their slack through their headers, and the header list is only rebuilt
-  // (20-byte header copies, O(blocks)) once the first NEW block has to be
-  // spliced in.
+  // Merge the touched codes into the old blocks in ascending code order —
+  // OfColumn's emission order — but untouched old blocks are never copied:
+  // grown blocks append into their slack through their headers, and the
+  // header list is only rebuilt (20-byte header copies, O(blocks)) once the
+  // first NEW block has to be spliced in.
   static thread_local std::vector<BlockRef> staged;
   bool structural = false;
   uint32_t pb = 0;  // old-block cursor (ascending code order)
@@ -534,343 +425,11 @@ void Partition::ExtendOfColumnInPlace(const Column& col, uint64_t old_rows) {
   MaybeReclaim();
 }
 
-namespace {
-
-// Warm thread-local staging for the extension walk (ExtendStageBy and its
-// two wrappers live in this TU): a per-call resize would zero-fill the
-// whole mass every batch, and per-block push_backs would pay a capacity
-// check per tiny block. The arrays keep their pages across catch-ups.
-// Staged rows sit at their ABSOLUTE output offsets (the identical prefix's
-// slots are simply never written), so no index arithmetic differs between
-// the staged and prefix regions.
-thread_local std::vector<uint32_t> g_ext_rows;
-thread_local std::vector<uint32_t> g_ext_starts;
-
-}  // namespace
-
-Partition::ExtendStaged Partition::ExtendStageBy(const Partition* parent_old,
-                                                 const Partition& parent_new,
-                                                 const Column& col,
-                                                 uint64_t old_rows,
-                                                 const PartitionDelta* meta,
-                                                 PartitionDelta* delta_out) const {
-  ExtendStaged res;
-  AJD_CHECK(!chunked_);  // the staged walk reads the flat arrays directly
-  const uint32_t nb = parent_new.NumBlocks();
-  AJD_CHECK(nb > 0);
-  AJD_CHECK(parent_old != nullptr || meta != nullptr);
-  if (delta_out != nullptr) {
-    delta_out->run_lengths.clear();
-    delta_out->run_lengths.reserve(nb);
-    delta_out->parent_first_rows.clear();
-    delta_out->parent_first_rows.reserve(nb);
-  }
-  const uint64_t out_mass_bound = parent_new.NumStrippedRows();
-  if (g_ext_rows.size() < out_mass_bound) g_ext_rows.resize(out_mass_bound);
-  if (g_ext_starts.size() < out_mass_bound / 2 + 2) {
-    g_ext_starts.resize(out_mass_bound / 2 + 2);
-  }
-  uint32_t* out_rows = g_ext_rows.data();
-  uint32_t* out_starts = g_ext_starts.data();
-  uint32_t num_starts = 0;
-  uint32_t total = 0;
-  // While true, every output block so far is bit-identical to this
-  // partition's own leading blocks (ungrown matched parent blocks emit
-  // their old child runs verbatim, and row IDS — not positions — are what
-  // blocks hold), so nothing needs staging until the first affected
-  // parent block. On streams with temporal locality that prefix is most
-  // of the mass.
-  bool in_prefix = true;
-
-  // Parent-block correspondence. Steady state (`meta`): the previous
-  // extension's run lengths and parent first rows make every decision an
-  // array read — no scans at all. Seeding (`parent_old`): a thread-local
-  // row -> old-parent-block index; the scratch is NEVER cleared, because
-  // every read below indexes a child row, child rows are a subset of the
-  // old parent's stripped rows, and those are exactly the entries this
-  // call writes — stale values from earlier extensions are unreachable.
-  // Seeding cost is O(parent mass); metadata-driven cost is O(parent
-  // blocks).
-  const bool scan_free = meta != nullptr;
-  const uint32_t opn = scan_free
-                           ? static_cast<uint32_t>(meta->run_lengths.size())
-                           : parent_old->NumBlocks();
-  AJD_CHECK(!scan_free ||
-            meta->parent_first_rows.size() == meta->run_lengths.size());
-  if (!scan_free) SeedRowToBlock(*parent_old, old_rows);
-  // Scratch for the grown-block delta path: code -> run slot, per-run
-  // new-row tallies, the grouped new rows, and the tally arrays of the
-  // inline per-block refinement below. The code-indexed arrays are
-  // thread-local and grow-only — a fresh O(cardinality) allocation +
-  // zero-fill per cached partition per catch-up would dominate on
-  // near-key columns — and they stay clean by discipline: every user
-  // resets exactly the entries it touched (code_slot back to UINT32_MAX,
-  // cnt back to 0), so only newly grown capacity ever needs filling.
-  static thread_local std::vector<uint32_t> code_slot;
-  static thread_local std::vector<uint32_t> cnt;
-  static thread_local std::vector<uint32_t> off;
-  if (code_slot.size() < col.cardinality) {
-    code_slot.resize(col.cardinality, UINT32_MAX);
-    cnt.resize(col.cardinality, 0);
-    off.resize(col.cardinality);
-  }
-  std::vector<uint32_t> run_count;
-  std::vector<uint32_t> run_offset;
-  std::vector<uint32_t> grouped_tail;
-  std::vector<uint32_t> touched;
-  std::vector<uint32_t> block_codes;
-  const uint32_t* codes = col.codes.data();
-  const uint32_t* codes_end = codes + col.codes.size();
-  // Refines one parent block from scratch, appending to the output.
-  // Emission is identical to the kernels: sub-blocks in first-occurrence
-  // order of the code, rows ascending, singletons dropped. Like the
-  // kernels, the tally gathers with a software-prefetch lookahead and
-  // keeps the gathered codes for the scatter pass — these blocks' rows
-  // are scattered across the whole codes array, and a serial re-gather
-  // would leave the pass memory-latency bound.
-  auto refine_block = [&](const uint32_t* bb, const uint32_t* be) {
-    const size_t m = static_cast<size_t>(be - bb);
-    if (block_codes.size() < m) block_codes.resize(m);
-    touched.clear();
-    constexpr size_t kGatherAhead = 16;
-    for (size_t i = 0; i < m; ++i) {
-      if (i + kGatherAhead < m &&
-          codes + bb[i + kGatherAhead] < codes_end) {
-        __builtin_prefetch(&codes[bb[i + kGatherAhead]]);
-      }
-      const uint32_t c = codes[bb[i]];
-      block_codes[i] = c;
-      if (cnt[c]++ == 0) touched.push_back(c);
-    }
-    uint32_t pos = total;
-    for (uint32_t c : touched) {
-      if (cnt[c] >= 2) {
-        off[c] = pos;
-        pos += cnt[c];
-        out_starts[num_starts++] = pos;
-      } else {
-        off[c] = UINT32_MAX;
-      }
-    }
-    for (size_t i = 0; i < m; ++i) {
-      const uint32_t c = block_codes[i];
-      if (off[c] != UINT32_MAX) out_rows[off[c]++] = bb[i];
-    }
-    for (uint32_t c : touched) cnt[c] = 0;
-    total = pos;
-  };
-
-  const uint32_t num_child = NumBlocks();
-  const uint32_t* child_rows = rows_.data();
-  uint32_t op = 0;  // old-parent block cursor
-  uint32_t oc = 0;  // old-child block cursor
-  // Finds the end of old parent block op's child run starting at oc.
-  auto find_run_end = [&](uint32_t from) {
-    if (scan_free) return from + meta->run_lengths[op];
-    uint32_t j = from;
-    while (j < num_child && g_row_to_op[child_rows[starts_[j]]] == op) {
-      if (j + 8 < num_child) {
-        __builtin_prefetch(&g_row_to_op[child_rows[starts_[j + 8]]]);
-      }
-      ++j;
-    }
-    return j;
-  };
-  auto emit_delta = [&](uint32_t first_row, uint32_t emitted) {
-    if (delta_out != nullptr) {
-      delta_out->parent_first_rows.push_back(first_row);
-      delta_out->run_lengths.push_back(emitted);
-    }
-  };
-  for (uint32_t b = 0; b < nb; ++b) {
-    const uint32_t* begin = parent_new.BlockBegin(b);
-    const uint32_t* end = parent_new.BlockEnd(b);
-    // Old blocks reappear in the extended parent in their old relative
-    // order with their first row unchanged (appends only ever add rows at
-    // a block's tail), so a first-row match identifies the correspondence
-    // — against the recorded first rows in the scan-free mode, against the
-    // retained old parent otherwise.
-    const uint32_t old_first =
-        op >= opn ? UINT32_MAX
-                  : (scan_free ? meta->parent_first_rows[op]
-                               : parent_old->BlockBegin(op)[0]);
-    const bool brand_new = old_first != begin[0];
-    // Appended rows sort to the tail of a block, so the last row tells
-    // whether a matched block grew. An ungrown block is row-for-row
-    // identical to its old self, and its sub-blocks are exactly the old
-    // child's run.
-    const bool grew = end[-1] >= old_rows;
-    if (in_prefix && !brand_new && !grew) {
-      // Still inside the bit-identical prefix: consume the run without
-      // copying anything.
-      const uint32_t run = find_run_end(oc) - oc;
-      emit_delta(begin[0], run);
-      oc += run;
-      ++op;
-      continue;
-    }
-    if (in_prefix) {
-      // First affected parent block: everything before it stays as-is.
-      in_prefix = false;
-      res.prefix_blocks = oc;
-      res.prefix_rows = oc > 0 ? starts_[oc] : 0;
-      total = static_cast<uint32_t>(res.prefix_rows);
-    }
-    if (brand_new) {
-      // Brand-new parent block: a promoted parent-level singleton plus the
-      // appended rows that joined it. No old child state exists; refine it
-      // from scratch (bit-identical to the cold kernel on this block).
-      const uint32_t before = num_starts;
-      refine_block(begin, end);
-      emit_delta(begin[0], num_starts - before);
-      continue;
-    }
-    const uint32_t run_begin = oc;
-    const uint32_t run_end = find_run_end(oc);
-    oc = run_end;
-    if (!grew) {
-      // Ungrown matched block past the prefix: one bulk copy of the old
-      // run, starts rebased by a constant.
-      if (run_end > run_begin) {  // empty runs have no starts_ to index
-        const uint32_t src = starts_[run_begin];
-        const uint32_t len = starts_[run_end] - src;
-        std::copy(child_rows + src, child_rows + src + len,
-                  out_rows + total);
-        const uint32_t rebase = total - src;
-        for (uint32_t j = run_begin + 1; j <= run_end; ++j) {
-          out_starts[num_starts++] = starts_[j] + rebase;
-        }
-        total += len;
-      }
-      emit_delta(begin[0], run_end - run_begin);
-      ++op;
-      continue;
-    }
-    // Grown block: the delta fast path. If every appended row's code
-    // already owns a sub-block, the cold first-occurrence emission is
-    // exactly the old run order with each sub-block's new rows appended
-    // at its tail — no re-tally of the old rows at all. A code WITHOUT an
-    // old sub-block (a promoted sub-singleton or a brand-new value)
-    // interleaves by its first occurrence among the old rows, which only
-    // a full per-block refinement reproduces; that fallback fades once a
-    // column's value set stabilizes.
-    const uint32_t runs = run_end - run_begin;
-    for (uint32_t j = 0; j < runs; ++j) {
-      code_slot[col.codes[child_rows[starts_[run_begin + j]]]] = j;
-    }
-    const uint32_t* tail =
-        std::lower_bound(begin, end, static_cast<uint32_t>(old_rows));
-    const size_t tail_len = static_cast<size_t>(end - tail);
-    if (run_count.size() < runs) {
-      run_count.resize(runs);
-      run_offset.resize(runs);
-    }
-    std::fill(run_count.begin(), run_count.begin() + runs, 0);
-    bool fast = true;
-    for (const uint32_t* p = tail; p != end; ++p) {
-      const uint32_t slot = code_slot[col.codes[*p]];
-      if (slot == UINT32_MAX) {
-        fast = false;
-        break;
-      }
-      ++run_count[slot];
-    }
-    if (fast) {
-      uint32_t acc = 0;
-      for (uint32_t j = 0; j < runs; ++j) {
-        run_offset[j] = acc;
-        acc += run_count[j];
-      }
-      if (grouped_tail.size() < tail_len) grouped_tail.resize(tail_len);
-      for (const uint32_t* p = tail; p != end; ++p) {
-        grouped_tail[run_offset[code_slot[col.codes[*p]]]++] = *p;
-      }
-      uint32_t start = 0;
-      for (uint32_t j = 0; j < runs; ++j) {
-        const uint32_t src = starts_[run_begin + j];
-        const uint32_t len = starts_[run_begin + j + 1] - src;
-        std::copy(child_rows + src, child_rows + src + len,
-                  out_rows + total);
-        total += len;
-        std::copy(grouped_tail.begin() + start,
-                  grouped_tail.begin() + run_offset[j], out_rows + total);
-        total += run_offset[j] - start;
-        start = run_offset[j];
-        out_starts[num_starts++] = total;
-      }
-      emit_delta(begin[0], runs);
-    } else {
-      const uint32_t before = num_starts;
-      refine_block(begin, end);
-      emit_delta(begin[0], num_starts - before);
-    }
-    for (uint32_t j = 0; j < runs; ++j) {
-      code_slot[codes[child_rows[starts_[run_begin + j]]]] = UINT32_MAX;
-    }
-    ++op;
-  }
-  AJD_CHECK(op == opn && oc == num_child);
-  if (in_prefix) {
-    // No parent block was affected (every appended row is a parent-level
-    // singleton): the extension IS the old partition, verbatim.
-    res.prefix_blocks = num_child;
-    res.prefix_rows = num_child > 0 ? starts_[num_child] : 0;
-    total = static_cast<uint32_t>(res.prefix_rows);
-  }
-  res.total_rows = total;
-  res.staged_starts = num_starts;
-  return res;
-}
-
-Partition Partition::ExtendedBy(const Partition* parent_old,
-                                const Partition& parent_new,
+void Partition::ExtendInPlaceBy(const Partition& parent_new,
                                 const Column& col, uint64_t old_rows,
-                                const PartitionDelta* meta,
-                                PartitionDelta* delta_out) const {
-  Partition out;
-  if (parent_new.NumBlocks() == 0) {
-    if (delta_out != nullptr) {
-      delta_out->run_lengths.clear();
-      delta_out->parent_first_rows.clear();
-    }
-    return out;
-  }
-  if (chunked_) {
-    // The staged walk wants a flat child (bulk run copies through the flat
-    // offsets). This copy-form path only runs for reader-held entries, so
-    // the one-off flatten is the cheap side of the trade.
-    Partition flat;
-    FlattenStripped(&flat.rows_, &flat.starts_);
-    return flat.ExtendedBy(parent_old, parent_new, col, old_rows, meta,
-                           delta_out);
-  }
-  const ExtendStaged st =
-      ExtendStageBy(parent_old, parent_new, col, old_rows, meta, delta_out);
-  out.rows_.reserve(st.total_rows);
-  out.rows_.insert(out.rows_.end(), rows_.begin(),
-                   rows_.begin() + st.prefix_rows);
-  out.rows_.insert(out.rows_.end(), g_ext_rows.begin() + st.prefix_rows,
-                   g_ext_rows.begin() + st.total_rows);
-  const uint32_t blocks = st.prefix_blocks + st.staged_starts;
-  if (blocks > 0) {
-    out.starts_.reserve(blocks + 1);
-    if (st.prefix_blocks > 0) {
-      out.starts_.insert(out.starts_.end(), starts_.begin(),
-                         starts_.begin() + st.prefix_blocks + 1);
-    } else {
-      out.starts_.push_back(0);
-    }
-    out.starts_.insert(out.starts_.end(), g_ext_starts.begin(),
-                       g_ext_starts.begin() + st.staged_starts);
-  }
-  return out;
-}
-
-void Partition::ExtendInPlaceBy(const Partition* parent_old,
-                                const Partition& parent_new,
-                                const Column& col, uint64_t old_rows,
-                                const PartitionDelta* meta,
+                                const PartitionDelta& delta,
                                 PartitionDelta* delta_out) {
+  AJD_CHECK(delta_out != &delta);
   const uint32_t nb = parent_new.NumBlocks();
   if (delta_out != nullptr) {
     delta_out->run_lengths.clear();
@@ -889,22 +448,22 @@ void Partition::ExtendInPlaceBy(const Partition* parent_old,
     chunked_ = false;
     return;
   }
-  AJD_CHECK(parent_old != nullptr || meta != nullptr);
   if (!chunked_) AdoptChunked();
 
-  // Parent-block correspondence, exactly as in ExtendStageBy: metadata
-  // makes every decision an array read; otherwise seed the row -> old
-  // parent block scratch.
-  const bool scan_free = meta != nullptr;
-  const uint32_t opn = scan_free
-                           ? static_cast<uint32_t>(meta->run_lengths.size())
-                           : parent_old->NumBlocks();
-  AJD_CHECK(!scan_free ||
-            meta->parent_first_rows.size() == meta->run_lengths.size());
-  if (!scan_free) SeedRowToBlock(*parent_old, old_rows);
+  // Parent-block correspondence: the delta's run lengths and parent first
+  // rows make every decision an array read. An empty delta is the
+  // correspondence of an old parent with no stripped blocks (every new
+  // parent block is then brand new).
+  const uint32_t opn = static_cast<uint32_t>(delta.run_lengths.size());
+  AJD_CHECK(delta.parent_first_rows.size() == opn);
 
-  // Code-indexed scratch with the same grow-only, reset-what-you-touched
-  // discipline as the staged walk's (see the comment there).
+  // Scratch for the grown-block path: code -> run slot, per-code tallies
+  // and bucket offsets. The code-indexed arrays are thread-local and
+  // grow-only — a fresh O(cardinality) allocation + zero-fill per cached
+  // partition per catch-up would dominate on near-key columns — and they
+  // stay clean by discipline: every user resets exactly the entries it
+  // touched (code_slot back to UINT32_MAX, cnt back to 0), so only newly
+  // grown capacity ever needs filling.
   static thread_local std::vector<uint32_t> code_slot;
   static thread_local std::vector<uint32_t> cnt;
   static thread_local std::vector<uint32_t> off;
@@ -942,7 +501,10 @@ void Partition::ExtendInPlaceBy(const Partition* parent_old,
   // sub-blocks in first-occurrence order of the code, rows ascending,
   // singletons dropped (the kernels' emission exactly) — appending the new
   // headers to the staging list. Returns the number of blocks emitted.
-  // Same gather-prefetch lookahead rationale as the staged walk's.
+  // Like the kernels, the tally gathers with a software-prefetch lookahead
+  // and keeps the gathered codes for the scatter pass: these blocks' rows
+  // are scattered across the whole codes array, and a serial re-gather
+  // would leave the pass memory-latency bound.
   constexpr size_t kGatherAhead = 16;
   auto refine_block = [&](const uint32_t* bb, const uint32_t* be) {
     const size_t m = static_cast<size_t>(be - bb);
@@ -980,14 +542,6 @@ void Partition::ExtendInPlaceBy(const Partition* parent_old,
     for (uint32_t c : touched) cnt[c] = 0;
     return emitted;
   };
-  auto find_run_end = [&](uint32_t from) {
-    if (scan_free) return from + meta->run_lengths[op];
-    uint32_t j = from;
-    // First rows never change across appends, so the seeded lookup works
-    // on the chunked child exactly as it did on the flat one.
-    while (j < num_child && g_row_to_op[*BlockBegin(j)] == op) ++j;
-    return j;
-  };
   auto emit_delta = [&](uint32_t first_row, uint32_t emitted) {
     if (delta_out != nullptr) {
       delta_out->parent_first_rows.push_back(first_row);
@@ -998,10 +552,11 @@ void Partition::ExtendInPlaceBy(const Partition* parent_old,
   for (uint32_t b = 0; b < nb; ++b) {
     const uint32_t* begin = parent_new.BlockBegin(b);
     const uint32_t* end = parent_new.BlockEnd(b);
+    // Old blocks reappear in the extended parent in their old relative
+    // order with their first row unchanged (appends only ever add rows at
+    // a block's tail), so a first-row match identifies the correspondence.
     const uint32_t old_first =
-        op >= opn ? UINT32_MAX
-                  : (scan_free ? meta->parent_first_rows[op]
-                               : parent_old->BlockBegin(op)[0]);
+        op >= opn ? UINT32_MAX : delta.parent_first_rows[op];
     const bool brand_new = old_first != begin[0];
     if (brand_new) {
       // Promoted parent-level singleton plus the appended rows that joined
@@ -1011,9 +566,13 @@ void Partition::ExtendInPlaceBy(const Partition* parent_old,
       continue;
     }
     const uint32_t run_begin = oc;
-    const uint32_t run_end = find_run_end(oc);
+    const uint32_t run_end = oc + delta.run_lengths[op];
     const uint32_t runs = run_end - run_begin;
     oc = run_end;
+    // Appended rows sort to the tail of a block, so the last row tells
+    // whether a matched block grew. An ungrown block is row-for-row
+    // identical to its old self, and its sub-blocks are exactly the old
+    // child's run.
     const bool grew = end[-1] >= old_rows;
     if (!grew) {
       // Row-for-row identical to its old self: its headers move only if a
@@ -1026,13 +585,12 @@ void Partition::ExtendInPlaceBy(const Partition* parent_old,
       ++op;
       continue;
     }
-    // Grown block: the delta fast path (same criterion as the staged
-    // walk). When every appended row's code already owns a sub-block, the
-    // cold emission is the old run order with each sub-block's new rows at
-    // its tail — append into the block's slack, relocating it (once, with
-    // fresh slack) only when the slack runs out. This is the path that
-    // makes extension O(delta) regardless of which blocks the appended
-    // rows land in.
+    // Grown block: the delta fast path. When every appended row's code
+    // already owns a sub-block, the cold first-occurrence emission is the
+    // old run order with each sub-block's new rows at its tail — append
+    // into the block's slack, relocating it (once, with fresh slack) only
+    // when the slack runs out. This is the path that makes extension
+    // O(delta) regardless of which blocks the appended rows land in.
     //
     // Tally the tail by code FIRST, then walk the run's sub-block first
     // rows once: a code owns at most one sub-block within a run, so the

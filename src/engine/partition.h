@@ -23,14 +23,15 @@
 
 namespace ajd {
 
-// PartitionDelta (the cross-epoch correspondence metadata consumed by the
-// delta-extension methods below) lives in engine/refine_kernels.h: the
-// refinement kernels emit it at build time, so the first catch-up after a
-// cold build is scan-free.
+// PartitionDelta (the cross-epoch correspondence metadata consumed by
+// ExtendInPlaceBy below) lives in engine/refine_kernels.h: the refinement
+// kernels emit it at build time, so a partition's first extension has one
+// as well as every later one.
 
 /// A stripped partition of row indices. Value type; refinement returns a
 /// fresh partition and never mutates its input, so cached partitions can be
-/// shared across threads read-only.
+/// shared across threads read-only. Only the two delta-extension methods
+/// mutate, and only an object nothing else reads.
 ///
 /// Invariant: rows within every block are in ascending order (every factory
 /// scans rows ascending, and refinement preserves relative order). The
@@ -42,16 +43,16 @@ namespace ajd {
 ///
 ///   flat    — one rows array plus block-boundary offsets, exact-sized with
 ///             zero slack. Every factory (Trivial/OfColumn/RefinedBy*)
-///             and every copy-form extension produces this:
-///             refinement stages into thread-local buffers and copies out
-///             exact-sized, so cached partitions carry no dead capacity and
-///             the arbiter's byte accounting charges only live rows.
-///   chunked — entered the first time a partition is extended IN PLACE.
-///             Rows live in append-only chunks (each chunk's storage is
-///             allocated once and never moves, so block pointers stay
-///             stable); each block is described by a 20-byte header
-///             (chunk, offset, size, cap) kept in a dense side array in
-///             logical block order. A block's chunk region reserves
+///             produces this: refinement stages into thread-local buffers
+///             and copies out exact-sized, so cached partitions carry no
+///             dead capacity and the arbiter's byte accounting charges only
+///             live rows.
+///   chunked — entered the first time a partition is extended (extension
+///             is always in place). Rows live in append-only chunks (each
+///             chunk's storage is allocated once and never moves, so block
+///             pointers stay stable); each block is described by a 20-byte
+///             header (chunk, offset, size, cap) kept in a dense side array
+///             in logical block order. A block's chunk region reserves
 ///             cap >= size words — the header plus implicitly reserved
 ///             trailing storage, capacity fixed at allocation time, the
 ///             classic inline-capacity allocation shape — so appended rows
@@ -68,7 +69,7 @@ namespace ajd {
 /// held words past twice the live mass BEYOND the freshly-adopted baseline
 /// (~1.5x mass + 2 words/block) the partition drops back to the canonical
 /// flat layout (copy-out staging reclaims all slack at once), and the next
-/// in-place extension re-adopts chunked form. MemoryBytes() always reports
+/// extension re-adopts chunked form. MemoryBytes() always reports
 /// the true footprint, slack and strands included, so the cache arbiter
 /// charges what is actually held.
 ///
@@ -101,7 +102,7 @@ class Partition {
   }
   /// Three-argument form additionally emits the parent->child
   /// PartitionDelta at build time (one entry per block of `this`, in block
-  /// order), making the FIRST epoch catch-up of the result scan-free.
+  /// order): what the result's first ExtendInPlaceBy walks.
   Partition RefinedBy(const Column& col, RefineKernel kernel,
                       PartitionDelta* delta_out) const;
 
@@ -146,71 +147,42 @@ class Partition {
   // Relations grow by appends only (relation/relation.h), so a partition
   // computed over the first `old_rows` rows remains a valid grouping of
   // those rows forever; extension folds the appended suffix in without
-  // re-deriving the prefix. Both methods are BIT-IDENTICAL — block
+  // re-deriving the prefix. Extension is IN PLACE: the first call adopts
+  // the chunked layout, and both methods are BIT-IDENTICAL — block
   // boundaries, block order, row order — to the cold factory applied to
   // the grown column(s), which is what makes incremental catch-up
-  // indistinguishable from a full rebuild (tests/epoch_test.cc).
+  // indistinguishable from a full rebuild (tests/epoch_test.cc). A caller
+  // that must keep the old grouping (a reader still holds it) extends a
+  // copy.
 
   /// Extension of a single-column partition: `this` must equal
-  /// OfColumn(col restricted to the first old_rows rows); returns
-  /// OfColumn(col) over all rows, computed by tallying only the appended
-  /// rows against the old code->block layout (old blocks keep their
-  /// ascending-code positions; codes promoted out of singledom or newly
-  /// appeared are merged in code order). Requires col.first_row (store
-  /// densification) to locate the lone old row of a promoted singleton.
-  Partition ExtendedOfColumn(const Column& col, uint64_t old_rows) const;
-
-  /// In-place form of ExtendedOfColumn for a sole-owner partition: adopts
-  /// the chunked layout on first use and then touches only the blocks that
-  /// actually received appended rows — grown blocks append into their tail
-  /// slack (relocating within the chunks when it runs out), promoted
-  /// singletons and brand-new codes splice fresh blocks into the ascending
-  /// code order in O(blocks) header moves, and a pure tail-growth batch
-  /// rewrites nothing else at all. Bit-identical to ExtendedOfColumn.
+  /// OfColumn(col restricted to the first old_rows rows); becomes
+  /// OfColumn(col) over all rows by tallying only the appended rows.
+  /// Touches only the blocks that actually received appended rows — grown
+  /// blocks append into their tail slack (relocating within the chunks when
+  /// it runs out), promoted singletons and brand-new codes splice fresh
+  /// blocks into the ascending code order in O(blocks) header moves, and a
+  /// pure tail-growth batch rewrites nothing else at all. Requires
+  /// col.first_row (store densification) to locate the lone old row of a
+  /// promoted singleton.
   void ExtendOfColumnInPlace(const Column& col, uint64_t old_rows);
 
   /// Extension one refinement step up a chain: `this` is the old child
   /// (the chain's grouping over the first old_rows rows) and `parent_new`
-  /// that chain-minus-`col` parent already extended over all rows. Returns
-  /// parent_new.RefinedBy(col) bit-identically, but touches only the
-  /// parent blocks that received appended rows — untouched blocks'
-  /// sub-blocks are copied verbatim, and the leading output blocks BEFORE
-  /// the first affected parent block are not even walked (blocks hold row
-  /// ids, not positions, so the old prefix is already bit-exact).
-  ///
-  /// The parent-block correspondence comes from ONE of:
-  ///   - `meta`, the PartitionDelta this partition's previous extension
-  ///     emitted (the scan-free steady-state path), or
-  ///   - `parent_old`, the pre-extension parent partition (the seeding
-  ///     path: first extension after a cold build, evicted metadata).
-  /// At least one must be non-null. `delta_out`, when given, receives the
-  /// metadata for the NEXT extension.
-  Partition ExtendedBy(const Partition* parent_old,
-                       const Partition& parent_new, const Column& col,
-                       uint64_t old_rows, const PartitionDelta* meta,
-                       PartitionDelta* delta_out) const;
-
-  /// Convenience form for the seeding path (tests, one-shot callers).
-  Partition ExtendedBy(const Partition& parent_old,
-                       const Partition& parent_new, const Column& col,
-                       uint64_t old_rows) const {
-    return ExtendedBy(&parent_old, parent_new, col, old_rows, nullptr,
-                      nullptr);
-  }
-
-  /// In-place form of ExtendedBy for a sole-owner partition (the engine's
-  /// epoch catch-up on entries nothing else aliases): adopts the chunked
-  /// layout on first use, then rewrites only the sub-block runs under
+  /// that chain-minus-`col` parent already extended over all rows; becomes
+  /// parent_new.RefinedBy(col). `delta` is the parent->child
+  /// PartitionDelta of `this` against the OLD parent — emitted by the
+  /// refinement that built it or by its previous extension (an empty
+  /// delta is the correspondence of a parent with no stripped blocks).
+  /// `delta_out`, when given, receives the delta for the NEXT extension;
+  /// it may not alias `delta`. Rewrites only the sub-block runs under
   /// parent blocks that received appended rows — grown sub-blocks append
   /// into tail slack, re-shattered runs get fresh chunk regions, and
   /// untouched runs keep their storage (their headers move in O(blocks)
-  /// only when the block STRUCTURE changes). Unlike the flat suffix
-  /// rewrite this stays O(changed region) even when appends spray across
-  /// the whole key space — chunk metadata IS the delta, so no suffix copy
-  /// and no locality assumption.
-  void ExtendInPlaceBy(const Partition* parent_old,
-                       const Partition& parent_new, const Column& col,
-                       uint64_t old_rows, const PartitionDelta* meta,
+  /// only when the block STRUCTURE changes) — so the cost stays
+  /// O(changed region) even when appends spray across the whole key space.
+  void ExtendInPlaceBy(const Partition& parent_new, const Column& col,
+                       uint64_t old_rows, const PartitionDelta& delta,
                        PartitionDelta* delta_out);
 
   /// Number of stripped (size >= 2) blocks.
@@ -289,24 +261,6 @@ class Partition {
   }
 
  private:
-  /// Outcome of the shared extension walk (partition.cc): the first
-  /// `prefix_blocks` output blocks are bit-identical to this partition's
-  /// own leading blocks (and are not staged); everything after them sits
-  /// in the walk's thread-local staging buffers at absolute offsets.
-  struct ExtendStaged {
-    uint32_t prefix_blocks = 0;
-    uint64_t prefix_rows = 0;
-    uint64_t total_rows = 0;    ///< prefix + staged suffix rows.
-    uint32_t staged_starts = 0; ///< block ends staged after the prefix.
-  };
-
-  /// The walk behind the copy-form ExtendedBy. Requires a FLAT `this`,
-  /// parent_new.NumBlocks() > 0 and (parent_old || meta).
-  ExtendStaged ExtendStageBy(const Partition* parent_old,
-                             const Partition& parent_new, const Column& col,
-                             uint64_t old_rows, const PartitionDelta* meta,
-                             PartitionDelta* delta_out) const;
-
   /// One append-only row arena. `data` is sized once at construction and
   /// never resized, so pointers into it stay stable for the partition's
   /// lifetime (readers hold BlockBegin pointers across view builds).

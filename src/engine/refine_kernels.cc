@@ -378,7 +378,7 @@ void RefineByColumn(const PartitionView& in, const Column& col,
   out_starts[num_out++] = 0;
   // Build-time delta: one (parent first row, emitted sub-blocks) entry per
   // input block, in block order — zero-count entries included, which is
-  // exactly the correspondence Partition::ExtendedBy consumes scan-free.
+  // exactly the correspondence Partition::ExtendInPlaceBy consumes.
   auto emit_delta = [&](const uint32_t* begin, uint32_t emitted) {
     if (delta_out != nullptr) {
       delta_out->parent_first_rows.push_back(begin[0]);

@@ -117,10 +117,9 @@ struct PartitionBuild {
 /// partition). run_lengths[j] = how many of the partition's blocks came
 /// from block j of its DIRECT parent; parent_first_rows[j] = that parent
 /// block's first row (stable across appends, so it identifies the block in
-/// the extended parent without touching the old parent at all). With this
-/// in hand the next extension is SCAN-FREE: no row->block index to fill,
-/// no per-sub-block membership test, and the old parent partition need not
-/// even be retained — which in turn lets parents extend in place.
+/// the extended parent without touching the old parent at all). It is the
+/// whole parent-block correspondence Partition::ExtendInPlaceBy walks: no
+/// old parent is retained, which in turn lets parents extend in place.
 struct PartitionDelta {
   std::vector<uint32_t> run_lengths;
   std::vector<uint32_t> parent_first_rows;
@@ -130,8 +129,8 @@ struct PartitionDelta {
 /// the result into `out` (cleared first). Output is identical across
 /// kernels. When `delta_out` is non-null it receives the parent->child
 /// correspondence (one entry per block of `in`, in block order, zero-count
-/// entries included) so the FIRST catch-up after this cold build is
-/// scan-free — costs one push_back pair per input block, nothing per row.
+/// entries included), which the FIRST catch-up after this cold build
+/// extends by — costs one push_back pair per input block, nothing per row.
 void RefineByColumn(const PartitionView& in, const Column& col,
                     RefineKernel kernel, const PartitionBuild& out,
                     PartitionDelta* delta_out = nullptr);

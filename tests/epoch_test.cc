@@ -5,8 +5,9 @@
 //    domain growth, Status on malformed input.
 //  - ColumnStore: post-catch-up dense codes / first_row are
 //    bit-identical to a cold store over the full relation.
-//  - Partition::ExtendedOfColumn / ExtendedBy: bit-identical (block
-//    boundaries, block order, row order) to the cold factories.
+//  - Partition::ExtendOfColumnInPlace / ExtendInPlaceBy: bit-identical
+//    (block boundaries, block order, row order) to the cold factories,
+//    and the delta each extension emits equals the cold build's.
 //  - EntropyEngine catch-up: for ANY split of a relation into append
 //    batches, with queries interleaved at every epoch, every cached
 //    partition after catch-up equals the cold replay of its recorded chain
@@ -238,7 +239,7 @@ TEST(EpochColumnStoreDeathTest, CatchUpAbortsIfRelationShrank) {
 
 // --- Partition delta extension -------------------------------------------
 
-TEST(EpochPartition, ExtendedOfColumnMatchesColdAcrossRandomSplits) {
+TEST(EpochPartition, ExtendOfColumnInPlaceMatchesColdAcrossRandomSplits) {
   Rng rng(7100);
   for (int trial = 0; trial < 60; ++trial) {
     const uint32_t domain = 2 + static_cast<uint32_t>(rng.UniformU64(60));
@@ -253,14 +254,14 @@ TEST(EpochPartition, ExtendedOfColumnMatchesColdAcrossRandomSplits) {
     ColumnStore full_store(&full);
     const Column& old_col = prefix_store.column(0);
     const Column& new_col = full_store.column(0);
-    Partition old_p = Partition::OfColumn(old_col);
-    Partition extended = old_p.ExtendedOfColumn(new_col, split);
+    Partition extended = Partition::OfColumn(old_col);
+    extended.ExtendOfColumnInPlace(new_col, split);
     Partition cold = Partition::OfColumn(new_col);
-    ExpectPartitionsIdentical(extended, cold, "ExtendedOfColumn");
+    ExpectPartitionsIdentical(extended, cold, "ExtendOfColumnInPlace");
   }
 }
 
-TEST(EpochPartition, ExtendedByMatchesColdRefinementAcrossRandomSplits) {
+TEST(EpochPartition, ExtendInPlaceByMatchesColdRefinementAcrossRandomSplits) {
   Rng rng(7200);
   for (int trial = 0; trial < 60; ++trial) {
     const uint32_t num_attrs = 2 + static_cast<uint32_t>(rng.UniformU64(2));
@@ -285,11 +286,21 @@ TEST(EpochPartition, ExtendedByMatchesColdRefinementAcrossRandomSplits) {
       parent_new = parent_new.RefinedBy(full_store.column(j));
     }
     const uint32_t col = chain_len;  // the step being delta-extended
-    Partition child_old = parent_old.RefinedBy(prefix_store.column(col));
-    Partition extended = child_old.ExtendedBy(
-        parent_old, parent_new, full_store.column(col), split);
-    Partition cold = parent_new.RefinedBy(full_store.column(col));
-    ExpectPartitionsIdentical(extended, cold, "ExtendedBy");
+    // The build-time delta is the extension's whole correspondence: the
+    // old parent is not consulted again.
+    PartitionDelta delta;
+    Partition extended = parent_old.RefinedBy(prefix_store.column(col),
+                                              RefineKernel::kAuto, &delta);
+    PartitionDelta next;
+    extended.ExtendInPlaceBy(parent_new, full_store.column(col), split, delta,
+                             &next);
+    PartitionDelta cold_delta;
+    Partition cold = parent_new.RefinedBy(full_store.column(col),
+                                          RefineKernel::kAuto, &cold_delta);
+    ExpectPartitionsIdentical(extended, cold, "ExtendInPlaceBy");
+    // The delta the extension emits for the next one is the cold build's.
+    EXPECT_EQ(next.run_lengths, cold_delta.run_lengths);
+    EXPECT_EQ(next.parent_first_rows, cold_delta.parent_first_rows);
     // Entropy of the extended partition: the same grouping, so the same
     // histogram and the same bits.
     const double he = extended.EntropyNats(total);
@@ -298,12 +309,11 @@ TEST(EpochPartition, ExtendedByMatchesColdRefinementAcrossRandomSplits) {
   }
 }
 
-TEST(EpochPartition, MetadataDrivenExtensionMatchesSeededWalk) {
-  // Two consecutive appends: the first extension SEEDS the correspondence
-  // metadata (run lengths + parent first rows); the second runs scan-free
-  // off that metadata, with no access to the old parent at all. Both must
-  // equal the cold build bitwise, and the scan-free pass must emit
-  // metadata that works for a third round.
+TEST(EpochPartition, ChainedDeltaExtensionsMatchCold) {
+  // Two consecutive appends: the first extension runs off the build-time
+  // delta, the second off the delta the first one emitted. Both must equal
+  // the cold build bitwise, and each emitted delta must equal the cold
+  // build's.
   Rng rng(7250);
   for (int trial = 0; trial < 30; ++trial) {
     const uint32_t domain = 2 + static_cast<uint32_t>(rng.UniformU64(10));
@@ -322,33 +332,29 @@ TEST(EpochPartition, MetadataDrivenExtensionMatchesSeededWalk) {
     Partition p1_parent = Partition::OfColumn(s1.column(0));
     Partition p2_parent = Partition::OfColumn(s2.column(0));
     Partition p3_parent = Partition::OfColumn(s3.column(0));
-    Partition child1 = p1_parent.RefinedBy(s1.column(1));
+    PartitionDelta meta1;
+    Partition child =
+        p1_parent.RefinedBy(s1.column(1), RefineKernel::kAuto, &meta1);
 
-    // Seeding walk (needs the old parent), emits metadata.
-    PartitionDelta meta;
-    Partition child2 = child1.ExtendedBy(&p1_parent, p2_parent,
-                                         s2.column(1), n1, nullptr, &meta);
-    ExpectPartitionsIdentical(child2, p2_parent.RefinedBy(s2.column(1)),
-                              "seeded extension");
-    ASSERT_EQ(meta.run_lengths.size(), meta.parent_first_rows.size());
-    ASSERT_EQ(meta.run_lengths.size(), p2_parent.NumBlocks());
+    PartitionDelta meta2;
+    child.ExtendInPlaceBy(p2_parent, s2.column(1), n1, meta1, &meta2);
+    PartitionDelta cold_meta2;
+    ExpectPartitionsIdentical(
+        child, p2_parent.RefinedBy(s2.column(1), RefineKernel::kAuto,
+                                   &cold_meta2),
+        "first extension");
+    EXPECT_EQ(meta2.run_lengths, cold_meta2.run_lengths);
+    EXPECT_EQ(meta2.parent_first_rows, cold_meta2.parent_first_rows);
 
-    // Scan-free walk: no old parent passed at all.
     PartitionDelta meta3;
-    Partition child3 = child2.ExtendedBy(nullptr, p3_parent, s3.column(1),
-                                         n2, &meta, &meta3);
-    ExpectPartitionsIdentical(child3, p3_parent.RefinedBy(s3.column(1)),
-                              "scan-free extension");
-    ASSERT_EQ(meta3.run_lengths.size(), p3_parent.NumBlocks());
-
-    // In-place scan-free form agrees too.
-    Partition child2_inplace = child2;
-    PartitionDelta meta3b;
-    child2_inplace.ExtendInPlaceBy(nullptr, p3_parent, s3.column(1), n2,
-                                   &meta, &meta3b);
-    ExpectPartitionsIdentical(child2_inplace, child3, "in-place scan-free");
-    EXPECT_EQ(meta3b.run_lengths, meta3.run_lengths);
-    EXPECT_EQ(meta3b.parent_first_rows, meta3.parent_first_rows);
+    child.ExtendInPlaceBy(p3_parent, s3.column(1), n2, meta2, &meta3);
+    PartitionDelta cold_meta3;
+    ExpectPartitionsIdentical(
+        child, p3_parent.RefinedBy(s3.column(1), RefineKernel::kAuto,
+                                   &cold_meta3),
+        "second extension");
+    EXPECT_EQ(meta3.run_lengths, cold_meta3.run_lengths);
+    EXPECT_EQ(meta3.parent_first_rows, cold_meta3.parent_first_rows);
   }
 }
 
@@ -386,11 +392,12 @@ Column ColumnAtCut(const std::vector<uint32_t>& codes,
 TEST(EpochPartition, ChunkedInPlaceSoakMatchesColdAcrossManyBatches) {
   // Multi-batch soak of the chunked in-place layout: ONE root and ONE
   // child object live across every epoch (adopting the chunked layout on
-  // the first in-place extension, relocating blocks through their slack,
-  // possibly reclaiming back to flat), pinned bitwise against cold
-  // rebuilds each epoch. The copy forms — ExtendedOfColumn on a chunked
-  // `this`, ExtendedBy with a chunked child (the flatten-first branch) —
-  // and the FlattenStripped canonical form ride along.
+  // the first extension, relocating blocks through their slack, possibly
+  // reclaiming back to flat), pinned bitwise against cold rebuilds each
+  // epoch. A copy of each (what catch-up extends for an entry a reader
+  // holds) extends alongside, so copies of chunked partitions are covered,
+  // and the copied-from object must keep its old grouping until it
+  // extends itself. The FlattenStripped canonical form rides along.
   Rng rng(7300);
   for (int trial = 0; trial < 12; ++trial) {
     const uint32_t domain = 2 + static_cast<uint32_t>(rng.UniformU64(40));
@@ -418,13 +425,24 @@ TEST(EpochPartition, ChunkedInPlaceSoakMatchesColdAcrossManyBatches) {
         root = Partition::OfColumn(c0);
         child = root.RefinedBy(c1, RefineKernel::kAuto, &meta);
       } else {
-        // Copy forms first, from the (chunked after epoch 1) old objects.
-        Partition root_copy = root.ExtendedOfColumn(c0, prev);
-        Partition child_copy =
-            child.ExtendedBy(nullptr, root_copy, c1, prev, &meta, nullptr);
+        // Copies first, from the (chunked after epoch 1) old objects.
+        std::vector<uint32_t> held_rows, held_offsets;
+        child.FlattenStripped(&held_rows, &held_offsets);
+        Partition root_copy = root;
+        root_copy.ExtendOfColumnInPlace(c0, prev);
+        Partition child_copy = child;
+        PartitionDelta copy_next;
+        child_copy.ExtendInPlaceBy(root_copy, c1, prev, meta, &copy_next);
+        std::vector<uint32_t> rows_now, offsets_now;
+        child.FlattenStripped(&rows_now, &offsets_now);
+        EXPECT_EQ(rows_now, held_rows) << "copied-from child changed";
+        EXPECT_EQ(offsets_now, held_offsets) << "copied-from child changed";
+
         root.ExtendOfColumnInPlace(c0, prev);
         PartitionDelta next;
-        child.ExtendInPlaceBy(nullptr, root, c1, prev, &meta, &next);
+        child.ExtendInPlaceBy(root, c1, prev, meta, &next);
+        EXPECT_EQ(copy_next.run_lengths, next.run_lengths);
+        EXPECT_EQ(copy_next.parent_first_rows, next.parent_first_rows);
         meta = std::move(next);
         ExpectPartitionsIdentical(root_copy, root, "root copy vs in-place");
         ExpectPartitionsIdentical(child_copy, child,
@@ -490,7 +508,7 @@ TEST(EpochPartition, KernelCrossoverMidExtensionMatchesColdRebuild) {
     const Column c = ColumnAtCut(codes, first_row, cut);
     Partition parent_new = Partition::Trivial(cut);
     PartitionDelta next;
-    child.ExtendInPlaceBy(nullptr, parent_new, c, prev, &meta, &next);
+    child.ExtendInPlaceBy(parent_new, c, prev, meta, &next);
     meta = std::move(next);
     root.ExtendOfColumnInPlace(c, prev);
     Partition cold_child = parent_new.RefinedBy(c);
@@ -1007,6 +1025,84 @@ TEST(EpochEngine, ExtensionAndReplayPathsBothRun) {
   std::shared_ptr<const Partition> replayed;
   ASSERT_TRUE(e2.CachedPartitionInfo(AttrSet{0, 1, 2, 3}, &chain, &replayed));
   VerifyCachedPartitionsAgainstColdReplay(&e2, r2);
+}
+
+TEST(EpochEngine, ReaderHeldEntryExtendsACloneAndKeepsItsGrouping) {
+  // A reader holding a cached partition across catch-up must keep seeing
+  // the old grouping: catch-up extends a clone of that entry instead of the
+  // held object. The entry has already been extended once (so it is in the
+  // chunked layout) before the reader takes it.
+  Rng rng(7700);
+  Relation r = RelationFromRows(4, RandomRows(&rng, 4, 5, 60));
+  EngineOptions opts;
+  opts.num_threads = 1;
+  EntropyEngine engine(&r, opts);
+  const AttrSet s{0, 1, 2};
+  engine.PrewarmSubsets({s});
+  ASSERT_TRUE(r.AppendBatch(RandomRows(&rng, 4, 5, 30)).ok());
+  engine.CatchUp();
+  ASSERT_GT(engine.Stats().partitions_extended, 0u);
+
+  const EpochPin pin = engine.Pin();
+  const std::shared_ptr<const Partition> held = engine.PartitionAt(s, pin);
+  std::vector<uint32_t> chain;
+  std::shared_ptr<const Partition> cached;
+  ASSERT_TRUE(engine.CachedPartitionInfo(s, &chain, &cached));
+  ASSERT_EQ(cached.get(), held.get());
+  ASSERT_EQ(chain.size(), 3u);
+  cached.reset();
+  std::vector<uint32_t> rows_before, offsets_before;
+  held->FlattenStripped(&rows_before, &offsets_before);
+  const uint64_t replayed_before = engine.Stats().partitions_replayed;
+  const uint64_t extended_before = engine.Stats().partitions_extended;
+
+  ASSERT_TRUE(r.AppendBatch(RandomRows(&rng, 4, 5, 30)).ok());
+  engine.CatchUp();
+  EXPECT_GT(engine.Stats().partitions_extended, extended_before);
+  EXPECT_EQ(engine.Stats().partitions_replayed, replayed_before);
+
+  std::vector<uint32_t> rows_after, offsets_after;
+  held->FlattenStripped(&rows_after, &offsets_after);
+  EXPECT_EQ(rows_after, rows_before);
+  EXPECT_EQ(offsets_after, offsets_before);
+  ASSERT_TRUE(engine.CachedPartitionInfo(s, nullptr, &cached));
+  EXPECT_NE(cached.get(), held.get());
+  VerifyCachedPartitionsAgainstColdReplay(&engine, r);
+}
+
+TEST(EpochEngine, EmptyDeltaOfAllSingletonShortcutExtends) {
+  // Column 0 is a key over the first rows, so H({0,1}) builds {0} as an
+  // empty partition and caches the all-singleton shortcut entry {0,1}
+  // with chain [0,1] and an EMPTY build-time delta (no refinement ran).
+  // That empty delta is the true correspondence — {0} had no stripped
+  // blocks — so after appends that repeat column-0 values, catch-up
+  // extends {0,1} instead of replaying it, bitwise equal to a cold replay.
+  std::vector<std::vector<uint32_t>> rows;
+  for (uint32_t i = 0; i < 20; ++i) rows.push_back({i, i % 3, i % 2});
+  Relation r = RelationFromRows(3, rows);
+  EngineOptions opts;
+  opts.num_threads = 1;
+  EntropyEngine engine(&r, opts);
+  engine.Entropy(AttrSet{0, 1});
+  std::vector<uint32_t> chain;
+  std::shared_ptr<const Partition> p;
+  ASSERT_TRUE(engine.CachedPartitionInfo(AttrSet{0}, nullptr, &p));
+  ASSERT_EQ(p->NumBlocks(), 0u);
+  ASSERT_TRUE(engine.CachedPartitionInfo(AttrSet{0, 1}, &chain, &p));
+  ASSERT_EQ(chain, (std::vector<uint32_t>{0, 1}));
+  ASSERT_EQ(p->NumBlocks(), 0u);
+  p.reset();
+
+  std::vector<std::vector<uint32_t>> batch;
+  for (uint32_t i = 0; i < 12; ++i) batch.push_back({i % 6, i % 3, 1});
+  ASSERT_TRUE(r.AppendBatch(batch).ok());
+  engine.CatchUp();
+  EXPECT_EQ(engine.Stats().partitions_extended, 2u);  // {0} and {0,1}
+  EXPECT_EQ(engine.Stats().partitions_replayed, 0u);
+  ASSERT_TRUE(engine.CachedPartitionInfo(AttrSet{0, 1}, nullptr, &p));
+  EXPECT_GT(p->NumBlocks(), 0u);
+  p.reset();
+  VerifyCachedPartitionsAgainstColdReplay(&engine, r);
 }
 
 }  // namespace
