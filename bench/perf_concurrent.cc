@@ -18,8 +18,10 @@
 // serve the identical query mix. The JSON line reports per-op reader
 // latency percentiles (lock wait included — that is the quiesce arm's
 // cost) and aggregate reader throughput for each arm, plus their ratio.
-// The snapshot arm runs five times and reports its median run (latencies
-// and throughput) with the min and max throughput: one run is bimodal.
+// Each arm runs five times, the two interleaved (snapshot, quiesce,
+// snapshot, ...) so neither arm always runs in a warmer process, and each
+// reports its median run (latencies and throughput) with the min and max
+// throughput: one run is bimodal.
 // It is also the arm whose readers can hold a cached partition while
 // catch-up extends it, which makes catch-up extend a clone.
 //
@@ -261,25 +263,29 @@ int main(int argc, char** argv) {
                  "1e-9 correctness guard still runs.\n");
   }
 
-  // One snapshot run's throughput is bimodal (it swings with how the
-  // host schedules the appender against the readers), so the arm runs
-  // kSnapshotRuns times and reports the median run, with the min and max.
-  constexpr int kSnapshotRuns = 5;
+  // One run's throughput is bimodal (it swings with how the host
+  // schedules the appender against the readers), so each arm runs kRuns
+  // times, alternating with the other, and reports its median run with
+  // the min and max.
+  constexpr int kRuns = 5;
   auto ops_per_sec = [](const ArmResult& a) {
     return static_cast<double>(a.ops) / (a.wall_ns * 1e-9);
   };
   std::vector<ArmResult> snapshot_runs;
-  for (int i = 0; i < kSnapshotRuns; ++i) {
+  std::vector<ArmResult> quiesce_runs;
+  for (int i = 0; i < kRuns; ++i) {
     snapshot_runs.push_back(RunSnapshotArm(cfg, base, batches));
+    quiesce_runs.push_back(RunQuiesceArm(cfg, base, batches));
   }
-  ArmResult quiesce = RunQuiesceArm(cfg, base, batches);
 
   // Correctness guard: every sampled reader result of every run re-derived
   // cold at the row count the reader was pinned to (sampled — the tests
   // carry the exhaustive version of this oracle).
-  std::vector<Sample> checks = quiesce.samples;
-  for (const ArmResult& run : snapshot_runs) {
-    checks.insert(checks.end(), run.samples.begin(), run.samples.end());
+  std::vector<Sample> checks;
+  for (const std::vector<ArmResult>* runs : {&snapshot_runs, &quiesce_runs}) {
+    for (const ArmResult& run : *runs) {
+      checks.insert(checks.end(), run.samples.begin(), run.samples.end());
+    }
   }
   std::vector<std::vector<uint32_t>> all_rows = base;
   for (const auto& batch : batches) {
@@ -317,36 +323,44 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::sort(snapshot_runs.begin(), snapshot_runs.end(),
-            [&](const ArmResult& a, const ArmResult& b) {
-              return ops_per_sec(a) < ops_per_sec(b);
-            });
-  ArmResult& snapshot = snapshot_runs[kSnapshotRuns / 2];
-  std::sort(snapshot.latencies_ns.begin(), snapshot.latencies_ns.end());
-  std::sort(quiesce.latencies_ns.begin(), quiesce.latencies_ns.end());
+  // Sorts an arm's runs by throughput and returns the median run, its
+  // latencies sorted for Percentile.
+  auto median_run = [&](std::vector<ArmResult>* runs) -> ArmResult& {
+    std::sort(runs->begin(), runs->end(),
+              [&](const ArmResult& a, const ArmResult& b) {
+                return ops_per_sec(a) < ops_per_sec(b);
+              });
+    ArmResult& median = (*runs)[kRuns / 2];
+    std::sort(median.latencies_ns.begin(), median.latencies_ns.end());
+    return median;
+  };
+  ArmResult& snapshot = median_run(&snapshot_runs);
+  ArmResult& quiesce = median_run(&quiesce_runs);
   const double snap_ops_per_sec = ops_per_sec(snapshot);
   const double quiesce_ops_per_sec = ops_per_sec(quiesce);
   std::printf(
       "{\"bench\":\"perf_concurrent\",\"smoke\":%s,\"readers\":%u,"
       "\"initial_rows\":%u,\"batches\":%u,\"batch_rows\":%u,"
       "\"hardware_concurrency\":%u,\"effective_cpus\":%u,"
-      "\"snapshot_runs\":%d,"
+      "\"snapshot_runs\":%d,\"quiesce_runs\":%d,"
       "\"snapshot_reader_ops\":%llu,\"snapshot_ops_per_sec\":%.0f,"
       "\"snapshot_ops_per_sec_min\":%.0f,\"snapshot_ops_per_sec_max\":%.0f,"
       "\"snapshot_p50_us\":%.1f,\"snapshot_p95_us\":%.1f,"
       "\"snapshot_p99_us\":%.1f,"
       "\"quiesce_reader_ops\":%llu,\"quiesce_ops_per_sec\":%.0f,"
+      "\"quiesce_ops_per_sec_min\":%.0f,\"quiesce_ops_per_sec_max\":%.0f,"
       "\"quiesce_p50_us\":%.1f,\"quiesce_p95_us\":%.1f,"
       "\"quiesce_p99_us\":%.1f,"
       "\"throughput_vs_quiesce\":%.2f,\"checks\":%zu,\"max_err\":%.3g}\n",
       smoke ? "true" : "false", cfg.readers, initial_rows, num_batches,
-      batch_rows, hc, cpus, kSnapshotRuns,
+      batch_rows, hc, cpus, kRuns, kRuns,
       static_cast<unsigned long long>(snapshot.ops), snap_ops_per_sec,
       ops_per_sec(snapshot_runs.front()), ops_per_sec(snapshot_runs.back()),
       Percentile(&snapshot.latencies_ns, 0.5) * 1e-3,
       Percentile(&snapshot.latencies_ns, 0.95) * 1e-3,
       Percentile(&snapshot.latencies_ns, 0.99) * 1e-3,
       static_cast<unsigned long long>(quiesce.ops), quiesce_ops_per_sec,
+      ops_per_sec(quiesce_runs.front()), ops_per_sec(quiesce_runs.back()),
       Percentile(&quiesce.latencies_ns, 0.5) * 1e-3,
       Percentile(&quiesce.latencies_ns, 0.95) * 1e-3,
       Percentile(&quiesce.latencies_ns, 0.99) * 1e-3,

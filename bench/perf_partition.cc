@@ -1,6 +1,6 @@
 // Experiment PERF-PARTITION — kernel-by-kernel ns/row of the partition
 // refinement suite (engine/refine_kernels.h) over cardinality and skew
-// sweeps, the in-place append extensions, and the intra-op sharded forms.
+// sweeps and the in-place append extensions.
 //
 // The adaptive threshold (the sort cutover at cardinality >= mass/2) was
 // picked from this sweep; rerun it when the hardware changes. Every timed
@@ -11,14 +11,13 @@
 //
 // One machine-readable JSON line per case, each recording the CPUs the
 // process could run on (EffectiveCpuCount: affinity mask and cgroup
-// quota), since the sharded arms' numbers mean nothing without it.
+// quota), so a recording states the host it was taken on.
 // `--smoke` shrinks sizes to keep the guard and the emitter alive in CI,
 // where shared-runner timings mean nothing.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <unordered_map>
@@ -146,37 +145,12 @@ void EmitLine(bool smoke, const char* op, const char* kernel, uint32_t rows,
       EffectiveCpuCount());
 }
 
-// A line from the intra-op sharded sweep. threads == 0 is the serial
-// reference arm.
-void EmitParLine(bool smoke, const char* op, uint32_t threads, uint32_t rows,
-                 uint64_t mass, uint32_t cardinality, double ns_per_row) {
-  std::printf(
-      "{\"bench\":\"perf_partition\",\"smoke\":%s,\"op\":\"%s\","
-      "\"threads\":%u,\"rows\":%u,\"mass\":%llu,\"cardinality\":%u,"
-      "\"ns_per_row\":%.2f,\"effective_cpus\":%u}\n",
-      smoke ? "true" : "false", op, threads, rows,
-      static_cast<unsigned long long>(mass), cardinality, ns_per_row,
-      EffectiveCpuCount());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::vector<uint32_t> par_threads = {1, 2, 4};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      par_threads.clear();
-      for (const char* p = argv[++i]; *p != '\0';) {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p) break;
-        if (v > 0) par_threads.push_back(static_cast<uint32_t>(v));
-        p = *end == ',' ? end + 1 : end;
-      }
-      if (par_threads.empty()) par_threads = {1, 2, 4};
-    }
   }
   const uint32_t kRows = smoke ? 20000 : 1000000;
   const int kReps = smoke ? 1 : 3;
@@ -311,79 +285,6 @@ int main(int argc, char** argv) {
              0.0, root_ns / ap);
     EmitLine(smoke, "extend_child", "chunked", kTotal, appended, kExtCard,
              0.0, child_ns / ap);
-  }
-
-  // --- Intra-op sharded refinement: serial vs block-sharded ------------
-  //
-  // One refinement split into contiguous mass-balanced shards on a
-  // WorkerPool, at each --threads count (default 1,2,4). The guard here is
-  // EXACT, not tolerance-based: the sharded partition must be
-  // byte-identical to the serial one (block order, row order, delta
-  // vectors) and every entropy bit-equal, at EVERY thread count — that is
-  // the engine's thread-count-independence contract, and any divergence
-  // flips the exit code to 1. Rows stay above three shard masses even
-  // under --smoke so CI exercises real multi-shard merges, not the serial
-  // degrade path.
-  {
-    const uint32_t kParRows =
-        std::max<uint32_t>(kRows, 3 * kShardedRefineShardMass + 4321);
-    WorkerPool pool;
-    Rng prng(20260808);
-    Column pbase_col = MakeColumn(kParRows, 64, 0.0, &prng);
-    Partition pbase = Partition::OfColumn(pbase_col);
-    const uint64_t pmass = pbase.NumStrippedRows();
-    const double pmassd = static_cast<double>(pmass);
-    double best_refine_speedup = 0.0;
-    uint32_t best_refine_threads = 0;
-    for (uint32_t card : {uint32_t{4096}, kParRows / 4}) {
-      Column col = MakeColumn(kParRows, card, 0.0, &prng);
-      PartitionDelta ref_delta;
-      const Partition ref =
-          pbase.RefinedBy(col, RefineKernel::kAuto, &ref_delta);
-      const double ref_h =
-          pbase.RefinedEntropy(col, kParRows, RefineKernel::kAuto);
-      const double serial_refine_ns = TimeNs(
-          kReps, [&] { pbase.RefinedBy(col, RefineKernel::kAuto); });
-      const double serial_entropy_ns = TimeNs(kReps, [&] {
-        pbase.RefinedEntropy(col, kParRows, RefineKernel::kAuto);
-      });
-      EmitParLine(smoke, "refine_sharded", 0, kParRows, pmass, card,
-                  serial_refine_ns / pmassd);
-      EmitParLine(smoke, "entropy_sharded", 0, kParRows, pmass, card,
-                  serial_entropy_ns / pmassd);
-      for (uint32_t t : par_threads) {
-        PartitionDelta d;
-        const Partition sharded =
-            pbase.RefinedBySharded(col, RefineKernel::kAuto, t, &pool, &d);
-        Check(SamePartition(ref, sharded), "sharded RefinedBy vs serial");
-        Check(d.run_lengths == ref_delta.run_lengths &&
-                  d.parent_first_rows == ref_delta.parent_first_rows,
-              "sharded delta vs serial");
-        Check(ref_h == pbase.RefinedEntropySharded(
-                           col, kParRows, RefineKernel::kAuto, t, &pool),
-              "sharded RefinedEntropy vs serial (bitwise)");
-        const double refine_ns = TimeNs(kReps, [&] {
-          pbase.RefinedBySharded(col, RefineKernel::kAuto, t, &pool);
-        });
-        const double entropy_ns = TimeNs(kReps, [&] {
-          pbase.RefinedEntropySharded(col, kParRows, RefineKernel::kAuto, t,
-                                      &pool);
-        });
-        EmitParLine(smoke, "refine_sharded", t, kParRows, pmass, card,
-                    refine_ns / pmassd);
-        EmitParLine(smoke, "entropy_sharded", t, kParRows, pmass, card,
-                    entropy_ns / pmassd);
-        const double speedup = serial_refine_ns / refine_ns;
-        if (speedup > best_refine_speedup) {
-          best_refine_speedup = speedup;
-          best_refine_threads = t;
-        }
-      }
-    }
-
-    std::fprintf(stderr,
-                 "sharded refine best speedup: %.2fx at %u threads\n",
-                 best_refine_speedup, best_refine_threads);
   }
 
   // Near-key OfColumn: the sort path must match the counting construction.

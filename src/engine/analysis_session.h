@@ -56,11 +56,7 @@ struct SessionOptions {
   /// `cache_budget_bytes` is ignored), otherwise the session builds one
   /// arbiter whose single budget, shared by every relation, is
   /// `cache_budget_bytes`, with the default per-engine floor
-  /// (ArbiterOptions::engine_floor_bytes). Intra-op sharding of ONE large
-  /// refinement (bit-identical to serial at any thread count) fans out on
-  /// the same shared pool; nested submission from a batch task degrades
-  /// to serial via the pool's busy-inline fallback, so the two never
-  /// deadlock.
+  /// (ArbiterOptions::engine_floor_bytes).
   EngineOptions engine;
 };
 

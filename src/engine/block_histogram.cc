@@ -18,12 +18,6 @@ double XLogXCount(uint64_t c) {
   return c < kXLogXTableSize ? table[c] : XLogX(static_cast<double>(c));
 }
 
-void BlockSizeHistogram::Merge(const BlockSizeHistogram& other) {
-  for (uint32_t c = 0; c <= other.max_dense_; ++c) dense_[c] += other.dense_[c];
-  max_dense_ = std::max(max_dense_, other.max_dense_);
-  spill_.insert(spill_.end(), other.spill_.begin(), other.spill_.end());
-}
-
 double BlockSizeHistogram::EntropyNats(uint64_t num_rows) {
   if (num_rows == 0) return 0.0;
   // Sizes 0 and 1 contribute exact zeros, so the sweep starts at 2.

@@ -3,14 +3,12 @@
 // The entropy of a grouping depends only on the multiset of its group
 // sizes: with m_c groups of size c over N rows,
 //   H = ln N - (1/N) * sum_c m_c * c ln c.
-// Every path that computes an entropy — each refinement kernel, the
-// sharded kernels, Partition::EntropyNats, the legacy hash-based EntropyOf
-// and the groupwise per-group terms — counts m_c with integer adds and
-// evaluates the sum in ascending c through EntropyNats below. H(S) is
-// therefore a pure function of the grouping: it does not depend on block
-// emission order, on which cached base a miss refined from, on how a
-// refinement was sharded, or on the thread count. Sharded passes merge
-// per-shard histograms with integer adds, which is exact.
+// Every path that computes an entropy — each refinement kernel,
+// Partition::EntropyNats, the legacy hash-based EntropyOf and the
+// groupwise per-group terms — counts m_c with integer adds and evaluates
+// the sum in ascending c through EntropyNats below. H(S) is therefore a
+// pure function of the grouping: it does not depend on block emission
+// order, on which cached base a miss refined from, or on the thread count.
 //
 // Sizes below kXLogXTableSize land in a dense counter array (and the
 // final sweep stops at the largest such size seen, so a pass over tiny
@@ -35,8 +33,7 @@ inline constexpr uint32_t kXLogXTableSize = 1024;
 double XLogXCount(uint64_t c);
 
 /// Multiset of group sizes; see the header comment. Not thread-safe: one
-/// instance per accumulating thread (sharded passes keep one per shard and
-/// Merge them).
+/// instance per accumulating thread.
 class BlockSizeHistogram {
  public:
   /// Records one group of `size` rows. Sizes 0 and 1 are accepted and
@@ -50,10 +47,6 @@ class BlockSizeHistogram {
       spill_.push_back(size);
     }
   }
-
-  /// Adds every group recorded in `other` (integer adds: exact, and
-  /// independent of merge order).
-  void Merge(const BlockSizeHistogram& other);
 
   /// ln N - (1/N) * sum_c m_c * c ln c, summed in ascending c; 0 for
   /// num_rows == 0. Sorts the spill in place, otherwise leaves the

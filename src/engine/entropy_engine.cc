@@ -16,9 +16,8 @@ namespace ajd {
 
 namespace {
 
-// The thread policy of batches, catch-up extension and sharded
-// refinements: num_threads, with 0 meaning every CPU the process may run
-// on.
+// The thread policy of batches and catch-up extension: num_threads, with 0
+// meaning every CPU the process may run on.
 uint32_t BatchThreads(const EngineOptions& options) {
   return options.num_threads != 0 ? options.num_threads : EffectiveCpuCount();
 }
@@ -36,11 +35,10 @@ constexpr uint64_t kFanOutWorkPerWorker = uint64_t{1} << 18;
 // perf_miner exhaustive configuration, where refinements are small.
 constexpr uint64_t kMissFixedWork = uint64_t{1} << 12;
 
-// The one fan-out gate, shared by batch, warm, prewarm, catch-up and
-// intra-op shards: how many pool participants `tasks` tasks predicted to
-// cost `predicted_work` row-steps in total should get. `threads` (the
-// resolved thread count, explicit or every CPU) only caps the answer; the
-// work decides it.
+// The one fan-out gate, shared by batch, warm, prewarm and catch-up: how
+// many pool participants `tasks` tasks predicted to cost `predicted_work`
+// row-steps in total should get. `threads` (the resolved thread count,
+// explicit or every CPU) only caps the answer; the work decides it.
 uint32_t FanOutWorkers(uint32_t threads, uint64_t predicted_work,
                        size_t tasks) {
   uint64_t workers = std::min<uint64_t>(threads, tasks);
@@ -240,9 +238,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       // below can still read its byte size; the bulky recipe vectors move.
       c.cp.partition = it->second.partition;
       c.cp.last_used = it->second.last_used;
-      c.cp.epoch = it->second.epoch;
       c.cp.rows = it->second.rows;
-      c.cp.last_col_card = it->second.last_col_card;
       c.cp.chain = std::move(it->second.chain);
       c.cp.delta = std::move(it->second.delta);
       RemovePartitionLocked(it);
@@ -326,17 +322,14 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       }
       return std::make_shared<Partition>(*cp.partition);
     };
-    const bool kernel_stable =
-        parent_new != nullptr &&
-        ChooseRefineKernel(last_col.cardinality,
-                           parent_new->NumStrippedRows()) ==
-            ChooseRefineKernel(cp.last_col_card,
-                               parent_new->NumStrippedRows());
-    if (ancestor_len + 1 == chain.size() && kernel_stable) {
-      // Direct parent claimed with the same chain and the kernel choice
-      // did not move: the O(delta + touched blocks) path, off the delta
-      // recorded at build time or by the previous extension (see
-      // CachedPartition::delta for why every chained entry has one).
+    if (parent_new != nullptr && ancestor_len + 1 == chain.size()) {
+      // Direct parent claimed with the same chain: the O(delta + touched
+      // blocks) path, off the delta recorded at build time or by the
+      // previous extension (see CachedPartition::delta for why every
+      // chained entry has one). Extension runs its own tally, never a
+      // selected kernel, so a column whose cardinality crossed a
+      // kernel-selection threshold extends like any other (every kernel
+      // emits the same partition).
       std::shared_ptr<Partition> p = own();
       PartitionDelta next;
       p->ExtendInPlaceBy(*parent_new, last_col, old_rows, cp.delta, &next);
@@ -351,12 +344,11 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       np = std::move(p);
       ++extended_count;
     } else {
-      // Evicted ancestor, divergent chain, or a column whose
-      // cardinality crossed its kernel-selection threshold: replay the
-      // remaining chain cold from the deepest extended ancestor (bit-
-      // identical to the delta path by kernel reproducibility). The LAST
-      // refinement step emits the parent->child correspondence at build
-      // time, so a replayed entry's NEXT catch-up extends it.
+      // Evicted ancestor or divergent chain: replay the remaining chain
+      // cold from the deepest extended ancestor (bit-identical to the
+      // delta path by kernel reproducibility). The LAST refinement step
+      // emits the parent->child correspondence at build time, so a
+      // replayed entry's NEXT catch-up extends it.
       Partition cur;
       const Partition* base = parent_new.get();
       size_t j = ancestor_len;
@@ -377,9 +369,7 @@ void EntropyEngine::RunCatchUp(uint64_t target_epoch, uint64_t target_rows) {
       ++replayed_count;
     }
     cp.partition = std::move(np);
-    cp.epoch = target_epoch;
     cp.rows = target_rows;
-    cp.last_col_card = last_col.cardinality;
   };
   auto run_one = [&](Claimed& c) {
     try {
@@ -652,7 +642,6 @@ double EntropyEngine::ComputeEntropy(
     AttrSet set;
     std::shared_ptr<const Partition> partition;
     std::vector<uint32_t> chain;
-    uint32_t last_col_card = 0;
     /// Build-time parent->child correspondence, what the entry's first
     /// catch-up extends by (empty for roots; see CachedPartition::delta
     /// for the all-singleton shortcut's).
@@ -698,24 +687,20 @@ double EntropyEngine::ComputeEntropy(
       // Last step: only H is needed, so run the count-only pass and skip
       // materializing the final partition. If a later query wants it as a
       // base, it refines from the cached prefix at one step's cost.
-      h = cur->RefinedEntropySharded(col, n, RefineKernel::kAuto,
-                                     RefineThreadsFor(cur->NumStrippedRows()),
-                                     pool_.get());
+      h = cur->RefinedEntropy(col, n);
       have_h = true;
       ++refinements;
       break;
     } else {
       // The three-argument form captures the parent->child correspondence
       // at build time, which this entry's first catch-up extends by.
-      cur = std::make_shared<Partition>(cur->RefinedBySharded(
-          col, RefineKernel::kAuto, RefineThreadsFor(cur->NumStrippedRows()),
-          pool_.get(), &step_delta));
+      cur = std::make_shared<Partition>(
+          cur->RefinedBy(col, RefineKernel::kAuto, &step_delta));
       ++refinements;
     }
     cur_set.Add(a);
     cur_chain.push_back(a);
-    fresh.push_back({cur_set, cur, cur_chain, col.cardinality,
-                     std::move(step_delta)});
+    fresh.push_back({cur_set, cur, cur_chain, std::move(step_delta)});
     ++i;
     // All rows already unique: every superset partition is all-singletons
     // too, so H(attrs) = ln N and the remaining refinements are no-ops.
@@ -731,10 +716,8 @@ double EntropyEngine::ComputeEntropy(
         for (size_t j = i; j < missing.size(); ++j) {
           rest_chain.push_back(missing[j]);
         }
-        const uint32_t rest_card =
-            store_.ColumnAt(rest_chain.back(), pin.rows).cardinality;
         fresh.push_back({attrs, std::make_shared<Partition>(),
-                         std::move(rest_chain), rest_card, PartitionDelta{}});
+                         std::move(rest_chain), PartitionDelta{}});
       }
       break;
     }
@@ -757,8 +740,8 @@ double EntropyEngine::ComputeEntropy(
     for (auto& entry : fresh) {
       const AttrSet set = entry.set;
       const size_t bytes = InsertPartitionLocked(
-          set, std::move(entry.partition), std::move(entry.chain),
-          entry.last_col_card, pin.rows, std::move(entry.delta));
+          set, std::move(entry.partition), std::move(entry.chain), pin.rows,
+          std::move(entry.delta));
       if (bytes > 0) charged.emplace_back(set, bytes);
     }
   }
@@ -786,7 +769,6 @@ void EntropyEngine::CacheEntropyLocked(AttrSet attrs, double h,
 size_t EntropyEngine::InsertPartitionLocked(AttrSet attrs,
                                             std::shared_ptr<const Partition> p,
                                             std::vector<uint32_t> chain,
-                                            uint32_t last_col_card,
                                             uint64_t rows,
                                             PartitionDelta delta) {
   auto it = partitions_.find(attrs);
@@ -809,8 +791,6 @@ size_t EntropyEngine::InsertPartitionLocked(AttrSet attrs,
   CachedPartition cp;
   cp.partition = std::move(p);
   cp.chain = std::move(chain);
-  cp.last_col_card = last_col_card;
-  cp.epoch = synced_epoch_.load(std::memory_order_relaxed);
   cp.rows = rows;
   cp.delta = std::move(delta);
   cp.last_used = ++tick_;
@@ -847,14 +827,6 @@ void EntropyEngine::DropPartitionForArbiter(AttrSet attrs) {
   auto it = partitions_.find(attrs);
   if (it == partitions_.end()) return;
   EvictPartitionLocked(it);
-}
-
-uint32_t EntropyEngine::RefineThreadsFor(uint64_t mass) const {
-  // One refinement is `mass` row-steps of work, split into at most one
-  // shard per kShardedRefineShardMass rows (PlanShardCount in the kernels
-  // clamps identically).
-  return FanOutWorkers(BatchThreads(options_), mass,
-                       mass / kShardedRefineShardMass);
 }
 
 uint64_t EntropyEngine::FanOutWorkLocked(const AttrSet* sets, size_t n,

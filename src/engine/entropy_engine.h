@@ -127,17 +127,15 @@ struct EngineOptions {
   /// this field.
   size_t cache_budget_bytes = size_t{256} << 20;
   /// Threads for the batch paths (BatchEntropy, WarmEntropies,
-  /// PrewarmSubsets), catch-up, and the shards of ONE large refinement
-  /// (intra-operation sharding, engine/refine_kernels.h: mass-balanced
-  /// block shards, bit-identical to serial). 0 (the default) means every
-  /// CPU the process may run on (EffectiveCpuCount(),
+  /// PrewarmSubsets) and catch-up: parallelism is ACROSS refinements, and
+  /// each refinement step is one serial kernel call. 0 (the default) means
+  /// every CPU the process may run on (EffectiveCpuCount(),
   /// engine/worker_pool.h: affinity mask capped by the cgroup quota), used
   /// only as far as the predicted work pays: a batch or catch-up level
   /// fans out one participant per ~2^18 stripped-row refinement steps the
   /// cost model prices it at, less the lattice scans its misses pay under
-  /// the cache mutex, so small batches run inline; a refinement's work is
-  /// its stripped mass. An explicit count only caps the participants the
-  /// same gate grants; 1 is fully serial.
+  /// the cache mutex, so small batches run inline. An explicit count only
+  /// caps the participants the same gate grants; 1 is fully serial.
   /// Process-wide side effect: the first time a pool spawns a worker (any
   /// setting above 1, including the default on a multi-CPU host, and pools
   /// injected through `worker_pool`), glibc malloc is capped at ONE arena
@@ -191,8 +189,8 @@ struct EngineStats {
                                     ///< during catch-up (O(delta + touched
                                     ///< blocks) each).
   uint64_t partitions_replayed = 0; ///< cached partitions rebuilt by chain
-                                    ///< replay instead (missing ancestor
-                                    ///< or kernel-threshold fallback).
+                                    ///< replay instead (evicted ancestor
+                                    ///< or divergent chain).
   uint64_t catchup_dropped = 0;  ///< claimed entries dropped because their
                                  ///< extension failed mid-catch-up; later
                                  ///< reads recompute them cold.
@@ -379,9 +377,6 @@ class EntropyEngine {
   struct CachedPartition {
     std::shared_ptr<const Partition> partition;
     uint64_t last_used = 0;
-    /// Relation epoch the partition covers (== the engine's synced epoch;
-    /// catch-up revalidates entries in place rather than rebuilding them).
-    uint64_t epoch = 0;
     /// Row count the partition covers — the generation tag. Readers pinned
     /// at a row count only consume entries with a matching tag; catch-up
     /// sweeps mismatched entries when publishing a new generation.
@@ -390,16 +385,12 @@ class EntropyEngine {
     /// OfColumn(chain[0]).RefinedBy(chain[1])... One entry per attribute
     /// of the key.
     std::vector<uint32_t> chain;
-    /// Cardinality of chain.back()'s column when the partition was built;
-    /// catch-up falls back from delta extension to a full recompute when
-    /// the grown cardinality crosses a kernel-selection threshold.
-    uint32_t last_col_card = 0;
     /// Parent-block correspondence against the direct parent (chain minus
     /// its last column) at `rows` (engine/refine_kernels.h): what the next
     /// catch-up's ExtendInPlaceBy walks, so no old parent is retained and
     /// no row->block index is built. INVARIANT: every entry with a chain
     /// of two or more columns holds its true delta. The refinement that
-    /// builds it emits one (RefinedBySharded(..., &step_delta) in
+    /// builds it emits one (RefinedBy(..., &step_delta) in
     /// ComputeEntropy), every extension emits the next one, and a replay's
     /// last step emits one. The only entry built by no refinement is the
     /// all-singleton shortcut in ComputeEntropy, whose chain extends an
@@ -457,8 +448,7 @@ class EntropyEngine {
   /// charges it AFTER releasing mu_. Requires mu_ held.
   size_t InsertPartitionLocked(AttrSet attrs,
                                std::shared_ptr<const Partition> p,
-                               std::vector<uint32_t> chain,
-                               uint32_t last_col_card, uint64_t rows,
+                               std::vector<uint32_t> chain, uint64_t rows,
                                PartitionDelta delta);
 
   /// CatchUp's body once the caller holds catchup_mu_: syncs to the
@@ -510,13 +500,6 @@ class EntropyEngine {
   /// Values at an older row count are never served: they describe a
   /// prefix the relation has grown past.
   void WarmStartFromPersist();
-
-  /// Resolved intra-operation shard thread count for ONE refinement over
-  /// `mass` stripped rows: options_.num_threads (0 means
-  /// EffectiveCpuCount()) through the work gate, never more than one
-  /// thread per kShardedRefineShardMass rows. Returning 1 selects the
-  /// serial kernel unchanged.
-  uint32_t RefineThreadsFor(uint64_t mass) const;
 
   ColumnStore store_;
   EngineOptions options_;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/block_histogram.h"
 #include "engine/refine_kernels.h"
 #include "util/math.h"
 
@@ -259,23 +260,6 @@ double Partition::RefinedEntropy(const Column& col, uint64_t num_rows,
                                  RefineKernel kernel) const {
   if (num_rows == 0) return 0.0;
   return RefineEntropy(View(&g_view_scratch), col, kernel, num_rows);
-}
-
-Partition Partition::RefinedBySharded(const Column& col, RefineKernel kernel,
-                                      uint32_t threads, WorkerPool* pool,
-                                      PartitionDelta* delta_out) const {
-  Partition out;
-  RefineByColumnSharded(View(&g_view_scratch), col, kernel, threads, pool,
-                        PartitionBuild{&out.rows_, &out.starts_}, delta_out);
-  return out;
-}
-
-double Partition::RefinedEntropySharded(const Column& col, uint64_t num_rows,
-                                        RefineKernel kernel, uint32_t threads,
-                                        WorkerPool* pool) const {
-  if (num_rows == 0) return 0.0;
-  return RefineEntropySharded(View(&g_view_scratch), col, kernel, num_rows,
-                              threads, pool);
 }
 
 void Partition::ExtendOfColumnInPlace(const Column& col, uint64_t old_rows) {

@@ -117,23 +117,6 @@ class Partition {
   double RefinedEntropy(const Column& col, uint64_t num_rows,
                         RefineKernel kernel) const;
 
-  /// Sharded (intra-operation parallel) forms of the two refinement
-  /// entry points above: the view is split into contiguous mass-balanced
-  /// block ranges, each shard runs the unchanged serial kernel on the
-  /// pool, and outputs are concatenated in block order. Results are
-  /// IDENTICAL to the serial methods at any thread count — byte-identical
-  /// blocks/rows/delta, bit-identical entropies (shards merge their
-  /// block-size histograms). threads <= 1, a null pool, or a view below
-  /// the shard-mass floor degrade to the serial call; nested submission
-  /// from a pool task degrades to serial via the pool's busy-inline
-  /// fallback.
-  Partition RefinedBySharded(const Column& col, RefineKernel kernel,
-                             uint32_t threads, WorkerPool* pool,
-                             PartitionDelta* delta_out = nullptr) const;
-  double RefinedEntropySharded(const Column& col, uint64_t num_rows,
-                               RefineKernel kernel, uint32_t threads,
-                               WorkerPool* pool) const;
-
   /// H over the empirical distribution whose grouping this partition is,
   /// in nats: ln n - (1/n) sum_blocks c ln c. `num_rows` is |R| (the
   /// stripped representation does not know how many singletons exist).

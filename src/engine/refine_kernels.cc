@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
-#include "engine/worker_pool.h"
+#include "engine/block_histogram.h"
 #include "util/check.h"
 
 namespace ajd {
@@ -481,16 +480,18 @@ void RefineByColumn(const PartitionView& in, const Column& col,
   }
 }
 
-namespace {
-
-// The body of RefineEntropy: records the size of every group the
-// refinement of `in` by `col` would emit into `sizes`. `kernel` must be
-// concrete (kAuto resolved by the caller, from the FULL view's mass so
-// shard sub-views never flip the choice).
-void RefineEntropyScan(const PartitionView& in, const Column& col,
-                       RefineKernel kernel, BlockSizeHistogram* sizes) {
+double RefineEntropy(const PartitionView& in, const Column& col,
+                     RefineKernel kernel, uint64_t num_rows) {
+  if (kernel == RefineKernel::kAuto) {
+    kernel = ChooseRefineKernel(col.cardinality, in.mass);
+  }
   RefineScratch& scratch = LocalScratch();
   const uint32_t* codes = col.codes.data();
+  // Records the size of every group the refinement would emit. Cleared on
+  // entry, not exit: a scan that throws must not leave counts behind for
+  // this thread's next call.
+  BlockSizeHistogram* sizes = &scratch.sizes;
+  sizes->Clear();
 
   if (kernel == RefineKernel::kSort) {
     ScratchGuard guard(&scratch, /*cardinality=*/0);
@@ -550,21 +551,7 @@ void RefineEntropyScan(const PartitionView& in, const Column& col,
       }
     }
   }
-}
-
-}  // namespace
-
-double RefineEntropy(const PartitionView& in, const Column& col,
-                     RefineKernel kernel, uint64_t num_rows) {
-  if (kernel == RefineKernel::kAuto) {
-    kernel = ChooseRefineKernel(col.cardinality, in.mass);
-  }
-  BlockSizeHistogram& sizes = LocalScratch().sizes;
-  // Cleared on entry, not exit: a scan that throws must not leave counts
-  // behind for this thread's next call.
-  sizes.Clear();
-  RefineEntropyScan(in, col, kernel, &sizes);
-  return sizes.EntropyNats(num_rows);
+  return sizes->EntropyNats(num_rows);
 }
 
 void SortPartitionOfColumn(const Column& col, const PartitionBuild& out) {
@@ -606,205 +593,6 @@ void SortPartitionOfColumn(const Column& col, const PartitionBuild& out) {
     }
   }
   if (out.starts->size() == 1) out.starts->clear();
-}
-
-// ---------------------------------------------------------------------------
-// Sharded (intra-operation parallel) entry points. See the header contract:
-// shards are contiguous block ranges of the input view, each processed by
-// the unchanged serial kernel, outputs concatenated in shard (= block)
-// order; entropy shards merge their group-size histograms, so every result
-// is byte/bit-identical to the serial kernel at any shard count.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// How many shards a view of this mass supports at this thread budget:
-// never more than `threads`, never so many that a shard falls below
-// kShardedRefineShardMass rows (a shard that small finishes faster than
-// the fan-out costs).
-uint32_t PlanShardCount(uint64_t mass, uint32_t threads) {
-  if (threads <= 1) return 1;
-  const uint64_t by_mass = mass / kShardedRefineShardMass;
-  const uint64_t n = by_mass < threads ? by_mass : threads;
-  return n < 1 ? 1 : static_cast<uint32_t>(n);
-}
-
-// Per-shard output for the materializing paths; concatenated in shard
-// order after the batch drains.
-struct ShardOut {
-  std::vector<uint32_t> rows;
-  std::vector<uint32_t> starts;
-  PartitionDelta delta;
-};
-
-// Concatenates per-shard refinement outputs into `out` (and `delta_out`
-// when non-null) in shard order. Shard row indices are partition-global
-// already (kernels copy parent rows through), so only the block-boundary
-// offsets need rebasing.
-void ConcatShardOutputs(const std::vector<ShardOut>& parts,
-                        const PartitionBuild& out,
-                        PartitionDelta* delta_out) {
-  size_t total_rows = 0;
-  size_t total_blocks = 0;
-  size_t total_delta = 0;
-  for (const ShardOut& p : parts) {
-    total_rows += p.rows.size();
-    if (!p.starts.empty()) total_blocks += p.starts.size() - 1;
-    total_delta += p.delta.run_lengths.size();
-  }
-  // The row-rebase offset below accumulates in a uint32_t (rows and starts
-  // are uint32-indexed throughout); make the no-wrap invariant explicit
-  // rather than relying on callers never exceeding it.
-  AJD_CHECK(total_rows <= UINT32_MAX);
-  out.rows->clear();
-  out.starts->clear();
-  out.rows->resize(total_rows);
-  if (total_blocks > 0) {
-    out.starts->reserve(total_blocks + 1);
-    out.starts->push_back(0);
-  }
-  if (delta_out != nullptr) {
-    delta_out->run_lengths.clear();
-    delta_out->parent_first_rows.clear();
-    delta_out->run_lengths.reserve(total_delta);
-    delta_out->parent_first_rows.reserve(total_delta);
-  }
-  uint32_t off = 0;
-  uint32_t* dst = out.rows->data();
-  for (const ShardOut& p : parts) {
-    if (!p.rows.empty()) {
-      std::memcpy(dst + off, p.rows.data(), p.rows.size() * sizeof(uint32_t));
-    }
-    for (size_t j = 1; j < p.starts.size(); ++j) {
-      out.starts->push_back(p.starts[j] + off);
-    }
-    off += static_cast<uint32_t>(p.rows.size());
-    if (delta_out != nullptr) {
-      delta_out->run_lengths.insert(delta_out->run_lengths.end(),
-                                    p.delta.run_lengths.begin(),
-                                    p.delta.run_lengths.end());
-      delta_out->parent_first_rows.insert(delta_out->parent_first_rows.end(),
-                                          p.delta.parent_first_rows.begin(),
-                                          p.delta.parent_first_rows.end());
-    }
-  }
-}
-
-}  // namespace
-
-uint32_t SplitViewForRefine(const PartitionView& in, uint32_t max_shards,
-                            std::vector<PartitionRun>* runs_scratch,
-                            std::vector<PartitionView>* shards) {
-  runs_scratch->clear();
-  shards->clear();
-  if (in.mass == 0 || in.num_runs == 0) return 0;
-  if (max_shards < 1) max_shards = 1;
-  // Pass 1: record each shard's sub-runs into runs_scratch plus per-shard
-  // run counts and masses. Views are materialized only after the scratch
-  // vector stops growing — growth would invalidate their run pointers.
-  std::vector<uint32_t> shard_runs;
-  std::vector<uint64_t> shard_mass;
-  const uint64_t total = in.mass;
-  uint64_t cum = 0;       // mass assigned so far, across all shards
-  uint32_t cur_runs = 0;  // sub-runs in the currently-open shard
-  uint64_t cur_mass = 0;  // mass in the currently-open shard
-  for (uint32_t r = 0; r < in.num_runs; ++r) {
-    const PartitionRun& run = in.runs[r];
-    uint32_t sub_begin = 0;
-    for (uint32_t b = 0; b < run.num_blocks; ++b) {
-      const uint64_t block = run.starts[b + 1] - run.starts[b];
-      cum += block;
-      cur_mass += block;
-      // Cut after this block once the open shard reaches its proportional
-      // share of the total mass (cum >= total * (closed+1) / max_shards,
-      // kept in integers). The last shard stays open for the remainder, so
-      // every closed shard holds at least one block and the shard count
-      // never exceeds max_shards.
-      const uint32_t closed = static_cast<uint32_t>(shard_runs.size());
-      if (closed + 1 < max_shards &&
-          cum * max_shards >= total * (closed + 1)) {
-        runs_scratch->push_back(
-            PartitionRun{run.rows, run.starts + sub_begin, b + 1 - sub_begin});
-        ++cur_runs;
-        shard_runs.push_back(cur_runs);
-        shard_mass.push_back(cur_mass);
-        cur_runs = 0;
-        cur_mass = 0;
-        sub_begin = b + 1;
-      }
-    }
-    if (sub_begin < run.num_blocks) {
-      runs_scratch->push_back(PartitionRun{run.rows, run.starts + sub_begin,
-                                           run.num_blocks - sub_begin});
-      ++cur_runs;
-    }
-  }
-  if (cur_runs > 0) {
-    shard_runs.push_back(cur_runs);
-    shard_mass.push_back(cur_mass);
-  }
-  size_t off = 0;
-  for (size_t s = 0; s < shard_runs.size(); ++s) {
-    shards->push_back(PartitionView{runs_scratch->data() + off, shard_runs[s],
-                                    shard_mass[s]});
-    off += shard_runs[s];
-  }
-  return static_cast<uint32_t>(shards->size());
-}
-
-void RefineByColumnSharded(const PartitionView& in, const Column& col,
-                           RefineKernel kernel, uint32_t threads,
-                           WorkerPool* pool, const PartitionBuild& out,
-                           PartitionDelta* delta_out) {
-  // Resolve kAuto from the FULL view's mass before sharding: a shard
-  // sub-view's smaller mass could flip the kSort choice and change which
-  // kernel runs — harmless for correctness (all kernels agree bitwise)
-  // but it would make the sharded path exercise different code than the
-  // serial one it must mirror.
-  if (kernel == RefineKernel::kAuto) {
-    kernel = ChooseRefineKernel(col.cardinality, in.mass);
-  }
-  const uint32_t want = PlanShardCount(in.mass, threads);
-  if (want <= 1 || pool == nullptr) {
-    RefineByColumn(in, col, kernel, out, delta_out);
-    return;
-  }
-  std::vector<PartitionRun> runs;
-  std::vector<PartitionView> shards;
-  const uint32_t ns = SplitViewForRefine(in, want, &runs, &shards);
-  if (ns <= 1) {
-    RefineByColumn(in, col, kernel, out, delta_out);
-    return;
-  }
-  std::vector<ShardOut> parts(ns);
-  pool->Run(ns, ns, [&](size_t i) {
-    RefineByColumn(shards[i], col, kernel,
-                   PartitionBuild{&parts[i].rows, &parts[i].starts},
-                   delta_out != nullptr ? &parts[i].delta : nullptr);
-  });
-  ConcatShardOutputs(parts, out, delta_out);
-}
-
-double RefineEntropySharded(const PartitionView& in, const Column& col,
-                            RefineKernel kernel, uint64_t num_rows,
-                            uint32_t threads, WorkerPool* pool) {
-  if (kernel == RefineKernel::kAuto) {
-    kernel = ChooseRefineKernel(col.cardinality, in.mass);
-  }
-  const uint32_t want = PlanShardCount(in.mass, threads);
-  if (want <= 1 || pool == nullptr) {
-    return RefineEntropy(in, col, kernel, num_rows);
-  }
-  std::vector<PartitionRun> runs;
-  std::vector<PartitionView> shards;
-  const uint32_t ns = SplitViewForRefine(in, want, &runs, &shards);
-  if (ns <= 1) return RefineEntropy(in, col, kernel, num_rows);
-  std::vector<BlockSizeHistogram> sizes(ns);
-  pool->Run(ns, ns, [&](size_t i) {
-    RefineEntropyScan(shards[i], col, kernel, &sizes[i]);
-  });
-  for (uint32_t i = 1; i < ns; ++i) sizes[0].Merge(sizes[i]);
-  return sizes[0].EntropyNats(num_rows);
 }
 
 size_t ShedOversizedRefineScratch() {

@@ -21,29 +21,10 @@
 // engine reuses as a base), optionally ending in the count-only
 // RefineEntropy when only the last step's entropy is wanted.
 //
-// --- Sharded (intra-operation parallel) entry points ----------------------
-//
-// Every kernel above is block-local: no state crosses an input-block
-// boundary (the gather prefetch does, but it only affects timing, never
-// output). Refinement is therefore embarrassingly parallel across parent
-// blocks, and the *Sharded entry points exploit exactly that: the input
-// view is split into contiguous, row-mass-balanced shard ranges
-// (SplitViewForRefine), each shard runs the UNCHANGED serial kernel on a
-// WorkerPool, and the per-shard outputs are concatenated in shard order.
-// Because shards are contiguous block ranges in logical order, block
-// order, row order, and the PartitionDelta come out identical to the
-// serial kernel by construction — not within tolerance, byte-identical.
-//
 // Entropies are order-free by construction: every kernel records its
 // emitted group sizes in a BlockSizeHistogram (engine/block_histogram.h)
-// and evaluates H from the histogram alone, so a sharded entropy pass
-// merges per-shard histograms with integer adds and returns the same bits
-// as the serial pass at any thread count, including 1.
-//
-// Nested submission is safe by the pool's busy-inline contract
-// (engine/worker_pool.h): a sharded kernel invoked from inside a pool
-// task finds the pool busy and degrades to running its shards serially
-// inline — same bytes out, no deadlock.
+// and evaluates H from the histogram alone, so the count-only pass returns
+// the same bits whichever kernel ran.
 #ifndef AJD_ENGINE_REFINE_KERNELS_H_
 #define AJD_ENGINE_REFINE_KERNELS_H_
 
@@ -51,12 +32,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/block_histogram.h"
 #include "engine/column_store.h"
 
 namespace ajd {
-
-class WorkerPool;  // engine/worker_pool.h
 
 /// Refinement strategy. kAuto picks per call from the column cardinality
 /// and the partition's stripped mass (threshold below).
@@ -137,7 +115,7 @@ void RefineByColumn(const PartitionView& in, const Column& col,
 
 /// Entropy of the refinement WITHOUT materializing it: ln n - (1/n) sum of
 /// c ln c over the refined blocks, evaluated from their size histogram (so
-/// the value is bit-identical across kernels and shard splits).
+/// the value is bit-identical across kernels).
 double RefineEntropy(const PartitionView& in, const Column& col,
                      RefineKernel kernel, uint64_t num_rows);
 
@@ -146,46 +124,6 @@ double RefineEntropy(const PartitionView& in, const Column& col,
 /// with scratch sized by the row count, not the cardinality. Used for
 /// near-key columns where cardinality >= rows.
 void SortPartitionOfColumn(const Column& col, const PartitionBuild& out);
-
-// --- Sharded (intra-operation parallel) entry points ----------------------
-// Contract: each *Sharded function produces output BYTE-IDENTICAL to its
-// serial counterpart above — block order, row order, PartitionDelta, and
-// every entropy BIT — at any `threads` value, including 1 (contiguous
-// row-mass-balanced shards over block-local kernels, concatenated in shard
-// order; entropy shards merge their size histograms). With threads <= 1, a
-// null pool, or fewer than two plannable shards, they simply call the
-// serial kernel. Invoked from inside a pool task they degrade to serial via
-// the pool's busy-inline fallback. kAuto is resolved ONCE from the full
-// view's mass before sharding, so kernel choice never depends on the shard
-// split.
-
-/// Minimum row mass per shard: splitting finer than this loses more to
-/// per-shard staging and wakeup than the extra core returns.
-inline constexpr uint64_t kShardedRefineShardMass = uint64_t{1} << 17;
-
-/// Splits `in` into at most `max_shards` contiguous, row-mass-balanced
-/// shard sub-views (shard i covers the blocks up to the point where the
-/// cumulative mass reaches i+1 shares). Blocks are the atomic unit — a
-/// single huge block is never split — and every returned shard is
-/// non-empty, so the count actually returned can be lower than requested.
-/// The sub-views alias `in`'s row storage; `runs_scratch` backs their run
-/// tables and must outlive them. Returns the shard count (0 iff `in` is
-/// empty).
-uint32_t SplitViewForRefine(const PartitionView& in, uint32_t max_shards,
-                            std::vector<PartitionRun>* runs_scratch,
-                            std::vector<PartitionView>* shards);
-
-/// Sharded RefineByColumn: byte-identical output and delta at any thread
-/// count.
-void RefineByColumnSharded(const PartitionView& in, const Column& col,
-                           RefineKernel kernel, uint32_t threads,
-                           WorkerPool* pool, const PartitionBuild& out,
-                           PartitionDelta* delta_out = nullptr);
-
-/// Sharded RefineEntropy: bit-identical value at any thread count.
-double RefineEntropySharded(const PartitionView& in, const Column& col,
-                            RefineKernel kernel, uint64_t num_rows,
-                            uint32_t threads, WorkerPool* pool);
 
 /// Frees this thread's kernel scratch buffers whose capacity exceeds the
 /// ScratchGuard keep threshold (64Ki entries), returning the bytes freed.

@@ -19,10 +19,9 @@
 // engines at once (engine/cache_arbiter.h charges concurrently either
 // way), and head-of-line blocking behind another relation's fan-out would
 // waste exactly the thread the submitter already owns. The same fallback
-// makes NESTED submission safe: a pool task that itself calls Run() (the
-// sharded refine kernels do, when a batched query crosses the intra-op
-// threshold) finds submit_mu_ held by its own enclosing batch and degrades
-// to the inline loop — serial on that task's thread, never a deadlock.
+// makes NESTED submission safe: a pool task that itself calls Run() finds
+// submit_mu_ held by its own enclosing batch and degrades to the inline
+// loop — serial on that task's thread, never a deadlock.
 //
 // Before its first worker spawns, the pool caps glibc malloc at one arena
 // for the whole process (worker_pool.cc has the measurements): workers

@@ -1105,5 +1105,61 @@ TEST(EpochEngine, EmptyDeltaOfAllSingletonShortcutExtends) {
   VerifyCachedPartitionsAgainstColdReplay(&engine, r);
 }
 
+TEST(EpochEngine, KernelSelectionCrossingStillExtends) {
+  // Cached chain [a, b]: b's cardinality starts below both kSort
+  // thresholds (64Ki, and half of the parent {a}'s stripped mass) and one
+  // append takes it past both, so a cold build would switch from counting
+  // to radix sort. Extension runs its own tally, never a selected kernel,
+  // and every kernel emits the same partition, so catch-up still extends
+  // {a,b} rather than replaying it, bitwise equal to a cold replay.
+  constexpr uint32_t kOld = 100000;
+  constexpr uint32_t kOldCard = 40000;
+  constexpr uint32_t kAppended = 50000;
+  constexpr uint32_t kNewValues = 40000;
+  std::vector<std::vector<uint32_t>> rows;
+  for (uint32_t i = 0; i < kOld; ++i) rows.push_back({i % 3, i % kOldCard});
+  Relation r = RelationFromRows(2, rows);
+  EngineOptions opts;
+  opts.num_threads = 1;
+  EntropyEngine engine(&r, opts);
+  // {a} first, so {a,b} refines from it: chain [0, 1] (from scratch the
+  // wider column b would go first).
+  engine.PrewarmSubsets({AttrSet{0}});
+  engine.PrewarmSubsets({AttrSet{0, 1}});
+  std::vector<uint32_t> chain;
+  ASSERT_TRUE(engine.CachedPartitionInfo(AttrSet{0, 1}, &chain, nullptr));
+  ASSERT_EQ(chain, (std::vector<uint32_t>{0, 1}));
+
+  // Every fifth appended row repeats an old b value; the rest are new.
+  std::vector<std::vector<uint32_t>> batch;
+  uint32_t next_value = kOldCard;
+  for (uint32_t i = 0; i < kAppended; ++i) {
+    const uint32_t b = i % 5 == 0 ? i % kOldCard : next_value++;
+    batch.push_back({i % 3, b});
+  }
+  ASSERT_EQ(next_value, kOldCard + kNewValues);
+  ASSERT_TRUE(r.AppendBatch(batch).ok());
+
+  // The crossing is real: at the grown parent's mass (every row: a has 3
+  // values) the old cardinality selects counting, the new one radix sort.
+  const uint64_t parent_mass = kOld + kAppended;
+  ASSERT_LT(kOldCard, kSortMinCardinality);
+  ASSERT_LT(uint64_t{kOldCard} * 2, uint64_t{kOld});
+  ASSERT_GE(kOldCard + kNewValues, kSortMinCardinality);
+  ASSERT_GE(uint64_t{kOldCard + kNewValues} * 2, parent_mass);
+  ASSERT_EQ(ChooseRefineKernel(kOldCard, parent_mass), RefineKernel::kDense);
+  ASSERT_EQ(ChooseRefineKernel(kOldCard + kNewValues, parent_mass),
+            RefineKernel::kSort);
+
+  engine.CatchUp();
+  EXPECT_EQ(engine.Stats().partitions_extended, 2u);  // {a} and {a,b}
+  EXPECT_EQ(engine.Stats().partitions_replayed, 0u);
+  std::shared_ptr<const Partition> p;
+  ASSERT_TRUE(engine.CachedPartitionInfo(AttrSet{0}, nullptr, &p));
+  ASSERT_EQ(p->NumStrippedRows(), parent_mass);
+  p.reset();
+  VerifyCachedPartitionsAgainstColdReplay(&engine, r);
+}
+
 }  // namespace
 }  // namespace ajd

@@ -1,14 +1,14 @@
-// Parallel-vs-serial bitwise equivalence for the sharded refinement entry
-// points (engine/refine_kernels.h) and the pool-thread scratch shed.
+// Refinement over the chunked partition layout and the kernel scratch that
+// pool threads shed (engine/refine_kernels.h).
 //
-// The contract under test: at ANY thread count — 1, 2, 4, hardware — the
-// sharded kernels produce BYTE-identical partitions (block boundaries,
-// block order, row order, delta) and BIT-identical entropies to the serial
-// kernels, across kernel crossovers (counting/radix/tiny selection) and
-// both partition layouts (flat and chunked). The TSan CI
-// leg runs this file.
+// A chunked (in-place extended) partition must refine exactly like its
+// flat twin: byte-identical blocks, rows and delta, bit-identical count-only
+// entropy. Kernel scratch is thread-local, so pool workers shed oversized
+// buffers when they park, and every kernel stays exact across a spike and
+// its shed. The TSan CI leg runs this file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -77,168 +77,15 @@ void ExpectSamePartition(const Partition& want, const Partition& got,
   }
 }
 
-// Thread counts the contract is pinned at. hardware_concurrency() may
-// resolve to 1 on a constrained container — the pool still spawns
-// `workers - 1` threads for the other counts, so the parallel path is
-// exercised regardless of the core count.
-std::vector<uint32_t> ContractThreadCounts() {
-  const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<uint32_t> counts = {1, 2, 4};
-  if (hw != 1 && hw != 2 && hw != 4) counts.push_back(hw);
-  return counts;
-}
-
-// Large enough that PlanShardCount actually shards (mass must reach at
-// least two shards' worth of kShardedRefineShardMass rows); low-card
-// columns keep nearly every row stripped, so the view's mass tracks the
-// row count closely.
-constexpr uint32_t kBigRows =
-    static_cast<uint32_t>(3 * kShardedRefineShardMass + 12345);
-
-TEST(RefineParallel, ShardSplitCoversViewExactly) {
-  Rng rng(9500);
-  Column base_col = DensifiedColumn(&rng, 200000, 700, 0.7);
-  Partition base = Partition::OfColumn(base_col);
-  PartitionViewScratch vs;
-  const PartitionView view = base.View(&vs);
-  uint64_t blocks = 0;
-  for (uint32_t r = 0; r < view.num_runs; ++r) {
-    blocks += view.runs[r].num_blocks;
-  }
-  for (uint32_t want : {1u, 2u, 3u, 7u, 64u,
-                        static_cast<uint32_t>(blocks),
-                        static_cast<uint32_t>(blocks + 50)}) {
-    std::vector<PartitionRun> runs;
-    std::vector<PartitionView> shards;
-    const uint32_t ns = SplitViewForRefine(view, want, &runs, &shards);
-    ASSERT_GE(ns, 1u) << want;
-    ASSERT_LE(ns, want) << want;
-    // Shards concatenate back to exactly the original block sequence (same
-    // row pointers, same boundaries, in order) and their masses sum to the
-    // view's; every shard is non-empty.
-    uint64_t mass = 0;
-    uint64_t seen_blocks = 0;
-    uint32_t orig_run = 0;
-    uint32_t orig_block = 0;
-    for (uint32_t s = 0; s < ns; ++s) {
-      ASSERT_GT(shards[s].mass, 0u) << want << " shard " << s;
-      uint64_t shard_mass = 0;
-      for (uint32_t r = 0; r < shards[s].num_runs; ++r) {
-        const PartitionRun& run = shards[s].runs[r];
-        ASSERT_GT(run.num_blocks, 0u);
-        for (uint32_t b = 0; b < run.num_blocks; ++b) {
-          const PartitionRun& orun = view.runs[orig_run];
-          ASSERT_EQ(run.rows, orun.rows);
-          ASSERT_EQ(run.starts[b], orun.starts[orig_block]);
-          ASSERT_EQ(run.starts[b + 1], orun.starts[orig_block + 1]);
-          shard_mass += run.starts[b + 1] - run.starts[b];
-          ++seen_blocks;
-          if (++orig_block == orun.num_blocks) {
-            ++orig_run;
-            orig_block = 0;
-          }
-        }
-      }
-      ASSERT_EQ(shards[s].mass, shard_mass) << want << " shard " << s;
-      mass += shard_mass;
-    }
-    EXPECT_EQ(mass, view.mass) << want;
-    EXPECT_EQ(seen_blocks, blocks) << want;
-  }
-}
-
-TEST(RefineParallel, RefinedByShardedBitIdenticalAcrossThreadCounts) {
-  Rng rng(9501);
-  WorkerPool pool;
-  // Cardinalities straddling the kernel crossover: counting (kDense) and
-  // the radix-sort region (> 64Ki and >= mass/2). Skewed draws produce
-  // tiny blocks (<= 4 rows) in quantity, so the tiny-block path runs
-  // inside the same sweeps.
-  for (uint32_t card : {5u, 3000u, 40000u, kBigRows}) {
-    for (double skew : {0.0, 2.0}) {
-      Column col = DensifiedColumn(&rng, kBigRows, card, skew);
-      for (uint32_t base_card : {1u, 97u}) {
-        Partition base =
-            base_card == 1
-                ? Partition::Trivial(kBigRows)
-                : Partition::OfColumn(
-                      DensifiedColumn(&rng, kBigRows, base_card, 0.0));
-        const std::string what = "card=" + std::to_string(card) +
-                                 " skew=" + std::to_string(skew) +
-                                 " base=" + std::to_string(base_card);
-        PartitionDelta want_delta;
-        Partition want =
-            base.RefinedBy(col, RefineKernel::kAuto, &want_delta);
-        const double want_h = base.RefinedEntropy(col, kBigRows);
-        for (uint32_t threads : ContractThreadCounts()) {
-          PartitionDelta got_delta;
-          Partition got = base.RefinedBySharded(col, RefineKernel::kAuto,
-                                                threads, &pool, &got_delta);
-          ExpectSamePartition(want, got,
-                              what + " threads=" + std::to_string(threads));
-          EXPECT_EQ(want_delta.run_lengths, got_delta.run_lengths) << what;
-          EXPECT_EQ(want_delta.parent_first_rows, got_delta.parent_first_rows)
-              << what;
-          // Entropy must agree BITWISE: shards merge their block-size
-          // histograms with integer adds.
-          EXPECT_EQ(want_h, base.RefinedEntropySharded(
-                                col, kBigRows, RefineKernel::kAuto, threads,
-                                &pool))
-              << what << " threads=" << threads;
-        }
-      }
-    }
-  }
-}
-
-TEST(RefineParallel, ChainShardedPathsBitIdenticalAcrossThreadCounts) {
-  // A cache miss refines through a chain of columns, each sharded step
-  // feeding the next, and ends in the count-only sharded step. The whole
-  // chain — not just one step from a serial base — must match the serial
-  // chain byte for byte at every thread count.
-  Rng rng(9502);
-  WorkerPool pool;
-  for (int trial = 0; trial < 3; ++trial) {
-    const size_t k = 2 + static_cast<size_t>(rng.UniformU64(2));  // 2..3
-    std::vector<Column> cols;
-    for (size_t j = 0; j < k; ++j) {
-      const uint32_t card = 2 + static_cast<uint32_t>(rng.UniformU64(9));
-      cols.push_back(DensifiedColumn(&rng, kBigRows, card,
-                                     rng.Bernoulli(0.5) ? 0.0 : 1.5));
-    }
-    const Partition base =
-        Partition::OfColumn(DensifiedColumn(&rng, kBigRows, 11, 0.0));
-    const std::string what = "trial=" + std::to_string(trial) +
-                             " k=" + std::to_string(k);
-
-    Partition want = base;
-    for (size_t j = 0; j + 1 < k; ++j) want = want.RefinedBy(cols[j]);
-    const double want_h = want.RefinedEntropy(cols[k - 1], kBigRows);
-    for (uint32_t threads : ContractThreadCounts()) {
-      const std::string tag = what + " threads=" + std::to_string(threads);
-      Partition got = base;
-      for (size_t j = 0; j + 1 < k; ++j) {
-        got = got.RefinedBySharded(cols[j], RefineKernel::kAuto, threads,
-                                   &pool);
-      }
-      ExpectSamePartition(want, got, tag);
-      EXPECT_EQ(want_h,
-                got.RefinedEntropySharded(cols[k - 1], kBigRows,
-                                          RefineKernel::kAuto, threads, &pool))
-          << tag;
-    }
-  }
-}
-
-TEST(RefineParallel, ChunkedLayoutShardedMatchesSerial) {
-  // The sharded split walks Partition::View(), which a chunked (in-place
-  // extended) partition serves as one run per contiguous block stretch —
-  // many short runs instead of flat's single run. Equivalence must hold
-  // over that layout too.
+TEST(RefineKernels, ChunkedLayoutMatchesFlatTwin) {
+  // Partition::View() serves a chunked (in-place extended) partition as one
+  // run per contiguous block stretch — many short runs instead of flat's
+  // single run. Refining it, materialized or count-only and under every
+  // kernel, must equal refining its flat twin.
   Rng rng(9503);
-  WorkerPool pool;
-  const uint32_t old_rows = kBigRows - kBigRows / 5;
-  Column full = DensifiedColumn(&rng, kBigRows, 400, 0.5);
+  constexpr uint32_t kRows = 100000;
+  const uint32_t old_rows = kRows - kRows / 5;
+  Column full = DensifiedColumn(&rng, kRows, 400, 0.5);
   // Prefix column over the first old_rows rows (dense prefix of a
   // densified column is itself densified; prefix cardinality = codes seen).
   std::vector<uint32_t> prefix_codes(full.codes.begin(),
@@ -254,21 +101,24 @@ TEST(RefineParallel, ChunkedLayoutShardedMatchesSerial) {
   chunked.ExtendOfColumnInPlace(full, old_rows);  // adopts chunked layout
   const Partition flat = Partition::OfColumn(full);
   ExpectSamePartition(flat, chunked, "chunked == flat baseline");
+  PartitionViewScratch vs;
+  ASSERT_GT(chunked.View(&vs).num_runs, 1u) << "expected a multi-run view";
 
-  Column refine_col = DensifiedColumn(&rng, kBigRows, 3000, 1.0);
-  Partition want = flat.RefinedBy(refine_col);
-  const double want_h = flat.RefinedEntropy(refine_col, kBigRows);
-  for (uint32_t threads : ContractThreadCounts()) {
-    const std::string tag = "chunked threads=" + std::to_string(threads);
-    ExpectSamePartition(want,
-                        chunked.RefinedBySharded(refine_col,
-                                                 RefineKernel::kAuto, threads,
-                                                 &pool),
+  Column refine_col = DensifiedColumn(&rng, kRows, 3000, 1.0);
+  for (RefineKernel kernel :
+       {RefineKernel::kAuto, RefineKernel::kDense, RefineKernel::kSort}) {
+    const std::string tag =
+        "kernel=" + std::to_string(static_cast<int>(kernel));
+    PartitionDelta want_delta;
+    PartitionDelta got_delta;
+    const Partition want = flat.RefinedBy(refine_col, kernel, &want_delta);
+    ExpectSamePartition(want, chunked.RefinedBy(refine_col, kernel, &got_delta),
                         tag);
-    EXPECT_EQ(want_h,
-              chunked.RefinedEntropySharded(refine_col, kBigRows,
-                                            RefineKernel::kAuto, threads,
-                                            &pool))
+    EXPECT_EQ(want_delta.run_lengths, got_delta.run_lengths) << tag;
+    EXPECT_EQ(want_delta.parent_first_rows, got_delta.parent_first_rows)
+        << tag;
+    EXPECT_EQ(flat.RefinedEntropy(refine_col, kRows, kernel),
+              chunked.RefinedEntropy(refine_col, kRows, kernel))
         << tag;
   }
 }

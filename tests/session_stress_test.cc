@@ -311,11 +311,11 @@ TEST(WorkerPool, ThrowingTaskIsContainedOnEveryPath) {
 }
 
 TEST(WorkerPool, NestedSubmissionRunsInlineAndCompletes) {
-  // A pool task that itself submits a sub-batch (the sharded refine
-  // kernels do exactly this when a batched query crosses the intra-op
-  // threshold) must take the busy-inline path — the outer Run holds the
-  // submit lock for its whole duration — and complete every sub-index on
-  // the task's own thread. Under a waiting submit lock this test
+  // A pool task that itself submits a sub-batch (an engine queried from
+  // inside another batch's task on a shared pool does exactly this) must
+  // take the busy-inline path — the outer Run holds the submit lock for
+  // its whole duration — and complete every sub-index on the task's own
+  // thread. Under a waiting submit lock this test
   // deadlocks: the inner Run would park on a lock its own batch holds.
   WorkerPool pool;
   constexpr size_t kOuter = 4;
