@@ -1161,5 +1161,123 @@ TEST(EpochEngine, KernelSelectionCrossingStillExtends) {
   VerifyCachedPartitionsAgainstColdReplay(&engine, r);
 }
 
+TEST(EpochEngine, KernelSelectionCrossingDownwardStillExtends) {
+  // The reverse crossing: b starts in the radix-sort region (past 64Ki
+  // values and at least half of {a}'s stripped mass) and an append that
+  // only repeats old b values grows the mass past twice b's cardinality,
+  // so a cold build would switch from radix sort back to counting. Catch-up
+  // must still extend {a,b}, bitwise equal to a cold replay.
+  constexpr uint32_t kOld = 100000;
+  constexpr uint32_t kCard = 80000;
+  constexpr uint32_t kAppended = 150000;
+  // a = parity and kCard is even, so rows i and i + kCard share {a,b}:
+  // the cached {a,b} holds 2-row blocks, not only singletons.
+  std::vector<std::vector<uint32_t>> rows;
+  for (uint32_t i = 0; i < kOld; ++i) rows.push_back({i % 2, i % kCard});
+  Relation r = RelationFromRows(2, rows);
+  EngineOptions opts;
+  opts.num_threads = 1;
+  EntropyEngine engine(&r, opts);
+  engine.PrewarmSubsets({AttrSet{0}});
+  engine.PrewarmSubsets({AttrSet{0, 1}});
+  std::vector<uint32_t> chain;
+  std::shared_ptr<const Partition> p;
+  ASSERT_TRUE(engine.CachedPartitionInfo(AttrSet{0, 1}, &chain, &p));
+  ASSERT_EQ(chain, (std::vector<uint32_t>{0, 1}));
+  ASSERT_EQ(p->NumStrippedRows(), 2 * (kOld - kCard));
+  p.reset();
+
+  std::vector<std::vector<uint32_t>> batch;
+  for (uint32_t i = 0; i < kAppended; ++i) batch.push_back({i % 2, i % kCard});
+  ASSERT_TRUE(r.AppendBatch(batch).ok());
+
+  // The crossing is real: at {a}'s stripped mass (every row) before the
+  // append b selects radix sort, after it counting.
+  ASSERT_EQ(ChooseRefineKernel(kCard, kOld), RefineKernel::kSort);
+  ASSERT_EQ(ChooseRefineKernel(kCard, kOld + kAppended), RefineKernel::kDense);
+
+  engine.CatchUp();
+  EXPECT_EQ(engine.Stats().partitions_extended, 2u);  // {a} and {a,b}
+  EXPECT_EQ(engine.Stats().partitions_replayed, 0u);
+  VerifyCachedPartitionsAgainstColdReplay(&engine, r);
+}
+
+TEST(EpochEngine, KernelSelectionCrossingExtendsUnderThreadedCatchUp) {
+  // Three cached chains [a, x] whose last columns all cross from counting
+  // to radix sort in one append. The level of {a,x} entries carries enough
+  // stripped mass for catch-up to fan out on the pool; every entry must
+  // still extend, and the threaded engine must serve exactly what a serial
+  // twin serves and hold what a cold replay builds.
+  constexpr uint32_t kOld = 200000;
+  constexpr uint32_t kAppended = 200000;
+  const uint32_t old_cards[3] = {40000, 50000, 45000};
+  // a = parity; every x value recurs at least four times in the old rows,
+  // so each {a,x} strips all kOld rows.
+  std::vector<std::vector<uint32_t>> rows;
+  for (uint32_t i = 0; i < kOld; ++i) {
+    rows.push_back(
+        {i % 2, i % old_cards[0], i % old_cards[1], i % old_cards[2]});
+  }
+  Relation r_par = RelationFromRows(4, rows);
+  Relation r_ser = RelationFromRows(4, rows);
+  EngineOptions par_opts;
+  par_opts.num_threads = 4;
+  par_opts.worker_pool = std::make_shared<WorkerPool>();
+  EntropyEngine par(&r_par, par_opts);
+  EngineOptions ser_opts;
+  ser_opts.num_threads = 1;
+  EntropyEngine ser(&r_ser, ser_opts);
+  const std::vector<AttrSet> pairs = {AttrSet{0, 1}, AttrSet{0, 2},
+                                      AttrSet{0, 3}};
+  // One set per prewarm, so nothing fans out (or spawns a pool thread)
+  // before the catch-up.
+  for (EntropyEngine* e : {&par, &ser}) {
+    e->PrewarmSubsets({AttrSet{0}});
+    for (AttrSet s : pairs) e->PrewarmSubsets({s});
+  }
+  for (uint32_t x = 1; x <= 3; ++x) {
+    std::vector<uint32_t> chain;
+    std::shared_ptr<const Partition> p;
+    ASSERT_TRUE(par.CachedPartitionInfo(pairs[x - 1], &chain, &p));
+    ASSERT_EQ(chain, (std::vector<uint32_t>{0, x}));
+    ASSERT_EQ(p->NumStrippedRows(), kOld);
+  }
+  ASSERT_EQ(par_opts.worker_pool->NumThreads(), 0u);
+
+  // Every fifth appended row repeats an old x value; the rest are new.
+  std::vector<std::vector<uint32_t>> batch;
+  uint32_t fresh = 0;
+  for (uint32_t i = 0; i < kAppended; ++i) {
+    std::vector<uint32_t> row = {i % 2, 0, 0, 0};
+    const bool repeat = i % 5 == 0;
+    for (uint32_t x = 1; x <= 3; ++x) {
+      row[x] = repeat ? i % old_cards[x - 1] : old_cards[x - 1] + fresh;
+    }
+    if (!repeat) ++fresh;
+    batch.push_back(row);
+  }
+  ASSERT_TRUE(r_par.AppendBatch(batch).ok());
+  ASSERT_TRUE(r_ser.AppendBatch(batch).ok());
+  for (uint32_t x = 1; x <= 3; ++x) {
+    ASSERT_EQ(ChooseRefineKernel(old_cards[x - 1], kOld + kAppended),
+              RefineKernel::kDense);
+    ASSERT_EQ(ChooseRefineKernel(old_cards[x - 1] + fresh, kOld + kAppended),
+              RefineKernel::kSort);
+  }
+
+  par.CatchUp();
+  ser.CatchUp();
+  for (EntropyEngine* e : {&par, &ser}) {
+    EXPECT_EQ(e->Stats().partitions_extended, 4u);  // {a} and three {a,x}
+    EXPECT_EQ(e->Stats().partitions_replayed, 0u);
+  }
+  EXPECT_GT(par_opts.worker_pool->NumThreads(), 0u);
+  for (uint64_t mask = 1; mask < 16; ++mask) {
+    const AttrSet s = AttrSet::FromMask(mask);
+    EXPECT_EQ(par.Entropy(s), ser.Entropy(s)) << mask;
+  }
+  VerifyCachedPartitionsAgainstColdReplay(&par, r_par);
+}
+
 }  // namespace
 }  // namespace ajd
